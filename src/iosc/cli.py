@@ -34,6 +34,7 @@ from .errors import DEFAULT_BUDGET, BudgetExceeded, OracleDisagreement
 from .poly import IdealSpec, Poly, PolyParseError, Weight, jet_expand, parse_poly
 from .ringcount import (
     Full,
+    LocalData,
     PrimitiveBlock,
     Region,
     UnitModP,
@@ -266,12 +267,15 @@ def cmd_zeta(args) -> dict:
         rep = zeta_mod.theta_probe(spec, r, args.p, args.max_order, budget, threads)
         result["theta"] = rep
     else:
-        dist = zeta_mod.ord_distribution(spec, args.p, args.max_order, None, budget, threads)
+        # one LocalData for the whole command: every report below shares
+        # its counts
+        data = LocalData(spec, args.p, None, budget, threads)
+        dist = zeta_mod._ord_distribution(data, args.max_order)
         result["ord_distribution"] = {
             "coefficients": list(dist.coeffs),
             "tail_index": dist.tail_index,
         }
-        comp = zeta_mod.compa_check(spec, r, args.p, max(2, args.max_order), None, budget, threads)
+        comp = zeta_mod._compa(data, r, max(2, args.max_order))
         result["series_identity"] = {
             "ok": comp.ok,
             "lhs": list(comp.lhs.coeffs),
@@ -280,11 +284,10 @@ def cmd_zeta(args) -> dict:
         if not comp.ok:
             raise OracleDisagreement("zeta/exponential-sum series identity failed")
         if args.reconstruct:
-            z = zeta_mod.zeta_series(spec, args.p, args.max_order, None, budget, threads)
+            z = zeta_mod._zeta_series(data, args.max_order)
             rec = zeta_mod.rational_reconstruct(z, args.max_order // 2)
             result["reconstruction"] = rec
-            pole = zeta_mod.pole_report(spec, r, args.p, args.max_order, None, budget, threads)
-            result["pole_report"] = pole
+            result["pole_report"] = zeta_mod._pole_report(rec, args.p, r)
     sub = ["zeta", "-p", str(args.p), "--max-order", str(args.max_order), "-r", str(r)]
     if args.theta:
         sub.append("--theta")

@@ -36,8 +36,10 @@ from .errors import DEFAULT_BUDGET, charge
 from .gf import GFTable
 from .poly import IdealSpec, Poly, Weight, build_pairing, top_part, torus_transform, wdeg
 from .ringcount import (
+    LocalData,
     Region,
-    count_zpm,
+    check_prime_power,
+    count_zpm,  # noqa: F401  (unused; see the same import in zeta.py)
     dim_estimate_raw,
     eval_poly_mod,
     iter_grid,
@@ -151,6 +153,7 @@ def phase_histogram(
     threads: int = 1,
 ) -> PhaseHistogram:
     """Exact distribution of f's values over the region in Z/p^m."""
+    check_prime_power(p, m)
     if region is None:
         region = Region.full(f.nvars)
     if region.k != f.nvars:
@@ -196,20 +199,10 @@ def E_counts(
 
     m >= 2: q^{-mn} (#X(Z/p^m)|_Z - q^{n-r} #X(Z/p^{m-1})|_Z); for m = 1 the
     residue-field form q^{-n} (#(X cap Z)(F_p) - q^{-r} #Z(F_p)).  Z is a
-    region on the reduction mod p, defaulting to the full space.
+    region on the reduction mod p, defaulting to the full space.  Each count
+    is computed once per call, through one LocalData.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    n = spec.nvars
-    if m == 1:
-        in_x = count_zpm(spec, p, 1, region=Z, budget=budget, threads=threads)
-        size_z = (
-            p ** n if Z is None else Z.count_mod_p(p, budget=budget, threads=threads)
-        )
-        return Fraction(in_x, p ** n) - Fraction(size_z, p ** (n + r))
-    nm = count_zpm(spec, p, m, region=Z, budget=budget, threads=threads)
-    nm1 = count_zpm(spec, p, m - 1, region=Z, budget=budget, threads=threads)
-    return Fraction(nm, p ** (m * n)) - Fraction(nm1, p ** ((m - 1) * n + r))
+    return LocalData(spec, p, Z, budget, threads).E(r, m)
 
 
 def E_charsum(
@@ -230,6 +223,7 @@ def E_charsum(
     method="grouped" enumerates every primitive y against the value-vector
     classes of x (the same double sum, regrouped), which is much faster.
     """
+    check_prime_power(p, m)
     if spec.r != r:
         raise ValueError("charsum form needs exactly r generators")
     n = spec.nvars

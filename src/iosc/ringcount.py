@@ -22,6 +22,7 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -33,6 +34,21 @@ from .poly import IdealSpec, Poly, Weight, jacobian_minors, top_part
 # -- vectorized helpers ----------------------------------------------------
 
 CHUNK = 1 << 20
+# products of two residues below 2^31 fit in int64
+Q_LIMIT = 1 << 31
+
+
+def check_prime_power(p: int, m: int = 1) -> None:
+    """Raise ValueError unless p is a prime below 2^31 and m >= 1.
+
+    Every route evaluates polynomials mod p in int64 (eval_poly_mod), which
+    is exact only below 2^31, so the bound comes first and keeps the trial
+    division short.
+    """
+    if not 2 <= p < Q_LIMIT or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"p must be a prime below 2^31, got {p}")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
 
 
 def iter_grid(k: int, radix: int, chunk: int = CHUNK) -> Iterator[np.ndarray]:
@@ -61,7 +77,9 @@ def _powmod(col: np.ndarray, e: int, q: int) -> np.ndarray:
 
 
 def eval_poly_mod(f: Poly, pts: np.ndarray, q: int) -> np.ndarray:
-    """Evaluate f mod q on an array of points, exactly (int64-safe for q < 2^31)."""
+    """Evaluate f mod q on an array of points, exactly; needs 1 <= q < 2^31."""
+    if not 1 <= q < Q_LIMIT:
+        raise ValueError(f"modulus {q} is outside the int64-exact range [1, 2^31)")
     acc = np.zeros(len(pts), dtype=np.int64)
     powers: dict[tuple[int, int], np.ndarray] = {}
     for expo, coeff in f.terms.items():
@@ -381,8 +399,7 @@ def count_points_raw(
     threads: int = 1,
 ) -> int:
     """Count common zeros mod p^m of a raw generator list inside a region."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    check_prime_power(p, m)
     if region is None:
         region = Region.full(nvars)
     gens = [g for g in gens if not g.is_zero()]
@@ -424,6 +441,58 @@ def count_zpm(
     )
 
 
+class LocalData:
+    """The local counts of one ideal at one prime, each computed once.
+
+    N(m) = #{x in (Z/p^m)^n : reduction in Z, ord_I(x) >= m} for m >= 1,
+    and N(0) = #Z(F_p).  Every local object of the paper is a function of
+    these: the volumes V(m) = N(m) / p^(mn) (V(0) = N(0) / p^n) and the
+    exponential sums E(r, m) = V(m) - p^(-r) V(m-1).  Each N(m) is counted
+    by the lift route, under the full budget, on first use and kept in
+    this object.  One object serves one public call or one CLI command, so
+    no count outlives it.
+    """
+
+    def __init__(
+        self,
+        spec: IdealSpec,
+        p: int,
+        Z: Region | None = None,
+        budget: int = DEFAULT_BUDGET,
+        threads: int = 1,
+    ):
+        check_prime_power(p)
+        if Z is not None and Z.k != spec.nvars:
+            raise ValueError("region size must match nvars")
+        self.spec, self.p, self.Z = spec, p, Z
+        self.budget, self.threads = budget, threads
+        self._counts: dict[int, int] = {}
+
+    def N(self, m: int) -> int:
+        if m not in self._counts:
+            if m == 0 and self.Z is not None:
+                count = self.Z.count_mod_p(self.p, self.budget, self.threads)
+            elif m == 0:
+                count = self.p ** self.spec.nvars
+            else:
+                count = count_zpm(
+                    self.spec, self.p, m, region=self.Z,
+                    budget=self.budget, threads=self.threads,
+                )
+            self._counts[m] = count
+        return self._counts[m]
+
+    def V(self, m: int) -> Fraction:
+        """vol{x : ord_I(x) >= m, reduction in Z}."""
+        return Fraction(self.N(m), self.p ** (max(m, 1) * self.spec.nvars))
+
+    def E(self, r: int, m: int) -> Fraction:
+        """The r-th exponential sum modulo p^m in counts form."""
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+        return self.V(m) - self.V(m - 1) / self.p ** r
+
+
 # -- counting over finite fields ---------------------------------------------
 
 
@@ -436,6 +505,7 @@ def count_ff_raw(
     threads: int = 1,
 ) -> int:
     """Common zeros of gens over F_{p^k}, by exhaustive vectorized evaluation."""
+    check_prime_power(p, k)
     q = p ** k
     charge(q ** nvars, budget, "finite-field count")
     gens = [g for g in gens if not g.is_zero()]

@@ -13,6 +13,7 @@ finitely many primes, never certificates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import DEFAULT_BUDGET, charge
 from .expsum import CycloValue, E_counts, reduce_mod_cyclotomic
 from .poly import IdealSpec
-from .ringcount import count_zpm, eval_poly_mod, iter_grid
+from .ringcount import LocalData, eval_poly_mod, iter_grid
 
 
 def factorize(q: int) -> list[tuple[int, int]]:
@@ -136,18 +137,28 @@ def singular_series_partial(
 ) -> SeriesReport:
     """sum_{q <= Qmax} q^r E(q), all terms exact.
 
+    E is multiplicative, so E(q) is the product of a table of E over the
+    prime powers <= Qmax.  The table is filled from one LocalData per
+    prime, so each count is computed once per call.
+
     With a user-supplied decay exponent sigma > r + 1 a geometric tail
     bound is attached, fitted as c = max |E(q)| q^sigma over the computed
     terms; it inherits sigma's conjectural status.
     """
-    terms: list[tuple[int, Fraction, Fraction]] = [(1, Fraction(1), Fraction(1))]
-    sums = [Fraction(1)]
-    flags: list[str] = []
+    local: dict[int, LocalData] = {}
+    E = {1: Fraction(1)}
     for q in range(2, Qmax + 1):
-        e = E_composite(spec, r, q, budget, threads)
-        term = e * q ** r
-        terms.append((q, e, term))
-        sums.append(sums[-1] + term)
+        (p, k), *rest = factorize(q)
+        if rest:
+            # both coprime factors are below q, so already in the table
+            E[q] = E[p ** k] * E[q // p ** k]
+        else:
+            if p not in local:
+                local[p] = LocalData(spec, p, None, budget, threads)
+            E[q] = local[p].E(r, k)
+    terms = [(q, e, e * q ** r) for q, e in E.items()]
+    sums = list(itertools.accumulate(term for _, _, term in terms))
+    flags: list[str] = []
     tail = None
     if sigma is not None:
         if sigma <= r + 1:
@@ -181,11 +192,8 @@ def p_adic_density(
     threads: int = 1,
 ) -> DensityReport:
     """Truncated p-adic density sequence; stabilized when the last two agree."""
-    n = spec.nvars
-    values = []
-    for m in range(1, M + 1):
-        nm = count_zpm(spec, p, m, budget=budget, threads=threads)
-        values.append(Fraction(nm * p ** (m * r), p ** (m * n)))
+    data = LocalData(spec, p, None, budget, threads)
+    values = [data.V(m) * p ** (m * r) for m in range(1, M + 1)]
     deltas = [values[i + 1] - values[i] for i in range(len(values) - 1)]
     # stabilized means constant from the first repeat onward; a plateau
     # followed by further movement (e.g. 1, 3, 3, 9, 9 for a non-reduced

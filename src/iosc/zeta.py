@@ -13,6 +13,11 @@ vol{ord >= m} = q^(-mn) * N_{p,m}.  On top of it:
 * the local factor Theta_p(-r) = 1 + sum E^(r)(m) q^(rm), whose partial
   sums telescope to the p-adic densities.
 
+Every count comes from one ringcount.LocalData per public call (per CLI
+command for ``iosc zeta``), so each N_{p,m} is computed once per call and
+the public functions are thin wrappers around private helpers that derive
+their output from its volumes.
+
 Verdicts emitted here are explicitly labeled heuristics on truncated
 data; the exact parts (series identities, reconstruction round-trips)
 are tolerance-free.
@@ -26,8 +31,10 @@ from typing import Sequence
 
 from .errors import DEFAULT_BUDGET, ZeroIdealError
 from .poly import IdealSpec
-from .ringcount import Region, count_zpm
-from .expsum import E_counts
+from .ringcount import LocalData, Region
+# unused: every count goes through LocalData, but bench/test_bench.py checks
+# that the tracer rebinds this alias
+from .ringcount import count_zpm  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -77,21 +84,12 @@ def ord_volumes(
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> list[Fraction]:
-    """[V_0..V_M] with V_m = vol{x : ord_I(x) >= m, reduction in Z}."""
-    n = spec.nvars
-    vols = []
-    for m in range(M + 1):
-        if m == 0:
-            size = p ** n if Z is None else Z.count_mod_p(p, budget, threads)
-            vols.append(Fraction(size, p ** n))
-        else:
-            vols.append(
-                Fraction(
-                    count_zpm(spec, p, m, region=Z, budget=budget, threads=threads),
-                    p ** (m * n),
-                )
-            )
-    return vols
+    """[V_0..V_M] with V_m = vol{x : ord_I(x) >= m, reduction in Z}.
+
+    Each count is computed once per call, through one LocalData.
+    """
+    data = LocalData(spec, p, Z, budget, threads)
+    return [data.V(m) for m in range(M + 1)]
 
 
 @dataclass(frozen=True)
@@ -116,11 +114,15 @@ def ord_distribution(
     threads: int = 1,
 ) -> OrdDistribution:
     """The valuation distribution of the ideal up to order M."""
-    if all(g.is_zero() for g in spec.generators):
+    return _ord_distribution(LocalData(spec, p, Z, budget, threads), M)
+
+
+def _ord_distribution(data: LocalData, M: int) -> OrdDistribution:
+    if all(g.is_zero() for g in data.spec.generators):
         raise ZeroIdealError("ideal is zero")
-    vols = ord_volumes(spec, p, M, Z, budget, threads)
+    vols = [data.V(m) for m in range(M + 1)]
     coeffs = [vols[m] - vols[m + 1] for m in range(M)] + [vols[M]]
-    return OrdDistribution(p, tuple(coeffs), M)
+    return OrdDistribution(data.p, tuple(coeffs), M)
 
 
 def zeta_series(
@@ -132,8 +134,11 @@ def zeta_series(
     threads: int = 1,
 ) -> QSeries:
     """Z(t) = sum vol{ord = m} t^m with every coefficient exact through M."""
-    vols = ord_volumes(spec, p, M + 1, Z, budget, threads)
-    return QSeries(p, tuple(vols[m] - vols[m + 1] for m in range(M + 1)))
+    return _zeta_series(LocalData(spec, p, Z, budget, threads), M)
+
+
+def _zeta_series(data: LocalData, M: int) -> QSeries:
+    return QSeries(data.p, tuple(data.V(m) - data.V(m + 1) for m in range(M + 1)))
 
 
 def poincare_relation(
@@ -144,9 +149,9 @@ def poincare_relation(
     threads: int = 1,
 ) -> tuple[bool, QSeries, QSeries]:
     """Coefficientwise check of (1 - t) P(t) = 1 - t Z(t) through order M."""
-    vols = ord_volumes(spec, p, M + 1, None, budget, threads)
-    pser = QSeries(p, tuple(vols[: M + 1]))
-    zser = zeta_series(spec, p, M, None, budget, threads)
+    data = LocalData(spec, p, None, budget, threads)
+    pser = QSeries(p, tuple(data.V(m) for m in range(M + 1)))
+    zser = _zeta_series(data, M)
     lhs = [pser.coeffs[0]] + [
         pser.coeffs[m] - pser.coeffs[m - 1] for m in range(1, M + 1)
     ]
@@ -178,15 +183,23 @@ def compa_check(
         (1 - q^(-r) t) Z_Z(t)
             = q^(-n)(1 - q^(-r)) #Z(F_p) t + (1 - t^(-1)) sum_{m>=2} E(m) t^m
 
-    The identity requires the residue set Z to lie inside the zero locus,
-    so the default Z is the zero locus itself and any user-supplied region
-    is intersected with it.
+    The identity requires the residue set Z to lie inside the zero locus
+    X, so the residue set used is Z intersected with X (X itself when Z is
+    None).  Only its volume V_0 needs the intersection: for m >= 1,
+    ord_I(x) >= m >= 1 forces x mod p into X(F_p), so vol{ord_I >= m} over
+    Z cap X equals V_m counted with Z alone.  The same lemma at m = 1 gives
+    V_0 = vol(Z cap X) = V_1 over Z, so every count is one the rest of a
+    zeta command also needs.
     """
+    return _compa(LocalData(spec, p, Z, budget, threads), r, M)
+
+
+def _compa(data: LocalData, r: int, M: int) -> CompaResult:
     if M < 2:
         raise ValueError("M must be >= 2")
-    x_region = Region.reduction_in(spec.generators)
-    zc = x_region if Z is None else Z.intersect(x_region)
-    vols = ord_volumes(spec, p, M + 1, zc, budget, threads)
+    p = data.p
+    # V_0 of Z cap X is V_1 of Z, by the lemma in compa_check's docstring
+    vols = [data.V(1)] + [data.V(m) for m in range(1, M + 2)]
     qr = Fraction(1, p ** r)
 
     # LHS: (1 - q^-r t) * zeta; c_m = V_m - V_{m+1} (c_0 = 0 since Z lies
@@ -360,12 +373,8 @@ def theta_probe(
     """
     if M < 3:
         raise ValueError("M must be >= 3")
-    vols = ord_volumes(spec, p, M, None, budget, threads)
-    qr = Fraction(1, p ** r)
-    terms = []
-    for m in range(1, M + 1):
-        e = vols[m] - qr * vols[m - 1]
-        terms.append(e * p ** (r * m))
+    data = LocalData(spec, p, None, budget, threads)
+    terms = [data.E(r, m) * p ** (r * m) for m in range(1, M + 1)]
     sums = [Fraction(1)]
     for t in terms:
         sums.append(sums[-1] + t)
@@ -406,8 +415,12 @@ def pole_report(
     Exact pole analysis is beyond truncated data, so this is a probe, not
     a certificate.
     """
-    z = zeta_series(spec, p, M, None, budget, threads)
+    z = _zeta_series(LocalData(spec, p, None, budget, threads), M)
     rec = rational_reconstruct(z, max_order if max_order is not None else M // 2)
+    return _pole_report(rec, p, r)
+
+
+def _pole_report(rec: Reconstruction, p: int, r: int) -> PoleReport:
     if rec.func is None:
         return PoleReport("abstain", None, rec)
     mult = rec.func.denominator_root_multiplicity(Fraction(1, p ** r))
