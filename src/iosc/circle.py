@@ -20,13 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, charge
 from .poly import IdealSpec, Poly
-from .ringcount import iter_grid
+from .ringcount import check_prime_power, digits, eval_poly_mod, iter_grid, map_sum
 from .sseries import SeriesReport, singular_series_partial
 
 
@@ -70,38 +70,6 @@ def _box_int_ranges(box: BoxSpec, B: int) -> list[tuple[int, int]]:
     ]
 
 
-def _iter_int_box(ranges: Sequence[tuple[int, int]], chunk: int = 1 << 20) -> Iterator[np.ndarray]:
-    sizes = [hi - lo + 1 for lo, hi in ranges]
-    total = 1
-    for s in sizes:
-        total *= s
-    k = len(ranges)
-    for off in range(0, total, chunk):
-        cnt = min(chunk, total - off)
-        idx = np.arange(off, off + cnt, dtype=np.int64)
-        pts = np.empty((cnt, k), dtype=np.int64)
-        for j in range(k - 1, -1, -1):
-            pts[:, j] = idx % sizes[j] + ranges[j][0]
-            idx //= sizes[j]
-        yield pts
-
-
-def _eval_exact_int(f: Poly, pts: np.ndarray) -> np.ndarray:
-    acc = np.zeros(len(pts), dtype=np.int64)
-    powers: dict[tuple[int, int], np.ndarray] = {}
-    for expo, coeff in f.terms.items():
-        t = np.full(len(pts), coeff, dtype=np.int64)
-        for j, e in enumerate(expo):
-            if e:
-                pw = powers.get((j, e))
-                if pw is None:
-                    pw = pts[:, j] ** e
-                    powers[j, e] = pw
-                t = t * pw
-        acc = acc + t
-    return acc
-
-
 def count_box_solutions(
     spec: IdealSpec,
     box: BoxSpec,
@@ -138,13 +106,15 @@ def count_box_solutions(
         if bound >= 1 << 62:
             raise ValueError("values too large for exact vectorized evaluation")
 
+    sizes = [hi - lo + 1 for lo, hi in ranges]
+    lows = np.array([lo for lo, _ in ranges], dtype=np.int64)
     # split position: keep the materialized suffix grid around 2^23 points
     k = 0
     suffix_total = total
     while suffix_total > (1 << 23) and k < n - 1:
-        suffix_total //= ranges[k][1] - ranges[k][0] + 1
+        suffix_total //= sizes[k]
         k += 1
-    suffix = next(_iter_int_box(ranges[k:], chunk=suffix_total))
+    suffix = digits(np.arange(suffix_total, dtype=np.int64), sizes[k:]) + lows[k:]
 
     def mono_values(expo: tuple[int, ...]) -> np.ndarray:
         out = np.ones(len(suffix), dtype=np.int64)
@@ -173,11 +143,12 @@ def count_box_solutions(
                 mixed.append((pref, c, suf))
         decomp.append((base, const_terms, mixed, monos))
 
-    prefix_pts = list(_iter_prefix(ranges[:k]))
+    prefix_total = total // suffix_total
+    prefix_pts = digits(np.arange(prefix_total, dtype=np.int64), sizes[:k]) + lows[:k]
 
-    def handle(batch: list[tuple[int, ...]]) -> int:
+    def handle(batch: np.ndarray) -> int:
         subtotal = 0
-        for pp in batch:
+        for pp in batch.tolist():
             ok: np.ndarray | None = None
             for base, const_terms, mixed, monos in decomp:
                 shift = sum(c * _mono_int(pp, pref) for pref, c in const_terms)
@@ -192,24 +163,13 @@ def count_box_solutions(
             subtotal += int(ok.sum())
         return subtotal
 
-    from .ringcount import _map_chunks
-
-    nbatches = max(1, min(len(prefix_pts), threads * 8))
-    size = (len(prefix_pts) + nbatches - 1) // nbatches
-    batches = [prefix_pts[i : i + size] for i in range(0, len(prefix_pts), size)]
-    return sum(_map_chunks(handle, batches, threads))
+    nbatches = max(1, min(prefix_total, threads * 8))
+    size = (prefix_total + nbatches - 1) // nbatches
+    batches = (prefix_pts[i : i + size] for i in range(0, prefix_total, size))
+    return map_sum(handle, batches, threads)
 
 
-def _iter_prefix(ranges: Sequence[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
-    if not ranges:
-        yield ()
-        return
-    import itertools
-
-    yield from itertools.product(*(range(lo, hi + 1) for lo, hi in ranges))
-
-
-def _mono_int(point: tuple[int, ...], expo: tuple[int, ...]) -> int:
+def _mono_int(point: Sequence[int], expo: tuple[int, ...]) -> int:
     v = 1
     for x, e in zip(point, expo):
         if e:
@@ -388,6 +348,7 @@ def waring_surjectivity(
     maps are required.  Images and the iterated sumset are computed by
     exhaustive enumeration over (Z/p^m)^r.
     """
+    check_prime_power(p, m)
     if len(maps) == 1:
         maps = list(maps) * ell
     if len(maps) != ell:
@@ -398,48 +359,40 @@ def waring_surjectivity(
     q = p ** m
     charge(q ** r, budget, "waring target space")
 
+    radices = [q] * r
+
+    def encode(cols: Sequence[np.ndarray]) -> np.ndarray:
+        idx = np.zeros(len(cols[0]), dtype=np.int64)
+        for c in cols:
+            idx = idx * q + c % q
+        return idx
+
     def image(components: Sequence[Poly]) -> np.ndarray:
         nv = components[0].nvars
         charge(q ** nv, budget, "waring image enumeration")
-        seen = np.zeros(q ** r, dtype=bool)
-        from .ringcount import eval_poly_mod
 
-        for pts in iter_grid(nv, q):
-            idx = np.zeros(len(pts), dtype=np.int64)
-            for comp in components:
-                idx = idx * q + eval_poly_mod(comp, pts, q)
-            seen[idx] = True
-        return seen
+        def seen(pts: np.ndarray) -> np.ndarray:
+            mask = np.zeros(q ** r, dtype=bool)
+            mask[encode([eval_poly_mod(comp, pts, q) for comp in components])] = True
+            return mask
+
+        return map_sum(seen, iter_grid(nv, q), 1)
 
     images = [image(comp) for comp in maps]
     image_sizes = [int(im.sum()) for im in images]
 
     # iterated sumset over the product group (Z/q)^r
-    def decode(idx: np.ndarray) -> np.ndarray:
-        out = np.empty((len(idx), r), dtype=np.int64)
-        rest = idx.copy()
-        for i in range(r - 1, -1, -1):
-            out[:, i] = rest % q
-            rest //= q
-        return out
-
-    def encode(pts: np.ndarray) -> np.ndarray:
-        idx = np.zeros(len(pts), dtype=np.int64)
-        for i in range(r):
-            idx = idx * q + pts[:, i] % q
-        return idx
-
     acc = images[0]
     for im in images[1:]:
-        a_pts = decode(np.nonzero(acc)[0])
-        b_pts = decode(np.nonzero(im)[0])
+        a_pts = digits(np.nonzero(acc)[0], radices)
+        b_pts = digits(np.nonzero(im)[0], radices)
         charge(len(a_pts) * len(b_pts), budget, "waring sumset")
         new = np.zeros(q ** r, dtype=bool)
         for row in b_pts:
-            new[encode((a_pts + row) % q)] = True
+            new[encode((a_pts + row).T)] = True
         acc = new
     missing_idx = np.nonzero(~acc)[0]
-    missing = [tuple(int(v) for v in row) for row in decode(missing_idx)]
+    missing = [tuple(int(v) for v in row) for row in digits(missing_idx, radices)]
     return WaringReport(len(missing) == 0, missing, image_sizes, int(acc.sum()))
 
 

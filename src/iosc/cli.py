@@ -3,15 +3,18 @@
 Every invocation produces a single machine-readable report (JSON by
 default, CSV on request) carrying the fully resolved configuration:
 re-running the echoed argv reproduces the numerical payload byte for
-byte, given the same seed.  Rationals serialize as "num/den" strings and
-counts as decimal strings, so arbitrary precision survives the pipe.
+byte, given the same seed.  The echo is generated from the chosen
+subcommand's parser: the command, its positional choice, then every
+option with a value, defaults included, in declaration order, each as
+--flag=value (so values that start with a dash survive), with the
+budget resolved.  Rationals serialize as "num/den" strings and counts as
+decimal strings, so arbitrary precision survives the pipe.
 
 Exit codes: 0 success, 2 invalid input, 3 evaluation budget exceeded,
 4 internal inconsistency (independent computation routes disagreed - this
-is reachable only through a bug, and its handler is exercised in tests by
-fault injection via IOSC_FAULT_INJECT).  The point budget defaults to
-10^8, can be set by IOSC_BUDGET or --budget, and --force bypasses it with
-a warning.
+is reachable only through a bug).  The point budget defaults to 10^8,
+can be set by IOSC_BUDGET or --budget, and --force bypasses it with a
+warning.
 """
 
 from __future__ import annotations
@@ -178,31 +181,35 @@ def _resolve_budget(args) -> int:
     return DEFAULT_BUDGET
 
 
-def _config_echo(args, command: list[str], extra: dict | None = None) -> dict:
-    cfg = {
-        "argv": command,
+# --force only bypasses the budget, which is echoed resolved; --output and
+# -o choose where and how the report goes
+_NOT_ECHOED = {"force", "output", "out"}
+
+
+def _config(args) -> dict:
+    """The config block: the resolved argv and the settings it fixes."""
+    argv = [args.command]
+    for action in args.parser._actions:
+        value = getattr(args, action.dest, None)
+        if not action.option_strings:
+            argv.append(str(value))
+            continue
+        flag = max(action.option_strings, key=len)
+        if action.dest == "budget":
+            argv.append(f"{flag}={args._resolved_budget}")
+        elif value is None or value is False or action.dest in _NOT_ECHOED:
+            continue
+        elif value is True:
+            argv.append(flag)
+        else:
+            for v in value if isinstance(value, list) else [value]:
+                argv.append(f"{flag}={v}")
+    return {
+        "argv": argv,
         "budget": args._resolved_budget,
         "threads": args.threads,
         "output": args.output,
     }
-    if extra:
-        cfg.update(extra)
-    return cfg
-
-
-def _rebuild_argv(args, sub: list[str]) -> list[str]:
-    out = list(sub)
-    if args.ideal:
-        out += ["--ideal", args.ideal]
-    else:
-        for g in args.gens or []:
-            out += ["--gens", g]
-        if args.nvars is not None:
-            out += ["-n", str(args.nvars)]
-        if getattr(args, "weights", None):
-            out += ["--weights", args.weights]
-    out += ["--budget", str(args._resolved_budget), "--threads", str(args.threads)]
-    return out
 
 
 # -- subcommand implementations ------------------------------------------------------
@@ -225,37 +232,15 @@ def cmd_expsum(args) -> dict:
             )
         result["E_charsum_residue"] = list(cv.vec)
         result["verify_moidef"] = ok
-    sub = ["expsum", "-p", str(args.p), "-m", str(args.m), "-r", str(r)]
-    if args.verify:
-        sub.append("--verify")
-    return {"config": _config_echo(args, _rebuild_argv(args, sub)), "result": result}
+    return result
 
 
 def cmd_count(args) -> dict:
     spec = _load_ideal(args)
     budget, threads = args._resolved_budget, args.threads
     region = _parse_region(args.region, spec.nvars)
-    if os.environ.get("IOSC_FAULT_INJECT") == "count-oracle" and args.method == "both":
-        a = count_zpm(spec, args.p, args.m, region, "lift", budget, threads)
-        b = count_zpm(spec, args.p, args.m, region, "naive", budget, threads) + 1
-        if a != b:
-            raise OracleDisagreement(f"lift count {a} != naive count {b}")
     n = count_zpm(spec, args.p, args.m, region, args.method, budget, threads)
-    sub = [
-        "count",
-        "-p",
-        str(args.p),
-        "-m",
-        str(args.m),
-        "--method",
-        args.method,
-    ]
-    if args.region:
-        sub += ["--region", args.region]
-    return {
-        "config": _config_echo(args, _rebuild_argv(args, sub)),
-        "result": {"count": str(n), "method": args.method},
-    }
+    return {"count": str(n), "method": args.method}
 
 
 def cmd_zeta(args) -> dict:
@@ -288,12 +273,7 @@ def cmd_zeta(args) -> dict:
             rec = zeta_mod.rational_reconstruct(z, args.max_order // 2)
             result["reconstruction"] = rec
             result["pole_report"] = zeta_mod._pole_report(rec, args.p, r)
-    sub = ["zeta", "-p", str(args.p), "--max-order", str(args.max_order), "-r", str(r)]
-    if args.theta:
-        sub.append("--theta")
-    if args.reconstruct:
-        sub.append("--reconstruct")
-    return {"config": _config_echo(args, _rebuild_argv(args, sub)), "result": result}
+    return result
 
 
 def cmd_sseries(args) -> dict:
@@ -305,16 +285,12 @@ def cmd_sseries(args) -> dict:
         primes = [int(p) for p in args.primes.split(",")]
         rep = sseries_mod.irreducibility_probe(spec, r, primes, budget, threads)
         result["irreducibility"] = rep
-        sub = ["sseries", "-r", str(r), "--irreducible", "--primes", args.primes]
     else:
         rep = sseries_mod.singular_series_partial(
             spec, r, args.qmax, args.sigma, budget, threads
         )
         result["singular_series"] = rep
-        sub = ["sseries", "-r", str(r), "--qmax", str(args.qmax)]
-        if args.sigma is not None:
-            sub += ["--sigma", str(args.sigma)]
-    return {"config": _config_echo(args, _rebuild_argv(args, sub)), "result": result}
+    return result
 
 
 def _parse_s_map(text: str | None) -> dict[int, int] | None:
@@ -328,52 +304,27 @@ def _parse_s_map(text: str | None) -> dict[int, int] | None:
 
 
 def cmd_bounds(args) -> dict:
-    result: dict[str, Any]
-    sub = ["bounds", args.which]
     if args.which in ("sigma0", "sigmaw"):
         spec = _load_ideal(args)
         fn = bounds_mod.sigma0 if args.which == "sigma0" else bounds_mod.sigma_tilde0w
-        res = fn(spec, s=_parse_s_map(args.s), budget=args._resolved_budget)
-        result = {"bound": res}
-        if args.s:
-            sub += ["--s", args.s]
-        return {
-            "config": _config_echo(args, _rebuild_argv(args, sub)),
-            "result": result,
-        }
+        return {"bound": fn(spec, s=_parse_s_map(args.s), budget=args._resolved_budget)}
     if args.which == "birch":
-        v = bounds_mod.birch_bound(args.nvars, args.s_dim, args.r, args.d)
-        sub += ["-n", str(args.nvars), "--s-dim", str(args.s_dim), "-r", str(args.r), "-d", str(args.d)]
-        result = {"birch_bound": v}
-    elif args.which == "tau0":
+        return {"birch_bound": bounds_mod.birch_bound(args.nvars, args.s_dim, args.r, args.d)}
+    if args.which == "tau0":
         groups = []
         for part in args.groups.split(","):
             i, ri, si = part.split(":")
             groups.append((int(i), int(ri), int(si)))
-        v = bounds_mod.bhb_tau0(groups, args.nvars)
-        sub += ["--groups", args.groups, "-n", str(args.nvars)]
-        result = {"tau0": v}
-    elif args.which == "thresholds":
-        t = bounds_mod.convolution_thresholds(args.r, args.R, args.d)
-        sub += ["-r", str(args.r), "-R", str(args.R), "-d", str(args.d)]
-        result = {"thresholds": t}
-    elif args.which == "moi-fit":
+        return {"tau0": bounds_mod.bhb_tau0(groups, args.nvars)}
+    if args.which == "thresholds":
+        return {"thresholds": bounds_mod.convolution_thresholds(args.r, args.R, args.d)}
+    if args.which == "moi-fit":
         data = []
         for part in args.data.split(","):
             p_, m_, e_ = part.split(":")
             data.append((int(p_), int(m_), float(e_)))
-        fit = bounds_mod.moi_fit(data, m_min=args.m_min)
-        sub += ["--data", args.data, "--m-min", str(args.m_min)]
-        result = {"fit": fit}
-    else:
-        raise ValueError(f"unknown bounds subcommand {args.which!r}")
-    cfg = {
-        "argv": sub + ["--budget", str(args._resolved_budget), "--threads", str(args.threads)],
-        "budget": args._resolved_budget,
-        "threads": args.threads,
-        "output": args.output,
-    }
-    return {"config": cfg, "result": result}
+        return {"fit": bounds_mod.moi_fit(data, m_min=args.m_min)}
+    raise ValueError(f"unknown bounds subcommand {args.which!r}")
 
 
 def cmd_circle(args) -> dict:
@@ -384,72 +335,39 @@ def cmd_circle(args) -> dict:
             nv, _, comps = spec_text.partition(":")
             maps.append([parse_poly(c, int(nv)) for c in comps.split(";")])
         rep = circle_mod.waring_surjectivity(maps, args.p, args.m, args.ell, budget)
-        missing = rep.missing[:50]
-        result = {
+        return {
             "surjective": rep.surjective,
             "missing_count": len(rep.missing),
-            "missing_head": missing,
+            "missing_head": rep.missing[:50],
             "image_sizes": rep.image_sizes,
         }
-        sub = ["circle", "waring", "-p", str(args.p), "-m", str(args.m), "--ell", str(args.ell)]
-        for spec_text in args.map:
-            sub += ["--map", spec_text]
-        cfg = {
-            "argv": sub + ["--budget", str(budget), "--threads", str(threads)],
-            "budget": budget,
-            "threads": threads,
-            "output": args.output,
-        }
-        return {"config": cfg, "result": result}
 
     spec = _load_ideal(args)
     box = _parse_box(args.box, spec.nvars)
     eps = [float(e) for e in args.eps.split(",")] if args.eps else [0.2, 0.1]
     if args.which == "count":
         v = circle_mod.count_box_solutions(spec, box, args.B, budget, threads)
-        result = {"count": str(v)}
-        sub = ["circle", "count", "-B", str(args.B)]
-    elif args.which == "jintegral":
+        return {"count": str(v)}
+    if args.which == "jintegral":
         rep = circle_mod.singular_integral(
             spec, box, eps, sampler=args.sampler, seed=args.seed, budget=budget
         )
-        result = {"j_integral": rep}
-        sub = ["circle", "jintegral", "--sampler", args.sampler, "--seed", str(args.seed), "--eps", args.eps or "0.2,0.1"]
-    elif args.which == "predict":
+        return {"j_integral": rep}
+    if args.which == "predict":
         rep = circle_mod.major_arc_prediction(
             spec, box, args.B, args.qmax, eps, seed=args.seed, budget=budget, threads=threads
         )
-        result = {"prediction": rep}
-        sub = [
-            "circle", "predict", "-B", str(args.B), "--qmax", str(args.qmax),
-            "--seed", str(args.seed), "--eps", args.eps or "0.2,0.1",
-        ]
-    else:
-        raise ValueError(f"unknown circle subcommand {args.which!r}")
-    if args.box:
-        sub += ["--box", args.box]
-    return {"config": _config_echo(args, _rebuild_argv(args, sub)), "result": result}
+        return {"prediction": rep}
+    raise ValueError(f"unknown circle subcommand {args.which!r}")
 
 
 def cmd_jet(args) -> dict:
-    budget = args._resolved_budget
     if args.which == "expand":
         if args.poly is None or args.nvars is None:
             raise ValueError("jet expand needs --poly and -n")
         f = parse_poly(args.poly, args.nvars)
         jets = jet_expand(f, args.order, args.start)
-        result = {"jets": [repr(j) for j in jets]}
-        sub = [
-            "jet", "expand", "--poly", args.poly, "-n", str(args.nvars),
-            "--order", str(args.order), "--start", str(args.start),
-        ]
-        cfg = {
-            "argv": sub + ["--budget", str(budget), "--threads", str(args.threads)],
-            "budget": budget,
-            "threads": args.threads,
-            "output": args.output,
-        }
-        return {"config": cfg, "result": result}
+        return {"jets": [repr(j) for j in jets]}
     if args.which == "highpart-check":
         from .poly import highpart_check
 
@@ -457,28 +375,25 @@ def cmd_jet(args) -> dict:
         ok = highpart_check(spec, args.m)
         if not ok:
             raise OracleDisagreement("top weighted part of the jet differs")
-        sub = ["jet", "highpart-check", "-m", str(args.m)]
-        return {
-            "config": _config_echo(args, _rebuild_argv(args, sub)),
-            "result": {"highpart_identity": ok},
-        }
+        return {"highpart_identity": ok}
     raise ValueError(f"unknown jet subcommand {args.which!r}")
 
 
 # -- parser ----------------------------------------------------------------------------
 
 
-def _add_common(sp, ideal=True):
+def _add_common(sp, fn):
+    # the subparser rides along so that _config can echo its actions
+    sp.set_defaults(fn=fn, parser=sp)
     sp.add_argument("--budget", type=int, default=None, help="evaluation point budget")
     sp.add_argument("--force", action="store_true", help="bypass the budget")
     sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--output", choices=["json", "csv"], default="json")
     sp.add_argument("-o", "--out", default=None, help="write the report to a file")
-    if ideal:
-        sp.add_argument("--ideal", default=None, help="JSON ideal file")
-        sp.add_argument("--gens", action="append", default=None, help="inline generator")
-        sp.add_argument("-n", "--nvars", type=int, default=None)
-        sp.add_argument("--weights", default=None, help="comma-separated weights")
+    sp.add_argument("--ideal", default=None, help="JSON ideal file")
+    sp.add_argument("--gens", action="append", default=None, help="inline generator")
+    sp.add_argument("-n", "--nvars", type=int, default=None)
+    sp.add_argument("--weights", default=None, help="comma-separated weights")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -489,42 +404,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("expsum", help="exponential sums E^(r)(p, m)")
-    _add_common(sp)
+    _add_common(sp, cmd_expsum)
     sp.add_argument("-p", type=int, required=True)
     sp.add_argument("-m", type=int, required=True)
     sp.add_argument("-r", type=int, default=None)
     sp.add_argument("--verify", action="store_true", help="cross-check the character-sum form")
-    sp.set_defaults(fn=cmd_expsum)
 
     sp = sub.add_parser("count", help="point counts over Z/p^m")
-    _add_common(sp)
+    _add_common(sp, cmd_count)
     sp.add_argument("-p", type=int, required=True)
     sp.add_argument("-m", type=int, required=True)
     sp.add_argument("--method", choices=["lift", "naive", "both"], default="both")
     sp.add_argument("--region", default=None)
-    sp.set_defaults(fn=cmd_count)
 
     sp = sub.add_parser("zeta", help="truncated zeta series and probes")
-    _add_common(sp)
+    _add_common(sp, cmd_zeta)
     sp.add_argument("-p", type=int, required=True)
     sp.add_argument("--max-order", type=int, required=True)
     sp.add_argument("-r", type=int, default=None)
     sp.add_argument("--reconstruct", action="store_true")
     sp.add_argument("--theta", action="store_true", help="local factor probe")
-    sp.set_defaults(fn=cmd_zeta)
 
     sp = sub.add_parser("sseries", help="singular series and diagnostics")
-    _add_common(sp)
+    _add_common(sp, cmd_sseries)
     sp.add_argument("-r", type=int, default=None)
     sp.add_argument("--qmax", type=int, default=20)
     sp.add_argument("--sigma", type=float, default=None)
     sp.add_argument("--irreducible", action="store_true")
     sp.add_argument("--primes", default="5,7,11,13")
-    sp.set_defaults(fn=cmd_sseries)
 
     sp = sub.add_parser("bounds", help="closed-form exponent bounds")
     sp.add_argument("which", choices=["sigma0", "sigmaw", "birch", "tau0", "thresholds", "moi-fit"])
-    _add_common(sp)
+    _add_common(sp, cmd_bounds)
     sp.add_argument("--s", default=None, help="degree:s pairs, comma separated")
     sp.add_argument("--s-dim", type=int, default=0)
     sp.add_argument("-r", type=int, default=1)
@@ -533,11 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--groups", default=None, help="degree:count:s triples")
     sp.add_argument("--data", default=None, help="p:m:absE triples for moi-fit")
     sp.add_argument("--m-min", type=int, default=2)
-    sp.set_defaults(fn=cmd_bounds)
 
     sp = sub.add_parser("circle", help="major-arc numerics and Waring probes")
     sp.add_argument("which", choices=["count", "jintegral", "predict", "waring"])
-    _add_common(sp)
+    _add_common(sp, cmd_circle)
     sp.add_argument("-B", type=int, default=10)
     sp.add_argument("--qmax", type=int, default=20)
     sp.add_argument("--box", default=None, help="lo,hi;lo,hi;... inside [-1,1]")
@@ -548,16 +458,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-m", type=int, default=1)
     sp.add_argument("--ell", type=int, default=2)
     sp.add_argument("--map", action="append", default=None, help="nvars:comp;comp;...")
-    sp.set_defaults(fn=cmd_circle)
 
     sp = sub.add_parser("jet", help="jet expansion and the top-part identity")
     sp.add_argument("which", choices=["expand", "highpart-check"])
-    _add_common(sp)
+    _add_common(sp, cmd_jet)
     sp.add_argument("--poly", default=None)
     sp.add_argument("--order", type=int, default=2)
     sp.add_argument("--start", type=int, choices=[0, 1], default=0)
     sp.add_argument("-m", type=int, default=2)
-    sp.set_defaults(fn=cmd_jet)
 
     return ap
 
@@ -570,7 +478,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INVALID if e.code not in (0, None) else EXIT_OK
     try:
         args._resolved_budget = _resolve_budget(args)
-        report = args.fn(args)
+        report = {"config": _config(args), "result": args.fn(args)}
         _emit(_ser(report), args)
         return EXIT_OK
     except BudgetExceeded as e:

@@ -40,10 +40,11 @@ from .ringcount import (
     Region,
     check_prime_power,
     count_zpm,  # noqa: F401  (unused; see the same import in zeta.py)
+    digits,
     dim_estimate_raw,
     eval_poly_mod,
     iter_grid,
-    _map_chunks,
+    map_sum,
 )
 
 # -- cyclotomic machinery -----------------------------------------------------
@@ -166,10 +167,7 @@ def phase_histogram(
         vals = eval_poly_mod(f, pts, q)
         return np.bincount(vals[ok], minlength=q)
 
-    hists = _map_chunks(worker, iter_grid(f.nvars, q), threads)
-    total = np.zeros(q, dtype=np.int64)
-    for h in hists:
-        total += h
+    total = map_sum(worker, iter_grid(f.nvars, q), threads)
     return PhaseHistogram(p, m, tuple(int(c) for c in total))
 
 
@@ -248,36 +246,27 @@ def E_charsum(
     gens = spec.generators
 
     # x-pass: class-count the generator value vectors
-    nclasses = q ** r
-    countv = np.zeros(nclasses, dtype=np.int64)
-    for pts in iter_grid(n, q):
+    def x_classes(pts: np.ndarray) -> np.ndarray:
         idx = np.zeros(len(pts), dtype=np.int64)
         for g in gens:
             idx = idx * q + eval_poly_mod(g, pts, q)
-        countv += np.bincount(idx, minlength=nclasses)
+        return np.bincount(idx, minlength=q ** r)
 
+    countv = map_sum(x_classes, iter_grid(n, q), threads)
     support = np.nonzero(countv)[0]
     weights = countv[support].astype(np.float64)
-    vmat = np.empty((len(support), r), dtype=np.int64)
-    rest = support.copy()
-    for i in range(r - 1, -1, -1):
-        vmat[:, i] = rest % q
-        rest //= q
+    vmat = digits(support, [q] * r)
 
     # y-pass: every primitive y, grouped x classes
-    hist = np.zeros(q, dtype=np.float64)
-    chunk = max(1, (1 << 23) // max(1, len(support)))
-    for ys in iter_grid(r, q, chunk):
-        prim = (ys % p != 0).any(axis=1)
-        ys = ys[prim]
-        if not len(ys):
-            continue
+    def y_phases(ys: np.ndarray) -> np.ndarray:
+        ys = ys[(ys % p != 0).any(axis=1)]
         phases = (ys @ vmat.T) % q
-        hist += np.bincount(
-            phases.ravel(),
-            weights=np.tile(weights, len(ys)),
-            minlength=q,
+        return np.bincount(
+            phases.ravel(), weights=np.tile(weights, len(ys)), minlength=q
         )
+
+    chunk = max(1, (1 << 23) // max(1, len(vmat)))
+    hist = map_sum(y_phases, iter_grid(r, q, chunk), threads)
     counts = [int(round(c)) for c in hist]
     h = PhaseHistogram(p, m, tuple(counts))
     return cyclo_reduce(h, scale)
@@ -335,11 +324,7 @@ def _gf_trace_histogram(
         vals = gf.eval_poly(f, pts)
         return np.bincount(gf.trace(vals[ok]), minlength=gf.p)
 
-    hists = _map_chunks(worker, iter_grid(n, gf.q), threads)
-    total = np.zeros(gf.p, dtype=np.int64)
-    for h in hists:
-        total += h
-    return total
+    return map_sum(worker, iter_grid(n, gf.q), threads)
 
 
 def ff_char_sum(

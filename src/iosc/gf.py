@@ -87,21 +87,17 @@ class GFTable:
         self.k = k
         self.q = q
         self.modpoly = find_irreducible(p, k)
+        # imported here because ringcount imports this module
+        from .ringcount import digits
 
-        def decode(a: int) -> list[int]:
-            digits = []
-            for _ in range(k):
-                digits.append(a % p)
-                a //= p
-            return digits
-
-        def encode(digits: list[int]) -> int:
+        def encode(coeffs: list[int]) -> int:
             v = 0
-            for d in reversed(digits):
+            for d in reversed(coeffs):
                 v = v * p + d
             return v
 
-        elems = [decode(a) for a in range(q)]
+        # coefficient lists, low to high: the base-p digits of each code
+        elems = digits(np.arange(q, dtype=np.int64), [p] * k)[:, ::-1].tolist()
         add = np.empty((q, q), dtype=np.int32)
         mul = np.empty((q, q), dtype=np.int32)
         for a in range(q):
@@ -122,7 +118,7 @@ class GFTable:
             for _ in range(k):
                 acc = int(add[acc, cur])
                 cur = self._pow_scalar(cur, p)
-            trace[a] = decode(acc)[0]
+            trace[a] = acc % p
         self.trace_table = trace
 
     def _pow_scalar(self, a: int, e: int) -> int:
@@ -139,12 +135,6 @@ class GFTable:
 
     # -- vectorized element ops ------------------------------------------
 
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.add_table[a, b]
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.mul_table[a, b]
-
     def pow(self, a: np.ndarray, e: int) -> np.ndarray:
         result = np.ones_like(a)
         base = a
@@ -156,15 +146,12 @@ class GFTable:
                 base = self.mul_table[base, base]
         return result
 
-    def embed_int(self, c: int) -> int:
-        """Image of an integer in F_q (prime-field element)."""
-        return c % self.p
-
     def eval_poly(self, f: Poly, pts: np.ndarray) -> np.ndarray:
         """Evaluate an integer polynomial on arrays of F_q elements."""
         acc = np.zeros(len(pts), dtype=np.int32)
         for expo, coeff in f.terms.items():
-            t = np.full(len(pts), self.embed_int(coeff), dtype=np.int32)
+            # an integer coefficient lands in the prime field
+            t = np.full(len(pts), coeff % self.p, dtype=np.int32)
             for j, e in enumerate(expo):
                 if e:
                     t = self.mul_table[t, self.pow(pts[:, j], e)]

@@ -14,12 +14,20 @@ either route.  Dimension estimation inverts point counts over a ladder of
 finite fields: count ~ q^dim for geometrically irreducible loci, so
 round(log_q count) at the largest feasible q, flagged confident only when
 the two largest q agree.
+
+Every exact route of the package is an exhaustive enumeration of a
+residue grid, and this module holds the one enumeration kernel they all
+share: digits() decodes flat indices into mixed-radix rows, iter_grid()
+yields a grid as chunks of such rows, and map_sum() maps a worker over
+chunks on a thread pool and adds the results in submission order, so
+every total is the same for any thread count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,17 +59,28 @@ def check_prime_power(p: int, m: int = 1) -> None:
         raise ValueError(f"m must be >= 1, got {m}")
 
 
-def iter_grid(k: int, radix: int, chunk: int = CHUNK) -> Iterator[np.ndarray]:
-    """Enumerate {0..radix-1}^k row-major as int64 arrays of shape (c, k)."""
+def digits(idx: np.ndarray, radices: Sequence[int]) -> np.ndarray:
+    """Mixed-radix digits of each int64 index, most significant first.
+
+    Returns an int64 array of shape (len(idx), len(radices)).  idx is
+    divided in place, so pass an array the caller no longer needs.
+    """
+    out = np.empty((len(idx), len(radices)), dtype=np.int64)
+    for j in range(len(radices) - 1, -1, -1):
+        np.divmod(idx, radices[j], out=(idx, out[:, j]))
+    return out
+
+
+def iter_grid(k: int, radix: int, chunk: int | None = None) -> Iterator[np.ndarray]:
+    """Enumerate {0..radix-1}^k row-major as int64 arrays of shape (c, k).
+
+    Chunks hold CHUNK rows unless chunk is given; CHUNK is read per call.
+    """
+    chunk = chunk or CHUNK
     total = radix ** k
     for off in range(0, total, chunk):
-        cnt = min(chunk, total - off)
-        idx = np.arange(off, off + cnt, dtype=np.int64)
-        pts = np.empty((cnt, k), dtype=np.int64)
-        for j in range(k - 1, -1, -1):
-            pts[:, j] = idx % radix
-            idx //= radix
-        yield pts
+        idx = np.arange(off, min(off + chunk, total), dtype=np.int64)
+        yield digits(idx, [radix] * k)
 
 
 def _powmod(col: np.ndarray, e: int, q: int) -> np.ndarray:
@@ -95,25 +114,35 @@ def eval_poly_mod(f: Poly, pts: np.ndarray, q: int) -> np.ndarray:
     return acc
 
 
-def _map_chunks(worker: Callable, chunks: Iterable, threads: int) -> list:
-    # Results are consumed in submission order, so the reduction below is
-    # identical for any thread count.  Submissions are windowed so that
-    # only a bounded number of chunk arrays is alive at a time.
-    if threads <= 1:
-        return [worker(c) for c in chunks]
-    from collections import deque
+def map_sum(worker: Callable, chunks: Iterable, threads: int):
+    """The sum of worker(c) over a non-empty iterable of chunks, added in
+    submission order.
 
-    results = []
+    The fixed order makes the total identical for any thread count.  The
+    first result starts the sum, so boolean masks add as logical or and
+    no accumulator is wider than the worker's results.  Submissions are
+    windowed so that only a bounded number of chunks is alive at a time.
+    """
+    total = None
+
+    def add(x):
+        nonlocal total
+        total = x if total is None else total + x
+
+    if threads <= 1:
+        for c in chunks:
+            add(worker(c))
+        return total
     window = threads * 2
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending: deque = deque()
         for c in chunks:
             pending.append(pool.submit(worker, c))
             if len(pending) >= window:
-                results.append(pending.popleft().result())
+                add(pending.popleft().result())
         while pending:
-            results.append(pending.popleft().result())
-    return results
+            add(pending.popleft().result())
+    return total
 
 
 # -- regions ---------------------------------------------------------------
@@ -215,10 +244,9 @@ class Region:
     def count_mod_p(self, p: int, budget: int = DEFAULT_BUDGET, threads: int = 1) -> int:
         """Number of points of the region in (Z/p)^k."""
         charge(p ** self.k, budget, "region count")
-        totals = _map_chunks(
+        return map_sum(
             lambda pts: int(self.mask(pts, p).sum()), iter_grid(self.k, p), threads
         )
-        return sum(totals)
 
 
 class _AndRegion(Region):
@@ -243,11 +271,11 @@ def _count_naive(
     p: int,
     m: int,
     region: Region,
-    budget: int,
     threads: int,
 ) -> int:
+    """Zeros of gens mod p^m inside the region, by full enumeration; the
+    caller charges the budget."""
     q = p ** m
-    charge(q ** nvars, budget, "naive count")
 
     def worker(pts: np.ndarray) -> int:
         ok = region.mask(pts % p, p)
@@ -255,7 +283,7 @@ def _count_naive(
             ok &= eval_poly_mod(g, pts, q) == 0
         return int(ok.sum())
 
-    return sum(_map_chunks(worker, iter_grid(nvars, q), threads))
+    return map_sum(worker, iter_grid(nvars, q), threads)
 
 
 def _rank_mask(jac_vals: np.ndarray, r: int, n: int, p: int) -> np.ndarray:
@@ -303,7 +331,6 @@ def _lift_count(
     depth: int,
     state: _BudgetState,
     region: Region | None,
-    threads: int,
 ) -> int:
     """Count z in (Z/p^depth)^nvars with ord_p(g_i(z)) >= e_i for all i.
 
@@ -374,9 +401,7 @@ def _lift_count(
                 new_active.append((h, e - c))
             if dead:
                 continue
-            total += _lift_count(
-                new_active, nvars, p, depth - 1, state, None, threads
-            )
+            total += _lift_count(new_active, nvars, p, depth - 1, state, None)
     return total
 
 
@@ -409,10 +434,11 @@ def count_points_raw(
     gens = [g for g in gens if not g.is_constant()]
 
     if method == "naive":
-        return _count_naive(gens, nvars, p, m, region, budget, threads)
+        charge(p ** (m * nvars), budget, "naive count")
+        return _count_naive(gens, nvars, p, m, region, threads)
     if method == "lift":
         state = _BudgetState(budget)
-        return _lift_count([(g, m) for g in gens], nvars, p, m, state, region, threads)
+        return _lift_count([(g, m) for g in gens], nvars, p, m, state, region)
     if method == "both":
         a = count_points_raw(gens, nvars, p, m, region, "lift", budget, threads)
         b = count_points_raw(gens, nvars, p, m, region, "naive", budget, threads)
@@ -515,14 +541,7 @@ def count_ff_raw(
                 return 0
     gens = [g for g in gens if not g.is_constant()]
     if k == 1:
-
-        def worker(pts: np.ndarray) -> int:
-            ok = np.ones(len(pts), dtype=bool)
-            for g in gens:
-                ok &= eval_poly_mod(g, pts, p) == 0
-            return int(ok.sum())
-
-        return sum(_map_chunks(worker, iter_grid(nvars, p), threads))
+        return _count_naive(gens, nvars, p, 1, Region.full(nvars), threads)
 
     gf = GFTable(p, k)
 
@@ -532,7 +551,7 @@ def count_ff_raw(
             ok &= gf.eval_poly(g, pts) == 0
         return int(ok.sum())
 
-    return sum(_map_chunks(worker, iter_grid(nvars, q), threads))
+    return map_sum(worker, iter_grid(nvars, q), threads)
 
 
 def count_ff(

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DEFAULT_BUDGET, charge
 from .expsum import CycloValue, E_counts, reduce_mod_cyclotomic
 from .poly import IdealSpec
-from .ringcount import LocalData, eval_poly_mod, iter_grid
+from .ringcount import LocalData, eval_poly_mod, iter_grid, map_sum
 
 
 def factorize(q: int) -> list[tuple[int, int]]:
@@ -91,8 +91,7 @@ def verify_multiplicativity(
     gens = spec.generators
     primes = [p for p, _ in factorize(N)]
 
-    hist = np.zeros(N, dtype=np.int64)
-    for pts in iter_grid(n + r, N):
+    def worker(pts: np.ndarray) -> np.ndarray:
         ys = pts[:, :r]
         xs = pts[:, r:]
         ok = np.ones(len(pts), dtype=bool)
@@ -101,8 +100,9 @@ def verify_multiplicativity(
         phase = np.zeros(len(pts), dtype=np.int64)
         for i, g in enumerate(gens):
             phase = (phase + ys[:, i] * eval_poly_mod(g, xs, N)) % N
-        hist += np.bincount(phase[ok], minlength=N)
+        return np.bincount(phase[ok], minlength=N)
 
+    hist = map_sum(worker, iter_grid(n + r, N), threads)
     lhs = CycloValue(N, reduce_mod_cyclotomic([int(c) for c in hist], N))
     target = (
         E_composite(spec, r, q1, budget, threads)

@@ -270,40 +270,28 @@ class Reconstruction:
     order: int | None = None
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """A particular solution of rows * a = rhs over Q, or None."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots: list[int] = []
-    rix = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(rix, len(aug)):
-            if aug[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
+def _berlekamp_massey(s: list[Fraction]) -> tuple[int, list[Fraction]]:
+    """Shortest linear recurrence of s over Q (Massey, IEEE Trans. IT 15,
+    1969): the length L and the connection polynomial C, C[0] = 1, with
+    sum_{i=0}^{L} C[i] s[m-i] = 0 for every L <= m < len(s).  C is unique
+    when 2L <= len(s).
+    """
+    C, B = [Fraction(1)], [Fraction(1)]
+    L, shift, b = 0, 1, Fraction(1)
+    for n in range(len(s)):
+        d = sum((C[i] * s[n - i] for i in range(min(L, len(C) - 1) + 1)), Fraction(0))
+        if d == 0:
+            shift += 1
             continue
-        aug[rix], aug[sel] = aug[sel], aug[rix]
-        pv = aug[rix][col]
-        aug[rix] = [v / pv for v in aug[rix]]
-        for i in range(len(aug)):
-            if i != rix and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[rix])]
-        pivots.append(col)
-        rix += 1
-        if rix == len(aug):
-            break
-    for i in range(rix, len(aug)):
-        if aug[i][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for row_i, col in enumerate(pivots):
-        sol[col] = aug[row_i][ncols]
-    return sol
+        T = C
+        C = C + [Fraction(0)] * max(0, len(B) + shift - len(C))
+        for i, bi in enumerate(B):
+            C[i + shift] -= d / b * bi
+        if 2 * L <= n:
+            L, B, b, shift = n + 1 - L, T, d, 1
+        else:
+            shift += 1
+    return L, C
 
 
 def rational_reconstruct(
@@ -311,6 +299,9 @@ def rational_reconstruct(
 ) -> Reconstruction:
     """Minimal exact linear recurrence of order <= max_order, as a rational
     function; the recurrence must hold for every available coefficient.
+
+    The order is at most half the number of coefficients, so the shortest
+    recurrence found by Berlekamp-Massey is the unique one of its order.
     """
     if isinstance(series, QSeries):
         coeffs = list(series.coeffs)
@@ -318,24 +309,15 @@ def rational_reconstruct(
         coeffs = [Fraction(c) for c in series]
     L = len(coeffs) - 1
     usable = min(max_order, max(0, (len(coeffs) - 1) // 2))
-    for d in range(0, usable + 1):
-        rows = [[coeffs[m - i] for i in range(1, d + 1)] for m in range(d, L + 1)]
-        rhs = [coeffs[m] for m in range(d, L + 1)]
-        a = _solve_exact(rows, rhs)
-        if a is None:
-            continue
+    d, conn = _berlekamp_massey(coeffs)
+    if d <= usable:
+        denom = (conn + [Fraction(0)] * d)[: d + 1]
         # numerator = series * denominator, truncated below the order;
         # the round-trip check below keeps the verification explicit
-        denom = [Fraction(1)] + [-x for x in a]
-        numer = []
-        for i in range(d):
-            acc = Fraction(0)
-            for j in range(i + 1):
-                if i - j < len(denom):
-                    acc += coeffs[j] * denom[i - j]
-            numer.append(acc)
-        if not numer:
-            numer = [Fraction(0)]
+        numer = [
+            sum((coeffs[j] * denom[i - j] for j in range(i + 1)), Fraction(0))
+            for i in range(d)
+        ] or [Fraction(0)]
         func = RationalFunc(tuple(numer), tuple(denom))
         if func.expand(L) == coeffs:
             return Reconstruction(func, "ok", d)

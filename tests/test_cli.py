@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from iosc import ringcount
 from iosc.cli import main
 
 
@@ -28,7 +29,8 @@ def test_count_both_methods(capsys):
 
 
 def test_count_fault_injection_exit4(capsys, monkeypatch):
-    monkeypatch.setenv("IOSC_FAULT_INJECT", "count-oracle")
+    real = ringcount._count_naive
+    monkeypatch.setattr(ringcount, "_count_naive", lambda *a: real(*a) + 1)
     code = main(["count", "--gens", "x1", "-n", "1", "-p", "3", "-m", "1"])
     assert code == 4
 
@@ -239,3 +241,65 @@ def test_grouped_ideal_file(tmp_path, capsys):
     code, rep = run(capsys, "expsum", "--ideal", str(path), "-p", "3", "-m", "2")
     assert code == 0
     assert rep["result"]["E_counts"] == "2/9"
+
+
+# One argv per subcommand and per choice of `which`; "{ideal}" stands for an
+# ideal file.  The last two start a value with a dash, which the echo must
+# keep attached to its flag.
+ROUND_TRIPS = {
+    "expsum": ["expsum", "--gens", "x1^2", "-n", "1", "-p", "3", "-m", "2", "--verify"],
+    "count-region": [
+        "count", "--gens", "x1*x2", "-n", "2", "-p", "3", "-m", "2",
+        "--region", "zero:0-1,full:1-2",
+    ],
+    "zeta": ["zeta", "--gens", "x1^2", "-n", "1", "-p", "3", "--max-order", "4", "--reconstruct"],
+    "zeta-theta": ["zeta", "--gens", "x1^2", "-n", "1", "-p", "3", "--max-order", "4", "--theta"],
+    "sseries-qmax": ["sseries", "--gens", "x1*x2", "-n", "2", "--qmax", "6", "--sigma", "3.5"],
+    "sseries-irreducible": [
+        "sseries", "--gens", "x1*x2", "-n", "2", "--irreducible", "--primes", "5,7",
+    ],
+    "sseries-weights": ["sseries", "--gens", "x1^2+x2", "-n", "2", "--weights", "1,2", "--qmax", "4"],
+    "bounds-sigma0": ["bounds", "sigma0", "--gens", "x1^2+x2^2+x3^2", "-n", "3", "--s", "2:0"],
+    "bounds-sigmaw": ["bounds", "sigmaw", "--gens", "x1^3+x2^3+x3^3", "-n", "3"],
+    "bounds-birch": ["bounds", "birch", "-n", "10", "--s-dim", "1", "-r", "1", "-d", "3"],
+    "bounds-tau0": ["bounds", "tau0", "--groups", "2:1:0", "-n", "10"],
+    "bounds-thresholds": ["bounds", "thresholds", "-r", "1", "-R", "2", "-d", "3"],
+    "bounds-moi-fit": ["bounds", "moi-fit", "--data", "5:2:0.0016,5:3:0.000064,5:4:2.56e-06"],
+    "circle-count": ["circle", "count", "--gens", "x1^2 + x2^2 - x3^2", "-n", "3", "-B", "2"],
+    "circle-jintegral": [
+        "circle", "jintegral", "--gens", "x1^2 + x2^2 - x3^2", "-n", "3",
+        "--sampler", "grid", "--eps", "0.2,0.1",
+    ],
+    "circle-predict": [
+        "circle", "predict", "--gens", "x1^2 + x2^2 - x3^2", "-n", "3", "-B", "3",
+        "--qmax", "4", "--seed", "7",
+    ],
+    "circle-waring": ["circle", "waring", "--map", "1:x1^2", "-p", "7", "-m", "1", "--ell", "2"],
+    "jet-expand": ["jet", "expand", "--poly", "x1^2", "-n", "1", "--order", "2", "--start", "1"],
+    "jet-highpart": ["jet", "highpart-check", "--gens", "x1^2 + x1", "-n", "1", "-m", "2"],
+    "ideal-file": ["expsum", "--ideal", "{ideal}", "-p", "3", "-m", "2"],
+    "count-dash-gens": ["count", "--gens=-x1^2+x2", "-n", "2", "-p", "3", "-m", "1"],
+    "circle-dash-box": [
+        "circle", "count", "--gens", "x1^2 + x2^2 - x3^2", "-n", "3", "-B", "2",
+        "--box=-1,1;0,1;-1,1",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(ROUND_TRIPS))
+def test_echoed_argv_reruns_to_the_same_report(case, tmp_path, capsys):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"n": 1, "gens": ["x1^2"]}))
+    argv = [a.replace("{ideal}", str(path)) for a in ROUND_TRIPS[case]]
+    code, rep1 = run(capsys, *argv)
+    assert code == 0
+    code, rep2 = run(capsys, *rep1["config"]["argv"])
+    assert code == 0
+    assert rep2["result"] == rep1["result"]
+    assert rep2["config"] == rep1["config"]
+
+
+@pytest.mark.parametrize("p", ["0", "1", "6"])
+def test_circle_waring_rejects_a_bad_modulus(p):
+    argv = ["circle", "waring", "--map", "1:x1^2", "--ell", "2", "-m", "1", "-p", p]
+    assert main(argv) == 2

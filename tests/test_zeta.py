@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from iosc.errors import ZeroIdealError
 from iosc.poly import IdealSpec, Poly, parse_poly
@@ -165,6 +166,29 @@ def test_reconstruct_roundtrip_random_rational():
         rec = rational_reconstruct(coeffs, ddeg + 1)
         assert rec.flag == "ok"
         assert rec.func.expand(len(coeffs) - 1) == coeffs
+
+
+def _polymul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@given(st.lists(small_fractions, min_size=1, max_size=4), st.lists(small_fractions, max_size=3))
+def test_reconstruct_returns_the_function_within_its_degree(numer, denom_tail):
+    func = RationalFunc(tuple(numer), (F(1), *denom_tail))
+    degree = max(len(numer), len(denom_tail))
+    rec = rational_reconstruct(func.expand(2 * degree), degree)
+    assert rec.flag == "ok" and rec.order <= degree
+    # numer / denom == rec.numer / rec.denom as rational functions
+    assert _polymul(func.numer, rec.func.denom) == _polymul(rec.func.numer, func.denom)
 
 
 def test_reconstruct_zeta_of_line():
