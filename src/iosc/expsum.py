@@ -163,7 +163,7 @@ def phase_histogram(
     charge(q ** f.nvars, budget, "phase histogram")
 
     def worker(pts: np.ndarray) -> np.ndarray:
-        ok = region.mask(pts % p, p)
+        ok = region.mask(pts, p)
         vals = eval_poly_mod(f, pts, q)
         return np.bincount(vals[ok], minlength=q)
 
@@ -347,6 +347,7 @@ def ff_char_sum(
     locus).  f should be (w-)homogeneous of degree not divisible by p for
     the Weil-type bound to be meaningful; otherwise a warning is issued.
     """
+    check_prime_power(p, k)
     J1, J2 = frozenset(J1), frozenset(J2)
     if J1 & J2:
         raise ValueError("J1 and J2 must be disjoint")
@@ -393,6 +394,7 @@ def torus_sum_check(
     x_i -> x_{i1}...x_{i w_i}.  Both sides are reduced mod Phi_p after
     clearing the (q-1) power, so the comparison is exact.
     """
+    check_prime_power(p, k)
     n = f.nvars
     if g is not None:
         if wdeg(g, w) >= wdeg(f, w):

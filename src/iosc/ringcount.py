@@ -213,13 +213,17 @@ class Region:
         k = gens[0].nvars
         return Region(k, (((0, k), ReductionIn(gens)),))
 
-    def mask(self, pts_mod_p: np.ndarray, p: int) -> np.ndarray:
-        """Boolean membership mask for an array of mod-p points."""
-        m = np.ones(len(pts_mod_p), dtype=bool)
+    def mask(self, pts: np.ndarray, p: int) -> np.ndarray:
+        """Boolean membership mask for an array of integer points.
+
+        Only the blocks a mode constrains are reduced mod p, so a Full
+        block, and a Full region, never copies the points.
+        """
+        m = np.ones(len(pts), dtype=bool)
         for (start, stop), mode in self.blocks:
-            sub = pts_mod_p[:, start:stop]
             if isinstance(mode, Full):
                 continue
+            sub = pts[:, start:stop] % p
             if isinstance(mode, ZeroModP):
                 m &= (sub == 0).all(axis=1)
             elif isinstance(mode, UnitModP):
@@ -257,9 +261,9 @@ class _AndRegion(Region):
         object.__setattr__(self, "blocks", a.blocks)
         object.__setattr__(self, "_parts", (a, b))
 
-    def mask(self, pts_mod_p: np.ndarray, p: int) -> np.ndarray:
+    def mask(self, pts: np.ndarray, p: int) -> np.ndarray:
         a, b = self._parts
-        return a.mask(pts_mod_p, p) & b.mask(pts_mod_p, p)
+        return a.mask(pts, p) & b.mask(pts, p)
 
 
 # -- counting over Z/p^m -----------------------------------------------------
@@ -278,7 +282,7 @@ def _count_naive(
     q = p ** m
 
     def worker(pts: np.ndarray) -> int:
-        ok = region.mask(pts % p, p)
+        ok = region.mask(pts, p)
         for g in gens:
             ok &= eval_poly_mod(g, pts, q) == 0
         return int(ok.sum())

@@ -322,3 +322,17 @@ def test_torus_check_random():
             continue
         assert torus_sum_check(ftop, glow if not glow.is_zero() else None, w, p, k)
         done += 1
+
+
+# -- prime check at the F_q entry points ------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [1, 4, 6])
+def test_ff_char_sum_rejects_non_prime(p):
+    with pytest.raises(ValueError):
+        ff_char_sum(P("x1^3", 1), None, p)
+
+
+def test_torus_check_rejects_non_prime():
+    with pytest.raises(ValueError):
+        torus_sum_check(P("x1^2", 1), None, Weight((2,)), 6)

@@ -3,7 +3,7 @@
 from hypothesis import assume, given, strategies as st
 
 from iosc.poly import Poly
-from iosc.ringcount import Region, count_points_raw
+from iosc.ringcount import Region, count_ff_raw, count_points_raw
 
 
 @st.composite
@@ -44,3 +44,28 @@ def test_reduction_region_is_implied_at_every_level(ideal):
     assert count_points_raw(gens, n, p, m, region, method="naive") == count_points_raw(
         gens, n, p, m, method="naive"
     )
+
+
+# a fixed non-residue c per p, so that F_{p^2} = F_p[t] / (t^2 - c)
+NONRESIDUE = {3: 2, 5: 2, 7: 3}
+
+
+def weil_restriction(g, n, c):
+    """The t^0 and t^1 parts of g(a + b t) mod t^2 - c, in the 2n variables (a, b)."""
+    nv = 2 * n + 1
+    t = Poly.var(2 * n, nv)
+    h = g.eval_poly([Poly.var(j, nv) + Poly.var(n + j, nv) * t for j in range(n)])
+    parts = [{}, {}]
+    for expo, coeff in h.terms.items():
+        e = expo[-1]
+        part = parts[e % 2]
+        part[expo[:-1]] = part.get(expo[:-1], 0) + coeff * c ** (e // 2)
+    return [Poly(2 * n, terms) for terms in parts]
+
+
+@given(small_ideals(), st.sampled_from(sorted(NONRESIDUE)))
+def test_count_ff_degree_2_equals_its_weil_restriction(ideal, p):
+    # a table-free route: a point of F_{p^2}^n is a point of F_p^{2n}
+    gens, n, _, _ = ideal
+    parts = [part for g in gens for part in weil_restriction(g, n, NONRESIDUE[p])]
+    assert count_ff_raw(gens, n, p, 2) == count_points_raw(parts, 2 * n, p, 1, method="naive")
