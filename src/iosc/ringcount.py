@@ -4,9 +4,15 @@ Counting over Z/p^m has two independent routes that must agree:
 
 * ``naive`` enumerates the full residue grid (the always-available oracle);
 * ``lift`` enumerates residues mod p once and then walks a recursive
-  residue tree, collapsing branches through smooth points in closed form
-  (a point whose Jacobian has full rank mod p lifts p^(n-r) ways per
-  level) and re-expanding x = x0 + p*y only below singular points.
+  residue tree (Denef's stationary-phase recursion), collapsing branches
+  through smooth points in closed form (a point whose Jacobian has full
+  rank mod p lifts p^(n-r) ways per level) and re-expanding x = x0 + p*y
+  only below singular points.  The re-expansion is an exact Taylor shift
+  on Python ints: g(x0 + p*y) has the coefficients p^|b| T_b(x0), with
+  T_b = d^b g / b! tabulated once per node, and a constraint
+  ord_p(g) >= e keeps only its coefficients mod p^e, divided by their
+  content.  Equal reduced nodes at equal depth have equal counts, so each
+  lift call memoizes them.
 
 Regions constrain coordinates mod p only (all supported modes are
 conditions on the reduction), so they are applied at the first level of
@@ -84,15 +90,18 @@ def iter_grid(k: int, radix: int, chunk: int | None = None) -> Iterator[np.ndarr
 
 
 def _powmod(col: np.ndarray, e: int, q: int) -> np.ndarray:
-    result = np.ones_like(col)
+    """col^e mod q for e >= 1, by squaring; the result starts as the base
+    at the lowest set bit, and the base is squared only up to the top bit."""
+    assert e >= 1
     base = col % q
-    while e:
+    result = None
+    while True:
         if e & 1:
-            result = (result * base) % q
+            result = base if result is None else (result * base) % q
         e >>= 1
-        if e:
-            base = (base * base) % q
-    return result
+        if not e:
+            return result
+        base = (base * base) % q
 
 
 def eval_poly_mod(f: Poly, pts: np.ndarray, q: int) -> np.ndarray:
@@ -318,18 +327,96 @@ def _det_mod(mats: np.ndarray, p: int) -> np.ndarray:
     return acc % p
 
 
+# A polynomial inside the residue tree: its terms (exponent, coefficient)
+# sorted by exponent, with coefficients reduced mod p^e for its target e.
+Terms = tuple[tuple[tuple[int, ...], int], ...]
+
+
 class _BudgetState:
+    """The budget left to one lift call, and its node memo."""
+
     def __init__(self, budget: int):
         self.left = budget
         self.budget = budget
+        # (sorted active constraints, depth) -> count of a region-free node
+        self.memo: dict[tuple, int] = {}
 
     def spend(self, points: int, what: str) -> None:
         charge(points, self.left, what)
         self.left -= points
 
 
+def _vp(c: int, p: int) -> int:
+    """The p-adic valuation of a nonzero integer."""
+    if c == 0:
+        raise ValueError("the valuation of 0 is infinite")
+    v = 0
+    while c % p == 0:
+        c //= p
+        v += 1
+    return v
+
+
+def _constraints(
+    polys: Iterable[tuple[dict[tuple[int, ...], int], int]], p: int
+) -> list[tuple[Terms, int]] | None:
+    """Reduce each constraint ord_p(sum_b coeffs[b] y^b) >= e to its class.
+
+    With c the content (the least valuation of a coefficient nonzero mod
+    p^e), the constraint equals ord_p(h) >= e - c for h = coeffs / p^c
+    reduced mod p^(e - c).  It is dropped when c >= e (every coefficient
+    vanishes mod p^e), and no point meets it when h is constant, since that
+    constant is then a unit.  Returns the sorted (h, e - c) pairs, or None
+    when some constraint has no solution.
+    """
+    active = []
+    for coeffs, e in polys:
+        q = p ** e
+        nonzero = [(b, r) for b, v in coeffs.items() if (r := v % q)]
+        if not nonzero:
+            continue
+        c = min(_vp(v, p) for _, v in nonzero)
+        h = tuple(sorted((b, v // p ** c) for b, v in nonzero))
+        if len(h) == 1 and not any(h[0][0]):
+            return None
+        active.append((h, e - c))
+    return sorted(active)
+
+
+def _shift_table(g: Terms, top: int) -> dict[tuple[int, ...], list]:
+    """The Taylor coefficients T_b = d^b g / b! of g for |b| <= top.
+
+    T_b is kept as a list of (exponent, coefficient) terms, built from the
+    binomials C(a, b) of g's terms c x^a, so that
+    g(z + p y) = sum_b p^|b| T_b(z) y^b with T_0 = g.
+    """
+    table: dict[tuple[int, ...], list] = {}
+    for a, c in g:
+        for b in itertools.product(*(range(min(ai, top) + 1) for ai in a)):
+            if sum(b) <= top:
+                binom = math.prod(math.comb(ai, bi) for ai, bi in zip(a, b))
+                rest = tuple(ai - bi for ai, bi in zip(a, b))
+                table.setdefault(b, []).append((rest, c * binom))
+    return table
+
+
+def _shift(table: dict, z0: list[int], p: int) -> dict[tuple[int, ...], int]:
+    """The coefficients of y^b in g(z0 + p y) for the table's b."""
+
+    def at(terms) -> int:
+        total = 0
+        for a, c in terms:
+            for z, ai in zip(z0, a):
+                if ai:
+                    c *= z ** ai
+            total += c
+        return total
+
+    return {b: at(terms) * p ** sum(b) for b, terms in table.items()}
+
+
 def _lift_count(
-    active: list[tuple[Poly, int]],
+    active: list[tuple[Terms, int]],
     nvars: int,
     p: int,
     depth: int,
@@ -338,18 +425,36 @@ def _lift_count(
 ) -> int:
     """Count z in (Z/p^depth)^nvars with ord_p(g_i(z)) >= e_i for all i.
 
-    Invariant: 1 <= e_i <= depth for every active constraint.
+    Invariant: 1 <= e_i <= depth for every active constraint (g_i, e_i),
+    and g_i's coefficients are reduced mod p^e_i (see _constraints).
+
+    The zeros mod p are found on the grid of residues.  A zero where the
+    Jacobian has full rank mod p lifts in closed form; a singular zero z0
+    is re-expanded as z0 + p*y.  The coefficient of y^b in g(z0 + p y) is
+    p^|b| T_b(z0), with T_b = d^b g / b! from a table built once per node
+    (its |b| = 1 rows are the Jacobian), and only |b| < e matters mod
+    p^e.  Each child is reduced by _constraints, so equal subtrees have
+    equal keys: a region-free node is looked up in state.memo by its
+    sorted constraints and depth, and a hit costs no work and no budget.
+    The root carries the region and is never looked up.
     """
     if not active:
         return p ** (depth * nvars)
+    key = (tuple(active), depth) if region is None else None
+    if key in state.memo:
+        return state.memo[key]
     state.spend(p ** nvars, "residue-tree level")
 
-    gens = [g for g, _ in active]
     exps = [e for _, e in active]
-    r = len(gens)
-    jac_polys = [[g.derivative(j) for j in range(nvars)] for g in gens]
+    r = len(active)
+    # rows |b| <= e - 1 shift a constraint; a target of 1 holds at every
+    # child, so it only needs the Jacobian rows
+    tables = [_shift_table(g, max(e - 1, 1)) for g, e in active]
+    gens = [Poly(nvars, dict(g)) for g, _ in active]
+    units = [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
+    jac_polys = [[Poly(nvars, dict(t.get(u, ()))) for u in units] for t in tables]
 
-    sols_chunks: list[np.ndarray] = []
+    sing_chunks: list[np.ndarray] = []
     smooth_total = 0
     # full-rank points lift p^(n-r) ways per level; exponent is >= 0
     # whenever r <= nvars, the only case where the weight is used
@@ -377,44 +482,18 @@ def _lift_count(
         smooth_total += int(full.sum())
         sing = sols[~full]
         if len(sing):
-            sols_chunks.append(sing)
+            sing_chunks.append(sing)
 
     total = smooth_total * smooth_weight
-    for chunk in sols_chunks:
-        for row in chunk:
-            z0 = [int(v) for v in row]
-            shifted = [
-                Poly.var(i, nvars) * p + Poly.const(z0[i], nvars)
-                for i in range(nvars)
-            ]
-            new_active: list[tuple[Poly, int]] = []
-            dead = False
-            for g, e in zip(gens, exps):
-                h = g.eval_poly(shifted)
-                if h.is_zero():
-                    continue
-                content = min(_vp(c, p) for c in h.terms.values())
-                c = min(content, e)
-                if c >= e:
-                    continue
-                h = Poly(nvars, {ee: cc // p ** c for ee, cc in h.terms.items()})
-                if h.is_constant():
-                    # unit constant with a positive target order: impossible
-                    dead = True
-                    break
-                new_active.append((h, e - c))
-            if dead:
-                continue
-            total += _lift_count(new_active, nvars, p, depth - 1, state, None)
+    shifted = [(t, e) for t, e in zip(tables, exps) if e > 1]
+    for chunk in sing_chunks:
+        for z0 in chunk.tolist():
+            child = _constraints(((_shift(t, z0, p), e) for t, e in shifted), p)
+            if child is not None:
+                total += _lift_count(child, nvars, p, depth - 1, state, None)
+    if key is not None:
+        state.memo[key] = total
     return total
-
-
-def _vp(c: int, p: int) -> int:
-    v = 0
-    while c % p == 0:
-        c //= p
-        v += 1
-    return v
 
 
 def count_points_raw(
@@ -441,8 +520,10 @@ def count_points_raw(
         charge(p ** (m * nvars), budget, "naive count")
         return _count_naive(gens, nvars, p, m, region, threads)
     if method == "lift":
-        state = _BudgetState(budget)
-        return _lift_count([(g, m) for g in gens], nvars, p, m, state, region)
+        active = _constraints(((g.terms, m) for g in gens), p)
+        if active is None:
+            return 0
+        return _lift_count(active, nvars, p, m, _BudgetState(budget), region)
     if method == "both":
         a = count_points_raw(gens, nvars, p, m, region, "lift", budget, threads)
         b = count_points_raw(gens, nvars, p, m, region, "naive", budget, threads)

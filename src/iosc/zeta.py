@@ -76,6 +76,12 @@ class QSeries:
 # -- valuation distribution ----------------------------------------------------
 
 
+def _check_order(M: int) -> None:
+    """Every series here is truncated at an order M >= 0."""
+    if M < 0:
+        raise ValueError(f"M must be >= 0, got {M}")
+
+
 def ord_volumes(
     spec: IdealSpec,
     p: int,
@@ -88,6 +94,7 @@ def ord_volumes(
 
     Each count is computed once per call, through one LocalData.
     """
+    _check_order(M)
     data = LocalData(spec, p, Z, budget, threads)
     return [data.V(m) for m in range(M + 1)]
 
@@ -118,6 +125,7 @@ def ord_distribution(
 
 
 def _ord_distribution(data: LocalData, M: int) -> OrdDistribution:
+    _check_order(M)
     if all(g.is_zero() for g in data.spec.generators):
         raise ZeroIdealError("ideal is zero")
     vols = [data.V(m) for m in range(M + 1)]
@@ -138,6 +146,7 @@ def zeta_series(
 
 
 def _zeta_series(data: LocalData, M: int) -> QSeries:
+    _check_order(M)
     return QSeries(data.p, tuple(data.V(m) - data.V(m + 1) for m in range(M + 1)))
 
 
@@ -149,6 +158,7 @@ def poincare_relation(
     threads: int = 1,
 ) -> tuple[bool, QSeries, QSeries]:
     """Coefficientwise check of (1 - t) P(t) = 1 - t Z(t) through order M."""
+    _check_order(M)
     data = LocalData(spec, p, None, budget, threads)
     pser = QSeries(p, tuple(data.V(m) for m in range(M + 1)))
     zser = _zeta_series(data, M)

@@ -303,3 +303,9 @@ def test_echoed_argv_reruns_to_the_same_report(case, tmp_path, capsys):
 def test_circle_waring_rejects_a_bad_modulus(p):
     argv = ["circle", "waring", "--map", "1:x1^2", "--ell", "2", "-m", "1", "-p", p]
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("extra", [[], ["--reconstruct"]])
+def test_zeta_rejects_a_negative_max_order(extra):
+    argv = ["zeta", "--gens", "x1^2", "-n", "1", "-p", "3", "--max-order", "-1"]
+    assert main(argv + extra) == 2

@@ -35,6 +35,35 @@ def test_lift_equals_naive(ideal, in_reduction):
     assert lift == count_points_raw(gens, n, p, m, region, method="naive")
 
 
+@st.composite
+def deep_ideals(draw):
+    """(gens, n, p, m) at p in {2, 3} and m up to 6, with a grid of at
+    most 4096 points.
+
+    Terms have no linear part and coefficients may be divisible by p, so
+    zeros are often singular and the residue tree goes several levels deep.
+    """
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 6))
+    assume((p ** m) ** n <= 4096)
+    monomial = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) != 1)
+    poly = st.dictionaries(monomial, st.integers(-9, 9), min_size=1, max_size=3).map(
+        lambda terms: Poly(n, terms)
+    )
+    gens = draw(st.lists(poly, min_size=1, max_size=2))
+    if draw(st.booleans()):
+        gens[0] = gens[0] * draw(poly)
+    return gens, n, p, m
+
+
+@given(deep_ideals())
+def test_lift_equals_naive_on_deep_trees(ideal):
+    gens, n, p, m = ideal
+    lift = count_points_raw(gens, n, p, m, method="lift")
+    assert lift == count_points_raw(gens, n, p, m, method="naive")
+
+
 @given(small_ideals())
 def test_reduction_region_is_implied_at_every_level(ideal):
     # ord_I(x) >= m >= 1 forces x mod p into the zero locus mod p, so

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from iosc.errors import BudgetExceeded, OracleDisagreement
@@ -16,6 +17,8 @@ from iosc.ringcount import (
     count_points_raw,
     count_zpm,
     dim_estimate,
+    _powmod,
+    _vp,
 )
 
 
@@ -106,6 +109,54 @@ def test_both_raises_on_fault(monkeypatch):
     )
     with pytest.raises(OracleDisagreement):
         count_zpm(S("x1^2", n=1), 3, 2, method="both")
+
+
+# -- deep residue trees ----------------------------------------------------------
+# singular loci that are not isolated: every level re-expands a line or
+# a union of planes, so these pins run the shift and the node memo deep
+
+
+@pytest.mark.parametrize(
+    "gens,n,p,m,count",
+    [
+        (["x1^2*x2 - x3^2"], 3, 7, 10, 421759121858806291),
+        (["x1*x2*x3"], 3, 5, 8, 4644775390625),
+        # p^m > 2^31: the shift must stay in exact integers
+        (["x1^2"], 1, 2, 40, 2 ** 20),
+    ],
+)
+def test_deep_tree_pins(gens, n, p, m, count):
+    assert count_zpm(S(*gens, n=n), p, m) == count
+
+
+@pytest.mark.parametrize(
+    "gens,n,p,m",
+    [
+        (["x1^2*x2 - x3^2"], 3, 5, 3),
+        (["x1*x2*x3"], 3, 3, 4),
+        # reaches the reduced node (x1^2, target 1) at depths 4 and 3, so
+        # the node memo must tell depths apart
+        (["4*x1^2 + x1^2*x2^3"], 2, 2, 5),
+    ],
+)
+def test_deep_tree_agrees_with_naive(gens, n, p, m):
+    # method="both" raises OracleDisagreement when lift and naive differ
+    count_zpm(S(*gens, n=n), p, m, method="both")
+
+
+def test_powmod_matches_pow():
+    col = np.arange(-20, 20, dtype=np.int64)
+    for q in (2, 9, 3 ** 19):
+        for e in range(1, 10):
+            assert _powmod(col, e, q).tolist() == [pow(int(c), e, q) for c in col]
+
+
+def test_vp():
+    assert _vp(1, 3) == 0
+    assert _vp(-18, 3) == 2
+    assert _vp(2 ** 70, 2) == 70
+    with pytest.raises(ValueError):
+        _vp(0, 5)
 
 
 # -- regions -------------------------------------------------------------------

@@ -11,6 +11,7 @@ from iosc.zeta import (
     RationalFunc,
     compa_check,
     ord_distribution,
+    ord_volumes,
     poincare_relation,
     pole_report,
     rational_reconstruct,
@@ -257,3 +258,29 @@ def test_pole_report_abstains_without_data():
         assert rep.reconstruction.func is None
     else:
         assert rep.multiplicity is not None
+
+
+# -- truncation order ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec, M: ord_volumes(spec, 3, M),
+        lambda spec, M: ord_distribution(spec, 3, M),
+        lambda spec, M: zeta_series(spec, 3, M),
+        lambda spec, M: poincare_relation(spec, 3, M),
+        lambda spec, M: pole_report(spec, 1, 3, M),
+    ],
+    ids=["ord_volumes", "ord_distribution", "zeta_series", "poincare_relation", "pole_report"],
+)
+@pytest.mark.parametrize("M", [-1, -2])
+def test_negative_order_is_rejected(call, M):
+    with pytest.raises(ValueError, match="M must be >= 0"):
+        call(S("x1^2", n=1), M)
+
+
+def test_order_zero_is_the_total_volume():
+    spec = S("x1^2", n=1)
+    assert ord_distribution(spec, 3, 0).coeffs == (F(1),)
+    assert zeta_series(spec, 3, 0).coeffs == (F(2, 3),)
