@@ -327,18 +327,13 @@ def _det_mod(mats: np.ndarray, p: int) -> np.ndarray:
     return acc % p
 
 
-# A polynomial inside the residue tree: its terms (exponent, coefficient)
-# sorted by exponent, with coefficients reduced mod p^e for its target e.
-Terms = tuple[tuple[tuple[int, ...], int], ...]
-
-
 class _BudgetState:
     """The budget left to one lift call, and its node memo."""
 
     def __init__(self, budget: int):
         self.left = budget
         self.budget = budget
-        # (sorted active constraints, depth) -> count of a region-free node
+        # (frozenset of active constraints, depth) -> count of a region-free node
         self.memo: dict[tuple, int] = {}
 
     def spend(self, points: int, what: str) -> None:
@@ -358,16 +353,16 @@ def _vp(c: int, p: int) -> int:
 
 
 def _constraints(
-    polys: Iterable[tuple[dict[tuple[int, ...], int], int]], p: int
-) -> list[tuple[Terms, int]] | None:
+    polys: Iterable[tuple[dict[tuple[int, ...], int], int]], nvars: int, p: int
+) -> list[tuple[Poly, int]] | None:
     """Reduce each constraint ord_p(sum_b coeffs[b] y^b) >= e to its class.
 
     With c the content (the least valuation of a coefficient nonzero mod
     p^e), the constraint equals ord_p(h) >= e - c for h = coeffs / p^c
     reduced mod p^(e - c).  It is dropped when c >= e (every coefficient
     vanishes mod p^e), and no point meets it when h is constant, since that
-    constant is then a unit.  Returns the sorted (h, e - c) pairs, or None
-    when some constraint has no solution.
+    constant is then a unit.  Returns the (h, e - c) pairs, or None when
+    some constraint has no solution.
     """
     active = []
     for coeffs, e in polys:
@@ -376,14 +371,14 @@ def _constraints(
         if not nonzero:
             continue
         c = min(_vp(v, p) for _, v in nonzero)
-        h = tuple(sorted((b, v // p ** c) for b, v in nonzero))
-        if len(h) == 1 and not any(h[0][0]):
+        h = Poly(nvars, {b: v // p ** c for b, v in nonzero})
+        if h.is_constant():
             return None
         active.append((h, e - c))
-    return sorted(active)
+    return active
 
 
-def _shift_table(g: Terms, top: int) -> dict[tuple[int, ...], list]:
+def _shift_table(g: Poly, top: int) -> dict[tuple[int, ...], list]:
     """The Taylor coefficients T_b = d^b g / b! of g for |b| <= top.
 
     T_b is kept as a list of (exponent, coefficient) terms, built from the
@@ -391,7 +386,7 @@ def _shift_table(g: Terms, top: int) -> dict[tuple[int, ...], list]:
     g(z + p y) = sum_b p^|b| T_b(z) y^b with T_0 = g.
     """
     table: dict[tuple[int, ...], list] = {}
-    for a, c in g:
+    for a, c in g.terms.items():
         for b in itertools.product(*(range(min(ai, top) + 1) for ai in a)):
             if sum(b) <= top:
                 binom = math.prod(math.comb(ai, bi) for ai, bi in zip(a, b))
@@ -416,7 +411,7 @@ def _shift(table: dict, z0: list[int], p: int) -> dict[tuple[int, ...], int]:
 
 
 def _lift_count(
-    active: list[tuple[Terms, int]],
+    active: list[tuple[Poly, int]],
     nvars: int,
     p: int,
     depth: int,
@@ -434,13 +429,15 @@ def _lift_count(
     p^|b| T_b(z0), with T_b = d^b g / b! from a table built once per node
     (its |b| = 1 rows are the Jacobian), and only |b| < e matters mod
     p^e.  Each child is reduced by _constraints, so equal subtrees have
-    equal keys: a region-free node is looked up in state.memo by its
-    sorted constraints and depth, and a hit costs no work and no budget.
-    The root carries the region and is never looked up.
+    equal keys: a region-free node is looked up in state.memo by the set
+    of its constraints and its depth, and a hit costs no work and no
+    budget.  Only the root may carry a region, and a node with a region
+    is never looked up.
     """
     if not active:
+        # count_points_raw counts a constraint-free root under a region
         return p ** (depth * nvars)
-    key = (tuple(active), depth) if region is None else None
+    key = (frozenset(active), depth) if region is None else None
     if key in state.memo:
         return state.memo[key]
     state.spend(p ** nvars, "residue-tree level")
@@ -450,7 +447,7 @@ def _lift_count(
     # rows |b| <= e - 1 shift a constraint; a target of 1 holds at every
     # child, so it only needs the Jacobian rows
     tables = [_shift_table(g, max(e - 1, 1)) for g, e in active]
-    gens = [Poly(nvars, dict(g)) for g, _ in active]
+    gens = [g for g, _ in active]
     units = [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
     jac_polys = [[Poly(nvars, dict(t.get(u, ()))) for u in units] for t in tables]
 
@@ -488,7 +485,9 @@ def _lift_count(
     shifted = [(t, e) for t, e in zip(tables, exps) if e > 1]
     for chunk in sing_chunks:
         for z0 in chunk.tolist():
-            child = _constraints(((_shift(t, z0, p), e) for t, e in shifted), p)
+            child = _constraints(
+                ((_shift(t, z0, p), e) for t, e in shifted), nvars, p
+            )
             if child is not None:
                 total += _lift_count(child, nvars, p, depth - 1, state, None)
     if key is not None:
@@ -508,8 +507,6 @@ def count_points_raw(
 ) -> int:
     """Count common zeros mod p^m of a raw generator list inside a region."""
     check_prime_power(p, m)
-    if region is None:
-        region = Region.full(nvars)
     gens = [g for g in gens if not g.is_zero()]
     for g in gens:
         if g.is_constant() and g.constant_value() % p ** m != 0:
@@ -518,11 +515,14 @@ def count_points_raw(
 
     if method == "naive":
         charge(p ** (m * nvars), budget, "naive count")
-        return _count_naive(gens, nvars, p, m, region, threads)
+        return _count_naive(gens, nvars, p, m, region or Region.full(nvars), threads)
     if method == "lift":
-        active = _constraints(((g.terms, m) for g in gens), p)
+        active = _constraints(((g.terms, m) for g in gens), nvars, p)
         if active is None:
             return 0
+        if not active and region is not None:
+            # every constraint holds; the region is decided mod p
+            return region.count_mod_p(p, budget, threads) * p ** ((m - 1) * nvars)
         return _lift_count(active, nvars, p, m, _BudgetState(budget), region)
     if method == "both":
         a = count_points_raw(gens, nvars, p, m, region, "lift", budget, threads)

@@ -3,7 +3,15 @@
 from hypothesis import assume, given, strategies as st
 
 from iosc.poly import Poly
-from iosc.ringcount import Region, count_ff_raw, count_points_raw
+from iosc.ringcount import (
+    Full,
+    PrimitiveBlock,
+    Region,
+    UnitModP,
+    ZeroModP,
+    count_ff_raw,
+    count_points_raw,
+)
 
 
 @st.composite
@@ -62,6 +70,27 @@ def test_lift_equals_naive_on_deep_trees(ideal):
     gens, n, p, m = ideal
     lift = count_points_raw(gens, n, p, m, method="lift")
     assert lift == count_points_raw(gens, n, p, m, method="naive")
+
+
+def product_regions(n):
+    """A region over n coordinates: a mode per coordinate, or one
+    primitive block over all of them."""
+    per_coordinate = st.lists(
+        st.sampled_from([Full, ZeroModP, UnitModP]), min_size=n, max_size=n
+    ).map(
+        lambda modes: Region(
+            n, tuple(((i, i + 1), mode()) for i, mode in enumerate(modes))
+        )
+    )
+    return per_coordinate | st.just(Region(n, (((0, n), PrimitiveBlock()),)))
+
+
+@given(st.one_of(small_ideals(), deep_ideals()), st.data())
+def test_lift_equals_naive_in_product_regions(ideal, data):
+    gens, n, p, m = ideal
+    region = data.draw(product_regions(n))
+    lift = count_points_raw(gens, n, p, m, region, method="lift")
+    assert lift == count_points_raw(gens, n, p, m, region, method="naive")
 
 
 @given(small_ideals())

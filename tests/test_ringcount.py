@@ -192,6 +192,23 @@ def test_region_reduction_in():
     assert a == b  # solutions automatically satisfy their own reduction
 
 
+@pytest.mark.parametrize(
+    "gens,n,p,m,count",
+    [
+        # 3*x1 vanishes mod 3, so the lift route has no constraint left at
+        # m = 1; the region must still cut the count down
+        (["3*x1"], 1, 3, 1, 1),
+        (["3*x1"], 1, 3, 2, 3),
+        (["9*x1*x2"], 2, 3, 2, 9),
+        (["0"], 2, 3, 2, 9),
+    ],
+)
+def test_region_applies_when_no_constraint_is_left(gens, n, p, m, count):
+    region = Region(n, (((0, n), ZeroModP()),))
+    gens = [P(g, n) for g in gens]
+    assert count_points_raw(gens, n, p, m, region, method="both") == count
+
+
 def test_region_membership_counts():
     reg = Region(3, (((0, 2), PrimitiveBlock()), ((2, 3), Full())))
     # primitive pairs mod 3: 9 - 1 = 8, times 3 free values
