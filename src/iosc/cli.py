@@ -382,12 +382,22 @@ def cmd_jet(args) -> dict:
 # -- parser ----------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(sp, fn):
     # the subparser rides along so that _config can echo its actions
     sp.set_defaults(fn=fn, parser=sp)
     sp.add_argument("--budget", type=int, default=None, help="evaluation point budget")
     sp.add_argument("--force", action="store_true", help="bypass the budget")
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=_positive_int, default=1)
     sp.add_argument("--output", choices=["json", "csv"], default="json")
     sp.add_argument("-o", "--out", default=None, help="write the report to a file")
     sp.add_argument("--ideal", default=None, help="JSON ideal file")

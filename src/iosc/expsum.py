@@ -36,13 +36,14 @@ from .errors import DEFAULT_BUDGET, charge
 from .gf import GFTable
 from .poly import IdealSpec, Poly, Weight, build_pairing, top_part, torus_transform, wdeg
 from .ringcount import (
+    Grid,
+    GridPolys,
     LocalData,
     Region,
     check_prime_power,
     count_zpm,  # noqa: F401  (unused; see the same import in zeta.py)
     digits,
     dim_estimate_raw,
-    eval_poly_mod,
     iter_grid,
     map_sum,
 )
@@ -162,12 +163,16 @@ def phase_histogram(
     q = p ** m
     charge(q ** f.nvars, budget, "phase histogram")
 
-    def worker(pts: np.ndarray) -> np.ndarray:
-        ok = region.mask(pts, p)
-        vals = eval_poly_mod(f, pts, q)
-        return np.bincount(vals[ok], minlength=q)
+    grid = Grid(f.nvars, q)
+    scan = GridPolys(grid, [f])
 
-    total = map_sum(worker, iter_grid(f.nvars, q), threads)
+    def worker(chunk: tuple[int, int]) -> np.ndarray:
+        (vals,) = scan(chunk)
+        if not region.is_full:
+            vals = vals[region.mask(grid.rows(chunk), p)]
+        return np.bincount(vals, minlength=q)
+
+    total = map_sum(worker, grid.chunks(), threads)
     return PhaseHistogram(p, m, tuple(int(c) for c in total))
 
 
@@ -246,13 +251,16 @@ def E_charsum(
     gens = spec.generators
 
     # x-pass: class-count the generator value vectors
-    def x_classes(pts: np.ndarray) -> np.ndarray:
-        idx = np.zeros(len(pts), dtype=np.int64)
-        for g in gens:
-            idx = idx * q + eval_poly_mod(g, pts, q)
+    grid = Grid(n, q)
+    scan = GridPolys(grid, gens)
+
+    def x_classes(chunk: tuple[int, int]) -> np.ndarray:
+        idx = np.zeros(grid.size(chunk), dtype=np.int64)
+        for vals in scan(chunk):
+            idx = idx * q + vals
         return np.bincount(idx, minlength=q ** r)
 
-    countv = map_sum(x_classes, iter_grid(n, q), threads)
+    countv = map_sum(x_classes, grid.chunks(), threads)
     support = np.nonzero(countv)[0]
     weights = countv[support].astype(np.float64)
     vmat = digits(support, [q] * r)

@@ -88,25 +88,44 @@ class GFTable:
     # -- vectorized element ops ------------------------------------------
 
     def pow(self, a: np.ndarray, e: int) -> np.ndarray:
-        result = np.ones_like(a)
-        base = a
-        while e:
+        """a^e for e >= 1, by squaring; the result starts as the base at
+        the lowest set bit, and the base is squared only up to the top bit."""
+        assert e >= 1
+        base, result = a, None
+        while True:
             if e & 1:
-                result = self.mul_table[result, base]
+                result = base if result is None else self.mul_table[result, base]
             e >>= 1
-            if e:
-                base = self.mul_table[base, base]
-        return result
+            if not e:
+                return result
+            base = self.mul_table[base, base]
 
     def eval_poly(self, f: Poly, pts: np.ndarray) -> np.ndarray:
-        """Evaluate an integer polynomial on arrays of F_q elements."""
+        """Evaluate an integer polynomial on arrays of F_q elements.
+
+        x^e is tabulated once per exponent on the q field elements, so a
+        coordinate's power is one gather, shared by every term using it.
+        """
+        elems = np.arange(self.q, dtype=np.int32)
+        exponents = {e for expo in f.terms for e in expo if e}
+        tables = {e: self.pow(elems, e) for e in exponents}
+        powers: dict[tuple[int, int], np.ndarray] = {}
         acc = np.zeros(len(pts), dtype=np.int32)
         for expo, coeff in f.terms.items():
             # an integer coefficient lands in the prime field
-            t = np.full(len(pts), coeff % self.p, dtype=np.int32)
+            c = coeff % self.p
+            if not c:
+                continue
+            t = None
             for j, e in enumerate(expo):
                 if e:
-                    t = self.mul_table[t, self.pow(pts[:, j], e)]
+                    if (j, e) not in powers:
+                        powers[j, e] = tables[e][pts[:, j]]
+                    t = powers[j, e] if t is None else self.mul_table[t, powers[j, e]]
+            if t is None:
+                t = np.full(len(pts), c, dtype=np.int32)
+            elif c != 1:
+                t = self.mul_table[c, t]
             acc = self.add_table[acc, t]
         return acc
 

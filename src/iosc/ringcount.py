@@ -22,11 +22,22 @@ round(log_q count) at the largest feasible q, flagged confident only when
 the two largest q agree.
 
 Every exact route of the package is an exhaustive enumeration of a
-residue grid, and this module holds the one enumeration kernel they all
-share: digits() decodes flat indices into mixed-radix rows, iter_grid()
+residue grid, and this module holds the enumeration kernel they all
+share.  digits() decodes flat indices into mixed-radix rows, iter_grid()
 yields a grid as chunks of such rows, and map_sum() maps a worker over
 chunks on a thread pool and adds the results in submission order, so
-every total is the same for any thread count.
+every total is the same for any thread count.  A scan of polynomials
+over a full box (Z/q)^k (the zero scans of the lift and of the naive
+count, phase histograms and the x-pass of the character sum) decodes no
+rows to evaluate: Grid splits the box into a prefix and a suffix box of
+at most CHUNK points, and GridPolys groups each polynomial by prefix
+monomial and evaluates each group's suffix polynomial once per scan, as
+outer products of per-axis power tables.  A chunk, a run of prefix
+points times the suffix box, then costs one broadcast product, one
+reduction mod q and one add per distinct prefix monomial.  Rows are
+decoded only where they are needed: the zeros that go on to the rank
+test, and chunks under a region that constrains them.  The lift builds
+its grid (Z/p)^n, with its power tables, once per call.
 """
 
 from __future__ import annotations
@@ -104,10 +115,14 @@ def _powmod(col: np.ndarray, e: int, q: int) -> np.ndarray:
         base = (base * base) % q
 
 
-def eval_poly_mod(f: Poly, pts: np.ndarray, q: int) -> np.ndarray:
-    """Evaluate f mod q on an array of points, exactly; needs 1 <= q < 2^31."""
+def _check_modulus(q: int) -> None:
     if not 1 <= q < Q_LIMIT:
         raise ValueError(f"modulus {q} is outside the int64-exact range [1, 2^31)")
+
+
+def eval_poly_mod(f: Poly, pts: np.ndarray, q: int) -> np.ndarray:
+    """Evaluate f mod q on an array of points, exactly; needs 1 <= q < 2^31."""
+    _check_modulus(q)
     acc = np.zeros(len(pts), dtype=np.int64)
     powers: dict[tuple[int, int], np.ndarray] = {}
     for expo, coeff in f.terms.items():
@@ -152,6 +167,155 @@ def map_sum(worker: Callable, chunks: Iterable, threads: int):
         while pending:
             add(pending.popleft().result())
     return total
+
+
+class Grid:
+    """The residue box (Z/q)^k as a product of a prefix and a suffix box.
+
+    The suffix is the trailing axes, as many as fit in CHUNK points (CHUNK
+    is read when the grid is built).  A chunk is a range [start, stop) of
+    prefix indices: those prefix points times the whole suffix box, at
+    most CHUNK rows.  The chunks cover the box once, in row-major order,
+    and a row is decoded only when rows() is asked for it.
+    """
+
+    def __init__(self, k: int, q: int):
+        _check_modulus(q)
+        chunk = CHUNK
+        s, size = 0, 1
+        while s < k and size * q <= chunk:
+            s, size = s + 1, size * q
+        self.k, self.q, self.split, self.suffix_size = k, q, k - s, size
+        self.block = max(1, chunk // size)
+        self.prefix_total = q ** self.split
+        # x^e mod q for every residue x, by exponent e; only the suffix
+        # axes read it, so q <= CHUNK
+        self._powers: dict[int, np.ndarray] = {}
+
+    def chunks(self) -> Iterator[tuple[int, int]]:
+        for start in range(0, self.prefix_total, self.block):
+            yield start, min(start + self.block, self.prefix_total)
+
+    def shape(self, chunk: tuple[int, int]) -> tuple[int, ...]:
+        """Axis 0 runs over the chunk's prefix points, the others over the
+        suffix box; the rows are this array in C order."""
+        return (chunk[1] - chunk[0],) + (self.q,) * (self.k - self.split)
+
+    def size(self, chunk: tuple[int, int]) -> int:
+        return (chunk[1] - chunk[0]) * self.suffix_size
+
+    def rows(self, chunk: tuple[int, int], where: np.ndarray | None = None) -> np.ndarray:
+        """The chunk's rows, or only those at the positions `where` in it."""
+        offset = chunk[0] * self.suffix_size
+        if where is None:
+            idx = np.arange(offset, offset + self.size(chunk), dtype=np.int64)
+        else:
+            idx = where + offset
+        return digits(idx, [self.q] * self.k)
+
+    def box_values(self, terms: dict[tuple[int, ...], int]) -> np.ndarray:
+        """sum c x^b mod q on the box (Z/q)^s, s the length of the exponents b.
+
+        Each monomial is an outer product of per-axis power vectors, so the
+        result has shape (q,)*s with length 1 on every axis no term
+        depends on, and it broadcasts against the full box.
+        """
+        q, s = self.q, len(next(iter(terms)))
+        acc = np.zeros((1,) * s, dtype=np.int64)
+        for b, c in terms.items():
+            t = None
+            for j, e in enumerate(b):
+                if e:
+                    if e not in self._powers:
+                        self._powers[e] = _powmod(np.arange(q, dtype=np.int64), e, q)
+                    axis = self._powers[e].reshape((1,) * j + (q,) + (1,) * (s - j - 1))
+                    t = axis if t is None else (t * axis) % q
+            c %= q
+            if t is None:
+                t = c
+            elif c != 1:
+                t = (c * t) % q
+            # each term is below q, so the sum stays far inside int64
+            acc = acc + t
+        # an array even when s = 0, where numpy arithmetic gives a scalar
+        return np.asarray(acc % q)
+
+
+class GridPolys:
+    """Polynomials evaluated mod q on the chunks of a Grid.
+
+    Each polynomial f is grouped by prefix monomial, f = sum_a x^a h_a,
+    and each suffix polynomial h_a is evaluated once, on the suffix box
+    (Grid.box_values), when the scan is built; chunks then only read it,
+    so they may run on any thread.  A chunk costs one broadcast product,
+    one reduction mod q and one add per distinct a, and no row is
+    decoded.  Products of two residues stay below 2^62 and each sum of
+    reduced terms below (number of groups) * q, so int64 is exact.
+    """
+
+    def __init__(self, grid: Grid, polys: Sequence[Poly]):
+        self.grid = grid
+        split = grid.split
+        self.plans = []
+        for f in polys:
+            groups: dict[tuple[int, ...], dict] = {}
+            for expo, c in f.terms.items():
+                groups.setdefault(expo[:split], {})[expo[split:]] = c
+            plan = []
+            for a, terms in groups.items():
+                h = grid.box_values(terms)
+                h.flags.writeable = False  # shared by every chunk
+                plan.append((a, h))
+            self.plans.append(plan)
+
+    def compact(self, chunk: tuple[int, int]) -> list[np.ndarray]:
+        """Each polynomial's values mod q on the chunk, as arrays that
+        broadcast against grid.shape(chunk): an axis no term depends on
+        keeps length 1."""
+        start, stop = chunk
+        grid, q = self.grid, self.grid.q
+        s = grid.k - grid.split
+        prefix = None
+        powers: dict[tuple[int, int], np.ndarray] = {}
+
+        def mono(a: tuple[int, ...]) -> np.ndarray:
+            # x^a mod q on the chunk's prefix points, along axis 0
+            t = None
+            for j, e in enumerate(a):
+                if e:
+                    if (j, e) not in powers:
+                        powers[j, e] = _powmod(prefix[:, j], e, q)
+                    t = powers[j, e] if t is None else (t * powers[j, e]) % q
+            return t.reshape((-1,) + (1,) * s)
+
+        out = []
+        for plan in self.plans:
+            acc = None
+            for a, h in plan:
+                if any(a):
+                    if prefix is None:
+                        idx = np.arange(start, stop, dtype=np.int64)
+                        prefix = digits(idx, [q] * grid.split)
+                    h = (mono(a) * h) % q
+                acc = h if acc is None else acc + h
+            if acc is None:  # the zero polynomial
+                acc = np.zeros((1,) * (s + 1), dtype=np.int64)
+            elif len(plan) > 1:
+                acc %= q  # a sum, so not a shared array
+            out.append(acc)
+        return out
+
+    def __call__(self, chunk: tuple[int, int]) -> list[np.ndarray]:
+        """Each polynomial's values mod q on the chunk's rows, in row order."""
+        shape = self.grid.shape(chunk)
+        return [np.broadcast_to(v, shape).reshape(-1) for v in self.compact(chunk)]
+
+    def zeros(self, chunk: tuple[int, int]) -> np.ndarray:
+        """The mask of the chunk's rows where every polynomial vanishes."""
+        ok = np.ones(self.grid.shape(chunk), dtype=bool)
+        for vals in self.compact(chunk):
+            ok &= vals == 0
+        return ok.reshape(-1)
 
 
 # -- regions ---------------------------------------------------------------
@@ -222,6 +386,10 @@ class Region:
         k = gens[0].nvars
         return Region(k, (((0, k), ReductionIn(gens)),))
 
+    @property
+    def is_full(self) -> bool:
+        return all(isinstance(mode, Full) for _, mode in self.blocks)
+
     def mask(self, pts: np.ndarray, p: int) -> np.ndarray:
         """Boolean membership mask for an array of integer points.
 
@@ -248,31 +416,12 @@ class Region:
         pts = np.asarray([[x % p for x in point]], dtype=np.int64)
         return bool(self.mask(pts, p)[0])
 
-    def intersect(self, other: "Region") -> "Region":
-        """Conjunction of two regions over the same coordinates."""
-        if self.k != other.k:
-            raise ValueError("region sizes differ")
-        return _AndRegion(self, other)
-
     def count_mod_p(self, p: int, budget: int = DEFAULT_BUDGET, threads: int = 1) -> int:
         """Number of points of the region in (Z/p)^k."""
         charge(p ** self.k, budget, "region count")
         return map_sum(
             lambda pts: int(self.mask(pts, p).sum()), iter_grid(self.k, p), threads
         )
-
-
-class _AndRegion(Region):
-    """Intersection of two regions; same mask interface."""
-
-    def __init__(self, a: Region, b: Region):
-        object.__setattr__(self, "k", a.k)
-        object.__setattr__(self, "blocks", a.blocks)
-        object.__setattr__(self, "_parts", (a, b))
-
-    def mask(self, pts: np.ndarray, p: int) -> np.ndarray:
-        a, b = self._parts
-        return a.mask(pts, p) & b.mask(pts, p)
 
 
 # -- counting over Z/p^m -----------------------------------------------------
@@ -287,16 +436,18 @@ def _count_naive(
     threads: int,
 ) -> int:
     """Zeros of gens mod p^m inside the region, by full enumeration; the
-    caller charges the budget."""
-    q = p ** m
+    caller charges the budget.  Only the zeros are decoded, and only under
+    a region that constrains them."""
+    grid = Grid(nvars, p ** m)
+    scan = GridPolys(grid, gens)
 
-    def worker(pts: np.ndarray) -> int:
-        ok = region.mask(pts, p)
-        for g in gens:
-            ok &= eval_poly_mod(g, pts, q) == 0
-        return int(ok.sum())
+    def worker(chunk: tuple[int, int]) -> int:
+        ok = scan.zeros(chunk)
+        if region.is_full:
+            return int(ok.sum())
+        return int(region.mask(grid.rows(chunk, np.flatnonzero(ok)), p).sum())
 
-    return map_sum(worker, iter_grid(nvars, q), threads)
+    return map_sum(worker, grid.chunks(), threads)
 
 
 def _rank_mask(jac_vals: np.ndarray, r: int, n: int, p: int) -> np.ndarray:
@@ -328,11 +479,12 @@ def _det_mod(mats: np.ndarray, p: int) -> np.ndarray:
 
 
 class _BudgetState:
-    """The budget left to one lift call, and its node memo."""
+    """The budget left to one lift call, its node memo and its residue grid."""
 
-    def __init__(self, budget: int):
+    def __init__(self, budget: int, grid: Grid):
         self.left = budget
         self.budget = budget
+        self.grid = grid
         # (frozenset of active constraints, depth) -> count of a region-free node
         self.memo: dict[tuple, int] = {}
 
@@ -423,16 +575,18 @@ def _lift_count(
     Invariant: 1 <= e_i <= depth for every active constraint (g_i, e_i),
     and g_i's coefficients are reduced mod p^e_i (see _constraints).
 
-    The zeros mod p are found on the grid of residues.  A zero where the
-    Jacobian has full rank mod p lifts in closed form; a singular zero z0
-    is re-expanded as z0 + p*y.  The coefficient of y^b in g(z0 + p y) is
-    p^|b| T_b(z0), with T_b = d^b g / b! from a table built once per node
-    (its |b| = 1 rows are the Jacobian), and only |b| < e matters mod
-    p^e.  Each child is reduced by _constraints, so equal subtrees have
-    equal keys: a region-free node is looked up in state.memo by the set
-    of its constraints and its depth, and a hit costs no work and no
-    budget.  Only the root may carry a region, and a node with a region
-    is never looked up.
+    The zeros mod p are found by one GridPolys scan of the call's grid
+    (Z/p)^nvars, which state holds, and only the zeros are decoded; the
+    root's region is applied to them.  A zero where the Jacobian has full
+    rank mod p lifts in closed form; a singular zero z0 is re-expanded as
+    z0 + p*y.  The coefficient of y^b in g(z0 + p y) is p^|b| T_b(z0),
+    with T_b = d^b g / b! from a table built once per node (its |b| = 1
+    rows are the Jacobian), and only |b| < e matters mod p^e.  Each child
+    is reduced by _constraints, so equal subtrees have equal keys: a
+    region-free node is looked up in state.memo by the set of its
+    constraints and its depth, and a hit costs no work and no budget.
+    Only the root may carry a region, and a node with a region is never
+    looked up.
     """
     if not active:
         # count_points_raw counts a constraint-free root under a region
@@ -459,13 +613,12 @@ def _lift_count(
         p ** ((depth - 1) * nvars - sum(e - 1 for e in exps)) if r <= nvars else 0
     )
 
-    for pts in iter_grid(nvars, p):
-        ok = np.ones(len(pts), dtype=bool)
+    grid = state.grid
+    scan = GridPolys(grid, gens)
+    for chunk in grid.chunks():
+        sols = grid.rows(chunk, np.flatnonzero(scan.zeros(chunk)))
         if region is not None:
-            ok &= region.mask(pts, p)
-        for g in gens:
-            ok &= eval_poly_mod(g, pts, p) == 0
-        sols = pts[ok]
+            sols = sols[region.mask(sols, p)]
         if not len(sols):
             continue
         if r <= nvars:
@@ -523,7 +676,8 @@ def count_points_raw(
         if not active and region is not None:
             # every constraint holds; the region is decided mod p
             return region.count_mod_p(p, budget, threads) * p ** ((m - 1) * nvars)
-        return _lift_count(active, nvars, p, m, _BudgetState(budget), region)
+        state = _BudgetState(budget, Grid(nvars, p))
+        return _lift_count(active, nvars, p, m, state, region)
     if method == "both":
         a = count_points_raw(gens, nvars, p, m, region, "lift", budget, threads)
         b = count_points_raw(gens, nvars, p, m, region, "naive", budget, threads)

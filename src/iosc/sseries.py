@@ -145,6 +145,8 @@ def singular_series_partial(
     bound is attached, fitted as c = max |E(q)| q^sigma over the computed
     terms; it inherits sigma's conjectural status.
     """
+    if Qmax < 1:
+        raise ValueError(f"Qmax must be >= 1, got {Qmax}")
     local: dict[int, LocalData] = {}
     E = {1: Fraction(1)}
     for q in range(2, Qmax + 1):

@@ -309,3 +309,21 @@ def test_circle_waring_rejects_a_bad_modulus(p):
 def test_zeta_rejects_a_negative_max_order(extra):
     argv = ["zeta", "--gens", "x1^2", "-n", "1", "-p", "3", "--max-order", "-1"]
     assert main(argv + extra) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sseries", "--gens", "x1^2", "-n", "1", "--qmax", "0"],
+        ["sseries", "--gens", "x1^2", "-n", "1", "--qmax", "-5"],
+        ["circle", "predict", "--gens", "x1^2+x2^2-x3^2", "-n", "3", "-B", "3", "--qmax", "0"],
+    ],
+)
+def test_an_empty_series_range_is_refused(argv):
+    assert main(argv) == 2
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_fewer_than_one_thread_is_refused(threads):
+    argv = ["count", "--gens", "x1^2", "-n", "1", "-p", "3", "-m", "2", "--threads", threads]
+    assert main(argv) == 2

@@ -88,18 +88,21 @@ def test_local_data_matches_the_public_routes():
 
 
 @pytest.mark.parametrize(
-    "Z",
+    "Z,equations",
     [
-        None,
-        Region(2, (((0, 1), UnitModP()), ((1, 2), Full()))),
-        Region(2, (((0, 2), ZeroModP()),)),
+        (None, []),
+        # over F_3 a coordinate is a unit exactly when its square is 1
+        (Region(2, (((0, 1), UnitModP()), ((1, 2), Full()))), ["x1^2-1"]),
+        (Region(2, (((0, 2), ZeroModP()),)), ["x1", "x2"]),
     ],
+    ids=["None", "Z1", "Z2"],
 )
-def test_compa_counts_in_the_callers_region(Z):
-    # reference: every volume counted in Z cap X, as the identity states it
+def test_compa_counts_in_the_callers_region(Z, equations):
+    # reference: every volume counted in Z cap X, as the identity states it,
+    # with Z cap X the reduction locus of X's equations and Z's own
     spec = S("x1^2*x2-x2^3", n=2)
-    x = Region.reduction_in(spec.generators)
-    vols = ord_volumes(spec, 3, 5, x if Z is None else Z.intersect(x))
+    cap = Region.reduction_in(spec.generators + [parse_poly(e, 2) for e in equations])
+    vols = ord_volumes(spec, 3, 5, cap)
     c = [vols[m] - vols[m + 1] for m in range(5)]
     res = compa_check(spec, 1, 3, 4, Z)
     assert res.ok

@@ -1,10 +1,17 @@
 """Property tests: independent counting routes agree on random small ideals."""
 
+import itertools
+
+import numpy as np
+import pytest
 from hypothesis import assume, given, strategies as st
 
-from iosc.poly import Poly
+from iosc import ringcount
+from iosc.poly import Poly, eval_mod
 from iosc.ringcount import (
     Full,
+    Grid,
+    GridPolys,
     PrimitiveBlock,
     Region,
     UnitModP,
@@ -127,3 +134,44 @@ def test_count_ff_degree_2_equals_its_weil_restriction(ideal, p):
     gens, n, _, _ = ideal
     parts = [part for g in gens for part in weil_restriction(g, n, NONRESIDUE[p])]
     assert count_ff_raw(gens, n, p, 2) == count_points_raw(parts, 2 * n, p, 1, method="naive")
+
+
+@st.composite
+def box_polys(draw):
+    """(polys, n, p, m): polynomials in n <= 4 variables on the box
+    (Z/p^m)^n of at most 1024 points; m = 1 is the lift's scan mod p and
+    m > 1 the naive scan mod p^m.  Coefficients exceed the modulus, and
+    the zero polynomial and constants are drawn too."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m = draw(st.integers(1, 3))
+    assume((p ** m) ** n <= 1024)
+    monomial = st.tuples(*[st.integers(0, 4)] * n)
+    poly = st.dictionaries(monomial, st.integers(-60, 60), max_size=5).map(
+        lambda terms: Poly(n, terms)
+    )
+    return draw(st.lists(poly, min_size=1, max_size=3)), n, p, m
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 50])
+@given(case=box_polys())
+def test_grid_kernel_equals_pointwise_evaluation(chunk, case):
+    # chunk sizes that cut the box at every axis and leave a short last
+    # block of prefix points
+    polys, n, p, m = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ringcount, "CHUNK", chunk)
+        grid = Grid(n, p ** m)
+    scan = GridPolys(grid, polys)
+    rows = []
+    for c in grid.chunks():
+        pts = grid.rows(c).tolist()
+        assert 1 <= len(pts) <= chunk
+        vals = [v.tolist() for v in scan(c)]
+        assert vals == [[eval_mod(f, pt, p, m) for pt in pts] for f in polys]
+        zeros = scan.zeros(c)
+        assert zeros.tolist() == [all(v[i] == 0 for v in vals) for i in range(len(pts))]
+        where = np.flatnonzero(zeros)
+        assert grid.rows(c, where).tolist() == [pts[i] for i in where]
+        rows += pts
+    assert rows == [list(r) for r in itertools.product(range(p ** m), repeat=n)]

@@ -108,6 +108,13 @@ def test_series_xy_terms():
     assert rep.value == expected
 
 
+@pytest.mark.parametrize("Qmax", [0, -5])
+def test_series_needs_a_nonempty_range(Qmax):
+    # the sum over q <= Qmax is empty, so there is no partial sum to report
+    with pytest.raises(ValueError, match="Qmax"):
+        singular_series_partial(S("x1^2", n=1), 1, Qmax)
+
+
 def test_series_tail_bound_requires_large_sigma():
     rep = singular_series_partial(S("x1*x2", n=2), 1, 6, sigma=1.5)
     assert rep.tail_bound is None

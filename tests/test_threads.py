@@ -23,6 +23,10 @@ ENTRY_POINTS = {
     "count_zpm-naive": lambda t: count_zpm(
         S("x1*x2-x3^2", n=3), 3, 2, method="naive", threads=t
     ),
+    # the lift scans one grid per call, 5 chunks of (Z/3)^3 per tree node
+    "count_zpm-lift": lambda t: count_zpm(
+        S("x1^2*x2-x3^2", n=3), 3, 4, method="lift", threads=t
+    ),
     "count_ff-k2": lambda t: count_ff(S("x1^2-x2^3", n=2), 3, 2, threads=t),
     "phase_histogram": lambda t: phase_histogram(
         P("x1*x2^2+x2", 2), 3, 2, Region.primitive_then_full(1, 1), threads=t
