@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, prod
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, charge
 from .poly import IdealSpec, Poly
-from .ringcount import check_prime_power, digits, eval_poly_mod, iter_grid, map_sum
+from .ringcount import Grid, GridPolys, Int64, check_prime_power, digits, map_sum
 from .sseries import SeriesReport, singular_series_partial
 
 
@@ -64,12 +64,6 @@ class BoxSpec:
         return v
 
 
-def _box_int_ranges(box: BoxSpec, B: int) -> list[tuple[int, int]]:
-    return [
-        (ceil(lo * B), floor(hi * B)) for lo, hi in box.bounds
-    ]
-
-
 def count_box_solutions(
     spec: IdealSpec,
     box: BoxSpec,
@@ -78,24 +72,24 @@ def count_box_solutions(
     threads: int = 1,
 ) -> int:
     """Exact number of integer points x with x/B in the box and all
-    generators vanishing.  Generators must be homogeneous.
+    generators vanishing.  Generators must be homogeneous, and B >= 1.
 
-    The grid is split into a prefix x suffix product: the suffix subgrid
-    and every suffix monomial are evaluated once, so each prefix point
-    costs only scalar updates and comparisons.  Counting is exact integer
-    arithmetic throughout and independent of the thread count.
+    The points form the integer box [ceil(lo B), floor(hi B)] per axis,
+    scanned by one ringcount.Grid in exact int64 arithmetic (Int64), once
+    every generator is checked to stay below 2^62 on it.  The count is
+    independent of the thread count.
     """
+    if B < 1:
+        raise ValueError(f"B must be >= 1, got {B}")
     for g in spec.generators:
         degs = {sum(e) for e in g.terms}
         if len(degs) > 1:
             raise ValueError("box counting expects homogeneous generators")
     if box.n != spec.nvars:
         raise ValueError("box dimension must match nvars")
-    n = spec.nvars
-    ranges = _box_int_ranges(box, B)
-    total = 1
-    for lo, hi in ranges:
-        total *= max(0, hi - lo + 1)
+    ranges = [(ceil(lo * B), floor(hi * B)) for lo, hi in box.bounds]
+    sizes = [max(0, hi - lo + 1) for lo, hi in ranges]
+    total = prod(sizes)
     if total == 0:
         return 0
     charge(total, budget, "box enumeration")
@@ -106,75 +100,10 @@ def count_box_solutions(
         if bound >= 1 << 62:
             raise ValueError("values too large for exact vectorized evaluation")
 
-    sizes = [hi - lo + 1 for lo, hi in ranges]
-    lows = np.array([lo for lo, _ in ranges], dtype=np.int64)
-    # split position: keep the materialized suffix grid around 2^23 points
-    k = 0
-    suffix_total = total
-    while suffix_total > (1 << 23) and k < n - 1:
-        suffix_total //= sizes[k]
-        k += 1
-    suffix = digits(np.arange(suffix_total, dtype=np.int64), sizes[k:]) + lows[k:]
-
-    def mono_values(expo: tuple[int, ...]) -> np.ndarray:
-        out = np.ones(len(suffix), dtype=np.int64)
-        for j, e in enumerate(expo):
-            if e:
-                out = out * suffix[:, j] ** e
-        return out
-
-    # per generator: suffix-only base values, prefix-only terms, and
-    # genuinely mixed terms with their cached suffix monomials
-    decomp = []
-    for g in spec.generators:
-        base = np.zeros(len(suffix), dtype=np.int64)
-        const_terms: list[tuple[tuple[int, ...], int]] = []
-        mixed: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
-        monos: dict[tuple[int, ...], np.ndarray] = {}
-        for expo, c in g.terms.items():
-            pref, suf = expo[:k], expo[k:]
-            if not any(pref):
-                base = base + c * mono_values(suf)
-            elif not any(suf):
-                const_terms.append((pref, c))
-            else:
-                if suf not in monos:
-                    monos[suf] = mono_values(suf)
-                mixed.append((pref, c, suf))
-        decomp.append((base, const_terms, mixed, monos))
-
-    prefix_total = total // suffix_total
-    prefix_pts = digits(np.arange(prefix_total, dtype=np.int64), sizes[:k]) + lows[:k]
-
-    def handle(batch: np.ndarray) -> int:
-        subtotal = 0
-        for pp in batch.tolist():
-            ok: np.ndarray | None = None
-            for base, const_terms, mixed, monos in decomp:
-                shift = sum(c * _mono_int(pp, pref) for pref, c in const_terms)
-                if mixed:
-                    v = base + shift
-                    for pref, c, suf in mixed:
-                        v = v + (c * _mono_int(pp, pref)) * monos[suf]
-                    m = v == 0
-                else:
-                    m = base == -shift
-                ok = m if ok is None else (ok & m)
-            subtotal += int(ok.sum())
-        return subtotal
-
-    nbatches = max(1, min(prefix_total, threads * 8))
-    size = (prefix_total + nbatches - 1) // nbatches
-    batches = (prefix_pts[i : i + size] for i in range(0, prefix_total, size))
-    return map_sum(handle, batches, threads)
-
-
-def _mono_int(point: Sequence[int], expo: tuple[int, ...]) -> int:
-    v = 1
-    for x, e in zip(point, expo):
-        if e:
-            v *= x ** e
-    return v
+    grid = Grid(spec.nvars, Int64(), [lo for lo, _ in ranges], sizes)
+    scan = GridPolys(grid, spec.generators)
+    count = map_sum(lambda c: np.count_nonzero(scan.zeros(c)), grid.chunks(), threads)
+    return int(count)
 
 
 # -- singular integral ------------------------------------------------------------
@@ -299,6 +228,8 @@ def major_arc_prediction(
     scale; a ratio outside [0.5, 2] or a vanishing prediction is flagged
     degenerate.
     """
+    if B < 1:
+        raise ValueError(f"B must be >= 1, got {B}")
     sser = singular_series_partial(spec, spec.r, Qmax, budget=budget, threads=threads)
     jint = singular_integral(
         spec, box, eps_ladder, sampler="mc", seed=seed, samples=samples, budget=budget
@@ -349,6 +280,8 @@ def waring_surjectivity(
     exhaustive enumeration over (Z/p^m)^r.
     """
     check_prime_power(p, m)
+    if ell < 1:
+        raise ValueError(f"ell must be >= 1, got {ell}")
     if len(maps) == 1:
         maps = list(maps) * ell
     if len(maps) != ell:
@@ -370,13 +303,15 @@ def waring_surjectivity(
     def image(components: Sequence[Poly]) -> np.ndarray:
         nv = components[0].nvars
         charge(q ** nv, budget, "waring image enumeration")
+        grid = Grid(nv, q)
+        scan = GridPolys(grid, components)
 
-        def seen(pts: np.ndarray) -> np.ndarray:
+        def seen(chunk: tuple[int, int]) -> np.ndarray:
             mask = np.zeros(q ** r, dtype=bool)
-            mask[encode([eval_poly_mod(comp, pts, q) for comp in components])] = True
+            mask[encode(scan(chunk))] = True
             return mask
 
-        return map_sum(seen, iter_grid(nv, q), 1)
+        return map_sum(seen, grid.chunks(), 1)
 
     images = [image(comp) for comp in maps]
     image_sizes = [int(im.sum()) for im in images]

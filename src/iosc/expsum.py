@@ -322,17 +322,22 @@ def _gf_trace_histogram(
 ) -> np.ndarray:
     n = f.nvars
     charge(gf.q ** n, budget, "finite-field sum")
+    grid = Grid(n, gf)
+    scan = GridPolys(grid, [f])
 
-    def worker(pts: np.ndarray) -> np.ndarray:
-        ok = np.ones(len(pts), dtype=bool)
-        for i in fixed_zero:
-            ok &= pts[:, i] == 0
-        for i in nonzero:
-            ok &= pts[:, i] != 0
-        vals = gf.eval_poly(f, pts)
-        return np.bincount(gf.trace(vals[ok]), minlength=gf.p)
+    def worker(chunk: tuple[int, int]) -> np.ndarray:
+        (vals,) = scan(chunk)
+        if fixed_zero or nonzero:
+            pts = grid.rows(chunk)
+            ok = np.ones(len(pts), dtype=bool)
+            for i in fixed_zero:
+                ok &= pts[:, i] == 0
+            for i in nonzero:
+                ok &= pts[:, i] != 0
+            vals = vals[ok]
+        return np.bincount(gf.trace(vals), minlength=gf.p)
 
-    return map_sum(worker, iter_grid(n, gf.q), threads)
+    return map_sum(worker, grid.chunks(), threads)
 
 
 def ff_char_sum(
@@ -360,6 +365,8 @@ def ff_char_sum(
     if J1 & J2:
         raise ValueError("J1 and J2 must be disjoint")
     n = f.nvars
+    if not J1 | J2 <= set(range(n)):
+        raise ValueError(f"J1 and J2 must be subsets of range({n})")
     ww = w if w is not None else Weight.ones(n)
     d = wdeg(f, ww)
     if top_part(f, ww) != f:

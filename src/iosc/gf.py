@@ -11,8 +11,11 @@ soon as the walk returns to 1 early.  Order q-1 makes all q-1 nonzero
 residues units, so the quotient ring is a field and f is irreducible: the
 walk is the proof, and its output is the antilog table exp[i] = X^i, with
 log its inverse.  The q x q tables follow row by row: mul[a, b] =
-exp[(log a + log b) mod (q-1)], add is digitwise mod p, and bulk evaluation
-is a chain of numpy lookups.
+exp[(log a + log b) mod (q-1)], and add is digitwise mod p.
+
+The table is a ring of ringcount's grid kernel: const, pow, mul, add and
+reduce, with add and mul as lookups and an integer c entering as the code
+c mod p.  So F_q^n is scanned by the same Grid and GridPolys as (Z/q)^n.
 
 The absolute trace to F_p is precomputed per element, which is all a
 canonical additive character of F_q needs: psi(a) = exp(2*pi*i*Tr(a)/p).
@@ -100,34 +103,24 @@ class GFTable:
                 return result
             base = self.mul_table[base, base]
 
-    def eval_poly(self, f: Poly, pts: np.ndarray) -> np.ndarray:
-        """Evaluate an integer polynomial on arrays of F_q elements.
+    def const(self, c: int) -> int:
+        # an integer lands in the prime field, whose codes are 0..p-1
+        return c % self.p
 
-        x^e is tabulated once per exponent on the q field elements, so a
-        coordinate's power is one gather, shared by every term using it.
-        """
-        elems = np.arange(self.q, dtype=np.int32)
-        exponents = {e for expo in f.terms for e in expo if e}
-        tables = {e: self.pow(elems, e) for e in exponents}
-        powers: dict[tuple[int, int], np.ndarray] = {}
-        acc = np.zeros(len(pts), dtype=np.int32)
-        for expo, coeff in f.terms.items():
-            # an integer coefficient lands in the prime field
-            c = coeff % self.p
-            if not c:
-                continue
-            t = None
-            for j, e in enumerate(expo):
-                if e:
-                    if (j, e) not in powers:
-                        powers[j, e] = tables[e][pts[:, j]]
-                    t = powers[j, e] if t is None else self.mul_table[t, powers[j, e]]
-            if t is None:
-                t = np.full(len(pts), c, dtype=np.int32)
-            elif c != 1:
-                t = self.mul_table[c, t]
-            acc = self.add_table[acc, t]
-        return acc
+    def mul(self, a, b):
+        return self.mul_table[a, b]
+
+    def add(self, a, b):
+        return self.add_table[a, b]
+
+    def reduce(self, a: np.ndarray) -> np.ndarray:
+        return a
+
+    def eval_poly(self, f: Poly, pts: np.ndarray) -> np.ndarray:
+        """Evaluate an integer polynomial on rows of F_q elements."""
+        from .ringcount import eval_rows
+
+        return eval_rows(f, pts, self)
 
     def trace(self, a: np.ndarray) -> np.ndarray:
         return self.trace_table[a]

@@ -21,23 +21,21 @@ finite fields: count ~ q^dim for geometrically irreducible loci, so
 round(log_q count) at the largest feasible q, flagged confident only when
 the two largest q agree.
 
-Every exact route of the package is an exhaustive enumeration of a
-residue grid, and this module holds the enumeration kernel they all
-share.  digits() decodes flat indices into mixed-radix rows, iter_grid()
-yields a grid as chunks of such rows, and map_sum() maps a worker over
-chunks on a thread pool and adds the results in submission order, so
-every total is the same for any thread count.  A scan of polynomials
-over a full box (Z/q)^k (the zero scans of the lift and of the naive
-count, phase histograms and the x-pass of the character sum) decodes no
-rows to evaluate: Grid splits the box into a prefix and a suffix box of
-at most CHUNK points, and GridPolys groups each polynomial by prefix
-monomial and evaluates each group's suffix polynomial once per scan, as
-outer products of per-axis power tables.  A chunk, a run of prefix
-points times the suffix box, then costs one broadcast product, one
-reduction mod q and one add per distinct prefix monomial.  Rows are
-decoded only where they are needed: the zeros that go on to the rank
-test, and chunks under a region that constrains them.  The lift builds
-its grid (Z/p)^n, with its power tables, once per call.
+Every exact route of the package is an exhaustive scan of a box, and
+this module holds the one kernel they all share.  A ring (ModQ for Z/q,
+gf.GFTable for F_q, Int64 for exact integers) supplies const, pow, mul,
+add and reduce.  Grid is a box of ring points, (Z/q)^k, F_q^k or an
+integer box, split into a prefix and a suffix box of at most CHUNK
+points.  GridPolys groups each polynomial by prefix monomial and
+evaluates each group's suffix polynomial once per scan, so a chunk (a
+run of prefix points times the suffix box) costs one broadcast product
+and one add per distinct prefix monomial, and decodes no rows.  Rows
+are decoded only where they are needed: the zeros that go on to the
+rank test, and chunks under a constraint the polynomials do not carry.
+eval_rows() evaluates a polynomial on given rows in any ring, and
+map_sum() adds a worker's results over chunks in submission order on a
+thread pool, so every total is the same for any thread count.  The lift
+builds its grid (Z/p)^n, with its power tables, once per call.
 """
 
 from __future__ import annotations
@@ -58,7 +56,8 @@ from .poly import IdealSpec, Poly, Weight, jacobian_minors, top_part
 
 # -- vectorized helpers ----------------------------------------------------
 
-CHUNK = 1 << 20
+# rows per chunk, so each int64 array over a chunk takes at most 2 MB
+CHUNK = 1 << 18
 # products of two residues below 2^31 fit in int64
 Q_LIMIT = 1 << 31
 
@@ -88,12 +87,8 @@ def digits(idx: np.ndarray, radices: Sequence[int]) -> np.ndarray:
     return out
 
 
-def iter_grid(k: int, radix: int, chunk: int | None = None) -> Iterator[np.ndarray]:
-    """Enumerate {0..radix-1}^k row-major as int64 arrays of shape (c, k).
-
-    Chunks hold CHUNK rows unless chunk is given; CHUNK is read per call.
-    """
-    chunk = chunk or CHUNK
+def iter_grid(k: int, radix: int, chunk: int) -> Iterator[np.ndarray]:
+    """Enumerate {0..radix-1}^k row-major as int64 arrays of at most chunk rows."""
     total = radix ** k
     for off in range(0, total, chunk):
         idx = np.arange(off, min(off + chunk, total), dtype=np.int64)
@@ -120,22 +115,100 @@ def _check_modulus(q: int) -> None:
         raise ValueError(f"modulus {q} is outside the int64-exact range [1, 2^31)")
 
 
+class ModQ:
+    """Z/q as int64 residues 0..q-1, for 1 <= q < 2^31.
+
+    A product of two residues stays below 2^62.  add() leaves a sum
+    unreduced, since a sum of a few residues stays far inside int64, and
+    reduce() takes it mod q once, in place.
+    """
+
+    def __init__(self, q: int):
+        _check_modulus(q)
+        self.q = q
+
+    def const(self, c: int) -> int:
+        return c % self.q
+
+    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
+        return _powmod(a, e, self.q)
+
+    def mul(self, a, b):
+        return a * b % self.q
+
+    def add(self, a, b):
+        return a + b
+
+    def reduce(self, a: np.ndarray) -> np.ndarray:
+        a %= self.q
+        return a
+
+
+class Int64:
+    """Exact integers in int64; the caller bounds every value below 2^62."""
+
+    def const(self, c: int) -> int:
+        return c
+
+    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
+        return a ** e
+
+    def mul(self, a, b):
+        return a * b
+
+    def add(self, a, b):
+        return a + b
+
+    def reduce(self, a: np.ndarray) -> np.ndarray:
+        return a
+
+
+# the rings of the evaluators: each has const, pow, mul, add and reduce
+Ring = ModQ | Int64 | GFTable
+
+
+def _monomial(
+    expo: tuple[int, ...], col: Callable, ring: Ring, powers: dict
+) -> np.ndarray | None:
+    """x^expo in the ring, None for x^0.  col(j) gives coordinate j, and
+    each power x_j^e is taken once and kept in powers under (j, e)."""
+    t = None
+    for j, e in enumerate(expo):
+        if e:
+            if (j, e) not in powers:
+                powers[j, e] = ring.pow(col(j), e)
+            t = powers[j, e] if t is None else ring.mul(t, powers[j, e])
+    return t
+
+
+def _eval_terms(
+    terms: Iterable, col: Callable, ring: Ring, powers: dict, shape: int | tuple
+) -> np.ndarray:
+    """sum c x^b over the terms (b, c) in the ring, on coordinates that
+    broadcast against zeros of the given shape (see _monomial); an integer
+    c enters as ring.const(c)."""
+    acc = np.zeros(shape, dtype=np.int64)
+    for b, c in terms:
+        c = ring.const(c)
+        if not c:
+            continue
+        t = _monomial(b, col, ring, powers)
+        if t is None:
+            t = c
+        elif c != 1:
+            t = ring.mul(c, t)
+        acc = ring.add(acc, t)
+    return ring.reduce(acc)
+
+
+def eval_rows(f: Poly, pts: np.ndarray, ring: Ring) -> np.ndarray:
+    """f at every row of pts, in the ring; the one row evaluator."""
+    return _eval_terms(f.terms.items(), lambda j: pts[:, j], ring, {}, len(pts))
+
+
 def eval_poly_mod(f: Poly, pts: np.ndarray, q: int) -> np.ndarray:
     """Evaluate f mod q on an array of points, exactly; needs 1 <= q < 2^31."""
-    _check_modulus(q)
-    acc = np.zeros(len(pts), dtype=np.int64)
-    powers: dict[tuple[int, int], np.ndarray] = {}
-    for expo, coeff in f.terms.items():
-        t = np.full(len(pts), coeff % q, dtype=np.int64)
-        for j, e in enumerate(expo):
-            if e:
-                pw = powers.get((j, e))
-                if pw is None:
-                    pw = _powmod(pts[:, j], e, q)
-                    powers[j, e] = pw
-                t = (t * pw) % q
-        acc = (acc + t) % q
-    return acc
+    return eval_rows(f, pts, ModQ(q))
 
 
 def map_sum(worker: Callable, chunks: Iterable, threads: int):
@@ -170,27 +243,33 @@ def map_sum(worker: Callable, chunks: Iterable, threads: int):
 
 
 class Grid:
-    """The residue box (Z/q)^k as a product of a prefix and a suffix box.
+    """A box of ring points as a product of a prefix and a suffix box.
 
-    The suffix is the trailing axes, as many as fit in CHUNK points (CHUNK
-    is read when the grid is built).  A chunk is a range [start, stop) of
-    prefix indices: those prefix points times the whole suffix box, at
-    most CHUNK rows.  The chunks cover the box once, in row-major order,
-    and a row is decoded only when rows() is asked for it.
+    Axis j runs over lows[j] + {0..sizes[j]-1}.  By default that is the
+    ring's q elements, so Grid(k, q) is (Z/q)^k and Grid(k, gf) is F_q^k;
+    an Int64 grid takes any integer box.  The suffix is the trailing
+    axes, as many as fit in CHUNK points (CHUNK is read when the grid is
+    built).  A chunk is a range [start, stop) of prefix indices: those
+    prefix points times the whole suffix box, at most CHUNK rows.  The
+    chunks cover the box once, in row-major order, and a row is decoded
+    only when rows() is asked for it.
     """
 
-    def __init__(self, k: int, q: int):
-        _check_modulus(q)
+    def __init__(self, k: int, ring: int | Ring, lows=None, sizes=None):
+        self.ring = ModQ(ring) if isinstance(ring, int) else ring
+        self.k = k
+        self.lows = tuple(lows) if lows is not None else (0,) * k
+        self.sizes = tuple(sizes) if sizes is not None else (self.ring.q,) * k
         chunk = CHUNK
         s, size = 0, 1
-        while s < k and size * q <= chunk:
-            s, size = s + 1, size * q
-        self.k, self.q, self.split, self.suffix_size = k, q, k - s, size
+        while s < k and size * self.sizes[k - 1 - s] <= chunk:
+            s, size = s + 1, size * self.sizes[k - 1 - s]
+        self.split, self.suffix_size = k - s, size
         self.block = max(1, chunk // size)
-        self.prefix_total = q ** self.split
-        # x^e mod q for every residue x, by exponent e; only the suffix
-        # axes read it, so q <= CHUNK
-        self._powers: dict[int, np.ndarray] = {}
+        self.prefix_total = math.prod(self.sizes[: self.split])
+        # x_j^e on the suffix box, by (j, e) with j counted in the suffix;
+        # each table has at most CHUNK entries
+        self._powers: dict[tuple[int, int], np.ndarray] = {}
 
     def chunks(self) -> Iterator[tuple[int, int]]:
         for start in range(0, self.prefix_total, self.block):
@@ -199,10 +278,18 @@ class Grid:
     def shape(self, chunk: tuple[int, int]) -> tuple[int, ...]:
         """Axis 0 runs over the chunk's prefix points, the others over the
         suffix box; the rows are this array in C order."""
-        return (chunk[1] - chunk[0],) + (self.q,) * (self.k - self.split)
+        return (chunk[1] - chunk[0],) + self.sizes[self.split :]
 
     def size(self, chunk: tuple[int, int]) -> int:
         return (chunk[1] - chunk[0]) * self.suffix_size
+
+    def points(self, idx: np.ndarray, axes: int) -> np.ndarray:
+        """The points of the box of the first `axes` axes at the flat
+        indices idx, which are divided in place."""
+        pts = digits(idx, self.sizes[:axes])
+        if any(self.lows):
+            pts += self.lows[:axes]
+        return pts
 
     def rows(self, chunk: tuple[int, int], where: np.ndarray | None = None) -> np.ndarray:
         """The chunk's rows, or only those at the positions `where` in it."""
@@ -211,45 +298,36 @@ class Grid:
             idx = np.arange(offset, offset + self.size(chunk), dtype=np.int64)
         else:
             idx = where + offset
-        return digits(idx, [self.q] * self.k)
+        return self.points(idx, self.k)
 
     def box_values(self, terms: dict[tuple[int, ...], int]) -> np.ndarray:
-        """sum c x^b mod q on the box (Z/q)^s, s the length of the exponents b.
+        """sum c x^b on the suffix box, for exponents b of its axes.
 
         Each monomial is an outer product of per-axis power vectors, so the
-        result has shape (q,)*s with length 1 on every axis no term
-        depends on, and it broadcasts against the full box.
+        result has length 1 on every axis no term depends on, and it
+        broadcasts against the full box.
         """
-        q, s = self.q, len(next(iter(terms)))
-        acc = np.zeros((1,) * s, dtype=np.int64)
-        for b, c in terms.items():
-            t = None
-            for j, e in enumerate(b):
-                if e:
-                    if e not in self._powers:
-                        self._powers[e] = _powmod(np.arange(q, dtype=np.int64), e, q)
-                    axis = self._powers[e].reshape((1,) * j + (q,) + (1,) * (s - j - 1))
-                    t = axis if t is None else (t * axis) % q
-            c %= q
-            if t is None:
-                t = c
-            elif c != 1:
-                t = (c * t) % q
-            # each term is below q, so the sum stays far inside int64
-            acc = acc + t
+        s = self.k - self.split
+
+        def axis(j: int) -> np.ndarray:
+            lo, size = self.lows[self.split + j], self.sizes[self.split + j]
+            shape = (1,) * j + (size,) + (1,) * (s - j - 1)
+            return np.arange(lo, lo + size, dtype=np.int64).reshape(shape)
+
+        vals = _eval_terms(terms.items(), axis, self.ring, self._powers, (1,) * s)
         # an array even when s = 0, where numpy arithmetic gives a scalar
-        return np.asarray(acc % q)
+        return np.asarray(vals)
 
 
 class GridPolys:
-    """Polynomials evaluated mod q on the chunks of a Grid.
+    """Polynomials evaluated in the ring of a Grid, on its chunks.
 
     Each polynomial f is grouped by prefix monomial, f = sum_a x^a h_a,
     and each suffix polynomial h_a is evaluated once, on the suffix box
     (Grid.box_values), when the scan is built; chunks then only read it,
-    so they may run on any thread.  A chunk costs one broadcast product,
-    one reduction mod q and one add per distinct a, and no row is
-    decoded.  Products of two residues stay below 2^62 and each sum of
+    so they may run on any thread.  A chunk costs one broadcast product
+    and one add per distinct a, then one reduce, and no row is decoded.
+    In Z/q, products of two residues stay below 2^62 and each sum of
     reduced terms below (number of groups) * q, so int64 is exact.
     """
 
@@ -269,23 +347,18 @@ class GridPolys:
             self.plans.append(plan)
 
     def compact(self, chunk: tuple[int, int]) -> list[np.ndarray]:
-        """Each polynomial's values mod q on the chunk, as arrays that
-        broadcast against grid.shape(chunk): an axis no term depends on
-        keeps length 1."""
+        """Each polynomial's values on the chunk, as arrays that broadcast
+        against grid.shape(chunk): an axis no term depends on keeps
+        length 1."""
         start, stop = chunk
-        grid, q = self.grid, self.grid.q
+        grid, ring = self.grid, self.grid.ring
         s = grid.k - grid.split
         prefix = None
         powers: dict[tuple[int, int], np.ndarray] = {}
 
         def mono(a: tuple[int, ...]) -> np.ndarray:
-            # x^a mod q on the chunk's prefix points, along axis 0
-            t = None
-            for j, e in enumerate(a):
-                if e:
-                    if (j, e) not in powers:
-                        powers[j, e] = _powmod(prefix[:, j], e, q)
-                    t = powers[j, e] if t is None else (t * powers[j, e]) % q
+            # x^a on the chunk's prefix points, along axis 0
+            t = _monomial(a, lambda j: prefix[:, j], ring, powers)
             return t.reshape((-1,) + (1,) * s)
 
         out = []
@@ -295,26 +368,29 @@ class GridPolys:
                 if any(a):
                     if prefix is None:
                         idx = np.arange(start, stop, dtype=np.int64)
-                        prefix = digits(idx, [q] * grid.split)
-                    h = (mono(a) * h) % q
-                acc = h if acc is None else acc + h
+                        prefix = grid.points(idx, grid.split)
+                    h = ring.mul(mono(a), h)
+                acc = h if acc is None else ring.add(acc, h)
             if acc is None:  # the zero polynomial
                 acc = np.zeros((1,) * (s + 1), dtype=np.int64)
             elif len(plan) > 1:
-                acc %= q  # a sum, so not a shared array
+                acc = ring.reduce(acc)  # a sum, so not a shared array
             out.append(acc)
         return out
 
     def __call__(self, chunk: tuple[int, int]) -> list[np.ndarray]:
-        """Each polynomial's values mod q on the chunk's rows, in row order."""
+        """Each polynomial's values on the chunk's rows, in row order."""
         shape = self.grid.shape(chunk)
         return [np.broadcast_to(v, shape).reshape(-1) for v in self.compact(chunk)]
 
     def zeros(self, chunk: tuple[int, int]) -> np.ndarray:
         """The mask of the chunk's rows where every polynomial vanishes."""
-        ok = np.ones(self.grid.shape(chunk), dtype=bool)
-        for vals in self.compact(chunk):
-            ok &= vals == 0
+        shape = self.grid.shape(chunk)
+        ok = np.ones(1, dtype=bool)  # no polynomial: every row
+        for i, vals in enumerate(self.compact(chunk)):
+            ok = vals == 0 if i == 0 else ok & (vals == 0)
+        if ok.shape != shape:  # an axis no polynomial depends on
+            ok = np.broadcast_to(ok, shape)
         return ok.reshape(-1)
 
 
@@ -419,8 +495,9 @@ class Region:
     def count_mod_p(self, p: int, budget: int = DEFAULT_BUDGET, threads: int = 1) -> int:
         """Number of points of the region in (Z/p)^k."""
         charge(p ** self.k, budget, "region count")
+        grid = Grid(self.k, p)
         return map_sum(
-            lambda pts: int(self.mask(pts, p).sum()), iter_grid(self.k, p), threads
+            lambda c: int(self.mask(grid.rows(c), p).sum()), grid.chunks(), threads
         )
 
 
@@ -428,23 +505,17 @@ class Region:
 
 
 def _count_naive(
-    gens: Sequence[Poly],
-    nvars: int,
-    p: int,
-    m: int,
-    region: Region,
-    threads: int,
+    gens: Sequence[Poly], grid: Grid, region: Region, p: int, threads: int
 ) -> int:
-    """Zeros of gens mod p^m inside the region, by full enumeration; the
-    caller charges the budget.  Only the zeros are decoded, and only under
-    a region that constrains them."""
-    grid = Grid(nvars, p ** m)
+    """Common zeros of gens on the grid inside the region, by full
+    enumeration; the caller charges the budget.  Only the zeros are
+    decoded, and only under a region that constrains them (mod p)."""
     scan = GridPolys(grid, gens)
 
     def worker(chunk: tuple[int, int]) -> int:
         ok = scan.zeros(chunk)
         if region.is_full:
-            return int(ok.sum())
+            return int(np.count_nonzero(ok))
         return int(region.mask(grid.rows(chunk, np.flatnonzero(ok)), p).sum())
 
     return map_sum(worker, grid.chunks(), threads)
@@ -668,7 +739,8 @@ def count_points_raw(
 
     if method == "naive":
         charge(p ** (m * nvars), budget, "naive count")
-        return _count_naive(gens, nvars, p, m, region or Region.full(nvars), threads)
+        region = region or Region.full(nvars)
+        return _count_naive(gens, Grid(nvars, p ** m), region, p, threads)
     if method == "lift":
         active = _constraints(((g.terms, m) for g in gens), nvars, p)
         if active is None:
@@ -769,7 +841,7 @@ def count_ff_raw(
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> int:
-    """Common zeros of gens over F_{p^k}, by exhaustive vectorized evaluation."""
+    """Common zeros of gens over F_{p^k}, by one zero scan of the grid F_q^n."""
     check_prime_power(p, k)
     q = p ** k
     charge(q ** nvars, budget, "finite-field count")
@@ -779,18 +851,9 @@ def count_ff_raw(
             if g.constant_value() % p != 0:
                 return 0
     gens = [g for g in gens if not g.is_constant()]
-    if k == 1:
-        return _count_naive(gens, nvars, p, 1, Region.full(nvars), threads)
-
-    gf = GFTable(p, k)
-
-    def worker(pts: np.ndarray) -> int:
-        ok = np.ones(len(pts), dtype=bool)
-        for g in gens:
-            ok &= gf.eval_poly(g, pts) == 0
-        return int(ok.sum())
-
-    return map_sum(worker, iter_grid(nvars, q), threads)
+    # GFTable stops at q = 4096, and F_p is Z/p
+    grid = Grid(nvars, ModQ(p) if k == 1 else GFTable(p, k))
+    return _count_naive(gens, grid, Region.full(nvars), p, threads)
 
 
 def count_ff(

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import DEFAULT_BUDGET, charge
 from .expsum import CycloValue, E_counts, reduce_mod_cyclotomic
-from .poly import IdealSpec
-from .ringcount import LocalData, eval_poly_mod, iter_grid, map_sum
+from .poly import IdealSpec, build_pairing
+from .ringcount import Grid, GridPolys, LocalData, map_sum
 
 
 def factorize(q: int) -> list[tuple[int, int]]:
@@ -75,9 +75,10 @@ def verify_multiplicativity(
     """Exact check of E(q1 q2) = E(q1) E(q2) for coprime moduli.
 
     The left side is an independent brute-force character sum over
-    Z/(q1 q2) with the character exp(2 pi i / (q1 q2)), reduced modulo the
-    cyclotomic polynomial; the right side is the product of counting-form
-    values.  The presentation must have exactly r generators.
+    Z/(q1 q2) with the character exp(2 pi i / (q1 q2)): one grid scan of
+    the pairing polynomial sum y_i f_i(x) over (Z/(q1 q2))^(r+n), reduced
+    modulo the cyclotomic polynomial.  The right side is the product of
+    counting-form values.  The presentation must have exactly r generators.
     """
     import math
 
@@ -88,21 +89,19 @@ def verify_multiplicativity(
     N = q1 * q2
     n = spec.nvars
     charge(N ** (n + r), budget, "direct composite character sum")
-    gens = spec.generators
     primes = [p for p, _ in factorize(N)]
+    grid = Grid(r + n, N)
+    scan = GridPolys(grid, [build_pairing(spec)])
 
-    def worker(pts: np.ndarray) -> np.ndarray:
-        ys = pts[:, :r]
-        xs = pts[:, r:]
-        ok = np.ones(len(pts), dtype=bool)
+    def worker(chunk: tuple[int, int]) -> np.ndarray:
+        (phase,) = scan(chunk)
+        ys = grid.rows(chunk)[:, :r]
+        ok = np.ones(len(ys), dtype=bool)
         for p in primes:
             ok &= (ys % p != 0).any(axis=1)
-        phase = np.zeros(len(pts), dtype=np.int64)
-        for i, g in enumerate(gens):
-            phase = (phase + ys[:, i] * eval_poly_mod(g, xs, N)) % N
         return np.bincount(phase[ok], minlength=N)
 
-    hist = map_sum(worker, iter_grid(n + r, N), threads)
+    hist = map_sum(worker, grid.chunks(), threads)
     lhs = CycloValue(N, reduce_mod_cyclotomic([int(c) for c in hist], N))
     target = (
         E_composite(spec, r, q1, budget, threads)

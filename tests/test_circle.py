@@ -54,6 +54,15 @@ def test_count_box_monotone_in_box():
     assert count_box_solutions(spec, small, B) <= count_box_solutions(spec, big, B)
 
 
+@pytest.mark.parametrize("B", [0, -5])
+def test_a_box_scale_below_one_is_refused(B):
+    spec = S("x1^2 + x2^2 - x3^2", n=3)
+    with pytest.raises(ValueError):
+        count_box_solutions(spec, BoxSpec.cube(3), B)
+    with pytest.raises(ValueError):
+        major_arc_prediction(spec, BoxSpec.cube(3), B, 3, [0.2, 0.1], samples=1000)
+
+
 def test_count_box_requires_homogeneous():
     with pytest.raises(ValueError):
         count_box_solutions(S("x1^2 + x1", n=1), BoxSpec.cube(1), 5)
@@ -148,6 +157,11 @@ def test_waring_monotone_in_ell():
     # once surjective, more summands never lose it
     first = surj.index(True)
     assert all(surj[first:])
+
+
+def test_waring_needs_a_summand():
+    with pytest.raises(ValueError):
+        waring_surjectivity([[P("x1^2", 1)]], 5, 1, 0)
 
 
 def test_waring_vector_target():

@@ -323,6 +323,18 @@ def test_an_empty_series_range_is_refused(argv):
     assert main(argv) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["circle", "count", "-B", "-5", "--gens", "x1^2+x2^2-x3^2", "-n", "3"],
+        ["circle", "predict", "-B", "-3", "--gens", "x1^2+x2^2-x3^2", "-n", "3"],
+        ["circle", "waring", "--map", "1:x1^2", "-p", "5", "-m", "1", "--ell", "0"],
+    ],
+)
+def test_a_scale_or_summand_count_below_one_is_refused(argv):
+    assert main(argv) == 2
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_fewer_than_one_thread_is_refused(threads):
     argv = ["count", "--gens", "x1^2", "-n", "1", "-p", "3", "-m", "2", "--threads", threads]

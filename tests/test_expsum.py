@@ -270,6 +270,12 @@ def test_ff_constraints():
     assert abs(res.value - 5) < 1e-9
 
 
+@pytest.mark.parametrize("J", [{"J1": {-1}}, {"J1": {5}}, {"J2": {2}}])
+def test_ff_constraints_outside_the_variables_are_refused(J):
+    with pytest.raises(ValueError):
+        ff_char_sum(P("x1^3+x2^3", 2), None, 7, 1, s=0, **J)
+
+
 def test_ff_extension_field():
     # complete linear sum over F_9 vanishes
     res = ff_char_sum(P("x1", 1), None, 3, k=2, s=-1)

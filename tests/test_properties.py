@@ -1,17 +1,21 @@
 """Property tests: independent counting routes agree on random small ideals."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from iosc import ringcount
-from iosc.poly import Poly, eval_mod
+from iosc.circle import BoxSpec, count_box_solutions
+from iosc.gf import GFTable
+from iosc.poly import IdealSpec, Poly, eval_mod
 from iosc.ringcount import (
     Full,
     Grid,
     GridPolys,
+    Int64,
     PrimitiveBlock,
     Region,
     UnitModP,
@@ -153,25 +157,123 @@ def box_polys(draw):
     return draw(st.lists(poly, min_size=1, max_size=3)), n, p, m
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 50])
-@given(case=box_polys())
-def test_grid_kernel_equals_pointwise_evaluation(chunk, case):
-    # chunk sizes that cut the box at every axis and leave a short last
-    # block of prefix points
-    polys, n, p, m = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ringcount, "CHUNK", chunk)
-        grid = Grid(n, p ** m)
+def check_scan(grid, polys, chunk, value_at, axes):
+    """Every chunk of a grid scan against the pointwise value_at(f, point):
+    values, zero mask, decoded rows and chunk sizes, and that the chunks
+    enumerate the box product(*axes) in row-major order."""
     scan = GridPolys(grid, polys)
     rows = []
     for c in grid.chunks():
         pts = grid.rows(c).tolist()
         assert 1 <= len(pts) <= chunk
         vals = [v.tolist() for v in scan(c)]
-        assert vals == [[eval_mod(f, pt, p, m) for pt in pts] for f in polys]
+        assert vals == [[value_at(f, pt) for pt in pts] for f in polys]
         zeros = scan.zeros(c)
         assert zeros.tolist() == [all(v[i] == 0 for v in vals) for i in range(len(pts))]
         where = np.flatnonzero(zeros)
         assert grid.rows(c, where).tolist() == [pts[i] for i in where]
         rows += pts
-    assert rows == [list(r) for r in itertools.product(range(p ** m), repeat=n)]
+    assert rows == [list(r) for r in itertools.product(*axes)]
+
+
+def grid_with_chunk(chunk, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ringcount, "CHUNK", chunk)
+        return Grid(*args)
+
+
+# chunk sizes that cut the box at every axis and leave a short last block
+# of prefix points
+CHUNKS = [1, 7, 50]
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@given(case=box_polys())
+def test_grid_kernel_equals_pointwise_evaluation(chunk, case):
+    polys, n, p, m = case
+    grid = grid_with_chunk(chunk, n, p ** m)
+    axes = [range(p ** m)] * n
+    check_scan(grid, polys, chunk, lambda f, pt: eval_mod(f, pt, p, m), axes)
+
+
+def field_value(gf, f, point):
+    """f at a point of F_q by scalar table lookups, one multiplication per
+    unit of degree; an integer coefficient c is the code c mod p."""
+    acc = 0
+    for expo, c in f.terms.items():
+        t = c % gf.p
+        for x, e in zip(point, expo):
+            for _ in range(e):
+                t = int(gf.mul_table[t, x])
+        acc = int(gf.add_table[acc, t])
+    return acc
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@given(st.sampled_from([(2, 3), (3, 2), (5, 1)]), st.data())
+def test_grid_kernel_over_fields_equals_table_lookups(chunk, field, data):
+    p, k = field
+    n = data.draw(st.integers(1, 3))
+    monomial = st.tuples(*[st.integers(0, 4)] * n)
+    poly = st.dictionaries(monomial, st.integers(-20, 20), max_size=5).map(
+        lambda terms: Poly(n, terms)
+    )
+    polys = data.draw(st.lists(poly, min_size=1, max_size=3))
+    gf = GFTable(p, k)
+    grid = grid_with_chunk(chunk, n, gf)
+    axes = [range(gf.q)] * n
+    check_scan(grid, polys, chunk, lambda f, pt: field_value(gf, f, pt), axes)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@given(st.data())
+def test_grid_kernel_on_integer_boxes_equals_exact_evaluation(chunk, data):
+    # lows may be negative, so a decode that drops them is caught
+    n = data.draw(st.integers(1, 3))
+    lows = data.draw(st.lists(st.integers(-6, 3), min_size=n, max_size=n))
+    sizes = data.draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))
+    monomial = st.tuples(*[st.integers(0, 3)] * n)
+    poly = st.dictionaries(monomial, st.integers(-60, 60), max_size=5).map(
+        lambda terms: Poly(n, terms)
+    )
+    polys = data.draw(st.lists(poly, min_size=1, max_size=3))
+    grid = grid_with_chunk(chunk, n, Int64(), lows, sizes)
+    axes = [range(lo, lo + size) for lo, size in zip(lows, sizes)]
+    check_scan(grid, polys, chunk, lambda f, pt: f.eval_int(pt), axes)
+
+
+@st.composite
+def box_counts(draw):
+    """(gens, sides, B): homogeneous generators in n <= 3 variables, box
+    sides with endpoints in [-1, 1] of denominator <= 4, and B <= 6."""
+    n = draw(st.integers(1, 3))
+
+    def homogeneous(d):
+        monomial = st.lists(st.integers(0, n - 1), min_size=d, max_size=d).map(
+            lambda vs: tuple(vs.count(j) for j in range(n))
+        )
+        coeff = st.integers(-5, 5).filter(bool)
+        terms = st.dictionaries(monomial, coeff, min_size=1, max_size=3)
+        return terms.map(lambda t: Poly(n, t))
+
+    poly = st.integers(1, 3).flatmap(homogeneous)
+    gens = draw(st.lists(poly, min_size=1, max_size=2))
+    end = st.fractions(-1, 1, max_denominator=4)
+    sides = draw(st.lists(st.tuples(end, end).map(sorted), min_size=n, max_size=n))
+    return gens, sides, draw(st.integers(1, 6))
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@given(box_counts())
+def test_count_box_solutions_equals_brute_force(chunk, case):
+    gens, sides, B = case
+    n = len(sides)
+    brute = sum(
+        all(g.eval_int(x) == 0 for g in gens)
+        for x in itertools.product(range(-B, B + 1), repeat=n)
+        if all(lo <= Fraction(xi, B) <= hi for xi, (lo, hi) in zip(x, sides))
+    )
+    box = BoxSpec(tuple((lo, hi) for lo, hi in sides))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ringcount, "CHUNK", chunk)
+        assert count_box_solutions(IdealSpec.from_gens(gens), box, B) == brute

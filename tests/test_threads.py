@@ -39,9 +39,9 @@ ENTRY_POINTS = {
     "torus_sum_check": lambda t: torus_sum_check(
         P("x1*x2", 2), P("x1", 2), Weight((2, 1)), 3, 2, threads=t
     ),
-    # 61^4 points: above the 2^23 suffix limit, so the prefix is batched
+    # 11^4 points: 2,092 chunks of 7, the last one short
     "count_box_solutions": lambda t: count_box_solutions(
-        S("x1^2+x2^2+x3^2-x4^2", n=4), BoxSpec.cube(4), 30, threads=t
+        S("x1^2+x2^2+x3^2-x4^2", n=4), BoxSpec.cube(4), 5, threads=t
     ),
     "Region.count_mod_p": lambda t: Region(
         3, (((0, 2), ReductionIn((P("x1^2+x2^2-1", 2),))), ((2, 3), ReductionIn((P("x1", 1),))))
