@@ -26,7 +26,16 @@ import numpy as np
 
 from .errors import DEFAULT_BUDGET, charge
 from .poly import IdealSpec, Poly
-from .ringcount import Grid, GridPolys, Int64, check_prime_power, digits, map_sum
+from .ringcount import (
+    Grid,
+    GridPolys,
+    Int64,
+    check_prime_power,
+    count_value_pairs,
+    digits,
+    map_sum,
+    split_halves,
+)
 from .sseries import SeriesReport, singular_series_partial
 
 
@@ -75,8 +84,13 @@ def count_box_solutions(
     generators vanishing.  Generators must be homogeneous, and B >= 1.
 
     The points form the integer box [ceil(lo B), floor(hi B)] per axis,
-    scanned by one ringcount.Grid in exact int64 arithmetic (Int64), once
-    every generator is checked to stay below 2^62 on it.  The count is
+    counted in exact int64 arithmetic (Int64) once every generator is
+    checked to stay below 2^62 on it.  A single generator that splits
+    into variable-disjoint halves, f = f_A(x_A) + f_B(x_B)
+    (ringcount.split_halves), on a box of more than CHUNK points is
+    counted from the value arrays of the two sub-boxes, as the pairs with
+    f_A = -f_B, and charged the sub-boxes' points.  Any other box is
+    scanned by one ringcount.Grid and charged its points.  The count is
     independent of the thread count.
     """
     if B < 1:
@@ -88,10 +102,14 @@ def count_box_solutions(
     if box.n != spec.nvars:
         raise ValueError("box dimension must match nvars")
     ranges = [(ceil(lo * B), floor(hi * B)) for lo, hi in box.bounds]
+    lows = [lo for lo, _ in ranges]
     sizes = [max(0, hi - lo + 1) for lo, hi in ranges]
     total = prod(sizes)
     if total == 0:
         return 0
+    halves = split_halves(spec.generators[0], sizes) if spec.r == 1 else None
+    if halves is not None:
+        total = sum(prod(sizes[j] for j in axes) for axes, _ in halves)
     charge(total, budget, "box enumeration")
     # int64 overflow guard for the exact evaluation
     big = max(abs(lo) for r in ranges for lo in r) or 1
@@ -100,10 +118,17 @@ def count_box_solutions(
         if bound >= 1 << 62:
             raise ValueError("values too large for exact vectorized evaluation")
 
-    grid = Grid(spec.nvars, Int64(), [lo for lo, _ in ranges], sizes)
-    scan = GridPolys(grid, spec.generators)
-    count = map_sum(lambda c: np.count_nonzero(scan.zeros(c)), grid.chunks(), threads)
-    return int(count)
+    if halves is None:
+        grid = Grid(spec.nvars, Int64(), lows, sizes)
+        scan = GridPolys(grid, spec.generators)
+        count = map_sum(lambda c: np.count_nonzero(scan.zeros(c)), grid.chunks(), threads)
+        return int(count)
+    values = []
+    for axes, f in halves:
+        grid = Grid(len(axes), Int64(), [lows[j] for j in axes], [sizes[j] for j in axes])
+        scan = GridPolys(grid, [f])
+        values.append(np.concatenate([scan(c)[0] for c in grid.chunks()]))
+    return count_value_pairs(values[0], -values[1])
 
 
 # -- singular integral ------------------------------------------------------------

@@ -42,6 +42,7 @@ from .ringcount import (
     Region,
     UnitModP,
     ZeroModP,
+    check_rank,
     count_zpm,
 )
 
@@ -176,9 +177,12 @@ def _resolve_budget(args) -> int:
     if args.budget is not None:
         return args.budget
     env = os.environ.get("IOSC_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    budget = int(env)
+    if budget < 1:
+        raise ValueError(f"IOSC_BUDGET must be >= 1, got {budget}")
+    return budget
 
 
 # --force only bypasses the budget, which is echoed resolved; --output and
@@ -247,6 +251,7 @@ def cmd_zeta(args) -> dict:
     spec = _load_ideal(args)
     budget, threads = args._resolved_budget, args.threads
     r = args.r if args.r is not None else spec.r
+    check_rank(r)  # before the ord distribution, which needs no r
     result: dict[str, Any] = {}
     if args.theta:
         rep = zeta_mod.theta_probe(spec, r, args.p, args.max_order, budget, threads)
@@ -395,7 +400,7 @@ def _positive_int(text: str) -> int:
 def _add_common(sp, fn):
     # the subparser rides along so that _config can echo its actions
     sp.set_defaults(fn=fn, parser=sp)
-    sp.add_argument("--budget", type=int, default=None, help="evaluation point budget")
+    sp.add_argument("--budget", type=_positive_int, default=None, help="evaluation point budget")
     sp.add_argument("--force", action="store_true", help="bypass the budget")
     sp.add_argument("--threads", type=_positive_int, default=1)
     sp.add_argument("--output", choices=["json", "csv"], default="json")

@@ -3,16 +3,23 @@
 Counting over Z/p^m has two independent routes that must agree:
 
 * ``naive`` enumerates the full residue grid (the always-available oracle);
-* ``lift`` enumerates residues mod p once and then walks a recursive
-  residue tree (Denef's stationary-phase recursion), collapsing branches
-  through smooth points in closed form (a point whose Jacobian has full
-  rank mod p lifts p^(n-r) ways per level) and re-expanding x = x0 + p*y
-  only below singular points.  The re-expansion is an exact Taylor shift
-  on Python ints: g(x0 + p*y) has the coefficients p^|b| T_b(x0), with
-  T_b = d^b g / b! tabulated once per node, and a constraint
-  ord_p(g) >= e keeps only its coefficients mod p^e, divided by their
-  content.  Equal reduced nodes at equal depth have equal counts, so each
-  lift call memoizes them.
+* ``lift`` walks a recursive residue tree (Denef's stationary-phase
+  recursion): each node finds its zeros mod p, collapses the smooth ones
+  in closed form (a point whose Jacobian has full rank mod p lifts
+  p^(n-r) ways per level) and re-expands x = x0 + p*y only below
+  singular points.  A node scans the grid (Z/p)^n, at a charge of p^n
+  points, except where one constraint g splits into variable-disjoint
+  blocks, g = g_A(x_A) + g_B(x_B), on more than CHUNK points and under
+  no region.  There two half grids are scanned instead: the zeros are
+  the convolution of the halves' value histograms (Weil's count of
+  diagonal equations), and the singular zeros are the pairs of
+  critical points of the halves whose values cancel, at a charge of
+  p^|A| + p^|B| + |C_A| |C_B| points for the critical sets C_A, C_B.
+  The re-expansion is an exact Taylor shift on Python ints: g(x0 + p*y)
+  has the coefficients p^|b| T_b(x0), with T_b = d^b g / b! tabulated
+  once per node, and a constraint ord_p(g) >= e keeps only its
+  coefficients mod p^e, divided by their content.  Equal reduced nodes
+  at equal depth have equal counts, so each lift call memoizes them.
 
 Regions constrain coordinates mod p only (all supported modes are
 conditions on the reduction), so they are applied at the first level of
@@ -31,17 +38,21 @@ evaluates each group's suffix polynomial once per scan, so a chunk (a
 run of prefix points times the suffix box) costs one broadcast product
 and one add per distinct prefix monomial, and decodes no rows.  Rows
 are decoded only where they are needed: the zeros that go on to the
-rank test, and chunks under a constraint the polynomials do not carry.
-eval_rows() evaluates a polynomial on given rows in any ring, and
-map_sum() adds a worker's results over chunks in submission order on a
-thread pool, so every total is the same for any thread count.  The lift
-builds its grid (Z/p)^n, with its power tables, once per call.
+rank test, the critical points of a half grid, and chunks under a
+constraint the polynomials do not carry.  eval_rows() evaluates a
+polynomial on given rows in any ring, and map_sum() adds a worker's
+results over chunks in submission order on a thread pool, so every
+total is the same for any thread count.  The lift builds each grid it
+scans, (Z/p)^n or a half grid, with its power tables, once per call.
+split_halves() and count_value_pairs() also serve the integer box count
+of circle.count_box_solutions.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -73,6 +84,13 @@ def check_prime_power(p: int, m: int = 1) -> None:
         raise ValueError(f"p must be a prime below 2^31, got {p}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+
+
+def check_rank(r: int) -> None:
+    """Raise ValueError unless r >= 1: E^(r) sums over the primitive
+    r-tuples, and there is none for r < 1."""
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
 
 
 def digits(idx: np.ndarray, radices: Sequence[int]) -> np.ndarray:
@@ -394,6 +412,79 @@ class GridPolys:
         return ok.reshape(-1)
 
 
+# -- separable zero scans ----------------------------------------------------
+
+
+def split_halves(f: Poly, sizes: Sequence[int]) -> list[tuple[list[int], Poly]] | None:
+    """f as f_A(x_A) + f_B(x_B) on two halves of the box's axes, or None
+    to scan the whole box.
+
+    A box of at most CHUNK points (read at call time) is scanned, since
+    there a split costs more than the scan, and so is f of a single
+    block.  The blocks are the connected components of the graph on the
+    variables that joins two variables in the same monomial; a variable
+    f does not use is a block of its own.  Largest first, counted in box
+    points (sizes[j] per axis), each block goes to the half with fewer
+    points, A on a tie, and A takes the constant term.  Each half is
+    (axes, f_H), with f_H a polynomial in the variables of axes, in order.
+    """
+    if math.prod(sizes) <= CHUNK:
+        return None
+    parent = list(range(f.nvars))
+
+    def root(j: int) -> int:
+        while parent[j] != j:
+            j = parent[j]
+        return j
+
+    for expo in f.terms:
+        used = [j for j, e in enumerate(expo) if e]
+        for j in used[1:]:
+            parent[root(j)] = root(used[0])
+    comps: dict[int, list[int]] = {}
+    for j in range(f.nvars):
+        comps.setdefault(root(j), []).append(j)
+    if len(comps) < 2:
+        return None
+
+    def points(axes: list[int]) -> int:
+        return math.prod(sizes[j] for j in axes)
+
+    halves: tuple[list[int], list[int]] = ([], [])
+    for comp in sorted(comps.values(), key=points, reverse=True):
+        halves[points(halves[1]) < points(halves[0])].extend(comp)
+    axes = [sorted(h) for h in halves]
+    parts: tuple[dict, dict] = ({}, {})
+    for expo, c in f.terms.items():
+        h = int(any(expo[j] for j in axes[1]))
+        parts[h][tuple(expo[j] for j in axes[h])] = c
+    return [(a, Poly(len(a), part)) for a, part in zip(axes, parts)]
+
+
+def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
+    """sum a_i b_i of two int64 count vectors, in Python ints."""
+    return sum(map(operator.mul, a.tolist(), b.tolist()))
+
+
+def count_value_pairs(a: np.ndarray, b: np.ndarray) -> int:
+    """#{(i, j) : a[i] == b[j]} for int64 value arrays, exactly."""
+    ua, ca = np.unique(a, return_counts=True)
+    ub, cb = np.unique(b, return_counts=True)
+    _, ia, ib = np.intersect1d(ua, ub, assume_unique=True, return_indices=True)
+    return _exact_dot(ca[ia], cb[ib])
+
+
+def _matching_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of every pair with a[i] == b[j]."""
+    order = np.argsort(b, kind="stable")
+    lo = np.searchsorted(b[order], a, "left")
+    runs = np.searchsorted(b[order], a, "right") - lo
+    i = np.repeat(np.arange(len(a)), runs)
+    # position k of the run of a[i] in the sorted b is lo[i] + k
+    j = np.repeat(lo - np.cumsum(runs) + runs, runs) + np.arange(runs.sum())
+    return i, order[j]
+
+
 # -- regions ---------------------------------------------------------------
 
 
@@ -550,14 +641,21 @@ def _det_mod(mats: np.ndarray, p: int) -> np.ndarray:
 
 
 class _BudgetState:
-    """The budget left to one lift call, its node memo and its residue grid."""
+    """The budget left to one lift call, its node memo and its residue grids."""
 
-    def __init__(self, budget: int, grid: Grid):
+    def __init__(self, budget: int, p: int):
         self.left = budget
         self.budget = budget
-        self.grid = grid
+        self.p = p
+        # (Z/p)^k by k: the full grid, and the half grids of split nodes
+        self.grids: dict[int, Grid] = {}
         # (frozenset of active constraints, depth) -> count of a region-free node
         self.memo: dict[tuple, int] = {}
+
+    def grid(self, k: int) -> Grid:
+        if k not in self.grids:
+            self.grids[k] = Grid(k, self.p)
+        return self.grids[k]
 
     def spend(self, points: int, what: str) -> None:
         charge(points, self.left, what)
@@ -633,58 +731,23 @@ def _shift(table: dict, z0: list[int], p: int) -> dict[tuple[int, ...], int]:
     return {b: at(terms) * p ** sum(b) for b, terms in table.items()}
 
 
-def _lift_count(
-    active: list[tuple[Poly, int]],
+def _scan_zeros(
+    gens: list[Poly],
+    tables: list[dict],
     nvars: int,
     p: int,
-    depth: int,
-    state: _BudgetState,
+    grid: Grid,
     region: Region | None,
-) -> int:
-    """Count z in (Z/p^depth)^nvars with ord_p(g_i(z)) >= e_i for all i.
-
-    Invariant: 1 <= e_i <= depth for every active constraint (g_i, e_i),
-    and g_i's coefficients are reduced mod p^e_i (see _constraints).
-
-    The zeros mod p are found by one GridPolys scan of the call's grid
-    (Z/p)^nvars, which state holds, and only the zeros are decoded; the
-    root's region is applied to them.  A zero where the Jacobian has full
-    rank mod p lifts in closed form; a singular zero z0 is re-expanded as
-    z0 + p*y.  The coefficient of y^b in g(z0 + p y) is p^|b| T_b(z0),
-    with T_b = d^b g / b! from a table built once per node (its |b| = 1
-    rows are the Jacobian), and only |b| < e matters mod p^e.  Each child
-    is reduced by _constraints, so equal subtrees have equal keys: a
-    region-free node is looked up in state.memo by the set of its
-    constraints and its depth, and a hit costs no work and no budget.
-    Only the root may carry a region, and a node with a region is never
-    looked up.
-    """
-    if not active:
-        # count_points_raw counts a constraint-free root under a region
-        return p ** (depth * nvars)
-    key = (frozenset(active), depth) if region is None else None
-    if key in state.memo:
-        return state.memo[key]
-    state.spend(p ** nvars, "residue-tree level")
-
-    exps = [e for _, e in active]
-    r = len(active)
-    # rows |b| <= e - 1 shift a constraint; a target of 1 holds at every
-    # child, so it only needs the Jacobian rows
-    tables = [_shift_table(g, max(e - 1, 1)) for g, e in active]
-    gens = [g for g, _ in active]
+) -> tuple[int, np.ndarray]:
+    """The smooth zeros' count and the singular zeros of gens mod p in the
+    region, by one GridPolys scan of the grid (Z/p)^nvars; only the zeros
+    are decoded, and the Jacobian (the |b| = 1 rows of the shift tables)
+    is evaluated on them."""
+    r = len(gens)
     units = [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
     jac_polys = [[Poly(nvars, dict(t.get(u, ()))) for u in units] for t in tables]
-
-    sing_chunks: list[np.ndarray] = []
-    smooth_total = 0
-    # full-rank points lift p^(n-r) ways per level; exponent is >= 0
-    # whenever r <= nvars, the only case where the weight is used
-    smooth_weight = (
-        p ** ((depth - 1) * nvars - sum(e - 1 for e in exps)) if r <= nvars else 0
-    )
-
-    grid = state.grid
+    smooth = 0
+    sing_chunks = [np.empty((0, nvars), dtype=np.int64)]
     scan = GridPolys(grid, gens)
     for chunk in grid.chunks():
         sols = grid.rows(chunk, np.flatnonzero(scan.zeros(chunk)))
@@ -700,20 +763,114 @@ def _lift_count(
             full = _rank_mask(jac, r, nvars, p)
         else:
             full = np.zeros(len(sols), dtype=bool)
-        smooth_total += int(full.sum())
-        sing = sols[~full]
-        if len(sing):
-            sing_chunks.append(sing)
+        smooth += int(full.sum())
+        sing_chunks.append(sols[~full])
+    return smooth, np.concatenate(sing_chunks)
 
-    total = smooth_total * smooth_weight
+
+def _split_zeros(
+    halves: list[tuple[list[int], Poly]], nvars: int, p: int, state: _BudgetState
+) -> tuple[int, np.ndarray]:
+    """The smooth zeros' count and the singular zeros of f = f_A + f_B mod
+    p, from one scan of each half grid (Z/p)^|H|.
+
+    The zeros are sum_v h_A[v] h_B[-v] over the halves' value histograms.
+    The gradient of f at (x_A, x_B) is the pair of the halves' gradients,
+    so the singular zeros are the pairs in C_A x C_B with f_A + f_B = 0,
+    where C_H is the set of points of half H at which every partial
+    d f / d x_j, j in H, vanishes; the same half scan evaluates them.
+    The node is charged once, p^|A| + p^|B| + |C_A| |C_B| points, after
+    the half scans; halves that alone exceed the budget are refused
+    before they are scanned.
+    """
+    scanned = sum(p ** len(axes) for axes, _ in halves)
+    if scanned > state.left:
+        state.spend(scanned, "residue-tree level")
+    hists, crit = [], []
+    for axes, f in halves:
+        grid = state.grid(len(axes))
+        scan = GridPolys(grid, [f] + [f.derivative(i) for i in range(len(axes))])
+        hist = np.zeros(p, dtype=np.int64)
+        pts, vals = [], []
+        for chunk in grid.chunks():
+            v, *partials = scan(chunk)
+            hist += np.bincount(v, minlength=p)
+            where = np.flatnonzero(np.logical_and.reduce([d == 0 for d in partials]))
+            pts.append(grid.rows(chunk, where))
+            vals.append(v[where])
+        hists.append(hist)
+        crit.append((np.concatenate(pts), np.concatenate(vals)))
+    (pts_a, vals_a), (pts_b, vals_b) = crit
+    state.spend(scanned + len(pts_a) * len(pts_b), "residue-tree level")
+    zeros = _exact_dot(hists[0], hists[1][-np.arange(p) % p])
+    ia, ib = _matching_pairs(vals_a, -vals_b % p)
+    sing = np.empty((len(ia), nvars), dtype=np.int64)
+    for (axes, _), pts in zip(halves, (pts_a[ia], pts_b[ib])):
+        sing[:, axes] = pts
+    return zeros - len(sing), sing
+
+
+def _lift_count(
+    active: list[tuple[Poly, int]],
+    nvars: int,
+    p: int,
+    depth: int,
+    state: _BudgetState,
+    region: Region | None,
+) -> int:
+    """Count z in (Z/p^depth)^nvars with ord_p(g_i(z)) >= e_i for all i.
+
+    Invariant: 1 <= e_i <= depth for every active constraint (g_i, e_i),
+    and g_i's coefficients are reduced mod p^e_i (see _constraints).
+
+    The zeros mod p come from one of two scans of grids that state holds,
+    one per size for the whole call.  A node with one constraint, no
+    region and more than CHUNK points (read at call time) whose g splits
+    into variable-disjoint blocks scans two half grids (_split_zeros) and
+    is charged p^|A| + p^|B| + |C_A| |C_B| points.  Any other node scans
+    (Z/p)^nvars (_scan_zeros), is charged p^nvars points, applies the
+    root's region to the zeros and tests the Jacobian's rank on them.
+    Either way a smooth zero lifts in closed form, and a singular zero z0
+    is re-expanded as z0 + p*y.  The coefficient of y^b in g(z0 + p y) is
+    p^|b| T_b(z0), with T_b = d^b g / b! from a table built once per node,
+    and only |b| < e matters mod p^e.  Each child is reduced by
+    _constraints, so equal subtrees have equal keys: a region-free node is
+    looked up in state.memo by the set of its constraints and its depth,
+    and a hit costs no work and no budget.  Only the root may carry a
+    region, and a node with a region is never looked up.
+    """
+    if not active:
+        # count_points_raw counts a constraint-free root under a region
+        return p ** (depth * nvars)
+    key = (frozenset(active), depth) if region is None else None
+    if key in state.memo:
+        return state.memo[key]
+
+    exps = [e for _, e in active]
+    r = len(active)
+    # rows |b| <= e - 1 shift a constraint; a target of 1 holds at every
+    # child, so it only needs the Jacobian rows
+    tables = [_shift_table(g, max(e - 1, 1)) for g, e in active]
+    gens = [g for g, _ in active]
+    halves = None
+    if r == 1 and (region is None or region.is_full):
+        halves = split_halves(gens[0], [p] * nvars)
+    if halves is None:
+        state.spend(p ** nvars, "residue-tree level")
+        smooth, sing = _scan_zeros(gens, tables, nvars, p, state.grid(nvars), region)
+    else:
+        smooth, sing = _split_zeros(halves, nvars, p, state)
+
+    # full-rank points lift p^(n-r) ways per level; exponent is >= 0
+    # whenever r <= nvars, the only case where smooth points exist
+    total = 0
+    if smooth:
+        total = smooth * p ** ((depth - 1) * nvars - sum(e - 1 for e in exps))
     shifted = [(t, e) for t, e in zip(tables, exps) if e > 1]
-    for chunk in sing_chunks:
-        for z0 in chunk.tolist():
-            child = _constraints(
-                ((_shift(t, z0, p), e) for t, e in shifted), nvars, p
-            )
-            if child is not None:
-                total += _lift_count(child, nvars, p, depth - 1, state, None)
+    for z0 in sing.tolist():
+        child = _constraints(((_shift(t, z0, p), e) for t, e in shifted), nvars, p)
+        if child is not None:
+            total += _lift_count(child, nvars, p, depth - 1, state, None)
     if key is not None:
         state.memo[key] = total
     return total
@@ -748,7 +905,7 @@ def count_points_raw(
         if not active and region is not None:
             # every constraint holds; the region is decided mod p
             return region.count_mod_p(p, budget, threads) * p ** ((m - 1) * nvars)
-        state = _BudgetState(budget, Grid(nvars, p))
+        state = _BudgetState(budget, p)
         return _lift_count(active, nvars, p, m, state, region)
     if method == "both":
         a = count_points_raw(gens, nvars, p, m, region, "lift", budget, threads)
@@ -825,6 +982,7 @@ class LocalData:
 
     def E(self, r: int, m: int) -> Fraction:
         """The r-th exponential sum modulo p^m in counts form."""
+        check_rank(r)
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
         return self.V(m) - self.V(m - 1) / self.p ** r

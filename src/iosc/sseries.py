@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DEFAULT_BUDGET, charge
 from .expsum import CycloValue, E_counts, reduce_mod_cyclotomic
 from .poly import IdealSpec, build_pairing
-from .ringcount import Grid, GridPolys, LocalData, map_sum
+from .ringcount import Grid, GridPolys, LocalData, check_rank, map_sum
 
 
 def factorize(q: int) -> list[tuple[int, int]]:
@@ -56,6 +56,7 @@ def E_composite(
 
     E at the unit modulus is 1 by convention.
     """
+    check_rank(r)
     total = Fraction(1)
     for p, e in factorize(q):
         total *= E_counts(spec, r, p, e, budget=budget, threads=threads)
@@ -144,6 +145,7 @@ def singular_series_partial(
     bound is attached, fitted as c = max |E(q)| q^sigma over the computed
     terms; it inherits sigma's conjectural status.
     """
+    check_rank(r)
     if Qmax < 1:
         raise ValueError(f"Qmax must be >= 1, got {Qmax}")
     local: dict[int, LocalData] = {}
@@ -193,6 +195,7 @@ def p_adic_density(
     threads: int = 1,
 ) -> DensityReport:
     """Truncated p-adic density sequence; stabilized when the last two agree."""
+    check_rank(r)
     data = LocalData(spec, p, None, budget, threads)
     values = [data.V(m) * p ** (m * r) for m in range(1, M + 1)]
     deltas = [values[i + 1] - values[i] for i in range(len(values) - 1)]
@@ -228,6 +231,7 @@ def irreducibility_probe(
     with no decrease reads "reducible-or-wrong-dimension"; anything else
     is "inconclusive".
     """
+    check_rank(r)
     vals = []
     for p in sorted(primes):
         e = E_counts(spec, r, p, 1, budget=budget, threads=threads)

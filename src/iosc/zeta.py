@@ -31,7 +31,7 @@ from typing import Sequence
 
 from .errors import DEFAULT_BUDGET, ZeroIdealError
 from .poly import IdealSpec
-from .ringcount import LocalData, Region
+from .ringcount import LocalData, Region, check_rank
 # unused: every count goes through LocalData, but bench/test_bench.py checks
 # that the tracer rebinds this alias
 from .ringcount import count_zpm  # noqa: F401
@@ -205,6 +205,7 @@ def compa_check(
 
 
 def _compa(data: LocalData, r: int, M: int) -> CompaResult:
+    check_rank(r)
     if M < 2:
         raise ValueError("M must be >= 2")
     p = data.p
@@ -363,6 +364,7 @@ def theta_probe(
     "decaying" is evidence (never a certificate) that the decay exponent
     of E^(r)(p, m) exceeds r.
     """
+    check_rank(r)
     if M < 3:
         raise ValueError("M must be >= 3")
     data = LocalData(spec, p, None, budget, threads)
@@ -407,6 +409,7 @@ def pole_report(
     Exact pole analysis is beyond truncated data, so this is a probe, not
     a certificate.
     """
+    check_rank(r)
     z = _zeta_series(LocalData(spec, p, None, budget, threads), M)
     rec = rational_reconstruct(z, max_order if max_order is not None else M // 2)
     return _pole_report(rec, p, r)

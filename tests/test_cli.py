@@ -335,6 +335,32 @@ def test_a_scale_or_summand_count_below_one_is_refused(argv):
     assert main(argv) == 2
 
 
+RANKED = [
+    ["expsum", "--gens", "x1^2", "-n", "1", "-p", "5", "-m", "2"],
+    ["sseries", "--gens", "x1^2+x2^2", "-n", "2", "--qmax", "5"],
+    ["sseries", "--gens", "x1^2+x2^2", "-n", "2", "--irreducible", "--primes", "5,7"],
+    ["zeta", "--gens", "x1^2", "-n", "1", "-p", "5", "--max-order", "2"],
+    ["zeta", "--gens", "x1^2", "-n", "1", "-p", "5", "--max-order", "3", "--theta"],
+]
+
+
+@pytest.mark.parametrize("r", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv", RANKED, ids=["expsum", "sseries", "irreducible", "zeta", "theta"]
+)
+def test_a_rank_below_one_is_refused(argv, r, capsys):
+    assert main(argv + ["-r", r]) == 2
+    assert "r must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_a_budget_below_one_is_refused(budget, monkeypatch):
+    argv = ["count", "--gens", "x1^2", "-n", "1", "-p", "7", "-m", "2"]
+    assert main(argv + ["--budget", budget]) == 2
+    monkeypatch.setenv("IOSC_BUDGET", budget)
+    assert main(argv) == 2
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_fewer_than_one_thread_is_refused(threads):
     argv = ["count", "--gens", "x1^2", "-n", "1", "-p", "3", "-m", "2", "--threads", threads]

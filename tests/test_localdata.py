@@ -1,4 +1,5 @@
-"""Each local count is computed once per call, and bad moduli are refused."""
+"""Each local count is computed once per call, and bad moduli and ranks
+are refused."""
 
 from collections import Counter
 
@@ -18,8 +19,20 @@ from iosc.ringcount import (
     count_points_raw,
     eval_poly_mod,
 )
-from iosc.sseries import singular_series_partial
-from iosc.zeta import compa_check, ord_distribution, ord_volumes, poincare_relation
+from iosc.sseries import (
+    E_composite,
+    irreducibility_probe,
+    p_adic_density,
+    singular_series_partial,
+)
+from iosc.zeta import (
+    compa_check,
+    ord_distribution,
+    ord_volumes,
+    poincare_relation,
+    pole_report,
+    theta_probe,
+)
 
 
 def S(*texts, n):
@@ -143,6 +156,26 @@ def test_bad_modulus_is_refused(p, m):
 )
 def test_bad_modulus_exits_2(argv, capsys):
     assert cli.main(argv) == 2
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_a_rank_below_one_is_refused(r):
+    # no primitive r-tuple exists for r < 1, and p ** r is a float for r < 0
+    spec = S("x1^2+x2^2", n=2)
+    calls = [
+        lambda: LocalData(spec, 5).E(r, 2),
+        lambda: E_counts(spec, r, 5, 2),
+        lambda: compa_check(spec, r, 5, 2),
+        lambda: theta_probe(spec, r, 5, 3),
+        lambda: pole_report(spec, r, 5, 4),
+        lambda: singular_series_partial(spec, r, 5),
+        lambda: E_composite(spec, r, 6),
+        lambda: p_adic_density(spec, r, 5, 2),
+        lambda: irreducibility_probe(spec, r, [5, 7]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            call()
 
 
 def test_int64_bound_is_checked():

@@ -10,7 +10,8 @@ from hypothesis import assume, given, strategies as st
 from iosc import ringcount
 from iosc.circle import BoxSpec, count_box_solutions
 from iosc.gf import GFTable
-from iosc.poly import IdealSpec, Poly, eval_mod
+from iosc.errors import BudgetExceeded
+from iosc.poly import IdealSpec, Poly, eval_mod, parse_poly
 from iosc.ringcount import (
     Full,
     Grid,
@@ -277,3 +278,60 @@ def test_count_box_solutions_equals_brute_force(chunk, case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ringcount, "CHUNK", chunk)
         assert count_box_solutions(IdealSpec.from_gens(gens), box, B) == brute
+
+
+@st.composite
+def separable_generators(draw):
+    """(f, n, p, m): f a sum of 2-3 random polynomials in disjoint sets of
+    variables, with constant terms and coefficients divisible by p, so
+    that zeros are often singular; n <= 4, and (p^m)^n <= 4096 points for
+    the naive route."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 4))
+    assume((p ** m) ** n <= 4096)
+    order = draw(st.permutations(range(n)))
+    parts = draw(st.integers(2, min(3, n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=parts - 1, max_size=parts - 1)))
+    coeff = st.integers(-4, 4).flatmap(lambda c: st.sampled_from([c, c * p]))
+    f = Poly.zero(n)
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        axes = order[lo:hi]
+        monomial = st.tuples(*[st.integers(0, 3)] * len(axes)).map(
+            lambda e, axes=axes: tuple(
+                e[axes.index(j)] if j in axes else 0 for j in range(n)
+            )
+        )
+        f = f + Poly(n, draw(st.dictionaries(monomial, coeff, min_size=1, max_size=3)))
+    return f, n, p, m
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@given(separable_generators())
+def test_split_zero_scan_equals_naive(chunk, case):
+    # a node of more than CHUNK points splits, so every chunk size mixes
+    # split and scanned nodes
+    f, n, p, m = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ringcount, "CHUNK", chunk)
+        count_points_raw([f], n, p, m, method="both")
+
+
+@pytest.mark.parametrize(
+    "text, n, p, charged",
+    [
+        # halves {x1, x3} and {x2, x4}; only (0, 0) is critical in each
+        ("x1^2+x2^2+x3^2+x4^2", 4, 5, 5 ** 2 + 5 ** 2 + 1 * 1),
+        # p = 2 kills every gradient: C_A and C_B are the whole halves
+        ("x1^2+x2^2+x3^2", 3, 2, 2 ** 2 + 2 + 4 * 2),
+    ],
+)
+def test_a_split_node_is_charged_its_halves_and_its_critical_pairs(text, n, p, charged):
+    # at m = 1 the root is the only charged node
+    f = parse_poly(text, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ringcount, "CHUNK", 1)
+        with pytest.raises(BudgetExceeded):
+            count_points_raw([f], n, p, 1, budget=charged - 1)
+        lift = count_points_raw([f], n, p, 1, budget=charged)
+    assert lift == count_points_raw([f], n, p, 1, method="naive")

@@ -23,7 +23,8 @@ ENTRY_POINTS = {
     "count_zpm-naive": lambda t: count_zpm(
         S("x1*x2-x3^2", n=3), 3, 2, method="naive", threads=t
     ),
-    # the lift scans one grid per call, 5 chunks of (Z/3)^3 per tree node
+    # x1^2*x2 | x3 splits, so every tree node scans the half grids (Z/3)^2
+    # and Z/3, in 2 chunks and 1
     "count_zpm-lift": lambda t: count_zpm(
         S("x1^2*x2-x3^2", n=3), 3, 4, method="lift", threads=t
     ),
