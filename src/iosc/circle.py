@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, prod
+from math import ceil, floor, inf, prod
 from typing import Sequence
 
 import numpy as np
@@ -177,6 +177,10 @@ def singular_integral(
     """
     if not eps_ladder:
         raise ValueError("need at least one epsilon")
+    if not all(0 < eps < inf for eps in eps_ladder):
+        raise ValueError(f"every epsilon must be finite and > 0, got {list(eps_ladder)}")
+    if min(samples, grid_resolution) < 1:
+        raise ValueError(f"need samples, grid_resolution >= 1, got {samples}, {grid_resolution}")
     eps_ladder = sorted(eps_ladder, reverse=True)
     n, r = spec.nvars, spec.r
     lo = np.array([float(l) for l, _ in box.bounds])

@@ -314,8 +314,12 @@ def cmd_bounds(args) -> dict:
         fn = bounds_mod.sigma0 if args.which == "sigma0" else bounds_mod.sigma_tilde0w
         return {"bound": fn(spec, s=_parse_s_map(args.s), budget=args._resolved_budget)}
     if args.which == "birch":
+        if args.nvars is None:
+            raise ValueError("bounds birch needs -n")
         return {"birch_bound": bounds_mod.birch_bound(args.nvars, args.s_dim, args.r, args.d)}
     if args.which == "tau0":
+        if not args.groups:
+            raise ValueError("bounds tau0 needs --groups")
         groups = []
         for part in args.groups.split(","):
             i, ri, si = part.split(":")
@@ -324,6 +328,8 @@ def cmd_bounds(args) -> dict:
     if args.which == "thresholds":
         return {"thresholds": bounds_mod.convolution_thresholds(args.r, args.R, args.d)}
     if args.which == "moi-fit":
+        if not args.data:
+            raise ValueError("bounds moi-fit needs --data")
         data = []
         for part in args.data.split(","):
             p_, m_, e_ = part.split(":")
@@ -335,6 +341,8 @@ def cmd_bounds(args) -> dict:
 def cmd_circle(args) -> dict:
     budget, threads = args._resolved_budget, args.threads
     if args.which == "waring":
+        if not args.map:
+            raise ValueError("circle waring needs --map")
         maps = []
         for spec_text in args.map:
             nv, _, comps = spec_text.partition(":")

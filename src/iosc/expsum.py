@@ -28,7 +28,7 @@ import cmath
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,10 +36,13 @@ from .errors import DEFAULT_BUDGET, charge
 from .gf import GFTable
 from .poly import IdealSpec, Poly, Weight, build_pairing, top_part, torus_transform, wdeg
 from .ringcount import (
+    Full,
     Grid,
     GridPolys,
     LocalData,
     Region,
+    UnitModP,
+    ZeroModP,
     check_prime_power,
     count_zpm,  # noqa: F401  (unused; see the same import in zeta.py)
     digits,
@@ -164,16 +167,26 @@ def phase_histogram(
     charge(q ** f.nvars, budget, "phase histogram")
 
     grid = Grid(f.nvars, q)
+    total = value_histogram(grid, f, region.on(grid, p), q, threads)
+    return PhaseHistogram(p, m, tuple(int(c) for c in total))
+
+
+def value_histogram(
+    grid: Grid, f: Poly, inside: Callable, length: int, threads: int, key: Callable | None = None
+) -> np.ndarray:
+    """The histogram of f's values on the grid, or of key(values), over
+    the points where the chunk mask inside(chunk) holds (see Region.on);
+    values index bins 0..length-1."""
     scan = GridPolys(grid, [f])
 
     def worker(chunk: tuple[int, int]) -> np.ndarray:
         (vals,) = scan(chunk)
-        if not region.is_full:
-            vals = vals[region.mask(grid.rows(chunk), p)]
-        return np.bincount(vals, minlength=q)
+        ok = inside(chunk)
+        if ok is not None:
+            vals = vals[grid.flat(chunk, ok)]
+        return np.bincount(vals if key is None else key(vals), minlength=length)
 
-    total = map_sum(worker, grid.chunks(), threads)
-    return PhaseHistogram(p, m, tuple(int(c) for c in total))
+    return map_sum(worker, grid.chunks(), threads)
 
 
 def to_complex(h: PhaseHistogram) -> complex:
@@ -313,31 +326,17 @@ class FFCharSum:
 
 
 def _gf_trace_histogram(
-    f: Poly,
-    gf: GFTable,
-    fixed_zero: frozenset[int],
-    nonzero: frozenset[int],
-    budget: int,
-    threads: int,
+    f: Poly, gf: GFTable, zero: frozenset[int], unit: frozenset[int], budget: int, threads: int
 ) -> np.ndarray:
+    """The trace histogram of f over F_q^n with x_j = 0 for j in zero and
+    x_j != 0 for j in unit."""
     n = f.nvars
     charge(gf.q ** n, budget, "finite-field sum")
     grid = Grid(n, gf)
-    scan = GridPolys(grid, [f])
-
-    def worker(chunk: tuple[int, int]) -> np.ndarray:
-        (vals,) = scan(chunk)
-        if fixed_zero or nonzero:
-            pts = grid.rows(chunk)
-            ok = np.ones(len(pts), dtype=bool)
-            for i in fixed_zero:
-                ok &= pts[:, i] == 0
-            for i in nonzero:
-                ok &= pts[:, i] != 0
-            vals = vals[ok]
-        return np.bincount(gf.trace(vals), minlength=gf.p)
-
-    return map_sum(worker, grid.chunks(), threads)
+    modes = [ZeroModP() if j in zero else UnitModP() if j in unit else Full() for j in range(n)]
+    region = Region(n, tuple(((j, j + 1), mode) for j, mode in enumerate(modes)))
+    # decided with modulus q: code 0 is the only zero of F_q
+    return value_histogram(grid, f, region.on(grid, gf.q), gf.p, threads, gf.trace)
 
 
 def ff_char_sum(

@@ -5,10 +5,10 @@ Counting over Z/p^m has two independent routes that must agree:
 * ``naive`` enumerates the full residue grid (the always-available oracle);
 * ``lift`` walks a recursive residue tree (Denef's stationary-phase
   recursion): each node finds its zeros mod p, collapses the smooth ones
-  in closed form (a point whose Jacobian has full rank mod p lifts
-  p^(n-r) ways per level) and re-expands x = x0 + p*y only below
-  singular points.  A node scans the grid (Z/p)^n, at a charge of p^n
-  points, except where one constraint g splits into variable-disjoint
+  in closed form (a point whose Jacobian has full rank mod p, found by
+  Gaussian elimination, lifts p^(n-r) ways per level) and re-expands
+  x = x0 + p*y only below singular points.  A node scans the grid
+  (Z/p)^n, at a charge of p^n points, except where one constraint g splits into variable-disjoint
   blocks, g = g_A(x_A) + g_B(x_B), on more than CHUNK points and under
   no region.  There two half grids are scanned instead: the zeros are
   the convolution of the halves' value histograms (Weil's count of
@@ -36,20 +36,21 @@ integer box, split into a prefix and a suffix box of at most CHUNK
 points.  GridPolys groups each polynomial by prefix monomial and
 evaluates each group's suffix polynomial once per scan, so a chunk (a
 run of prefix points times the suffix box) costs one broadcast product
-and one add per distinct prefix monomial, and decodes no rows.  Rows
-are decoded only where they are needed: the zeros that go on to the
-rank test, the critical points of a half grid, and chunks under a
-constraint the polynomials do not carry.  eval_rows() evaluates a
-polynomial on given rows in any ring, and map_sum() adds a worker's
-results over chunks in submission order on a thread pool, so every
-total is the same for any thread count.  The lift builds each grid it
-scans, (Z/p)^n or a half grid, with its power tables, once per call.
-split_halves() and count_value_pairs() also serve the integer box count
-of circle.count_box_solutions.
+and one add per distinct prefix monomial, and decodes no rows; a
+region is decided on the same chunks (Region.on).  Rows are decoded
+only for the zeros that reach the rank test and for the critical points
+of a half grid.  eval_rows() evaluates a polynomial on given rows in any
+ring, and map_sum() adds a worker's results over chunks in submission
+order on a thread pool, so every total is the same for any thread
+count.  The lift builds each grid it scans, (Z/p)^n or a half grid,
+with its power tables, once per call.  split_halves() and
+count_value_pairs() also serve the integer box count of
+circle.count_box_solutions.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -301,6 +302,10 @@ class Grid:
     def size(self, chunk: tuple[int, int]) -> int:
         return (chunk[1] - chunk[0]) * self.suffix_size
 
+    def flat(self, chunk: tuple[int, int], compact: np.ndarray) -> np.ndarray:
+        """An array in the chunk's compact shape spread over its rows, in order."""
+        return np.broadcast_to(compact, self.shape(chunk)).reshape(-1)
+
     def points(self, idx: np.ndarray, axes: int) -> np.ndarray:
         """The points of the box of the first `axes` axes at the flat
         indices idx, which are divided in place."""
@@ -309,14 +314,9 @@ class Grid:
             pts += self.lows[:axes]
         return pts
 
-    def rows(self, chunk: tuple[int, int], where: np.ndarray | None = None) -> np.ndarray:
-        """The chunk's rows, or only those at the positions `where` in it."""
-        offset = chunk[0] * self.suffix_size
-        if where is None:
-            idx = np.arange(offset, offset + self.size(chunk), dtype=np.int64)
-        else:
-            idx = where + offset
-        return self.points(idx, self.k)
+    def rows(self, chunk: tuple[int, int], where: np.ndarray) -> np.ndarray:
+        """The chunk's rows at the positions `where` in it."""
+        return self.points(where + chunk[0] * self.suffix_size, self.k)
 
     def box_values(self, terms: dict[tuple[int, ...], int]) -> np.ndarray:
         """sum c x^b on the suffix box, for exponents b of its axes.
@@ -398,18 +398,15 @@ class GridPolys:
 
     def __call__(self, chunk: tuple[int, int]) -> list[np.ndarray]:
         """Each polynomial's values on the chunk's rows, in row order."""
-        shape = self.grid.shape(chunk)
-        return [np.broadcast_to(v, shape).reshape(-1) for v in self.compact(chunk)]
+        return [self.grid.flat(chunk, v) for v in self.compact(chunk)]
 
-    def zeros(self, chunk: tuple[int, int]) -> np.ndarray:
-        """The mask of the chunk's rows where every polynomial vanishes."""
-        shape = self.grid.shape(chunk)
-        ok = np.ones(1, dtype=bool)  # no polynomial: every row
-        for i, vals in enumerate(self.compact(chunk)):
-            ok = vals == 0 if i == 0 else ok & (vals == 0)
-        if ok.shape != shape:  # an axis no polynomial depends on
-            ok = np.broadcast_to(ok, shape)
-        return ok.reshape(-1)
+    def zeros(self, chunk: tuple[int, int], within: np.ndarray | None = None) -> np.ndarray:
+        """The mask of the chunk's rows where every polynomial vanishes,
+        and where `within`, a mask in the compact shape, holds if given."""
+        ok = np.ones(1, dtype=bool) if within is None else within
+        for vals in self.compact(chunk):
+            ok = ok & (vals == 0)
+        return self.grid.flat(chunk, ok)
 
 
 # -- separable zero scans ----------------------------------------------------
@@ -519,7 +516,8 @@ class Region:
     """Product-form constraint on (Z/p^m)^k, decided by reductions mod p.
 
     blocks is a tuple of ((start, stop), mode) covering 0..k exactly once,
-    in order.
+    in order.  Every mode is a test of zeros mod p, of the block's
+    coordinates or of its ReductionIn equations, decided by on().
     """
 
     k: int
@@ -557,39 +555,43 @@ class Region:
     def is_full(self) -> bool:
         return all(isinstance(mode, Full) for _, mode in self.blocks)
 
-    def mask(self, pts: np.ndarray, p: int) -> np.ndarray:
-        """Boolean membership mask for an array of integer points.
-
-        Only the blocks a mode constrains are reduced mod p, so a Full
-        block, and a Full region, never copies the points.
+    def on(self, grid: Grid, p: int) -> Callable[[tuple[int, int]], np.ndarray | None]:
+        """chunk -> the region's mask in the chunk's compact shape (see
+        GridPolys.compact), or None for a full region, from one GridPolys
+        scan of x_j for a block's coordinates and of the ReductionIn
+        equations; the zero tests mod p combine by and/not, so no row is
+        decoded.  Z/q is decided mod a prime p | q, and F_q with p = q,
+        since code 0 is the only zero of F_q.
         """
-        m = np.ones(len(pts), dtype=bool)
+        polys, tests = [], []
         for (start, stop), mode in self.blocks:
-            if isinstance(mode, Full):
-                continue
-            sub = pts[:, start:stop] % p
-            if isinstance(mode, ZeroModP):
-                m &= (sub == 0).all(axis=1)
-            elif isinstance(mode, UnitModP):
-                m &= (sub != 0).all(axis=1)
-            elif isinstance(mode, PrimitiveBlock):
-                m &= (sub != 0).any(axis=1)
-            elif isinstance(mode, ReductionIn):
-                for g in mode.gens:
-                    m &= eval_poly_mod(g, sub, p) == 0
-        return m
+            if isinstance(mode, ReductionIn):
+                polys += [g.map_vars(range(start, stop), self.k) for g in mode.gens]
+            elif not isinstance(mode, Full):
+                polys += [Poly.var(j, self.k) for j in range(start, stop)]
+            tests.append((mode, len(polys)))
+        scan = GridPolys(grid, polys)
 
-    def contains(self, point: Sequence[int], p: int) -> bool:
-        pts = np.asarray([[x % p for x in point]], dtype=np.int64)
-        return bool(self.mask(pts, p)[0])
+        def inside(chunk: tuple[int, int]) -> np.ndarray | None:
+            vals = scan.compact(chunk)
+            masks, lo = [], 0
+            for mode, hi in tests:
+                zero = [v % p == 0 for v in vals[lo:hi]]
+                lo = hi
+                if isinstance(mode, UnitModP):
+                    masks += [~z for z in zero]
+                elif isinstance(mode, PrimitiveBlock):
+                    masks.append(~functools.reduce(operator.and_, zero))
+                else:  # ZeroModP and ReductionIn: every test is a zero
+                    masks += zero
+            return functools.reduce(operator.and_, masks) if masks else None
+
+        return inside
 
     def count_mod_p(self, p: int, budget: int = DEFAULT_BUDGET, threads: int = 1) -> int:
         """Number of points of the region in (Z/p)^k."""
         charge(p ** self.k, budget, "region count")
-        grid = Grid(self.k, p)
-        return map_sum(
-            lambda c: int(self.mask(grid.rows(c), p).sum()), grid.chunks(), threads
-        )
+        return _count_naive([], Grid(self.k, p), self, p, threads)
 
 
 # -- counting over Z/p^m -----------------------------------------------------
@@ -598,46 +600,39 @@ class Region:
 def _count_naive(
     gens: Sequence[Poly], grid: Grid, region: Region, p: int, threads: int
 ) -> int:
-    """Common zeros of gens on the grid inside the region, by full
-    enumeration; the caller charges the budget.  Only the zeros are
-    decoded, and only under a region that constrains them (mod p)."""
+    """Common zeros of gens on the grid inside the region (decided mod p),
+    by full enumeration; the caller charges the budget.  No row is
+    decoded."""
     scan = GridPolys(grid, gens)
+    inside = region.on(grid, p)
 
     def worker(chunk: tuple[int, int]) -> int:
-        ok = scan.zeros(chunk)
-        if region.is_full:
-            return int(np.count_nonzero(ok))
-        return int(region.mask(grid.rows(chunk, np.flatnonzero(ok)), p).sum())
+        return int(np.count_nonzero(scan.zeros(chunk, inside(chunk))))
 
     return map_sum(worker, grid.chunks(), threads)
 
 
-def _rank_mask(jac_vals: np.ndarray, r: int, n: int, p: int) -> np.ndarray:
-    """jac_vals: (count, r, n) mod-p entries -> mask of full-rank points."""
-    if r > n:
-        return np.zeros(len(jac_vals), dtype=bool)
-    full = np.zeros(len(jac_vals), dtype=bool)
-    for cols in itertools.combinations(range(n), r):
-        sub = jac_vals[:, :, cols]
-        full |= _det_mod(sub, p) != 0
-        if full.all():
-            break
+def _full_rank(jac: np.ndarray, p: int) -> np.ndarray:
+    """The mask of the (r, n) matrices of a (count, r, n) stack whose rank
+    mod p is r (r = 0 is full rank), by one batched Gaussian elimination:
+    row i, reduced by the pivot rows above it, is zero exactly when it
+    lies in their span.  Entries stay below p < 2^31, so products fit in
+    int64."""
+    a = jac % p
+    count, r, _ = a.shape
+    at = np.arange(count)
+    full = np.ones(count, dtype=bool)
+    for i in range(r):
+        row = a[:, i, :]
+        nonzero = row != 0
+        full &= nonzero.any(axis=1)
+        if i + 1 < r:
+            col = nonzero.argmax(axis=1)
+            # Fermat's inverse of the pivot (every unit mod 2 is 1)
+            inv = _powmod(row[at, col], max(p - 2, 1), p)
+            factor = a[at, i + 1 :, col] * inv[:, None] % p
+            a[:, i + 1 :] = (a[:, i + 1 :] - factor[:, :, None] * row[:, None, :]) % p
     return full
-
-
-def _det_mod(mats: np.ndarray, p: int) -> np.ndarray:
-    # Laplace expansion along the first row; r is small.
-    r = mats.shape[1]
-    if r == 1:
-        return mats[:, 0, 0] % p
-    acc = np.zeros(len(mats), dtype=np.int64)
-    cols = list(range(r))
-    for j in range(r):
-        rest = cols[:j] + cols[j + 1 :]
-        minor = _det_mod(mats[:, 1:, :][:, :, rest], p)
-        term = (mats[:, 0, j] * minor) % p
-        acc = (acc - term if j % 2 else acc + term) % p
-    return acc % p
 
 
 class _BudgetState:
@@ -741,28 +736,24 @@ def _scan_zeros(
 ) -> tuple[int, np.ndarray]:
     """The smooth zeros' count and the singular zeros of gens mod p in the
     region, by one GridPolys scan of the grid (Z/p)^nvars; only the zeros
-    are decoded, and the Jacobian (the |b| = 1 rows of the shift tables)
-    is evaluated on them."""
+    inside the region are decoded, and the Jacobian (the |b| = 1 rows of
+    the shift tables) is evaluated on them."""
     r = len(gens)
     units = [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
     jac_polys = [[Poly(nvars, dict(t.get(u, ()))) for u in units] for t in tables]
     smooth = 0
     sing_chunks = [np.empty((0, nvars), dtype=np.int64)]
     scan = GridPolys(grid, gens)
+    inside = region.on(grid, p) if region is not None else lambda chunk: None
     for chunk in grid.chunks():
-        sols = grid.rows(chunk, np.flatnonzero(scan.zeros(chunk)))
-        if region is not None:
-            sols = sols[region.mask(sols, p)]
+        sols = grid.rows(chunk, np.flatnonzero(scan.zeros(chunk, inside(chunk))))
         if not len(sols):
             continue
-        if r <= nvars:
-            jac = np.empty((len(sols), r, nvars), dtype=np.int64)
-            for i in range(r):
-                for j in range(nvars):
-                    jac[:, i, j] = eval_poly_mod(jac_polys[i][j], sols, p)
-            full = _rank_mask(jac, r, nvars, p)
-        else:
-            full = np.zeros(len(sols), dtype=bool)
+        jac = np.empty((len(sols), r, nvars), dtype=np.int64)
+        for i in range(r):
+            for j in range(nvars):
+                jac[:, i, j] = eval_poly_mod(jac_polys[i][j], sols, p)
+        full = _full_rank(jac, p)
         smooth += int(full.sum())
         sing_chunks.append(sols[~full])
     return smooth, np.concatenate(sing_chunks)
@@ -839,8 +830,7 @@ def _lift_count(
     and a hit costs no work and no budget.  Only the root may carry a
     region, and a node with a region is never looked up.
     """
-    if not active:
-        # count_points_raw counts a constraint-free root under a region
+    if not active and region is None:
         return p ** (depth * nvars)
     key = (frozenset(active), depth) if region is None else None
     if key in state.memo:
@@ -902,9 +892,6 @@ def count_points_raw(
         active = _constraints(((g.terms, m) for g in gens), nvars, p)
         if active is None:
             return 0
-        if not active and region is not None:
-            # every constraint holds; the region is decided mod p
-            return region.count_mod_p(p, budget, threads) * p ** ((m - 1) * nvars)
         state = _BudgetState(budget, p)
         return _lift_count(active, nvars, p, m, state, region)
     if method == "both":

@@ -21,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, charge
-from .expsum import CycloValue, E_counts, reduce_mod_cyclotomic
+from .expsum import CycloValue, E_counts, reduce_mod_cyclotomic, value_histogram
 from .poly import IdealSpec, build_pairing
-from .ringcount import Grid, GridPolys, LocalData, check_rank, map_sum
+from .ringcount import Grid, LocalData, Region, check_rank
 
 
 def factorize(q: int) -> list[tuple[int, int]]:
@@ -90,19 +90,18 @@ def verify_multiplicativity(
     N = q1 * q2
     n = spec.nvars
     charge(N ** (n + r), budget, "direct composite character sum")
-    primes = [p for p, _ in factorize(N)]
     grid = Grid(r + n, N)
-    scan = GridPolys(grid, [build_pairing(spec)])
+    primitive = Region.primitive_then_full(r, n)
+    at_primes = [primitive.on(grid, p) for p, _ in factorize(N)]
 
-    def worker(chunk: tuple[int, int]) -> np.ndarray:
-        (phase,) = scan(chunk)
-        ys = grid.rows(chunk)[:, :r]
-        ok = np.ones(len(ys), dtype=bool)
-        for p in primes:
-            ok &= (ys % p != 0).any(axis=1)
-        return np.bincount(phase[ok], minlength=N)
+    def inside(chunk: tuple[int, int]) -> np.ndarray:
+        # y is primitive mod every prime of N
+        ok = np.ones(1, dtype=bool)
+        for at_p in at_primes:
+            ok = ok & at_p(chunk)
+        return ok
 
-    hist = map_sum(worker, grid.chunks(), threads)
+    hist = value_histogram(grid, build_pairing(spec), inside, N, threads)
     lhs = CycloValue(N, reduce_mod_cyclotomic([int(c) for c in hist], N))
     target = (
         E_composite(spec, r, q1, budget, threads)
@@ -196,6 +195,8 @@ def p_adic_density(
 ) -> DensityReport:
     """Truncated p-adic density sequence; stabilized when the last two agree."""
     check_rank(r)
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
     data = LocalData(spec, p, None, budget, threads)
     values = [data.V(m) * p ** (m * r) for m in range(1, M + 1)]
     deltas = [values[i + 1] - values[i] for i in range(len(values) - 1)]
@@ -232,6 +233,8 @@ def irreducibility_probe(
     is "inconclusive".
     """
     check_rank(r)
+    if not primes:
+        raise ValueError("need at least one prime")
     vals = []
     for p in sorted(primes):
         e = E_counts(spec, r, p, 1, budget=budget, threads=threads)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DEFAULT_BUDGET, ZeroIdealError
+from .errors import DEFAULT_BUDGET
 from .poly import IdealSpec
 from .ringcount import LocalData, Region, check_rank
 # unused: every count goes through LocalData, but bench/test_bench.py checks
@@ -126,8 +126,6 @@ def ord_distribution(
 
 def _ord_distribution(data: LocalData, M: int) -> OrdDistribution:
     _check_order(M)
-    if all(g.is_zero() for g in data.spec.generators):
-        raise ZeroIdealError("ideal is zero")
     vols = [data.V(m) for m in range(M + 1)]
     coeffs = [vols[m] - vols[m + 1] for m in range(M)] + [vols[M]]
     return OrdDistribution(data.p, tuple(coeffs), M)

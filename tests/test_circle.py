@@ -102,6 +102,24 @@ def test_j_integral_empty_locus():
     assert rep.value == 0.0
 
 
+@pytest.mark.parametrize(
+    "eps, options",
+    [
+        ([0.0], {}),
+        ([-0.1], {}),
+        ([0.2, 0.0], {}),
+        ([float("nan")], {}),
+        ([0.2, float("inf")], {}),
+        ([0.2, 0.1], {"samples": 0}),
+        ([0.2, 0.1], {"sampler": "grid", "grid_resolution": 0}),
+    ],
+    ids=["zero", "negative", "zero-in-ladder", "nan", "inf", "no-samples", "no-grid"],
+)
+def test_j_integral_rejects_a_bad_ladder_or_sample_size(eps, options):
+    with pytest.raises(ValueError):
+        singular_integral(S("x1", n=2), BoxSpec.cube(2), eps, **options)
+
+
 def test_j_integral_deterministic_for_seed():
     spec = S("x1^2 + x2^2 - x3^2", n=3)
     a = singular_integral(spec, BoxSpec.cube(3), [0.2, 0.1], seed=123)

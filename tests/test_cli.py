@@ -1,10 +1,11 @@
+import argparse
 import json
 import os
 
 import pytest
 
 from iosc import ringcount
-from iosc.cli import main
+from iosc.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -335,6 +336,14 @@ def test_a_scale_or_summand_count_below_one_is_refused(argv):
     assert main(argv) == 2
 
 
+@pytest.mark.parametrize("eps", ["0", "-0.1", "0.2,0", "inf"])
+@pytest.mark.parametrize("which", ["jintegral", "predict"])
+def test_an_epsilon_at_or_below_zero_is_refused(which, eps, capsys):
+    argv = ["circle", which, "--gens", "x1^2+x2^2-x3^2", "-n", "3", "-B", "3", "--eps", eps]
+    assert main(argv) == 2
+    assert "epsilon must be finite and > 0" in capsys.readouterr().err
+
+
 RANKED = [
     ["expsum", "--gens", "x1^2", "-n", "1", "-p", "5", "-m", "2"],
     ["sseries", "--gens", "x1^2+x2^2", "-n", "2", "--qmax", "5"],
@@ -365,3 +374,31 @@ def test_a_budget_below_one_is_refused(budget, monkeypatch):
 def test_fewer_than_one_thread_is_refused(threads):
     argv = ["count", "--gens", "x1^2", "-n", "1", "-p", "3", "-m", "2", "--threads", threads]
     assert main(argv) == 2
+
+
+def subcommand_cases():
+    """(command, which, required options) for every subcommand of the
+    parser and every choice of its positional `which`."""
+    actions = build_parser()._actions
+    (sub,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    for command, parser in sub.choices.items():
+        positional = [a for a in parser._actions if not a.option_strings]
+        options = [a for a in parser._actions if a.option_strings]
+        required = [a.option_strings[-1] for a in options if a.required]
+        for which in positional[0].choices if positional else [None]:
+            name = f"{command}-{which}" if which else command
+            yield pytest.param(command, which, required, id=name)
+
+
+@pytest.mark.parametrize("command, which, required", subcommand_cases())
+def test_every_subcommand_exits_cleanly_given_only_an_ideal(
+    command, which, required, tmp_path, capsys
+):
+    # an uncaught exception here is what exit code 1 with a traceback is
+    # from the command line; an option a subcommand needs is invalid input
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps({"n": 1, "gens": ["x1"]}))
+    argv = [command] + ([which] if which else []) + ["--ideal", str(ideal)]
+    for flag in required:
+        argv += [flag, "2"]
+    assert main(argv) in (0, 2, 3)

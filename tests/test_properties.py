@@ -18,9 +18,11 @@ from iosc.ringcount import (
     GridPolys,
     Int64,
     PrimitiveBlock,
+    ReductionIn,
     Region,
     UnitModP,
     ZeroModP,
+    _full_rank,
     count_ff_raw,
     count_points_raw,
 )
@@ -165,7 +167,7 @@ def check_scan(grid, polys, chunk, value_at, axes):
     scan = GridPolys(grid, polys)
     rows = []
     for c in grid.chunks():
-        pts = grid.rows(c).tolist()
+        pts = grid.rows(c, np.arange(grid.size(c))).tolist()
         assert 1 <= len(pts) <= chunk
         vals = [v.tolist() for v in scan(c)]
         assert vals == [[value_at(f, pt) for pt in pts] for f in polys]
@@ -335,3 +337,138 @@ def test_a_split_node_is_charged_its_halves_and_its_critical_pairs(text, n, p, c
             count_points_raw([f], n, p, 1, budget=charged - 1)
         lift = count_points_raw([f], n, p, 1, budget=charged)
     assert lift == count_points_raw([f], n, p, 1, method="naive")
+
+
+# -- regions decided on the grid kernel ----------------------------------------
+
+
+def member(region, point, vanishes):
+    """Pointwise membership of a point in a region; vanishes(g, x) says
+    whether the polynomial g is zero at the block's point x."""
+    for (start, stop), mode in region.blocks:
+        x = point[start:stop]
+        zero = [vanishes(Poly.var(j, len(x)), x) for j in range(len(x))]
+        if isinstance(mode, ZeroModP) and not all(zero):
+            return False
+        if isinstance(mode, UnitModP) and any(zero):
+            return False
+        if isinstance(mode, PrimitiveBlock) and all(zero):
+            return False
+        if isinstance(mode, ReductionIn) and not all(vanishes(g, x) for g in mode.gens):
+            return False
+    return True
+
+
+@st.composite
+def regions(draw, k):
+    """A region over k coordinates: blocks of random sizes, each in one of
+    the five modes, with 1-2 random equations for ReductionIn."""
+    cut_after = draw(st.lists(st.booleans(), min_size=k - 1, max_size=k - 1))
+    cuts = [j + 1 for j, cut in enumerate(cut_after) if cut]
+    blocks = []
+    for start, stop in zip([0] + cuts, cuts + [k]):
+        size = stop - start
+        mode = draw(st.sampled_from([Full, ZeroModP, UnitModP, PrimitiveBlock, ReductionIn]))
+        if mode is ReductionIn:
+            monomial = st.tuples(*[st.integers(0, 3)] * size)
+            poly = st.dictionaries(monomial, st.integers(-9, 9), max_size=3).map(
+                lambda terms, size=size: Poly(size, terms)
+            )
+            mode = ReductionIn(tuple(draw(st.lists(poly, min_size=1, max_size=2))))
+        else:
+            mode = mode()
+        blocks.append(((start, stop), mode))
+    return Region(k, tuple(blocks))
+
+
+def check_region(region, grid, p, vanishes):
+    """Region.on(grid, p) on every chunk against pointwise membership."""
+    inside = region.on(grid, p)
+    for c in grid.chunks():
+        pts = grid.rows(c, np.arange(grid.size(c))).tolist()
+        ok = inside(c)
+        assert (ok is None) == region.is_full
+        mask = [True] * len(pts) if ok is None else grid.flat(c, ok).tolist()
+        assert mask == [member(region, pt, vanishes) for pt in pts]
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@given(st.data())
+def test_region_on_a_residue_grid_equals_pointwise_membership(chunk, data):
+    k = data.draw(st.integers(1, 3))
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    m = data.draw(st.integers(1, 2))
+    assume((p ** m) ** k <= 1000)
+    region = data.draw(regions(k))
+    grid = grid_with_chunk(chunk, k, p ** m)
+    check_region(region, grid, p, lambda g, x: g.eval_int(x) % p == 0)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@given(st.sampled_from([(2, 3), (3, 2), (5, 1)]), st.data())
+def test_region_on_a_field_grid_decided_mod_q_equals_pointwise_membership(chunk, field, data):
+    p, k = field
+    gf = GFTable(p, k)
+    n = data.draw(st.integers(1, 3))
+    region = data.draw(regions(n))
+    grid = grid_with_chunk(chunk, n, gf)
+    check_region(region, grid, gf.q, lambda g, x: field_value(gf, g, x) == 0)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@given(st.sampled_from([6, 10, 12, 15]), st.integers(1, 2), st.integers(1, 2))
+def test_primitive_tuples_at_each_prime_of_a_composite_modulus(chunk, N, r, n):
+    assume(N ** (r + n) <= 2000)
+    region = Region.primitive_then_full(r, n)
+    grid = grid_with_chunk(chunk, r + n, N)
+    for p in [2, 3, 5]:
+        if N % p == 0:
+            check_region(region, grid, p, lambda g, x, p=p: g.eval_int(x) % p == 0)
+
+
+# -- the rank test -------------------------------------------------------------
+
+
+def det(mat):
+    """The determinant of an integer matrix, by Leibniz's formula."""
+    total = 0
+    for perm in itertools.permutations(range(len(mat))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= mat[i][j]
+        total += term
+    return total
+
+
+def has_a_unit_minor(mat, n, p):
+    """Rank r mod p of an r x n matrix: some r x r minor is a unit mod p
+    (the empty minor of r = 0 is 1)."""
+    return any(
+        det([[row[j] for j in cols] for row in mat]) % p
+        for cols in itertools.combinations(range(n), len(mat))
+    )
+
+
+@given(st.data())
+def test_full_rank_by_elimination_equals_a_unit_minor(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11]))
+    r = data.draw(st.integers(0, 3))
+    n = data.draw(st.integers(1, 4))
+    entry = st.integers(-2 * p, 2 * p)
+    mats = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        rows = []
+        for _ in range(r):
+            kind = data.draw(st.sampled_from(["random", "zero mod p", "dependent"]))
+            if kind == "zero mod p":
+                row = [p * c for c in data.draw(st.lists(entry, min_size=n, max_size=n))]
+            elif kind == "dependent" and rows:
+                coeffs = data.draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+                row = [sum(c * above[j] for c, above in zip(coeffs, rows)) for j in range(n)]
+            else:
+                row = data.draw(st.lists(entry, min_size=n, max_size=n))
+            rows.append(row)
+        mats.append(rows)
+    jac = np.array(mats, dtype=np.int64).reshape(len(mats), r, n)
+    assert _full_rank(jac, p).tolist() == [has_a_unit_minor(mat, n, p) for mat in mats]

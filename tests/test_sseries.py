@@ -163,6 +163,12 @@ def test_density_smooth_hypersurface_hensel():
     assert rep.values[0] == rep.values[-1]
 
 
+@pytest.mark.parametrize("M", [0, -2])
+def test_density_needs_an_order(M):
+    with pytest.raises(ValueError, match="M must be"):
+        p_adic_density(S("x1", n=1), 1, 3, M)
+
+
 # -- irreducibility probe --------------------------------------------------------------
 
 
@@ -182,3 +188,8 @@ def test_probe_three_squares_consistent():
 def test_probe_linear_consistent():
     rep = irreducibility_probe(S("x1", n=1), 1, [3, 5, 7])
     assert rep.verdict == "consistent-with-geometric-irreducibility"
+
+
+def test_probe_needs_a_prime():
+    with pytest.raises(ValueError, match="prime"):
+        irreducibility_probe(S("x1", n=1), 1, [])
