@@ -93,8 +93,10 @@ def _resolve_s(
     budget: int,
 ) -> tuple[dict[int, int], str, bool]:
     if s is not None:
-        out = {d: s[d] for d, _ in spec.groups}
-        return out, "given", True
+        missing = [d for d, _ in spec.groups if d not in s]
+        if missing:
+            raise ValueError(f"s is not given for group degree {missing[0]}")
+        return {d: s[d] for d, _ in spec.groups}, "given", True
     est = bsing_dim(spec, primes=primes, maxk=maxk, budget=budget, weight=weight)
     return (
         {d: e.dim for d, e in est.items()},
@@ -238,23 +240,26 @@ def moi_fit(
     """Least-squares slope of -log_p |E| against m, per prime and pooled.
 
     Only m >= m_min enters; zero values are excluded and reported.  Primes
-    with fewer than 3 usable points are dropped; with none left the fit is
-    an error.  The pooled slope shares one slope across primes with
-    per-prime intercepts.
+    with fewer than 3 usable points, or with one m only, are dropped; with
+    none left the fit is an error.  The pooled slope shares one slope
+    across primes with per-prime intercepts.  Every p must be >= 2 and
+    every |E| finite and >= 0.
     """
     by_prime: dict[int, list[tuple[int, float]]] = {}
     excluded: list[tuple[int, int]] = []
     for p, m, absE in data:
+        if p < 2 or not 0 <= absE < math.inf:
+            raise ValueError(f"need p >= 2 and 0 <= |E| < oo, got p={p}, |E|={absE}")
         if m < m_min:
             continue
         if absE == 0:
             excluded.append((p, m))
             continue
         by_prime.setdefault(p, []).append((m, -math.log(absE) / math.log(p)))
-    dropped = [p for p, pts in by_prime.items() if len(pts) < 3]
-    usable = {p: pts for p, pts in by_prime.items() if len(pts) >= 3}
+    usable = {p: pts for p, pts in by_prime.items() if len(pts) >= 3 and len({m for m, _ in pts}) >= 2}
+    dropped = [p for p in by_prime if p not in usable]
     if not usable:
-        raise ValueError("insufficient data: need >= 3 nonzero points for a prime")
+        raise ValueError("insufficient data: need >= 3 nonzero points at two m for a prime")
 
     per_prime: dict[int, float] = {}
     sxx_total = 0.0

@@ -25,11 +25,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, charge
+from .expsum import residue_histogram
 from .poly import IdealSpec, Poly
 from .ringcount import (
     Grid,
     GridPolys,
     Int64,
+    Region,
     check_prime_power,
     count_value_pairs,
     digits,
@@ -234,7 +236,7 @@ class PredictionReport:
     B: int
     prediction: float
     actual: int
-    ratio: float
+    ratio: float | None
     degenerate: bool
     flags: list[str] = field(default_factory=list)
 
@@ -255,7 +257,7 @@ def major_arc_prediction(
     D is the sum of generator degrees weighted by group size.  The ratio
     actual/prediction lands in [0.85, 1.15] for healthy systems at desk
     scale; a ratio outside [0.5, 2] or a vanishing prediction is flagged
-    degenerate.
+    degenerate, and a vanishing prediction has no ratio (None).
     """
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
@@ -268,7 +270,7 @@ def major_arc_prediction(
     actual = count_box_solutions(spec, box, B, budget=budget, threads=threads)
     flags = []
     if prediction <= 0:
-        ratio = float("inf") if actual else float("nan")
+        ratio = None
         flags.append("vanishing-prediction")
         degenerate = True
     else:
@@ -322,27 +324,13 @@ def waring_surjectivity(
     charge(q ** r, budget, "waring target space")
 
     radices = [q] * r
+    # a point's index in (Z/q)^r, row-major as in digits()
+    place = q ** np.arange(r - 1, -1, -1, dtype=np.int64)
 
-    def encode(cols: Sequence[np.ndarray]) -> np.ndarray:
-        idx = np.zeros(len(cols[0]), dtype=np.int64)
-        for c in cols:
-            idx = idx * q + c % q
-        return idx
-
-    def image(components: Sequence[Poly]) -> np.ndarray:
-        nv = components[0].nvars
-        charge(q ** nv, budget, "waring image enumeration")
-        grid = Grid(nv, q)
-        scan = GridPolys(grid, components)
-
-        def seen(chunk: tuple[int, int]) -> np.ndarray:
-            mask = np.zeros(q ** r, dtype=bool)
-            mask[encode(scan(chunk))] = True
-            return mask
-
-        return map_sum(seen, grid.chunks(), 1)
-
-    images = [image(comp) for comp in maps]
+    images = []
+    for comp in maps:
+        charge(q ** comp[0].nvars, budget, "waring image enumeration")
+        images.append(residue_histogram(comp, q, Region.full(comp[0].nvars), 1) > 0)
     image_sizes = [int(im.sum()) for im in images]
 
     # iterated sumset over the product group (Z/q)^r
@@ -353,7 +341,7 @@ def waring_surjectivity(
         charge(len(a_pts) * len(b_pts), budget, "waring sumset")
         new = np.zeros(q ** r, dtype=bool)
         for row in b_pts:
-            new[encode((a_pts + row).T)] = True
+            new[(a_pts + row) % q @ place] = True
         acc = new
     missing_idx = np.nonzero(~acc)[0]
     missing = [tuple(int(v) for v in row) for row in digits(missing_idx, radices)]

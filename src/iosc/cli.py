@@ -320,6 +320,8 @@ def cmd_bounds(args) -> dict:
     if args.which == "tau0":
         if not args.groups:
             raise ValueError("bounds tau0 needs --groups")
+        if args.nvars is None:
+            raise ValueError("bounds tau0 needs -n")
         groups = []
         for part in args.groups.split(","):
             i, ri, si = part.split(":")

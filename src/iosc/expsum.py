@@ -3,6 +3,11 @@
 A character sum is first materialized as a *phase histogram*: how many
 points of the region give each residue of the phase polynomial.  That
 postpones the choice of additive character and keeps everything integral.
+One tally makes every histogram: value_histogram counts the value vectors
+of a list of polynomials on a grid, and residue_histogram runs it on
+(Z/N)^k for any modulus N, with the region decided at every prime of N.
+It serves phase_histogram (N = p^m), the composite oracle of sseries, the
+x-pass of E_charsum and the Waring image of circle.
 Identity checks then reduce the histogram modulo the N-th cyclotomic
 polynomial: sum c_j zeta^j equals a rational number iff the reduced
 residue is that constant, so no tolerance ever enters.  Floating values
@@ -28,7 +33,7 @@ import cmath
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -47,6 +52,7 @@ from .ringcount import (
     count_zpm,  # noqa: F401  (unused; see the same import in zeta.py)
     digits,
     dim_estimate_raw,
+    factorize,
     iter_grid,
     map_sum,
 )
@@ -102,6 +108,11 @@ class CycloValue:
     def is_rational(self) -> bool:
         return all(v == 0 for v in self.vec[1:])
 
+    @staticmethod
+    def of(counts: Iterable[int], modulus: int) -> "CycloValue":
+        """sum counts[j] zeta_N^j for N = modulus, reduced mod Phi_N."""
+        return CycloValue(modulus, reduce_mod_cyclotomic([int(c) for c in counts], modulus))
+
 
 def reduce_mod_cyclotomic(counts: Sequence[int], n: int) -> tuple[Fraction, ...]:
     """Reduce sum counts[j] * zeta_n^j modulo Phi_n, exactly."""
@@ -119,9 +130,7 @@ def reduce_mod_cyclotomic(counts: Sequence[int], n: int) -> tuple[Fraction, ...]
 
 def cyclo_reduce(h: "PhaseHistogram", scale: Fraction | int = 1) -> CycloValue:
     """Exact value of scale * sum counts[j] zeta^j in Q(zeta_{p^m})."""
-    return CycloValue(h.p ** h.m, reduce_mod_cyclotomic(h.counts, h.p ** h.m)).scale(
-        scale
-    )
+    return CycloValue.of(h.counts, h.p ** h.m).scale(scale)
 
 
 def equals_rational(v: CycloValue, r: Fraction | int) -> bool:
@@ -165,26 +174,43 @@ def phase_histogram(
         raise ValueError("region size must match nvars")
     q = p ** m
     charge(q ** f.nvars, budget, "phase histogram")
-
-    grid = Grid(f.nvars, q)
-    total = value_histogram(grid, f, region.on(grid, p), q, threads)
+    total = residue_histogram([f], q, region, threads)
     return PhaseHistogram(p, m, tuple(int(c) for c in total))
 
 
-def value_histogram(
-    grid: Grid, f: Poly, inside: Callable, length: int, threads: int, key: Callable | None = None
+def residue_histogram(
+    polys: Sequence[Poly], N: int, region: Region, threads: int
 ) -> np.ndarray:
-    """The histogram of f's values on the grid, or of key(values), over
-    the points where the chunk mask inside(chunk) holds (see Region.on);
-    values index bins 0..length-1."""
-    scan = GridPolys(grid, [f])
+    """value_histogram of the polynomials over the region in (Z/N)^k, for
+    any modulus N: a point is inside when its reduction mod every prime
+    of N is (Region.on), so N = p^m decides it mod p alone."""
+    grid = Grid(region.k, N)
+    inside = region.on(grid, *(p for p, _ in factorize(N)))
+    return value_histogram(grid, polys, inside, threads)
+
+
+def value_histogram(
+    grid: Grid, polys: Sequence[Poly], inside: Callable, threads: int
+) -> np.ndarray:
+    """How many points of the grid, where the chunk mask inside(chunk)
+    holds (see Region.on), give each value vector of the polynomials.
+
+    Values are the ring's codes 0..q-1, and the vector (v_1, ..., v_s) is
+    tallied in bin v_1 q^(s-1) + ... + v_s of q^s, encoded on the chunk's
+    compact shape before its rows are spread out.
+    """
+    scan = GridPolys(grid, polys)
+    q = grid.ring.q
 
     def worker(chunk: tuple[int, int]) -> np.ndarray:
-        (vals,) = scan(chunk)
+        idx, *rest = scan.compact(chunk)
+        for vals in rest:
+            idx = idx * q + vals
+        idx = grid.flat(chunk, idx)
         ok = inside(chunk)
         if ok is not None:
-            vals = vals[grid.flat(chunk, ok)]
-        return np.bincount(vals if key is None else key(vals), minlength=length)
+            idx = idx[grid.flat(chunk, ok)]
+        return np.bincount(idx, minlength=q ** len(polys))
 
     return map_sum(worker, grid.chunks(), threads)
 
@@ -261,19 +287,9 @@ def E_charsum(
     if q ** (n + r) > (1 << 52):
         # grouped accumulation is float64-exact only below 2^52 points
         charge(q ** (n + r), 1 << 52, "exact accumulation")
-    gens = spec.generators
 
     # x-pass: class-count the generator value vectors
-    grid = Grid(n, q)
-    scan = GridPolys(grid, gens)
-
-    def x_classes(chunk: tuple[int, int]) -> np.ndarray:
-        idx = np.zeros(grid.size(chunk), dtype=np.int64)
-        for vals in scan(chunk):
-            idx = idx * q + vals
-        return np.bincount(idx, minlength=q ** r)
-
-    countv = map_sum(x_classes, grid.chunks(), threads)
+    countv = residue_histogram(spec.generators, q, Region.full(n), threads)
     support = np.nonzero(countv)[0]
     weights = countv[support].astype(np.float64)
     vmat = digits(support, [q] * r)
@@ -288,9 +304,7 @@ def E_charsum(
 
     chunk = max(1, (1 << 23) // max(1, len(vmat)))
     hist = map_sum(y_phases, iter_grid(r, q, chunk), threads)
-    counts = [int(round(c)) for c in hist]
-    h = PhaseHistogram(p, m, tuple(counts))
-    return cyclo_reduce(h, scale)
+    return CycloValue.of([round(c) for c in hist], q).scale(scale)
 
 
 def verify_moidef(
@@ -336,7 +350,10 @@ def _gf_trace_histogram(
     modes = [ZeroModP() if j in zero else UnitModP() if j in unit else Full() for j in range(n)]
     region = Region(n, tuple(((j, j + 1), mode) for j, mode in enumerate(modes)))
     # decided with modulus q: code 0 is the only zero of F_q
-    return value_histogram(grid, f, region.on(grid, gf.q), gf.p, threads, gf.trace)
+    values = value_histogram(grid, [f], region.on(grid, gf.q), threads)
+    traces = np.zeros(gf.p, dtype=np.int64)
+    np.add.at(traces, gf.trace_table, values)
+    return traces
 
 
 def ff_char_sum(
@@ -382,14 +399,12 @@ def ff_char_sum(
         s_source = "given"
 
     total = f if g is None else f + g
-    gf = GFTable(p, k)
-    hist = _gf_trace_histogram(total, gf, J1, J2, budget, threads)
-    value = sum(
-        int(c) * cmath.exp(2j * cmath.pi * t / p) for t, c in enumerate(hist)
-    )
-    q = p ** k
-    ratio = abs(value) / q ** ((n + s) / 2)
-    return FFCharSum(value, ratio, s, s_source, tuple(int(c) for c in hist))
+    traces = _gf_trace_histogram(total, GFTable(p, k), J1, J2, budget, threads)
+    # Psi(a) = exp(2 pi i Tr(a) / p) sums the trace histogram as a phase mod p
+    hist = PhaseHistogram(p, 1, tuple(int(c) for c in traces))
+    value = to_complex(hist)
+    ratio = abs(value) / (p ** k) ** ((n + s) / 2)
+    return FFCharSum(value, ratio, s, s_source, hist.counts)
 
 
 def torus_sum_check(
@@ -434,8 +449,6 @@ def torus_sum_check(
     )
     q = p ** k
     factor = (q - 1) ** (w.total - n)
-    lhs = CycloValue(p, reduce_mod_cyclotomic([int(c) for c in lhs_hist], p))
-    rhs = CycloValue(p, reduce_mod_cyclotomic([int(c) for c in rhs_hist], p)).scale(
-        factor
-    )
+    lhs = CycloValue.of(lhs_hist, p)
+    rhs = CycloValue.of(rhs_hist, p).scale(factor)
     return lhs == rhs

@@ -74,6 +74,25 @@ CHUNK = 1 << 18
 Q_LIMIT = 1 << 31
 
 
+def factorize(q: int) -> list[tuple[int, int]]:
+    """Prime-power factorization [(p, e), ...] by trial division."""
+    if q < 1:
+        raise ValueError("modulus must be positive")
+    out = []
+    d = 2
+    while d * d <= q:
+        if q % d == 0:
+            e = 0
+            while q % d == 0:
+                q //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    if q > 1:
+        out.append((q, 1))
+    return out
+
+
 def check_prime_power(p: int, m: int = 1) -> None:
     """Raise ValueError unless p is a prime below 2^31 and m >= 1.
 
@@ -81,7 +100,7 @@ def check_prime_power(p: int, m: int = 1) -> None:
     is exact only below 2^31, so the bound comes first and keeps the trial
     division short.
     """
-    if not 2 <= p < Q_LIMIT or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+    if not 2 <= p < Q_LIMIT or factorize(p) != [(p, 1)]:
         raise ValueError(f"p must be a prime below 2^31, got {p}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -298,9 +317,6 @@ class Grid:
         """Axis 0 runs over the chunk's prefix points, the others over the
         suffix box; the rows are this array in C order."""
         return (chunk[1] - chunk[0],) + self.sizes[self.split :]
-
-    def size(self, chunk: tuple[int, int]) -> int:
-        return (chunk[1] - chunk[0]) * self.suffix_size
 
     def flat(self, chunk: tuple[int, int], compact: np.ndarray) -> np.ndarray:
         """An array in the chunk's compact shape spread over its rows, in order."""
@@ -555,13 +571,13 @@ class Region:
     def is_full(self) -> bool:
         return all(isinstance(mode, Full) for _, mode in self.blocks)
 
-    def on(self, grid: Grid, p: int) -> Callable[[tuple[int, int]], np.ndarray | None]:
+    def on(self, grid: Grid, *primes: int) -> Callable[[tuple[int, int]], np.ndarray | None]:
         """chunk -> the region's mask in the chunk's compact shape (see
         GridPolys.compact), or None for a full region, from one GridPolys
         scan of x_j for a block's coordinates and of the ReductionIn
-        equations; the zero tests mod p combine by and/not, so no row is
-        decoded.  Z/q is decided mod a prime p | q, and F_q with p = q,
-        since code 0 is the only zero of F_q.
+        equations; the zero tests mod every one of the primes combine by
+        and/not, so no row is decoded.  Z/q is decided at the primes of q,
+        and F_q with the one "prime" q, since code 0 is its only zero.
         """
         polys, tests = [], []
         for (start, stop), mode in self.blocks:
@@ -574,16 +590,18 @@ class Region:
 
         def inside(chunk: tuple[int, int]) -> np.ndarray | None:
             vals = scan.compact(chunk)
-            masks, lo = [], 0
-            for mode, hi in tests:
-                zero = [v % p == 0 for v in vals[lo:hi]]
-                lo = hi
-                if isinstance(mode, UnitModP):
-                    masks += [~z for z in zero]
-                elif isinstance(mode, PrimitiveBlock):
-                    masks.append(~functools.reduce(operator.and_, zero))
-                else:  # ZeroModP and ReductionIn: every test is a zero
-                    masks += zero
+            masks = []
+            for p in primes:
+                lo = 0
+                for mode, hi in tests:
+                    zero = [v % p == 0 for v in vals[lo:hi]]
+                    lo = hi
+                    if isinstance(mode, UnitModP):
+                        masks += [~z for z in zero]
+                    elif isinstance(mode, PrimitiveBlock):
+                        masks.append(~functools.reduce(operator.and_, zero))
+                    else:  # ZeroModP and ReductionIn: every test is a zero
+                        masks += zero
             return functools.reduce(operator.and_, masks) if masks else None
 
         return inside

@@ -2,8 +2,9 @@
 
 The exponential sum at a general modulus q is always assembled as the
 product of its prime-power factors (exact rationals from the counting
-form); the direct sum over Z/q with the character exp(2 pi i / q) exists
-solely as an independent oracle for the multiplicativity check, compared
+form).  The direct sum over Z/q with the character exp(2 pi i / q)
+exists solely as an independent oracle for the multiplicativity check:
+phase_histogram's scan at the composite modulus q = q1 q2, compared
 exactly through reduction modulo the q-th cyclotomic polynomial.
 
 Verdict-producing probes (irreducibility, density stabilization) use the
@@ -14,35 +15,15 @@ finitely many primes, never certificates.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DEFAULT_BUDGET, charge
-from .expsum import CycloValue, E_counts, reduce_mod_cyclotomic, value_histogram
+from .expsum import CycloValue, E_counts, equals_rational, residue_histogram
 from .poly import IdealSpec, build_pairing
-from .ringcount import Grid, LocalData, Region, check_rank
-
-
-def factorize(q: int) -> list[tuple[int, int]]:
-    """Prime-power factorization [(p, e), ...] by trial division."""
-    if q < 1:
-        raise ValueError("modulus must be positive")
-    out = []
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            e = 0
-            while q % d == 0:
-                q //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if q > 1:
-        out.append((q, 1))
-    return out
+from .ringcount import LocalData, Region, check_rank, factorize
 
 
 def E_composite(
@@ -76,13 +57,13 @@ def verify_multiplicativity(
     """Exact check of E(q1 q2) = E(q1) E(q2) for coprime moduli.
 
     The left side is an independent brute-force character sum over
-    Z/(q1 q2) with the character exp(2 pi i / (q1 q2)): one grid scan of
-    the pairing polynomial sum y_i f_i(x) over (Z/(q1 q2))^(r+n), reduced
-    modulo the cyclotomic polynomial.  The right side is the product of
-    counting-form values.  The presentation must have exactly r generators.
+    Z/(q1 q2) with the character exp(2 pi i / (q1 q2)): phase_histogram's
+    scan at the composite modulus N = q1 q2, of the pairing polynomial
+    sum y_i f_i(x) over (Z/N)^(r+n) with y primitive at every prime of N,
+    reduced modulo the N-th cyclotomic polynomial.  It never reaches the
+    counting form.  The right side is the product of counting-form values.
+    The presentation must have exactly r generators.
     """
-    import math
-
     if math.gcd(q1, q2) != 1:
         raise ValueError("moduli must be coprime")
     if spec.r != r:
@@ -90,25 +71,10 @@ def verify_multiplicativity(
     N = q1 * q2
     n = spec.nvars
     charge(N ** (n + r), budget, "direct composite character sum")
-    grid = Grid(r + n, N)
-    primitive = Region.primitive_then_full(r, n)
-    at_primes = [primitive.on(grid, p) for p, _ in factorize(N)]
-
-    def inside(chunk: tuple[int, int]) -> np.ndarray:
-        # y is primitive mod every prime of N
-        ok = np.ones(1, dtype=bool)
-        for at_p in at_primes:
-            ok = ok & at_p(chunk)
-        return ok
-
-    hist = value_histogram(grid, build_pairing(spec), inside, N, threads)
-    lhs = CycloValue(N, reduce_mod_cyclotomic([int(c) for c in hist], N))
-    target = (
-        E_composite(spec, r, q1, budget, threads)
-        * E_composite(spec, r, q2, budget, threads)
-        * N ** (n + r)
-    )
-    return lhs.vec[0] == target and lhs.is_rational()
+    region = Region.primitive_then_full(r, n)
+    lhs = CycloValue.of(residue_histogram([build_pairing(spec)], N, region, threads), N)
+    rhs = E_composite(spec, r, q1, budget, threads) * E_composite(spec, r, q2, budget, threads)
+    return equals_rational(lhs, rhs * N ** (n + r))
 
 
 @dataclass
@@ -147,6 +113,8 @@ def singular_series_partial(
     check_rank(r)
     if Qmax < 1:
         raise ValueError(f"Qmax must be >= 1, got {Qmax}")
+    if sigma is not None and not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     local: dict[int, LocalData] = {}
     E = {1: Fraction(1)}
     for q in range(2, Qmax + 1):

@@ -402,3 +402,55 @@ def test_every_subcommand_exits_cleanly_given_only_an_ideal(
     for flag in required:
         argv += [flag, "2"]
     assert main(argv) in (0, 2, 3)
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sseries", "--gens", "x1^2", "-n", "1", "--sigma", "nan"],
+        ["sseries", "--gens", "x1^2", "-n", "1", "--sigma", "inf"],
+        ["sseries", "--gens", "x1^2", "-n", "1", "--sigma", "-inf"],
+        ["circle", "predict", "--gens", "x1^2-x2^2", "-n", "2", "-B", "2", "--qmax", "2",
+         "--box", "0,0;0,0"],
+        ["bounds", "moi-fit", "--data", "2:2:nan,2:3:0.25,2:4:0.125"],
+        ["bounds", "moi-fit", "--data", "2:2:inf,2:3:0.25,2:4:0.125"],
+        ["bounds", "moi-fit", "--data", "1:2:0.5,1:3:0.25,1:4:0.125"],
+        ["bounds", "moi-fit", "--data", "2:2:-0.5,2:3:0.25,2:4:0.125"],
+        ["bounds", "moi-fit", "--data", "2:2:0.5,2:2:0.25,2:2:0.125"],
+        ["bounds", "tau0", "--groups", "2:1:0"],
+        ["bounds", "sigma0", "--gens", "x1^2", "-n", "1", "--s", "3:1"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_a_report_is_strict_json_or_the_input_is_refused(argv, capsys):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code in (0, 2)
+    if code == 0:
+        json.loads(out, parse_constant=refuse_constant)
+
+
+def test_a_vanishing_prediction_has_no_ratio(capsys):
+    argv = ["circle", "predict", "--gens", "x1^2-x2^2", "-n", "2", "-B", "2", "--qmax", "2",
+            "--box", "0,0;0,0"]
+    code, rep = run(capsys, *argv)
+    assert code == 0
+    assert rep["result"]["prediction"]["ratio"] is None
+    assert "vanishing-prediction" in rep["result"]["prediction"]["flags"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bounds", "tau0", "--groups", "2:1:0"], "bounds tau0 needs -n"),
+        (["bounds", "sigma0", "--gens", "x1^2", "-n", "1", "--s", "3:1"], "group degree 2"),
+        (["bounds", "moi-fit", "--data", "2:2:-0.5,2:3:0.25,2:4:0.125"], "0 <= |E| < oo"),
+    ],
+)
+def test_a_refused_input_is_named_in_the_message(argv, message, capsys):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err

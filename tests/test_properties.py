@@ -1,6 +1,8 @@
 """Property tests: independent counting routes agree on random small ideals."""
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import assume, given, strategies as st
 
 from iosc import ringcount
 from iosc.circle import BoxSpec, count_box_solutions
+from iosc.expsum import residue_histogram, value_histogram
 from iosc.gf import GFTable
 from iosc.errors import BudgetExceeded
 from iosc.poly import IdealSpec, Poly, eval_mod, parse_poly
@@ -167,7 +170,7 @@ def check_scan(grid, polys, chunk, value_at, axes):
     scan = GridPolys(grid, polys)
     rows = []
     for c in grid.chunks():
-        pts = grid.rows(c, np.arange(grid.size(c))).tolist()
+        pts = grid.rows(c, np.arange(math.prod(grid.shape(c)))).tolist()
         assert 1 <= len(pts) <= chunk
         vals = [v.tolist() for v in scan(c)]
         assert vals == [[value_at(f, pt) for pt in pts] for f in polys]
@@ -385,7 +388,7 @@ def check_region(region, grid, p, vanishes):
     """Region.on(grid, p) on every chunk against pointwise membership."""
     inside = region.on(grid, p)
     for c in grid.chunks():
-        pts = grid.rows(c, np.arange(grid.size(c))).tolist()
+        pts = grid.rows(c, np.arange(math.prod(grid.shape(c)))).tolist()
         ok = inside(c)
         assert (ok is None) == region.is_full
         mask = [True] * len(pts) if ok is None else grid.flat(c, ok).tolist()
@@ -424,6 +427,50 @@ def test_primitive_tuples_at_each_prime_of_a_composite_modulus(chunk, N, r, n):
     for p in [2, 3, 5]:
         if N % p == 0:
             check_region(region, grid, p, lambda g, x, p=p: g.eval_int(x) % p == 0)
+
+
+# -- value tallies over Z/N -----------------------------------------------------
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@given(case=box_polys())
+def test_value_histogram_tallies_the_encoded_value_vectors(chunk, case):
+    polys, n, p, m = case
+    q = p ** m
+    assume(q ** len(polys) <= 4096)  # every chunk tallies into q^s bins
+    grid = grid_with_chunk(chunk, n, q)
+    hist = value_histogram(grid, polys, lambda c: None, threads=1)
+    # (v_1, ..., v_s) is tallied at v_1 q^(s-1) + ... + v_s
+    tally = Counter(
+        sum(eval_mod(f, pt, p, m) * q ** i for i, f in enumerate(reversed(polys)))
+        for pt in itertools.product(range(q), repeat=n)
+    )
+    assert len(hist) == q ** len(polys)
+    assert {i: c for i, c in enumerate(hist.tolist()) if c} == dict(tally)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@given(st.sampled_from([6, 10, 12, 15, 4, 8, 9, 25]), st.data())
+def test_residue_histogram_at_any_modulus_equals_pointwise_membership(chunk, N, data):
+    k = data.draw(st.integers(1, 3))
+    assume(N ** k <= 2000)
+    region = data.draw(regions(k))
+    monomial = st.tuples(*[st.integers(0, 3)] * k)
+    f = data.draw(
+        st.dictionaries(monomial, st.integers(-40, 40), max_size=4).map(lambda t: Poly(k, t))
+    )
+    # a point is inside only when it is inside at every prime of N
+    primes = [p for p in (2, 3, 5) if N % p == 0]
+    tally = Counter(
+        f.eval_int(pt) % N
+        for pt in itertools.product(range(N), repeat=k)
+        if all(member(region, pt, lambda g, x, p=p: g.eval_int(x) % p == 0) for p in primes)
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ringcount, "CHUNK", chunk)
+        hist = residue_histogram([f], N, region, threads=1)
+    assert len(hist) == N
+    assert {v: c for v, c in enumerate(hist.tolist()) if c} == dict(tally)
 
 
 # -- the rank test -------------------------------------------------------------
