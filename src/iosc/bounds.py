@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from .errors import DEFAULT_BUDGET
 from .poly import IdealSpec, Weight
-from .ringcount import bsing_dim
+from .ringcount import bsing_dim, check_rank
 
 
 @dataclass(frozen=True)
@@ -157,6 +157,7 @@ def birch_bound(n: int, s: int, r: int, d: int) -> Fraction:
         raise ValueError("d must be >= 2")
     if s > n:
         raise ValueError("s cannot exceed n")
+    check_rank(r)
     return Fraction(n - s, r * (d - 1) * 2 ** (d - 1))
 
 

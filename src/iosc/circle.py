@@ -159,6 +159,14 @@ def _eval_float(f: Poly, pts: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _float_pow(x: float, e: int) -> float:
+    """x^e in floating point, inf where it overflows."""
+    try:
+        return x ** e
+    except OverflowError:
+        return inf
+
+
 def singular_integral(
     spec: IdealSpec,
     box: BoxSpec,
@@ -177,14 +185,17 @@ def singular_integral(
     ladder values agree within 5%; non-convergence is reported, never
     silently accepted.
     """
+    n, r = spec.nvars, spec.r
     if not eps_ladder:
         raise ValueError("need at least one epsilon")
-    if not all(0 < eps < inf for eps in eps_ladder):
-        raise ValueError(f"every epsilon must be finite and > 0, got {list(eps_ladder)}")
+    if not all(0 < eps < inf and 0 < _float_pow(eps, r) < inf for eps in eps_ladder):
+        raise ValueError(
+            f"every epsilon must be finite and > 0, with eps^{r} a nonzero finite"
+            f" float, got {list(eps_ladder)}"
+        )
     if min(samples, grid_resolution) < 1:
         raise ValueError(f"need samples, grid_resolution >= 1, got {samples}, {grid_resolution}")
     eps_ladder = sorted(eps_ladder, reverse=True)
-    n, r = spec.nvars, spec.r
     lo = np.array([float(l) for l, _ in box.bounds])
     hi = np.array([float(h) for _, h in box.bounds])
 
@@ -261,10 +272,10 @@ def major_arc_prediction(
     """
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
-    sser = singular_series_partial(spec, spec.r, Qmax, budget=budget, threads=threads)
     jint = singular_integral(
         spec, box, eps_ladder, sampler="mc", seed=seed, samples=samples, budget=budget
     )
+    sser = singular_series_partial(spec, spec.r, Qmax, budget=budget, threads=threads)
     n, D = spec.nvars, spec.weighted_degree_sum
     prediction = float(sser.value) * jint.value * float(B) ** (n - D)
     actual = count_box_solutions(spec, box, B, budget=budget, threads=threads)

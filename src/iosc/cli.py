@@ -55,16 +55,31 @@ EXIT_INCONSISTENT = 4
 # -- serialization -------------------------------------------------------------
 
 
+def _dec(x: int) -> str:
+    """x in decimal, however many digits.  str() refuses more digits than
+    sys.get_int_max_str_digits() (Python >= 3.10.7), so that limit is
+    lifted for this one conversion and then restored."""
+    try:
+        return str(x)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(x)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def _ser(x: Any) -> Any:
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+        return f"{_dec(x.numerator)}/{_dec(x.denominator)}"
     if isinstance(x, ExtRational):
         return "oo" if x.is_infinite else _ser(x.value)
     if isinstance(x, bool):
         return x
     if isinstance(x, int):
         # counts can exceed any fixed-width integer: decimal strings
-        return str(x) if abs(x) > (1 << 53) else x
+        return _dec(x) if abs(x) > (1 << 53) else x
     if isinstance(x, float):
         return x
     if isinstance(x, complex):
@@ -166,7 +181,10 @@ def _parse_box(text: str | None, n: int) -> circle_mod.BoxSpec:
     sides = []
     for part in text.split(";"):
         lo, _, hi = part.partition(",")
-        sides.append((Fraction(lo), Fraction(hi)))
+        try:
+            sides.append((Fraction(lo), Fraction(hi)))
+        except ZeroDivisionError:
+            raise ValueError(f"a box bound has a zero denominator: {part!r}") from None
     return circle_mod.BoxSpec(tuple(sides))
 
 
@@ -244,7 +262,7 @@ def cmd_count(args) -> dict:
     budget, threads = args._resolved_budget, args.threads
     region = _parse_region(args.region, spec.nvars)
     n = count_zpm(spec, args.p, args.m, region, args.method, budget, threads)
-    return {"count": str(n), "method": args.method}
+    return {"count": _dec(n), "method": args.method}
 
 
 def cmd_zeta(args) -> dict:
@@ -362,7 +380,7 @@ def cmd_circle(args) -> dict:
     eps = [float(e) for e in args.eps.split(",")] if args.eps else [0.2, 0.1]
     if args.which == "count":
         v = circle_mod.count_box_solutions(spec, box, args.B, budget, threads)
-        return {"count": str(v)}
+        return {"count": _dec(v)}
     if args.which == "jintegral":
         rep = circle_mod.singular_integral(
             spec, box, eps, sampler=args.sampler, seed=args.seed, budget=budget

@@ -30,6 +30,7 @@ vector of the generators, which is a tautological regrouping of the sum.
 from __future__ import annotations
 
 import cmath
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,7 +54,6 @@ from .ringcount import (
     digits,
     dim_estimate_raw,
     factorize,
-    iter_grid,
     map_sum,
 )
 
@@ -294,16 +294,23 @@ def E_charsum(
     weights = countv[support].astype(np.float64)
     vmat = digits(support, [q] * r)
 
-    # y-pass: every primitive y, grouped x classes
-    def y_phases(ys: np.ndarray) -> np.ndarray:
-        ys = ys[(ys % p != 0).any(axis=1)]
-        phases = (ys @ vmat.T) % q
-        return np.bincount(
-            phases.ravel(), weights=np.tile(weights, len(ys)), minlength=q
-        )
+    # y-pass: every primitive y, grouped x classes, in blocks of rows
+    # whose phase matrix has at most 2^23 entries
+    grid = Grid(r, q)
+    block = max(1, (1 << 23) // max(1, len(vmat)))
 
-    chunk = max(1, (1 << 23) // max(1, len(vmat)))
-    hist = map_sum(y_phases, iter_grid(r, q, chunk), threads)
+    def y_phases(chunk: tuple[int, int]) -> np.ndarray:
+        ys = grid.rows(chunk, np.arange(math.prod(grid.shape(chunk))))
+        ys = ys[(ys % p != 0).any(axis=1)]
+        hist = np.zeros(q)
+        for lo in range(0, len(ys), block):
+            phases = (ys[lo : lo + block] @ vmat.T) % q
+            hist += np.bincount(
+                phases.ravel(), weights=np.tile(weights, len(phases)), minlength=q
+            )
+        return hist
+
+    hist = map_sum(y_phases, grid.chunks(), threads)
     return CycloValue.of([round(c) for c in hist], q).scale(scale)
 
 

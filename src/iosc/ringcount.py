@@ -17,9 +17,10 @@ Counting over Z/p^m has two independent routes that must agree:
   p^|A| + p^|B| + |C_A| |C_B| points for the critical sets C_A, C_B.
   The re-expansion is an exact Taylor shift on Python ints: g(x0 + p*y)
   has the coefficients p^|b| T_b(x0), with T_b = d^b g / b! tabulated
-  once per node, and a constraint ord_p(g) >= e keeps only its
-  coefficients mod p^e, divided by their content.  Equal reduced nodes
-  at equal depth have equal counts, so each lift call memoizes them.
+  only at a node with singular zeros and only for targets e > 1, and a
+  constraint ord_p(g) >= e keeps only its coefficients mod p^e, divided
+  by their content.  Equal reduced nodes at equal depth have equal
+  counts, so each lift call memoizes them.
 
 Regions constrain coordinates mod p only (all supported modes are
 conditions on the reduction), so they are applied at the first level of
@@ -37,15 +38,15 @@ points.  GridPolys groups each polynomial by prefix monomial and
 evaluates each group's suffix polynomial once per scan, so a chunk (a
 run of prefix points times the suffix box) costs one broadcast product
 and one add per distinct prefix monomial, and decodes no rows; a
-region is decided on the same chunks (Region.on).  Rows are decoded
-only for the zeros that reach the rank test and for the critical points
-of a half grid.  eval_rows() evaluates a polynomial on given rows in any
-ring, and map_sum() adds a worker's results over chunks in submission
-order on a thread pool, so every total is the same for any thread
-count.  The lift builds each grid it scans, (Z/p)^n or a half grid,
-with its power tables, once per call.  split_halves() and
-count_value_pairs() also serve the integer box count of
-circle.count_box_solutions.
+region is decided on the same chunks (Region.on).  A lift node's scan
+evaluates the Jacobian too, so rows are decoded only for its singular
+zeros and for the critical points of a half grid.  eval_rows()
+evaluates a polynomial on given rows in any ring, and map_sum() adds a
+worker's results over chunks in submission order on a thread pool, so
+every total is the same for any thread count.  The lift builds each
+grid it scans, (Z/p)^n or a half grid, with its power tables, once per
+call.  split_halves() and count_value_pairs() also serve the integer
+box count of circle.count_box_solutions.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ def factorize(q: int) -> list[tuple[int, int]]:
 def check_prime_power(p: int, m: int = 1) -> None:
     """Raise ValueError unless p is a prime below 2^31 and m >= 1.
 
-    Every route evaluates polynomials mod p in int64 (eval_poly_mod), which
-    is exact only below 2^31, so the bound comes first and keeps the trial
+    Every route evaluates polynomials mod p in int64 (ModQ), which is
+    exact only below 2^31, so the bound comes first and keeps the trial
     division short.
     """
     if not 2 <= p < Q_LIMIT or factorize(p) != [(p, 1)]:
@@ -123,14 +124,6 @@ def digits(idx: np.ndarray, radices: Sequence[int]) -> np.ndarray:
     for j in range(len(radices) - 1, -1, -1):
         np.divmod(idx, radices[j], out=(idx, out[:, j]))
     return out
-
-
-def iter_grid(k: int, radix: int, chunk: int) -> Iterator[np.ndarray]:
-    """Enumerate {0..radix-1}^k row-major as int64 arrays of at most chunk rows."""
-    total = radix ** k
-    for off in range(0, total, chunk):
-        idx = np.arange(off, min(off + chunk, total), dtype=np.int64)
-        yield digits(idx, [radix] * k)
 
 
 def _powmod(col: np.ndarray, e: int, q: int) -> np.ndarray:
@@ -658,7 +651,6 @@ class _BudgetState:
 
     def __init__(self, budget: int, p: int):
         self.left = budget
-        self.budget = budget
         self.p = p
         # (Z/p)^k by k: the full grid, and the half grids of split nodes
         self.grids: dict[int, Grid] = {}
@@ -745,35 +737,34 @@ def _shift(table: dict, z0: list[int], p: int) -> dict[tuple[int, ...], int]:
 
 
 def _scan_zeros(
-    gens: list[Poly],
-    tables: list[dict],
-    nvars: int,
-    p: int,
-    grid: Grid,
-    region: Region | None,
+    gens: list[Poly], nvars: int, p: int, grid: Grid, region: Region | None
 ) -> tuple[int, np.ndarray]:
     """The smooth zeros' count and the singular zeros of gens mod p in the
-    region, by one GridPolys scan of the grid (Z/p)^nvars; only the zeros
-    inside the region are decoded, and the Jacobian (the |b| = 1 rows of
-    the shift tables) is evaluated on them."""
+    region, by one GridPolys scan of the grid (Z/p)^nvars that evaluates
+    the gens and their partials d g_i / d x_j.  The r x n Jacobian is read
+    at the zeros' flat positions, and only the singular zeros are decoded."""
     r = len(gens)
-    units = [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
-    jac_polys = [[Poly(nvars, dict(t.get(u, ()))) for u in units] for t in tables]
+    scan = GridPolys(grid, gens + [g.derivative(j) for g in gens for j in range(nvars)])
+    inside = region.on(grid, p) if region is not None else lambda chunk: None
     smooth = 0
     sing_chunks = [np.empty((0, nvars), dtype=np.int64)]
-    scan = GridPolys(grid, gens)
-    inside = region.on(grid, p) if region is not None else lambda chunk: None
     for chunk in grid.chunks():
-        sols = grid.rows(chunk, np.flatnonzero(scan.zeros(chunk, inside(chunk))))
-        if not len(sols):
+        vals = scan.compact(chunk)
+        ok = inside(chunk)
+        ok = np.ones(1, dtype=bool) if ok is None else ok
+        for v in vals[:r]:
+            ok = ok & (v == 0)
+        where = np.flatnonzero(grid.flat(chunk, ok))
+        if not len(where):
             continue
-        jac = np.empty((len(sols), r, nvars), dtype=np.int64)
-        for i in range(r):
-            for j in range(nvars):
-                jac[:, i, j] = eval_poly_mod(jac_polys[i][j], sols, p)
-        full = _full_rank(jac, p)
+        shape = grid.shape(chunk)
+        at = np.unravel_index(where, shape)
+        jac = np.empty((len(where), r * nvars), dtype=np.int64)
+        for col, d in enumerate(vals[r:]):
+            jac[:, col] = np.broadcast_to(d, shape)[at]
+        full = _full_rank(jac.reshape(len(where), r, nvars), p)
         smooth += int(full.sum())
-        sing_chunks.append(sols[~full])
+        sing_chunks.append(grid.rows(chunk, where[~full]))
     return smooth, np.concatenate(sing_chunks)
 
 
@@ -838,15 +829,17 @@ def _lift_count(
     into variable-disjoint blocks scans two half grids (_split_zeros) and
     is charged p^|A| + p^|B| + |C_A| |C_B| points.  Any other node scans
     (Z/p)^nvars (_scan_zeros), is charged p^nvars points, applies the
-    root's region to the zeros and tests the Jacobian's rank on them.
-    Either way a smooth zero lifts in closed form, and a singular zero z0
-    is re-expanded as z0 + p*y.  The coefficient of y^b in g(z0 + p y) is
-    p^|b| T_b(z0), with T_b = d^b g / b! from a table built once per node,
-    and only |b| < e matters mod p^e.  Each child is reduced by
-    _constraints, so equal subtrees have equal keys: a region-free node is
-    looked up in state.memo by the set of its constraints and its depth,
-    and a hit costs no work and no budget.  Only the root may carry a
-    region, and a node with a region is never looked up.
+    root's region to the zeros and tests the Jacobian's rank on them, on
+    the same scan.  Either way a smooth zero lifts in closed form, and a
+    singular zero z0 is re-expanded as z0 + p*y.  The coefficient of y^b
+    in g(z0 + p y) is p^|b| T_b(z0), with T_b = d^b g / b!, and only
+    |b| < e matters mod p^e; the tables of T_b are built after the scan,
+    once per node with singular zeros, for the targets e > 1.  Each child
+    is reduced by _constraints, so equal subtrees have equal keys: a
+    region-free node is looked up in state.memo by the set of its
+    constraints and its depth, and a hit costs no work and no budget.
+    Only the root may carry a region, and a node with a region is never
+    looked up.
     """
     if not active and region is None:
         return p ** (depth * nvars)
@@ -854,18 +847,13 @@ def _lift_count(
     if key in state.memo:
         return state.memo[key]
 
-    exps = [e for _, e in active]
-    r = len(active)
-    # rows |b| <= e - 1 shift a constraint; a target of 1 holds at every
-    # child, so it only needs the Jacobian rows
-    tables = [_shift_table(g, max(e - 1, 1)) for g, e in active]
     gens = [g for g, _ in active]
     halves = None
-    if r == 1 and (region is None or region.is_full):
+    if len(gens) == 1 and (region is None or region.is_full):
         halves = split_halves(gens[0], [p] * nvars)
     if halves is None:
         state.spend(p ** nvars, "residue-tree level")
-        smooth, sing = _scan_zeros(gens, tables, nvars, p, state.grid(nvars), region)
+        smooth, sing = _scan_zeros(gens, nvars, p, state.grid(nvars), region)
     else:
         smooth, sing = _split_zeros(halves, nvars, p, state)
 
@@ -873,12 +861,15 @@ def _lift_count(
     # whenever r <= nvars, the only case where smooth points exist
     total = 0
     if smooth:
-        total = smooth * p ** ((depth - 1) * nvars - sum(e - 1 for e in exps))
-    shifted = [(t, e) for t, e in zip(tables, exps) if e > 1]
-    for z0 in sing.tolist():
-        child = _constraints(((_shift(t, z0, p), e) for t, e in shifted), nvars, p)
-        if child is not None:
-            total += _lift_count(child, nvars, p, depth - 1, state, None)
+        total = smooth * p ** ((depth - 1) * nvars - sum(e - 1 for _, e in active))
+    if len(sing):
+        # rows |b| <= e - 1 shift a constraint; a target of 1 holds at
+        # every child
+        shifted = [(_shift_table(g, e - 1), e) for g, e in active if e > 1]
+        for z0 in sing.tolist():
+            child = _constraints(((_shift(t, z0, p), e) for t, e in shifted), nvars, p)
+            if child is not None:
+                total += _lift_count(child, nvars, p, depth - 1, state, None)
     if key is not None:
         state.memo[key] = total
     return total

@@ -1,11 +1,13 @@
 import argparse
 import json
 import os
+import sys
+from fractions import Fraction
 
 import pytest
 
 from iosc import ringcount
-from iosc.cli import build_parser, main
+from iosc.cli import _ser, build_parser, main
 
 
 def run(capsys, *argv):
@@ -336,12 +338,30 @@ def test_a_scale_or_summand_count_below_one_is_refused(argv):
     assert main(argv) == 2
 
 
-@pytest.mark.parametrize("eps", ["0", "-0.1", "0.2,0", "inf"])
+def test_a_rational_of_any_length_is_written_exactly():
+    # 5,001 digits, beyond the interpreter's default limit of 4,300 for
+    # int-to-str conversion (Python >= 3.10.7), which is left as found
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert _ser(Fraction(10 ** 5000 + 1, 3)) == "1" + "0" * 4999 + "1/3"
+    assert _ser(-(10 ** 5000)) == "-1" + "0" * 5000
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+# with r = 2 generators, eps^r of 1e-200 underflows to 0 in floating point
+@pytest.mark.parametrize("eps", ["0", "-0.1", "0.2,0", "inf", "1e-200"])
 @pytest.mark.parametrize("which", ["jintegral", "predict"])
 def test_an_epsilon_at_or_below_zero_is_refused(which, eps, capsys):
-    argv = ["circle", which, "--gens", "x1^2+x2^2-x3^2", "-n", "3", "-B", "3", "--eps", eps]
+    argv = ["circle", which, "--gens", "x1^2+x2^2-x3^2", "--gens", "x1*x2-x3^2", "-n", "3",
+            "-B", "3", "--eps", eps]
     assert main(argv) == 2
     assert "epsilon must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["count", "jintegral", "predict"])
+def test_a_box_bound_with_a_zero_denominator_is_refused(which, capsys):
+    argv = ["circle", which, "--gens", "x1", "-n", "1", "--box", "0,1/0"]
+    assert main(argv) == 2
+    assert "zero denominator" in capsys.readouterr().err
 
 
 RANKED = [
@@ -350,12 +370,13 @@ RANKED = [
     ["sseries", "--gens", "x1^2+x2^2", "-n", "2", "--irreducible", "--primes", "5,7"],
     ["zeta", "--gens", "x1^2", "-n", "1", "-p", "5", "--max-order", "2"],
     ["zeta", "--gens", "x1^2", "-n", "1", "-p", "5", "--max-order", "3", "--theta"],
+    ["bounds", "birch", "-n", "3"],
 ]
 
 
 @pytest.mark.parametrize("r", ["0", "-1"])
 @pytest.mark.parametrize(
-    "argv", RANKED, ids=["expsum", "sseries", "irreducible", "zeta", "theta"]
+    "argv", RANKED, ids=["expsum", "sseries", "irreducible", "zeta", "theta", "birch"]
 )
 def test_a_rank_below_one_is_refused(argv, r, capsys):
     assert main(argv + ["-r", r]) == 2

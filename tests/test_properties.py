@@ -31,6 +31,19 @@ from iosc.ringcount import (
 )
 
 
+# chunk sizes that cut the box at every axis and leave a short last block
+# of prefix points
+CHUNKS = [1, 7, 50]
+
+
+def check_lift(gens, n, p, m, region=None, chunk=ringcount.CHUNK):
+    """The lift count, with CHUNK = chunk, against the naive count."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ringcount, "CHUNK", chunk)
+        lift = count_points_raw(gens, n, p, m, region, method="lift")
+    assert lift == count_points_raw(gens, n, p, m, region, method="naive")
+
+
 @st.composite
 def small_ideals(draw):
     """(gens, n, p, m) with a naive grid of at most 729 points.
@@ -84,9 +97,14 @@ def deep_ideals(draw):
 
 @given(deep_ideals())
 def test_lift_equals_naive_on_deep_trees(ideal):
-    gens, n, p, m = ideal
-    lift = count_points_raw(gens, n, p, m, method="lift")
-    assert lift == count_points_raw(gens, n, p, m, method="naive")
+    check_lift(*ideal)
+
+
+# a node's Jacobian is read across chunk boundaries, for r = 2 too
+@pytest.mark.parametrize("chunk", CHUNKS)
+@given(deep_ideals())
+def test_lift_equals_naive_on_deep_trees_at_every_chunk_size(chunk, ideal):
+    check_lift(*ideal, chunk=chunk)
 
 
 def product_regions(n):
@@ -104,10 +122,13 @@ def product_regions(n):
 
 @given(st.one_of(small_ideals(), deep_ideals()), st.data())
 def test_lift_equals_naive_in_product_regions(ideal, data):
-    gens, n, p, m = ideal
-    region = data.draw(product_regions(n))
-    lift = count_points_raw(gens, n, p, m, region, method="lift")
-    assert lift == count_points_raw(gens, n, p, m, region, method="naive")
+    check_lift(*ideal, data.draw(product_regions(ideal[1])))
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@given(st.one_of(small_ideals(), deep_ideals()), st.data())
+def test_lift_equals_naive_in_product_regions_at_every_chunk_size(chunk, ideal, data):
+    check_lift(*ideal, data.draw(product_regions(ideal[1])), chunk=chunk)
 
 
 @given(small_ideals())
@@ -186,11 +207,6 @@ def grid_with_chunk(chunk, *args):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ringcount, "CHUNK", chunk)
         return Grid(*args)
-
-
-# chunk sizes that cut the box at every axis and leave a short last block
-# of prefix points
-CHUNKS = [1, 7, 50]
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from iosc import ringcount
 from iosc.errors import BudgetExceeded, OracleDisagreement
 from iosc.poly import IdealSpec, Poly, parse_poly
 from iosc.ringcount import (
@@ -206,6 +207,29 @@ def test_region_reduction_in():
 def test_region_applies_when_no_constraint_is_left(gens, n, p, m, count):
     region = Region(n, (((0, n), ZeroModP()),))
     gens = [P(g, n) for g in gens]
+    assert count_points_raw(gens, n, p, m, region, method="both") == count
+
+
+@pytest.mark.parametrize(
+    "gens, n, p, m, region, count",
+    [
+        (["x1^2+x2^2-x3^2-x4^2", "x1*x3-x2*x4"], 4, 5, 2, None, 4225),
+        # r = 1 under its own reduction locus
+        (["x1^2-x2^3"], 2, 5, 3, "reduction", 225),
+        # 25*x1 vanishes mod 25, so the root has no constraint, only a region
+        (["25*x1"], 2, 5, 2, Region(2, (((0, 1), UnitModP()), ((1, 2), ZeroModP()))), 100),
+    ],
+)
+def test_a_lift_evaluates_no_polynomial_on_decoded_rows(gens, n, p, m, region, count, monkeypatch):
+    # the Jacobian is read off the node's grid scan, not evaluated on rows
+    gens = [P(g, n) for g in gens]
+    if region == "reduction":
+        region = Region.reduction_in(gens)
+
+    def refuse(*args):
+        raise AssertionError("a polynomial was evaluated on decoded rows")
+
+    monkeypatch.setattr(ringcount, "eval_rows", refuse)
     assert count_points_raw(gens, n, p, m, region, method="both") == count
 
 
