@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import DEFAULT_BUDGET
+from .errors import DEFAULT_BUDGET, Meter
 from .poly import IdealSpec, Weight
 from .ringcount import bsing_dim, check_rank
 
@@ -90,7 +90,7 @@ def _resolve_s(
     weight: Weight | None,
     primes: Sequence[int],
     maxk: int,
-    budget: int,
+    budget: int | Meter,
 ) -> tuple[dict[int, int], str, bool]:
     if s is not None:
         missing = [d for d, _ in spec.groups if d not in s]
@@ -110,7 +110,7 @@ def sigma0(
     s: Mapping[int, int] | None = None,
     primes: Sequence[int] = (7, 11, 13),
     maxk: int = 1,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
 ) -> BoundResult:
     """min over group degrees l of (n - s_l) / l.
 
@@ -133,7 +133,7 @@ def sigma_tilde0w(
     s: Mapping[int, int] | None = None,
     primes: Sequence[int] = (7, 11, 13),
     maxk: int = 1,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
 ) -> BoundResult:
     """min over group degrees i of (n - s_wi) / (2(i - 1)).
 

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, charge
+from .errors import DEFAULT_BUDGET, Meter, charge
 from .expsum import residue_histogram
 from .poly import IdealSpec, Poly
 from .ringcount import (
@@ -79,7 +79,7 @@ def count_box_solutions(
     spec: IdealSpec,
     box: BoxSpec,
     B: int,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> int:
     """Exact number of integer points x with x/B in the box and all
@@ -175,7 +175,7 @@ def singular_integral(
     seed: int = 0,
     samples: int = 400_000,
     grid_resolution: int = 40,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
 ) -> JIntegralReport:
     """Estimate J = lim eps^-r vol{x in box : |f_i(x)| <= eps/2 for all i}.
 
@@ -260,7 +260,7 @@ def major_arc_prediction(
     eps_ladder: Sequence[float],
     seed: int = 0,
     samples: int = 400_000,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> PredictionReport:
     """Compare S(Qmax) * J * B^(n - D) with the exact box count.
@@ -272,6 +272,7 @@ def major_arc_prediction(
     """
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
+    budget = Meter.of(budget)
     jint = singular_integral(
         spec, box, eps_ladder, sampler="mc", seed=seed, samples=samples, budget=budget
     )
@@ -312,7 +313,7 @@ def waring_surjectivity(
     p: int,
     m: int,
     ell: int,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
 ) -> WaringReport:
     """Is every residue tuple a sum of ell values of the given maps?
 
@@ -332,6 +333,7 @@ def waring_surjectivity(
     if any(len(comp) != r for comp in maps):
         raise ValueError("maps must share the target dimension r")
     q = p ** m
+    budget = Meter.of(budget)
     charge(q ** r, budget, "waring target space")
 
     radices = [q] * r

@@ -12,9 +12,9 @@ decimal strings, so arbitrary precision survives the pipe.
 
 Exit codes: 0 success, 2 invalid input, 3 evaluation budget exceeded,
 4 internal inconsistency (independent computation routes disagreed - this
-is reachable only through a bug).  The point budget defaults to 10^8,
-can be set by IOSC_BUDGET or --budget, and --force bypasses it with a
-warning.
+is reachable only through a bug).  The point budget bounds the whole
+command, as one errors.Meter that all its counts draw down.  It defaults
+to 10^8, is set by IOSC_BUDGET or --budget, and --force bypasses it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from . import expsum as expsum_mod
 from . import sseries as sseries_mod
 from . import zeta as zeta_mod
 from .bounds import ExtRational
-from .errors import DEFAULT_BUDGET, BudgetExceeded, OracleDisagreement
+from .errors import DEFAULT_BUDGET, BudgetExceeded, Meter, OracleDisagreement
 from .poly import IdealSpec, Poly, PolyParseError, Weight, jet_expand, parse_poly
 from .ringcount import (
     Full,
@@ -240,7 +240,7 @@ def _config(args) -> dict:
 def cmd_expsum(args) -> dict:
     spec = _load_ideal(args)
     r = args.r if args.r is not None else spec.r
-    budget, threads = args._resolved_budget, args.threads
+    budget, threads = args.meter, args.threads
     ec = expsum_mod.E_counts(spec, r, args.p, args.m, budget=budget, threads=threads)
     result: dict[str, Any] = {"E_counts": ec}
     if args.verify:
@@ -259,7 +259,7 @@ def cmd_expsum(args) -> dict:
 
 def cmd_count(args) -> dict:
     spec = _load_ideal(args)
-    budget, threads = args._resolved_budget, args.threads
+    budget, threads = args.meter, args.threads
     region = _parse_region(args.region, spec.nvars)
     n = count_zpm(spec, args.p, args.m, region, args.method, budget, threads)
     return {"count": _dec(n), "method": args.method}
@@ -267,7 +267,7 @@ def cmd_count(args) -> dict:
 
 def cmd_zeta(args) -> dict:
     spec = _load_ideal(args)
-    budget, threads = args._resolved_budget, args.threads
+    budget, threads = args.meter, args.threads
     r = args.r if args.r is not None else spec.r
     check_rank(r)  # before the ord distribution, which needs no r
     result: dict[str, Any] = {}
@@ -301,7 +301,7 @@ def cmd_zeta(args) -> dict:
 
 def cmd_sseries(args) -> dict:
     spec = _load_ideal(args)
-    budget, threads = args._resolved_budget, args.threads
+    budget, threads = args.meter, args.threads
     r = args.r if args.r is not None else spec.r
     result: dict[str, Any] = {}
     if args.irreducible:
@@ -330,7 +330,7 @@ def cmd_bounds(args) -> dict:
     if args.which in ("sigma0", "sigmaw"):
         spec = _load_ideal(args)
         fn = bounds_mod.sigma0 if args.which == "sigma0" else bounds_mod.sigma_tilde0w
-        return {"bound": fn(spec, s=_parse_s_map(args.s), budget=args._resolved_budget)}
+        return {"bound": fn(spec, s=_parse_s_map(args.s), budget=args.meter)}
     if args.which == "birch":
         if args.nvars is None:
             raise ValueError("bounds birch needs -n")
@@ -359,7 +359,7 @@ def cmd_bounds(args) -> dict:
 
 
 def cmd_circle(args) -> dict:
-    budget, threads = args._resolved_budget, args.threads
+    budget, threads = args.meter, args.threads
     if args.which == "waring":
         if not args.map:
             raise ValueError("circle waring needs --map")
@@ -399,13 +399,13 @@ def cmd_jet(args) -> dict:
         if args.poly is None or args.nvars is None:
             raise ValueError("jet expand needs --poly and -n")
         f = parse_poly(args.poly, args.nvars)
-        jets = jet_expand(f, args.order, args.start)
+        jets = jet_expand(f, args.order, args.start, args.meter)
         return {"jets": [repr(j) for j in jets]}
     if args.which == "highpart-check":
         from .poly import highpart_check
 
         spec = _load_ideal(args)
-        ok = highpart_check(spec, args.m)
+        ok = highpart_check(spec, args.m, args.meter)
         if not ok:
             raise OracleDisagreement("top weighted part of the jet differs")
         return {"highpart_identity": ok}
@@ -521,6 +521,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INVALID if e.code not in (0, None) else EXIT_OK
     try:
         args._resolved_budget = _resolve_budget(args)
+        args.meter = Meter(args._resolved_budget)
         report = {"config": _config(args), "result": args.fn(args)}
         _emit(_ser(report), args)
         return EXIT_OK

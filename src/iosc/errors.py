@@ -1,8 +1,8 @@
 """Shared error types and the evaluation-point budget.
 
-Every enumeration in the package is metered in evaluation points.  When a
-request would exceed the budget the operation raises BudgetExceeded before
-doing the work; there is never a silently truncated or approximate count.
+Every enumeration in the package is metered in evaluation points, drawn
+from one Meter per command or call.  A request that exceeds what is left
+raises BudgetExceeded before the work: no count is silently truncated.
 """
 
 DEFAULT_BUDGET = 10 ** 8
@@ -13,7 +13,7 @@ class BudgetExceeded(RuntimeError):
 
     def __init__(self, needed: int, budget: int, what: str = "enumeration"):
         super().__init__(
-            f"{what} needs {needed} evaluation points, budget is {budget}"
+            f"{what} needs {needed} evaluation points, the budget has {budget} left"
         )
         self.needed = needed
         self.budget = budget
@@ -31,7 +31,22 @@ class ZeroIdealError(ValueError):
     """Raised where an operation is undefined for the zero ideal."""
 
 
-def charge(needed: int, budget: int, what: str = "enumeration") -> None:
-    """Raise BudgetExceeded if `needed` points exceed `budget`."""
-    if needed > budget:
-        raise BudgetExceeded(needed, budget, what)
+class Meter:
+    """The points left to one command or call, which makes it once
+    (Meter.of) and passes it to everything it charges."""
+
+    def __init__(self, left: int):
+        self.left = left
+
+    @staticmethod
+    def of(budget: "int | Meter") -> "Meter":
+        return budget if isinstance(budget, Meter) else Meter(budget)
+
+
+def charge(needed: int, budget: "int | Meter", what: str = "enumeration") -> None:
+    """Refuse `needed` points unless the budget has them left (an int is a
+    fresh meter), and draw them from it."""
+    meter = Meter.of(budget)
+    if needed > meter.left:
+        raise BudgetExceeded(needed, meter.left, what)
+    meter.left -= needed

@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, charge
+from .errors import DEFAULT_BUDGET, Meter, charge
 from .gf import GFTable
 from .poly import IdealSpec, Poly, Weight, build_pairing, top_part, torus_transform, wdeg
 from .ringcount import (
@@ -163,7 +163,7 @@ def phase_histogram(
     p: int,
     m: int,
     region: Region | None = None,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> PhaseHistogram:
     """Exact distribution of f's values over the region in Z/p^m."""
@@ -234,7 +234,7 @@ def E_counts(
     p: int,
     m: int,
     Z: Region | None = None,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> Fraction:
     """The r-th exponential sum modulo p^m of the ideal, in counts form.
@@ -252,7 +252,7 @@ def E_charsum(
     r: int,
     p: int,
     m: int,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
     method: str = "grouped",
 ) -> CycloValue:
@@ -283,10 +283,9 @@ def E_charsum(
         return cyclo_reduce(h, scale)
     if method != "grouped":
         raise ValueError(f"unknown method {method!r}")
-    charge(q ** n + q ** r, budget, "character sum")
     if q ** (n + r) > (1 << 52):
-        # grouped accumulation is float64-exact only below 2^52 points
-        charge(q ** (n + r), 1 << 52, "exact accumulation")
+        raise ValueError(f"the grouped sum is float64-exact to 2^52 points, not {q ** (n + r)}")
+    charge(q ** n + q ** r, budget, "character sum")
 
     # x-pass: class-count the generator value vectors
     countv = residue_histogram(spec.generators, q, Region.full(n), threads)
@@ -319,10 +318,11 @@ def verify_moidef(
     r: int,
     p: int,
     m: int,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> bool:
     """Exact equality of the character-sum and counting forms of E^(r)."""
+    budget = Meter.of(budget)
     return equals_rational(
         E_charsum(spec, r, p, m, budget, threads),
         E_counts(spec, r, p, m, budget=budget, threads=threads),
@@ -347,7 +347,7 @@ class FFCharSum:
 
 
 def _gf_trace_histogram(
-    f: Poly, gf: GFTable, zero: frozenset[int], unit: frozenset[int], budget: int, threads: int
+    f: Poly, gf: GFTable, zero: frozenset[int], unit: frozenset[int], budget: Meter, threads: int
 ) -> np.ndarray:
     """The trace histogram of f over F_q^n with x_j = 0 for j in zero and
     x_j != 0 for j in unit."""
@@ -372,7 +372,7 @@ def ff_char_sum(
     J2: frozenset[int] | set[int] = frozenset(),
     s: int | None = None,
     w: Weight | None = None,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> FFCharSum:
     """sum over the constrained set of Psi(f + g), with Weil-quotient ratio.
@@ -384,6 +384,7 @@ def ff_char_sum(
     the Weil-type bound to be meaningful; otherwise a warning is issued.
     """
     check_prime_power(p, k)
+    budget = Meter.of(budget)
     J1, J2 = frozenset(J1), frozenset(J2)
     if J1 & J2:
         raise ValueError("J1 and J2 must be disjoint")
@@ -399,7 +400,7 @@ def ff_char_sum(
 
     if s is None:
         partials = [f.derivative(i) for i in range(n)]
-        est = dim_estimate_raw(partials, n, primes=(7, 11, 13), maxk=1, budget=budget)
+        est = dim_estimate_raw(partials, n, (7, 11, 13), 1, budget, threads)
         s = est.dim
         s_source = "estimated"
     else:
@@ -420,7 +421,7 @@ def torus_sum_check(
     w: Weight,
     p: int,
     k: int = 1,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> bool:
     """Exact identity between a weighted sum and its torus-transformed form.
@@ -441,6 +442,7 @@ def torus_sum_check(
     rhs_poly = f if g is None else f + g
 
     gf = GFTable(p, k)
+    budget = Meter.of(budget)
     # in each group the first variable is free, the rest are units
     nonzero = set()
     off = 0

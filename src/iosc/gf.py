@@ -13,9 +13,9 @@ walk is the proof, and its output is the antilog table exp[i] = X^i, with
 log its inverse.  The q x q tables follow row by row: mul[a, b] =
 exp[(log a + log b) mod (q-1)], and add is digitwise mod p.
 
-The table is a ring of ringcount's grid kernel: const, pow, mul, add and
-reduce, with add and mul as lookups and an integer c entering as the code
-c mod p.  So F_q^n is scanned by the same Grid and GridPolys as (Z/q)^n.
+The table is a ring of ringcount's grid kernel (const, mul, add and
+reduce), with add and mul as lookups and an integer c as the code c mod
+p.  So F_q^n is scanned by the same Grid and GridPolys as (Z/q)^n.
 
 The absolute trace to F_p is precomputed per element, which is all a
 canonical additive character of F_q needs: psi(a) = exp(2*pi*i*Tr(a)/p).
@@ -35,7 +35,7 @@ class GFTable:
 
     def __init__(self, p: int, k: int):
         # imported here because ringcount imports this module
-        from .ringcount import check_prime_power, digits
+        from .ringcount import check_prime_power, digits, power
 
         # the walk below ends only if X is a unit, which f(0) != 0 ensures
         # for prime p
@@ -85,23 +85,10 @@ class GFTable:
         cur = np.arange(q, dtype=np.int64)
         for _ in range(k):
             trace = add[trace, cur]
-            cur = self.pow(cur, p)
+            cur = power(self, cur, p)
         self.trace_table = trace.astype(np.int64)
 
     # -- vectorized element ops ------------------------------------------
-
-    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
-        """a^e for e >= 1, by squaring; the result starts as the base at
-        the lowest set bit, and the base is squared only up to the top bit."""
-        assert e >= 1
-        base, result = a, None
-        while True:
-            if e & 1:
-                result = base if result is None else self.mul_table[result, base]
-            e >>= 1
-            if not e:
-                return result
-            base = self.mul_table[base, base]
 
     def const(self, c: int) -> int:
         # an integer lands in the prime field, whose codes are 0..p-1

@@ -22,8 +22,11 @@ presentation.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
+
+from .errors import DEFAULT_BUDGET, Meter, charge
 
 
 class PolyParseError(ValueError):
@@ -589,37 +592,43 @@ def jet_variable_index(i: int, level: int, m: int, start: int) -> int:
     return i * per + (level - start)
 
 
-def jet_expand(f: Poly, m: int, start: int = 0) -> list[Poly]:
+def jet_expand(
+    f: Poly, m: int, start: int = 0, budget: int | Meter = DEFAULT_BUDGET
+) -> list[Poly]:
     """Coefficients [F_0..F_m] of f(x(t)) with x_i(t) = sum_{j>=start} x_ij t^j.
 
     Truncated at t^m; each F_k lives in n*(m+1-start) variables indexed by
     jet_variable_index.  start=0 keeps the constant term of the series,
-    start=1 expands around the origin.
+    start=1 expands around the origin.  A series is one term dict per
+    power of t; one meter is charged the jet variables' exponent tuples
+    first, then each series product's term pairs before it is formed.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if start not in (0, 1):
         raise ValueError("start must be 0 or 1")
+    meter = Meter.of(budget)
     n = f.nvars
-    per = m + 1 - start
-    nv = n * per
+    nv = n * (m + 1 - start)
+    charge(nv * nv, meter, "jet variables")
 
-    def series_mul(a: list[Poly], b: list[Poly]) -> list[Poly]:
-        out = [Poly.zero(nv) for _ in range(m + 1)]
-        for i, ai in enumerate(a):
-            if ai.is_zero():
-                continue
-            for j, bj in enumerate(b):
-                if i + j > m:
-                    break
-                if bj.is_zero():
-                    continue
-                out[i + j] = out[i + j] + ai * bj
-        return out
+    def series_mul(a: list[dict], b: list[dict]) -> list[dict]:
+        pairs = [(i, j) for i in range(m + 1) for j in range(m + 1 - i) if a[i] and b[j]]
+        charge(sum(len(a[i]) * len(b[j]) for i, j in pairs), meter, "jet term products")
+        out: list[dict] = [{} for _ in range(m + 1)]
+        for i, j in pairs:
+            acc = out[i + j]
+            for e1, c1 in a[i].items():
+                for e2, c2 in b[j].items():
+                    e = tuple(map(operator.add, e1, e2))
+                    acc[e] = acc.get(e, 0) + c1 * c2
+        return [{e: c for e, c in d.items() if c} for d in out]
 
-    def series_pow(a: list[Poly], k: int) -> list[Poly]:
-        result = [Poly.const(1, nv)] + [Poly.zero(nv) for _ in range(m)]
-        base = a
+    def constant(c: int) -> list[dict]:
+        return [{(0,) * nv: c}] + [{} for _ in range(m)]
+
+    def series_pow(a: list[dict], k: int) -> list[dict]:
+        result, base = constant(1), a
         while k:
             if k & 1:
                 result = series_mul(result, base)
@@ -628,22 +637,22 @@ def jet_expand(f: Poly, m: int, start: int = 0) -> list[Poly]:
                 base = series_mul(base, base)
         return result
 
-    var_series: list[list[Poly]] = []
+    var_series = []
     for i in range(n):
-        s = [Poly.zero(nv) for _ in range(m + 1)]
+        s: list[dict] = [{} for _ in range(m + 1)]
         for level in range(start, m + 1):
-            s[level] = Poly.var(jet_variable_index(i, level, m, start), nv)
+            s[level] = Poly.var(jet_variable_index(i, level, m, start), nv).terms
         var_series.append(s)
-
-    total = [Poly.zero(nv) for _ in range(m + 1)]
+    total: list[dict] = [{} for _ in range(m + 1)]
     for expo, coeff in f.terms.items():
-        term = [Poly.const(coeff, nv)] + [Poly.zero(nv) for _ in range(m)]
+        term = constant(coeff)
         for i, e in enumerate(expo):
             if e:
                 term = series_mul(term, series_pow(var_series[i], e))
-        for k in range(m + 1):
-            total[k] = total[k] + term[k]
-    return total
+        for acc, part in zip(total, term):
+            for e, c in part.items():
+                acc[e] = acc.get(e, 0) + c
+    return [Poly(nv, d) for d in total]
 
 
 def build_pairing(spec: IdealSpec) -> Poly:
@@ -664,7 +673,7 @@ def build_pairing(spec: IdealSpec) -> Poly:
     return g
 
 
-def highpart_check(spec: IdealSpec, m: int) -> bool:
+def highpart_check(spec: IdealSpec, m: int, budget: int | Meter = DEFAULT_BUDGET) -> bool:
     """Exact identity between the top weighted part of the m-th jet of the
     pairing polynomial and the m-th jet of its top weighted part.
 
@@ -672,11 +681,12 @@ def highpart_check(spec: IdealSpec, m: int) -> bool:
     degree); a-variables and their jets carry weight 0.  Both sides are
     polynomials in the same jet-variable space; the comparison is exact.
     """
+    budget = Meter.of(budget)
     w = spec.effective_weight
     r, n = spec.r, spec.nvars
     D = max(spec.degrees)
     g = build_pairing(spec)
-    jets = jet_expand(g, m, start=0)
+    jets = jet_expand(g, m, 0, budget)
 
     weights = [0] * ((r + n) * (m + 1))
     for i in range(n):
@@ -694,7 +704,7 @@ def highpart_check(spec: IdealSpec, m: int) -> bool:
         g_top = g_top + Poly.var(a_start + j, r + n) * top_part(f, w).map_vars(
             shift, r + n
         )
-    rhs_full = jet_expand(g_top, m, start=0)[m]
+    rhs_full = jet_expand(g_top, m, 0, budget)[m]
     # Freeze the a-series at their constant terms: jets of level >= 1 of
     # every a-variable are set to 0.
     keep: dict[tuple[int, ...], int] = {}

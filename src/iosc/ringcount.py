@@ -31,22 +31,22 @@ the two largest q agree.
 
 Every exact route of the package is an exhaustive scan of a box, and
 this module holds the one kernel they all share.  A ring (ModQ for Z/q,
-gf.GFTable for F_q, Int64 for exact integers) supplies const, pow, mul,
-add and reduce.  Grid is a box of ring points, (Z/q)^k, F_q^k or an
-integer box, split into a prefix and a suffix box of at most CHUNK
-points.  GridPolys groups each polynomial by prefix monomial and
-evaluates each group's suffix polynomial once per scan, so a chunk (a
-run of prefix points times the suffix box) costs one broadcast product
-and one add per distinct prefix monomial, and decodes no rows; a
-region is decided on the same chunks (Region.on).  A lift node's scan
-evaluates the Jacobian too, so rows are decoded only for its singular
-zeros and for the critical points of a half grid.  eval_rows()
-evaluates a polynomial on given rows in any ring, and map_sum() adds a
-worker's results over chunks in submission order on a thread pool, so
-every total is the same for any thread count.  The lift builds each
-grid it scans, (Z/p)^n or a half grid, with its power tables, once per
-call.  split_halves() and count_value_pairs() also serve the integer
-box count of circle.count_box_solutions.
+gf.GFTable for F_q, Int64 for exact integers) supplies const, mul, add
+and reduce, and power() squares and multiplies in any of them.  Grid is
+a box of ring points, (Z/q)^k, F_q^k or an integer box, split into a
+prefix and a suffix box of at most CHUNK points.  GridPolys groups each
+polynomial by prefix monomial and evaluates each group's suffix
+polynomial once per scan, so a chunk (a run of prefix points times the
+suffix box) costs one broadcast product and one add per distinct prefix
+monomial, and decodes no rows; a region is decided on the same chunks
+(Region.on).  A lift node's scan evaluates the Jacobian too, so rows are
+decoded only for its singular zeros and for the critical points of a
+half grid.  eval_rows() evaluates a polynomial on given rows in any
+ring, and map_sum() adds a worker's results over chunks in submission
+order on a thread pool, so every total is the same for any thread count.
+The lift builds each grid it scans, (Z/p)^n or a half grid, with its
+power tables, once per call.  split_halves() and count_value_pairs()
+also serve the integer box count of circle.count_box_solutions.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, OracleDisagreement, charge
+from .errors import DEFAULT_BUDGET, Meter, OracleDisagreement, charge
 from .gf import GFTable
 from .poly import IdealSpec, Poly, Weight, jacobian_minors, top_part
 
@@ -126,21 +126,6 @@ def digits(idx: np.ndarray, radices: Sequence[int]) -> np.ndarray:
     return out
 
 
-def _powmod(col: np.ndarray, e: int, q: int) -> np.ndarray:
-    """col^e mod q for e >= 1, by squaring; the result starts as the base
-    at the lowest set bit, and the base is squared only up to the top bit."""
-    assert e >= 1
-    base = col % q
-    result = None
-    while True:
-        if e & 1:
-            result = base if result is None else (result * base) % q
-        e >>= 1
-        if not e:
-            return result
-        base = (base * base) % q
-
-
 def _check_modulus(q: int) -> None:
     if not 1 <= q < Q_LIMIT:
         raise ValueError(f"modulus {q} is outside the int64-exact range [1, 2^31)")
@@ -161,9 +146,6 @@ class ModQ:
     def const(self, c: int) -> int:
         return c % self.q
 
-    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
-        return _powmod(a, e, self.q)
-
     def mul(self, a, b):
         return a * b % self.q
 
@@ -181,9 +163,6 @@ class Int64:
     def const(self, c: int) -> int:
         return c
 
-    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
-        return a ** e
-
     def mul(self, a, b):
         return a * b
 
@@ -194,8 +173,23 @@ class Int64:
         return a
 
 
-# the rings of the evaluators: each has const, pow, mul, add and reduce
+# the rings of the evaluators: each has const, mul, add and reduce
 Ring = ModQ | Int64 | GFTable
+
+
+def power(ring: Ring, a: np.ndarray, e: int) -> np.ndarray:
+    """a^e in the ring for e >= 1, by squaring; the result starts as the
+    base at the lowest set bit, and the base is squared only up to the top
+    bit.  A Z/q base is reduced first, so unreduced rows stay below 2^62."""
+    assert e >= 1
+    base, result = (a % ring.q if isinstance(ring, ModQ) else a), None
+    while True:
+        if e & 1:
+            result = base if result is None else ring.mul(result, base)
+        e >>= 1
+        if not e:
+            return result
+        base = ring.mul(base, base)
 
 
 def _monomial(
@@ -207,7 +201,7 @@ def _monomial(
     for j, e in enumerate(expo):
         if e:
             if (j, e) not in powers:
-                powers[j, e] = ring.pow(col(j), e)
+                powers[j, e] = power(ring, col(j), e)
             t = powers[j, e] if t is None else ring.mul(t, powers[j, e])
     return t
 
@@ -599,7 +593,7 @@ class Region:
 
         return inside
 
-    def count_mod_p(self, p: int, budget: int = DEFAULT_BUDGET, threads: int = 1) -> int:
+    def count_mod_p(self, p: int, budget: int | Meter = DEFAULT_BUDGET, threads: int = 1) -> int:
         """Number of points of the region in (Z/p)^k."""
         charge(p ** self.k, budget, "region count")
         return _count_naive([], Grid(self.k, p), self, p, threads)
@@ -640,17 +634,17 @@ def _full_rank(jac: np.ndarray, p: int) -> np.ndarray:
         if i + 1 < r:
             col = nonzero.argmax(axis=1)
             # Fermat's inverse of the pivot (every unit mod 2 is 1)
-            inv = _powmod(row[at, col], max(p - 2, 1), p)
+            inv = power(ModQ(p), row[at, col], max(p - 2, 1))
             factor = a[at, i + 1 :, col] * inv[:, None] % p
             a[:, i + 1 :] = (a[:, i + 1 :] - factor[:, :, None] * row[:, None, :]) % p
     return full
 
 
-class _BudgetState:
-    """The budget left to one lift call, its node memo and its residue grids."""
+class _LiftState:
+    """The meter one lift call charges, its node memo and its residue grids."""
 
-    def __init__(self, budget: int, p: int):
-        self.left = budget
+    def __init__(self, meter: Meter, p: int):
+        self.meter = meter
         self.p = p
         # (Z/p)^k by k: the full grid, and the half grids of split nodes
         self.grids: dict[int, Grid] = {}
@@ -661,10 +655,6 @@ class _BudgetState:
         if k not in self.grids:
             self.grids[k] = Grid(k, self.p)
         return self.grids[k]
-
-    def spend(self, points: int, what: str) -> None:
-        charge(points, self.left, what)
-        self.left -= points
 
 
 def _vp(c: int, p: int) -> int:
@@ -769,7 +759,7 @@ def _scan_zeros(
 
 
 def _split_zeros(
-    halves: list[tuple[list[int], Poly]], nvars: int, p: int, state: _BudgetState
+    halves: list[tuple[list[int], Poly]], nvars: int, p: int, state: _LiftState
 ) -> tuple[int, np.ndarray]:
     """The smooth zeros' count and the singular zeros of f = f_A + f_B mod
     p, from one scan of each half grid (Z/p)^|H|.
@@ -784,8 +774,8 @@ def _split_zeros(
     before they are scanned.
     """
     scanned = sum(p ** len(axes) for axes, _ in halves)
-    if scanned > state.left:
-        state.spend(scanned, "residue-tree level")
+    if scanned > state.meter.left:
+        charge(scanned, state.meter, "residue-tree level")
     hists, crit = [], []
     for axes, f in halves:
         grid = state.grid(len(axes))
@@ -801,7 +791,7 @@ def _split_zeros(
         hists.append(hist)
         crit.append((np.concatenate(pts), np.concatenate(vals)))
     (pts_a, vals_a), (pts_b, vals_b) = crit
-    state.spend(scanned + len(pts_a) * len(pts_b), "residue-tree level")
+    charge(scanned + len(pts_a) * len(pts_b), state.meter, "residue-tree level")
     zeros = _exact_dot(hists[0], hists[1][-np.arange(p) % p])
     ia, ib = _matching_pairs(vals_a, -vals_b % p)
     sing = np.empty((len(ia), nvars), dtype=np.int64)
@@ -815,7 +805,7 @@ def _lift_count(
     nvars: int,
     p: int,
     depth: int,
-    state: _BudgetState,
+    state: _LiftState,
     region: Region | None,
 ) -> int:
     """Count z in (Z/p^depth)^nvars with ord_p(g_i(z)) >= e_i for all i.
@@ -852,7 +842,7 @@ def _lift_count(
     if len(gens) == 1 and (region is None or region.is_full):
         halves = split_halves(gens[0], [p] * nvars)
     if halves is None:
-        state.spend(p ** nvars, "residue-tree level")
+        charge(p ** nvars, state.meter, "residue-tree level")
         smooth, sing = _scan_zeros(gens, nvars, p, state.grid(nvars), region)
     else:
         smooth, sing = _split_zeros(halves, nvars, p, state)
@@ -882,11 +872,12 @@ def count_points_raw(
     m: int,
     region: Region | None = None,
     method: str = "lift",
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> int:
     """Count common zeros mod p^m of a raw generator list inside a region."""
     check_prime_power(p, m)
+    budget = Meter.of(budget)  # "both" charges both routes to it
     gens = [g for g in gens if not g.is_zero()]
     for g in gens:
         if g.is_constant() and g.constant_value() % p ** m != 0:
@@ -901,8 +892,7 @@ def count_points_raw(
         active = _constraints(((g.terms, m) for g in gens), nvars, p)
         if active is None:
             return 0
-        state = _BudgetState(budget, p)
-        return _lift_count(active, nvars, p, m, state, region)
+        return _lift_count(active, nvars, p, m, _LiftState(budget, p), region)
     if method == "both":
         a = count_points_raw(gens, nvars, p, m, region, "lift", budget, threads)
         b = count_points_raw(gens, nvars, p, m, region, "naive", budget, threads)
@@ -920,7 +910,7 @@ def count_zpm(
     m: int,
     region: Region | None = None,
     method: str = "lift",
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> int:
     """Exact number of points of the ideal's zero set in (Z/p^m)^n ∩ region."""
@@ -938,9 +928,10 @@ class LocalData:
     and N(0) = #Z(F_p).  Every local object of the paper is a function of
     these: the volumes V(m) = N(m) / p^(mn) (V(0) = N(0) / p^n) and the
     exponential sums E(r, m) = V(m) - p^(-r) V(m-1).  Each N(m) is counted
-    by the lift route, under the full budget, on first use and kept in
-    this object.  One object serves one public call or one CLI command, so
-    no count outlives it.
+    by the lift route on first use and kept in this object, and every count
+    draws down the one meter the object makes of its budget (or is given).
+    One object serves one public call or one CLI command, so no count
+    outlives it.
     """
 
     def __init__(
@@ -948,27 +939,24 @@ class LocalData:
         spec: IdealSpec,
         p: int,
         Z: Region | None = None,
-        budget: int = DEFAULT_BUDGET,
+        budget: int | Meter = DEFAULT_BUDGET,
         threads: int = 1,
     ):
         check_prime_power(p)
         if Z is not None and Z.k != spec.nvars:
             raise ValueError("region size must match nvars")
         self.spec, self.p, self.Z = spec, p, Z
-        self.budget, self.threads = budget, threads
+        self.meter, self.threads = Meter.of(budget), threads
         self._counts: dict[int, int] = {}
 
     def N(self, m: int) -> int:
         if m not in self._counts:
             if m == 0 and self.Z is not None:
-                count = self.Z.count_mod_p(self.p, self.budget, self.threads)
+                count = self.Z.count_mod_p(self.p, self.meter, self.threads)
             elif m == 0:
                 count = self.p ** self.spec.nvars
             else:
-                count = count_zpm(
-                    self.spec, self.p, m, region=self.Z,
-                    budget=self.budget, threads=self.threads,
-                )
+                count = count_zpm(self.spec, self.p, m, self.Z, "lift", self.meter, self.threads)
             self._counts[m] = count
         return self._counts[m]
 
@@ -992,7 +980,7 @@ def count_ff_raw(
     nvars: int,
     p: int,
     k: int,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> int:
     """Common zeros of gens over F_{p^k}, by one zero scan of the grid F_q^n."""
@@ -1014,7 +1002,7 @@ def count_ff(
     spec: IdealSpec,
     p: int,
     k: int = 1,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> int:
     return count_ff_raw(spec.generators, spec.nvars, p, k, budget, threads)
@@ -1037,21 +1025,21 @@ def dim_estimate_raw(
     nvars: int,
     primes: Sequence[int] = (7, 11, 13),
     maxk: int = 1,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> DimEstimate:
-    ladder: dict[int, tuple[int, int]] = {}
-    for p in primes:
-        for k in range(1, maxk + 1):
-            q = p ** k
-            if q ** nvars <= budget:
-                ladder[q] = (p, k)
+    """The dimension read off counts over F_q, q = p^k, in ascending q while
+    the meter pays for them; the first count is always tried."""
+    meter = Meter.of(budget)
+    ladder = {p ** k: (p, k) for p in primes for k in range(1, maxk + 1)}
     if not ladder:
-        charge(min(primes) ** nvars, budget, "dimension ladder")
+        raise ValueError("the ladder needs a prime and maxk >= 1")
     samples: list[tuple[int, int]] = []
     for q in sorted(ladder):
+        if samples and q ** nvars > meter.left:
+            break
         p, k = ladder[q]
-        samples.append((q, count_ff_raw(gens, nvars, p, k, budget, threads)))
+        samples.append((q, count_ff_raw(gens, nvars, p, k, meter, threads)))
     if all(c == 0 for _, c in samples):
         return DimEstimate(-1, samples, True)
 
@@ -1075,7 +1063,7 @@ def dim_estimate(
     spec: IdealSpec,
     primes: Sequence[int] = (7, 11, 13),
     maxk: int = 1,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> DimEstimate:
     """Estimated dimension of the ideal's zero locus (Lang-Weil inversion)."""
@@ -1086,7 +1074,7 @@ def bsing_dim(
     spec: IdealSpec,
     primes: Sequence[int] = (7, 11, 13),
     maxk: int = 1,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
     weight: "Weight | None" = None,
 ) -> dict[int, DimEstimate]:
@@ -1098,6 +1086,7 @@ def bsing_dim(
     overrides it (all-ones recovers top parts by total degree).
     """
     w = weight if weight is not None else spec.effective_weight
+    meter = Meter.of(budget)
     out: dict[int, DimEstimate] = {}
     for degree, gens in spec.groups:
         tops = [top_part(g, w) for g in gens]
@@ -1114,7 +1103,5 @@ def bsing_dim(
             # a unit minor: full rank everywhere
             out[degree] = DimEstimate(-1, [], True)
             continue
-        out[degree] = dim_estimate_raw(
-            nonzero, spec.nvars, primes, maxk, budget, threads
-        )
+        out[degree] = dim_estimate_raw(nonzero, spec.nvars, primes, maxk, meter, threads)
     return out

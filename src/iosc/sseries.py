@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DEFAULT_BUDGET, charge
+from .errors import DEFAULT_BUDGET, Meter, charge
 from .expsum import CycloValue, E_counts, equals_rational, residue_histogram
 from .poly import IdealSpec, build_pairing
 from .ringcount import LocalData, Region, check_rank, factorize
@@ -30,7 +30,7 @@ def E_composite(
     spec: IdealSpec,
     r: int,
     q: int,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> Fraction:
     """E^(r) at a general modulus: the product over prime-power factors.
@@ -38,6 +38,7 @@ def E_composite(
     E at the unit modulus is 1 by convention.
     """
     check_rank(r)
+    budget = Meter.of(budget)
     total = Fraction(1)
     for p, e in factorize(q):
         total *= E_counts(spec, r, p, e, budget=budget, threads=threads)
@@ -51,7 +52,7 @@ def verify_multiplicativity(
     r: int,
     q1: int,
     q2: int,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> bool:
     """Exact check of E(q1 q2) = E(q1) E(q2) for coprime moduli.
@@ -70,6 +71,7 @@ def verify_multiplicativity(
         raise ValueError("direct sum needs exactly r generators")
     N = q1 * q2
     n = spec.nvars
+    budget = Meter.of(budget)
     charge(N ** (n + r), budget, "direct composite character sum")
     region = Region.primitive_then_full(r, n)
     lhs = CycloValue.of(residue_histogram([build_pairing(spec)], N, region, threads), N)
@@ -97,7 +99,7 @@ def singular_series_partial(
     r: int,
     Qmax: int,
     sigma: float | None = None,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> SeriesReport:
     """sum_{q <= Qmax} q^r E(q), all terms exact.
@@ -115,6 +117,7 @@ def singular_series_partial(
         raise ValueError(f"Qmax must be >= 1, got {Qmax}")
     if sigma is not None and not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
+    budget = Meter.of(budget)
     local: dict[int, LocalData] = {}
     E = {1: Fraction(1)}
     for q in range(2, Qmax + 1):
@@ -158,7 +161,7 @@ def p_adic_density(
     r: int,
     p: int,
     M: int,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> DensityReport:
     """Truncated p-adic density sequence; stabilized when the last two agree."""
@@ -189,7 +192,7 @@ def irreducibility_probe(
     spec: IdealSpec,
     r: int,
     primes: Sequence[int],
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> IrreducibilityReport:
     """Probe geometric irreducibility of the zero locus in dimension n - r.
@@ -203,6 +206,7 @@ def irreducibility_probe(
     check_rank(r)
     if not primes:
         raise ValueError("need at least one prime")
+    budget = Meter.of(budget)
     vals = []
     for p in sorted(primes):
         e = E_counts(spec, r, p, 1, budget=budget, threads=threads)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DEFAULT_BUDGET
+from .errors import DEFAULT_BUDGET, Meter
 from .poly import IdealSpec
 from .ringcount import LocalData, Region, check_rank
 # unused: every count goes through LocalData, but bench/test_bench.py checks
@@ -87,7 +87,7 @@ def ord_volumes(
     p: int,
     M: int,
     Z: Region | None = None,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> list[Fraction]:
     """[V_0..V_M] with V_m = vol{x : ord_I(x) >= m, reduction in Z}.
@@ -117,7 +117,7 @@ def ord_distribution(
     p: int,
     M: int,
     Z: Region | None = None,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> OrdDistribution:
     """The valuation distribution of the ideal up to order M."""
@@ -136,7 +136,7 @@ def zeta_series(
     p: int,
     M: int,
     Z: Region | None = None,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> QSeries:
     """Z(t) = sum vol{ord = m} t^m with every coefficient exact through M."""
@@ -152,7 +152,7 @@ def poincare_relation(
     spec: IdealSpec,
     p: int,
     M: int,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> tuple[bool, QSeries, QSeries]:
     """Coefficientwise check of (1 - t) P(t) = 1 - t Z(t) through order M."""
@@ -183,7 +183,7 @@ def compa_check(
     p: int,
     M: int,
     Z: Region | None = None,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> CompaResult:
     """Exact comparison through t^M of both sides of
@@ -354,7 +354,7 @@ def theta_probe(
     r: int,
     p: int,
     M: int,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> ThetaReport:
     """First M terms of the local factor at s = -r, with a decay verdict.
@@ -397,7 +397,7 @@ def pole_report(
     p: int,
     M: int,
     max_order: int | None = None,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> PoleReport:
     """Probe the pole of the zeta function at s = -r via reconstruction.

@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import inspect
+import io
 import json
 import os
 import sys
@@ -6,8 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from iosc import ringcount
+import iosc
+from iosc import errors, ringcount
+from iosc.circle import BoxSpec
 from iosc.cli import _ser, build_parser, main
+from iosc.errors import DEFAULT_BUDGET, BudgetExceeded
+from iosc.poly import IdealSpec, Weight, parse_poly
+from iosc.ringcount import Region, UnitModP
 
 
 def run(capsys, *argv):
@@ -475,3 +483,197 @@ def test_a_vanishing_prediction_has_no_ratio(capsys):
 def test_a_refused_input_is_named_in_the_message(argv, message, capsys):
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+# -- one meter per command ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        (["zeta", "--gens", "x1^2*x2-x3^2", "-n", "3", "-p", "7", "--max-order", "6",
+          "--reconstruct"], 130_000),
+        (["count", "--gens", "x1*x2-x3*x4", "-n", "4", "-p", "7", "-m", "2",
+          "--method", "both"], 5_764_801),
+        (["sseries", "--gens", "x1^2+x2^2-x3^2-x4^2", "--gens", "x1*x3-x2*x4", "-n", "4",
+          "--qmax", "30"], 800_000),
+        (["expsum", "--gens", "x1^3+x2^3+x3^3+x4^3", "-n", "4", "-p", "7", "-m", "2",
+          "--verify"], 5_764_850),
+    ],
+    ids=["zeta", "count", "sseries", "expsum"],
+)
+def test_the_budget_bounds_the_sum_of_a_commands_counts(argv, budget, capsys):
+    # each count fits the budget alone; together they charge more
+    assert main(argv + ["--budget", str(budget)]) == 3
+    assert "budget has" in capsys.readouterr().err
+
+
+def test_a_character_sum_past_float64_exactness_is_invalid_even_with_force():
+    # not a budget: --force cannot lift it
+    argv = ["expsum", "--gens", "x1^2", "-n", "1", "-p", "2", "-m", "27", "--verify", "--force"]
+    assert main(argv) == 2
+
+
+def cli(*argv):
+    """A command's (exit code, result block) under a budget (None: the default)."""
+
+    def call(budget):
+        extra = [] if budget is None else ["--budget", str(budget)]
+        stream = io.StringIO()
+        with contextlib.redirect_stdout(stream):
+            code = main(list(argv) + extra)
+        return code, json.loads(stream.getvalue())["result"] if code == 0 else None
+
+    return call
+
+
+def lib(fn, *args, **kwargs):
+    """A public call's (exit code, result) under a budget, 3 when it is refused."""
+
+    def call(budget):
+        try:
+            return 0, fn(*args, **kwargs, budget=DEFAULT_BUDGET if budget is None else budget)
+        except BudgetExceeded:
+            return 3, None
+
+    return call
+
+
+def S(*gens, n):
+    return IdealSpec.from_gens([parse_poly(g, n) for g in gens])
+
+
+SQUARE, CROSS = S("x1^2", n=1), S("x1*x2", n=2)
+CONE = S("x1^2 + x2^2 - x3^2", n=3)
+FERMAT = S("x1^3+x2^3+x3^3", n=3)
+
+# a case for every subcommand that charges points and for every callable
+# exported from iosc with a budget parameter (see the guard below)
+METERED = {
+    "cli:expsum": cli("expsum", "--gens", "x1^2", "-n", "1", "-p", "3", "-m", "2", "--verify"),
+    "cli:count": cli("count", "--gens", "x1*x2", "-n", "2", "-p", "3", "-m", "2"),
+    "cli:zeta": cli("zeta", "--gens", "x1^2", "-n", "1", "-p", "3", "--max-order", "4",
+                    "--reconstruct"),
+    "cli:zeta-theta": cli("zeta", "--gens", "x1^2", "-n", "1", "-p", "3", "--max-order", "4",
+                          "--theta"),
+    "cli:sseries": cli("sseries", "--gens", "x1*x2", "-n", "2", "--qmax", "6"),
+    "cli:sseries-irreducible": cli("sseries", "--gens", "x1*x2", "-n", "2", "--irreducible",
+                                   "--primes", "5,7"),
+    "cli:bounds-sigma0": cli("bounds", "sigma0", "--gens", "x1^2+x2^2+x3^2", "-n", "3"),
+    "cli:bounds-sigmaw": cli("bounds", "sigmaw", "--gens", "x1^3+x2^3+x3^3", "-n", "3"),
+    "cli:circle-count": cli("circle", "count", "--gens", "x1^2 + x2^2 - x3^2", "-n", "3",
+                            "-B", "2"),
+    "cli:circle-jintegral": cli("circle", "jintegral", "--gens", "x1^2 + x2^2 - x3^2", "-n",
+                                "3", "--sampler", "grid"),
+    "cli:circle-predict": cli("circle", "predict", "--gens", "x1^2 + x2^2 - x3^2", "-n", "3",
+                              "-B", "3", "--qmax", "4", "--seed", "7"),
+    "cli:circle-waring": cli("circle", "waring", "--map", "1:x1^2", "-p", "7", "-m", "1",
+                             "--ell", "2"),
+    "cli:jet-expand": cli("jet", "expand", "--poly", "x1^2+x2^3", "-n", "2", "--order", "3"),
+    "cli:jet-highpart-check": cli("jet", "highpart-check", "--gens", "x1^2 + x1", "-n", "1",
+                                  "-m", "2"),
+    "E_charsum": lib(iosc.E_charsum, SQUARE, 1, 3, 2),
+    "E_composite": lib(iosc.E_composite, CROSS, 1, 6),
+    "E_counts": lib(iosc.E_counts, CROSS, 1, 3, 2),
+    "Region.count_mod_p": lib(Region(2, (((0, 2), UnitModP()),)).count_mod_p, 5),
+    "bsing_dim": lib(iosc.bsing_dim, CONE),
+    "compa_check": lib(iosc.compa_check, SQUARE, 1, 3, 4),
+    "count_box_solutions": lib(iosc.count_box_solutions, CONE, BoxSpec.cube(3), 2),
+    "count_ff": lib(iosc.count_ff, S("x1^2-x2^3", n=2), 2, 4),
+    "count_zpm": lib(iosc.count_zpm, CROSS, 3, 2, method="both"),
+    "dim_estimate": lib(iosc.dim_estimate, CROSS),
+    "ff_char_sum": lib(iosc.ff_char_sum, parse_poly("x1^3+x2^3", 2), None, 5),
+    "highpart_check": lib(iosc.highpart_check, S("x1^2 + x1", n=1), 2),
+    "irreducibility_probe": lib(iosc.irreducibility_probe, CROSS, 1, [5, 7]),
+    "jet_expand": lib(iosc.jet_expand, parse_poly("x1^2+x2^3", 2), 3),
+    "major_arc_prediction": lib(iosc.major_arc_prediction, CONE, BoxSpec.cube(3), 3, 4,
+                                [0.2, 0.1], samples=1000),
+    "ord_distribution": lib(iosc.ord_distribution, SQUARE, 3, 4),
+    "p_adic_density": lib(iosc.p_adic_density, SQUARE, 1, 3, 3),
+    "phase_histogram": lib(iosc.phase_histogram, parse_poly("x1^2+x2", 2), 3, 2),
+    "poincare_relation": lib(iosc.poincare_relation, SQUARE, 3, 4),
+    "pole_report": lib(iosc.pole_report, SQUARE, 1, 3, 6),
+    "sigma0": lib(iosc.sigma0, CONE),
+    "sigma_tilde0w": lib(iosc.sigma_tilde0w, FERMAT),
+    "singular_integral": lib(iosc.singular_integral, CONE, BoxSpec.cube(3), [0.2, 0.1],
+                             sampler="grid", grid_resolution=10),
+    "singular_series_partial": lib(iosc.singular_series_partial, CROSS, 1, 6),
+    "theta_probe": lib(iosc.theta_probe, SQUARE, 1, 3, 4),
+    "torus_sum_check": lib(iosc.torus_sum_check, parse_poly("x1*x2", 2), parse_poly("x1", 2),
+                           Weight((2, 1)), 5),
+    "verify_moidef": lib(iosc.verify_moidef, SQUARE, 1, 3, 2),
+    "verify_multiplicativity": lib(iosc.verify_multiplicativity, SQUARE, 1, 2, 3),
+    "waring_surjectivity": lib(iosc.waring_surjectivity, [[parse_poly("x1^2", 1)]], 7, 1, 2),
+    "zeta_series": lib(iosc.zeta_series, SQUARE, 3, 4),
+}
+
+# the dimension ladder drops its largest fields when the meter cannot pay for them
+ADAPTIVE = {"cli:bounds-sigma0", "cli:bounds-sigmaw", "bsing_dim", "dim_estimate", "sigma0",
+            "sigma_tilde0w"}
+
+
+@pytest.fixture
+def charged(monkeypatch):
+    """The points of every charge that succeeds, recorded by rebinding
+    charge in every iosc module as bench/tracer.py does."""
+    monkeypatch.delenv("IOSC_BUDGET", raising=False)
+    real, points = errors.charge, []
+
+    def counted(needed, budget, what="enumeration"):
+        real(needed, budget, what)
+        points.append(needed)
+
+    for name, module in list(sys.modules.items()):
+        if name == "iosc" or name.startswith("iosc."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
+    return points
+
+
+@pytest.mark.parametrize("case", list(METERED))
+def test_a_command_or_call_runs_on_exactly_the_points_it_charges(case, charged):
+    call = METERED[case]
+    code, result = call(None)
+    total = sum(charged)
+    assert code == 0 and total >= 2
+    charged.clear()
+    assert call(total) == (0, result)
+    assert sum(charged) == total
+    charged.clear()
+    code, _ = call(total - 1)
+    assert sum(charged) <= total - 1
+    if case not in ADAPTIVE:
+        assert code == 3
+
+
+def test_every_budgeted_entry_point_has_a_meter_case():
+    # a new public entry point or subcommand with a budget gets a case
+    # above, so no per-call budget can come back unnoticed
+    names = set()
+    for name, obj in vars(iosc).items():
+        if name.startswith("_") or not callable(obj):
+            continue
+        if inspect.isclass(obj):
+            if issubclass(obj, BaseException):
+                continue
+            methods = [(f"{name}.{a}", f) for a, f in vars(obj).items() if callable(f)]
+        else:
+            methods = [(name, obj)]
+        names |= {n for n, f in methods if "budget" in inspect.signature(f).parameters}
+    free = {"bounds-birch", "bounds-tau0", "bounds-thresholds", "bounds-moi-fit"}
+    commands = {f"cli:{case.id}" for case in subcommand_cases() if case.id not in free}
+    assert names and commands
+    assert sorted((names | commands) - set(METERED)) == []
+
+
+def test_jet_expand_charges_its_variables_and_its_term_products(capsys):
+    argv = ["jet", "expand", "--poly", "x1^5+x2^5", "-n", "2", "--order", "30"]
+    # 62 jet variables of 62 exponents each, then 78,948 term pairs
+    assert main(argv + ["--budget", str(62 * 62 - 1)]) == 3
+    assert "jet variables" in capsys.readouterr().err
+    assert main(argv + ["--budget", str(62 * 62 + 78_947)]) == 3
+    assert "jet term products" in capsys.readouterr().err
+    assert main(argv + ["--budget", str(62 * 62 + 78_948)]) == 0
+    # refused before anything is built
+    assert main(["jet", "expand", "--poly", "x1^5+x2^5", "-n", "2", "--order", "100000"]) == 3

@@ -1,10 +1,12 @@
 import cmath
+import inspect
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from iosc import expsum
 from iosc.expsum import (
     CycloValue,
     E_charsum,
@@ -268,6 +270,20 @@ def test_ff_constraints():
     # with x2 = 0 the sum over x1 of psi(x1 * x2) is q
     res = ff_char_sum(P("x1*x2", 2), None, 5, J1={1}, s=-1)
     assert abs(res.value - 5) < 1e-9
+
+
+def test_ff_char_sum_passes_threads_to_its_dimension_estimate(monkeypatch):
+    real, seen = expsum.dim_estimate_raw, []
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments["threads"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(expsum, "dim_estimate_raw", spy)
+    ff_char_sum(P("x1^2", 1), None, 5, threads=2)
+    assert seen == [2]
 
 
 @pytest.mark.parametrize("J", [{"J1": {-1}}, {"J1": {5}}, {"J2": {2}}])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from iosc.gf import GFTable
+from iosc.ringcount import power
 
 FIELDS = [(2, 1), (7, 1), (2, 4), (3, 3), (5, 2), (2, 8), (3, 5)]
 
@@ -29,7 +30,7 @@ def test_every_nonzero_row_permutes_the_units(gf):
 
 def test_frobenius_to_the_q_is_the_identity(gf):
     a = np.arange(gf.q)
-    assert (gf.pow(a, gf.q) == a).all()
+    assert (power(gf, a, gf.q) == a).all()
 
 
 def test_trace_is_additive_and_balanced(gf):
