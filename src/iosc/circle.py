@@ -318,16 +318,15 @@ def waring_surjectivity(
     """Is every residue tuple a sum of ell values of the given maps?
 
     Each map is a tuple of r component polynomials in its own variables.
-    A single map is reused for all ell summands; otherwise exactly ell
-    maps are required.  Images and the iterated sumset are computed by
-    exhaustive enumeration over (Z/p^m)^r.
+    A single map is reused for all ell summands, and its image is
+    enumerated once; otherwise exactly ell maps are required.  Images and
+    the iterated sumset are computed by exhaustive enumeration over
+    (Z/p^m)^r.
     """
     check_prime_power(p, m)
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    if len(maps) == 1:
-        maps = list(maps) * ell
-    if len(maps) != ell:
+    if len(maps) not in (1, ell):
         raise ValueError("need exactly one map or exactly ell maps")
     r = len(maps[0])
     if any(len(comp) != r for comp in maps):
@@ -344,6 +343,8 @@ def waring_surjectivity(
     for comp in maps:
         charge(q ** comp[0].nvars, budget, "waring image enumeration")
         images.append(residue_histogram(comp, q, Region.full(comp[0].nvars), 1) > 0)
+    # a single map serves every summand, so its image is scanned once
+    images *= ell // len(maps)
     image_sizes = [int(im.sum()) for im in images]
 
     # iterated sumset over the product group (Z/q)^r

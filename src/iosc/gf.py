@@ -27,7 +27,7 @@ import numpy as np
 
 from .poly import Poly
 
-_MAX_TABLE_Q = 4096
+MAX_TABLE_Q = 4096
 
 
 class GFTable:
@@ -41,7 +41,7 @@ class GFTable:
         # for prime p
         check_prime_power(p, k)
         q = p ** k
-        if q > _MAX_TABLE_Q:
+        if q > MAX_TABLE_Q:
             raise ValueError(f"extension field of size {q} exceeds table limit")
         self.p = p
         self.k = k

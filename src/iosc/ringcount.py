@@ -20,7 +20,11 @@ Counting over Z/p^m has two independent routes that must agree:
   only at a node with singular zeros and only for targets e > 1, and a
   constraint ord_p(g) >= e keeps only its coefficients mod p^e, divided
   by their content.  Equal reduced nodes at equal depth have equal
-  counts, so each lift call memoizes them.
+  counts, so each lift call memoizes them.  A node whose one constraint
+  is a monomial times a unit, h = y^a (c + p w(y)) with c a unit mod p,
+  scans no grid: ord_p h(y) = <a, v> depends only on the valuations v_i
+  of the y_i, so its count is a finite sum over valuation vectors, the
+  monomial leaves at which Denef's recursion closes.
 
 Regions constrain coordinates mod p only (all supported modes are
 conditions on the reduction), so they are applied at the first level of
@@ -64,7 +68,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, Meter, OracleDisagreement, charge
-from .gf import GFTable
+from .gf import MAX_TABLE_Q, GFTable
 from .poly import IdealSpec, Poly, Weight, jacobian_minors, top_part
 
 # -- vectorized helpers ----------------------------------------------------
@@ -726,6 +730,45 @@ def _shift(table: dict, z0: list[int], p: int) -> dict[tuple[int, ...], int]:
     return {b: at(terms) * p ** sum(b) for b, terms in table.items()}
 
 
+def _unit_monomial(active: list[tuple[Poly, int]], p: int) -> tuple[int, ...] | None:
+    """The exponent a when the node's one constraint is h = y^a (c + p w(y))
+    with c a unit mod p, else None.  a is the componentwise least exponent
+    of h's terms; it must be a term itself, with a unit coefficient, and
+    every other coefficient must be divisible by p."""
+    if len(active) != 1:
+        return None
+    terms = active[0][0].terms
+    a = tuple(map(min, zip(*terms)))
+    if terms.get(a, 0) % p == 0 or any(c % p for b, c in terms.items() if b != a):
+        return None
+    return a
+
+
+def _valuation_sum(a: tuple[int, ...], e: int, p: int, depth: int, meter: Meter) -> int:
+    """#{z in (Z/p^depth)^n : ord_p h(z) >= e} for h = z^a times a unit
+    and 1 <= e <= depth.
+
+    ord_p h(z) = <a, v> for v_i = min(ord_p z_i, depth), so the count is
+    the sum over v in {0..depth}^n with <a, v> >= e of prod_i c(v_i), where
+    c(v) = (p-1) p^(depth-1-v) residues have v_i = v < depth and c(depth)
+    = 1.  The sum runs axis by axis over the partial sums <a, v> capped at
+    e, and is charged its n (depth+1) (e+1) steps first; an axis with
+    a_i = 0 constrains nothing and contributes p^depth.
+    """
+    charge(len(a) * (depth + 1) * (e + 1), meter, "closed-form node")
+    c = [(p - 1) * p ** (depth - 1 - v) for v in range(depth)] + [1]
+    # ways[s]: the residues of the axes so far with <a, v> = s, s capped at e
+    ways = [1] + [0] * e
+    for ai in filter(None, a):
+        new = [0] * (e + 1)
+        for s, w in enumerate(ways):
+            if w:
+                for v, cv in enumerate(c):
+                    new[min(s + ai * v, e)] += w * cv
+        ways = new
+    return ways[e] * p ** (depth * a.count(0))
+
+
 def _scan_zeros(
     gens: list[Poly], nvars: int, p: int, grid: Grid, region: Region | None
 ) -> tuple[int, np.ndarray]:
@@ -829,12 +872,19 @@ def _lift_count(
     region-free node is looked up in state.memo by the set of its
     constraints and its depth, and a hit costs no work and no budget.
     Only the root may carry a region, and a node with a region is never
-    looked up.
+    looked up.  A region-free node whose one constraint is a monomial
+    times a unit (_unit_monomial) scans nothing: it is counted in closed
+    form by _valuation_sum, charged its steps as a "closed-form node",
+    and memoized like any other node.
     """
     if not active and region is None:
         return p ** (depth * nvars)
     key = (frozenset(active), depth) if region is None else None
     if key in state.memo:
+        return state.memo[key]
+    expo = _unit_monomial(active, p) if region is None else None
+    if expo is not None:
+        state.memo[key] = _valuation_sum(expo, active[0][1], p, depth, state.meter)
         return state.memo[key]
 
     gens = [g for g, _ in active]
@@ -1029,9 +1079,16 @@ def dim_estimate_raw(
     threads: int = 1,
 ) -> DimEstimate:
     """The dimension read off counts over F_q, q = p^k, in ascending q while
-    the meter pays for them; the first count is always tried."""
+    the meter pays for them; the first count is always tried.  An
+    extension field above GFTable's MAX_TABLE_Q elements is left off the
+    ladder."""
     meter = Meter.of(budget)
-    ladder = {p ** k: (p, k) for p in primes for k in range(1, maxk + 1)}
+    ladder = {
+        p ** k: (p, k)
+        for p in primes
+        for k in range(1, maxk + 1)
+        if k == 1 or p ** k <= MAX_TABLE_Q
+    }
     if not ladder:
         raise ValueError("the ladder needs a prime and maxk >= 1")
     samples: list[tuple[int, int]] = []

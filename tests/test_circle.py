@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from iosc import circle
 from iosc.circle import (
     BoxSpec,
     convolution_fiber_ideal,
@@ -186,6 +187,24 @@ def test_waring_vector_target():
     # the map x -> (x, x^2) with two summands over Z/9
     rep = waring_surjectivity([[P("x1", 1), P("x1^2", 1)]], 3, 2, 2)
     assert rep.image_sizes[0] == 9
+
+
+def test_waring_scans_a_repeated_map_once(monkeypatch):
+    real, seen = circle.charge, []
+
+    def recorded(needed, budget, what="enumeration"):
+        real(needed, budget, what)
+        seen.append((what, needed))
+
+    monkeypatch.setattr(circle, "charge", recorded)
+    square_cube = [P("x1^2+x2^3", 2)]
+    rep = waring_surjectivity([square_cube], 7, 2, 3)
+    assert [n for what, n in seen if what == "waring image enumeration"] == [49 ** 2]
+    # the same report as three explicit copies, each of them scanned
+    seen.clear()
+    assert waring_surjectivity([square_cube] * 3, 7, 2, 3) == rep
+    assert [n for what, n in seen if what == "waring image enumeration"] == [49 ** 2] * 3
+    assert len(rep.image_sizes) == 3 and len(set(rep.image_sizes)) == 1
 
 
 # -- convolution fiber ideals ----------------------------------------------------------

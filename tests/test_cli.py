@@ -492,7 +492,7 @@ def test_a_refused_input_is_named_in_the_message(argv, message, capsys):
     "argv, budget",
     [
         (["zeta", "--gens", "x1^2*x2-x3^2", "-n", "3", "-p", "7", "--max-order", "6",
-          "--reconstruct"], 130_000),
+          "--reconstruct"], 60_000),
         (["count", "--gens", "x1*x2-x3*x4", "-n", "4", "-p", "7", "-m", "2",
           "--method", "both"], 5_764_801),
         (["sseries", "--gens", "x1^2+x2^2-x3^2-x4^2", "--gens", "x1*x3-x2*x4", "-n", "4",

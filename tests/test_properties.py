@@ -100,6 +100,38 @@ def test_lift_equals_naive_on_deep_trees(ideal):
     check_lift(*ideal)
 
 
+@st.composite
+def monomial_unit_ideals(draw):
+    """(gens, n, p, m) with 1-2 generators p^k y^a (c + t w(y)), c a unit
+    mod p, k in {0, 1, 2}, and a grid of at most 4096 points.
+
+    With t = p a generator is a monomial times a unit, the node the lift
+    counts by its valuation sum, and so are its children; a factor p^k
+    gives two generators different targets, so one of them drops out
+    below the root.  With t = 1 the terms of w are units too, so a node
+    that only looks like a monomial times a unit is drawn as well.
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 5))
+    assume((p ** m) ** n <= 4096)
+    monomial = st.tuples(*[st.integers(0, 3)] * n)
+    unit = st.integers(-9, 9).filter(lambda c: c % p)
+
+    def generator():
+        w = Poly(n, draw(st.dictionaries(monomial, st.integers(-3, 3), max_size=2)))
+        unit_part = w * draw(st.sampled_from([p, 1])) + draw(unit)
+        return Poly(n, {draw(monomial): p ** draw(st.integers(0, 2))}) * unit_part
+
+    return [generator() for _ in range(draw(st.integers(1, 2)))], n, p, m
+
+
+@given(monomial_unit_ideals())
+def test_lift_equals_naive_on_monomials_times_units(ideal):
+    gens, n, p, m = ideal
+    count_points_raw(gens, n, p, m, method="both")
+
+
 # a node's Jacobian is read across chunk boundaries, for r = 2 too
 @pytest.mark.parametrize("chunk", CHUNKS)
 @given(deep_ideals())

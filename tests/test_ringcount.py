@@ -125,10 +125,22 @@ def test_both_raises_on_fault(monkeypatch):
         (["x1*x2*x3"], 3, 5, 8, 4644775390625),
         # p^m > 2^31: the shift must stay in exact integers
         (["x1^2"], 1, 2, 40, 2 ** 20),
+        # the same, through a shift: x = -1 is smooth, and x = 0 re-expands
+        # to the closed-form child y^2 (1 + 2y) with target 38
+        (["x1^2 + x1^3"], 1, 2, 40, 2 ** 20 + 1),
     ],
 )
 def test_deep_tree_pins(gens, n, p, m, count):
     assert count_zpm(S(*gens, n=n), p, m) == count
+
+
+def test_a_monomial_times_a_unit_is_counted_with_no_grid_scan(monkeypatch):
+    def scan(*args):
+        raise AssertionError("a closed-form node scans no grid")
+
+    monkeypatch.setattr(ringcount, "_scan_zeros", scan)
+    monkeypatch.setattr(ringcount, "_split_zeros", scan)
+    assert count_zpm(S("x1*x2*x3", n=3), 5, 8) == 4644775390625
 
 
 @pytest.mark.parametrize(
@@ -139,6 +151,9 @@ def test_deep_tree_pins(gens, n, p, m, count):
         # reaches the reduced node (x1^2, target 1) at depths 4 and 3, so
         # the node memo must tell depths apart
         (["4*x1^2 + x1^2*x2^3"], 2, 2, 5),
+        # at p = 3 the root is x1^2 (4 + x2^3) with 4 a unit and x2^3 not
+        # divisible by p, so it is no monomial times a unit
+        (["4*x1^2 + x1^2*x2^3"], 2, 3, 3),
     ],
 )
 def test_deep_tree_agrees_with_naive(gens, n, p, m):
@@ -311,6 +326,14 @@ def test_dim_estimate_unit_ideal_proxy():
 
 def test_dim_estimate_point():
     est = dim_estimate(S("x1", n=1), primes=[5, 7], maxk=1)
+    assert est.dim == 0 and est.confident
+
+
+def test_dim_estimate_ladder_stops_at_the_field_table_cap():
+    # 11^4 = 14,641 and 13^4 = 28,561 have no GFTable; every smaller field answers
+    est = dim_estimate(S("x1^2", n=1), maxk=4)
+    assert [q for q, _ in est.samples] == [7, 11, 13, 49, 121, 169, 343, 1331, 2197, 2401]
+    assert all(c == 1 for _, c in est.samples)
     assert est.dim == 0 and est.confident
 
 
