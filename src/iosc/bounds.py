@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import DEFAULT_BUDGET, Meter
 from .poly import IdealSpec, Weight
@@ -84,25 +84,29 @@ class BoundResult:
     confident: bool
 
 
-def _resolve_s(
+def _group_min(
     spec: IdealSpec,
     s: Mapping[int, int] | None,
     weight: Weight | None,
+    den: Callable[[int], int],
     primes: Sequence[int],
     maxk: int,
     budget: int | Meter,
-) -> tuple[dict[int, int], str, bool]:
+) -> BoundResult:
+    """min over group degrees d of (n - s_d) / den(d), +oo for no group,
+    with s_d the dimension of the rank-drop locus of the group's top parts
+    under the weight (bsing_dim), supplied or estimated."""
     if s is not None:
         missing = [d for d, _ in spec.groups if d not in s]
         if missing:
             raise ValueError(f"s is not given for group degree {missing[0]}")
-        return {d: s[d] for d, _ in spec.groups}, "given", True
-    est = bsing_dim(spec, primes=primes, maxk=maxk, budget=budget, weight=weight)
-    return (
-        {d: e.dim for d, e in est.items()},
-        "estimated",
-        all(e.confident for e in est.values()),
-    )
+        sv, source, conf = {d: s[d] for d, _ in spec.groups}, "given", True
+    else:
+        est = bsing_dim(spec, primes=primes, maxk=maxk, budget=budget, weight=weight)
+        sv, source = {d: e.dim for d, e in est.items()}, "estimated"
+        conf = all(e.confident for e in est.values())
+    best = min((ext_div(spec.nvars - sv[d], den(d)) for d, _ in spec.groups), default=INFINITY)
+    return BoundResult(best, sv, source, conf)
 
 
 def sigma0(
@@ -118,14 +122,7 @@ def sigma0(
     by total degree (all-ones weight), supplied or estimated.
     """
     ones = Weight.ones(spec.nvars)
-    sv, source, conf = _resolve_s(spec, s, ones, primes, maxk, budget)
-    n = spec.nvars
-    best = INFINITY
-    for ell, _ in spec.groups:
-        cand = ext_div(n - sv[ell], ell)
-        if cand < best:
-            best = cand
-    return BoundResult(best, sv, source, conf)
+    return _group_min(spec, s, ones, lambda l: l, primes, maxk, budget)
 
 
 def sigma_tilde0w(
@@ -141,14 +138,7 @@ def sigma_tilde0w(
     groups with nonempty drop locus strictly smaller than the whole space
     contribute +oo by the positive/0 convention.
     """
-    sv, source, conf = _resolve_s(spec, s, None, primes, maxk, budget)
-    n = spec.nvars
-    best = INFINITY
-    for i, _ in spec.groups:
-        cand = ext_div(n - sv[i], 2 * (i - 1))
-        if cand < best:
-            best = cand
-    return BoundResult(best, sv, source, conf)
+    return _group_min(spec, s, None, lambda i: 2 * (i - 1), primes, maxk, budget)
 
 
 def birch_bound(n: int, s: int, r: int, d: int) -> Fraction:

@@ -32,10 +32,10 @@ from .ringcount import (
     GridPolys,
     Int64,
     Region,
+    _count_naive,
     check_prime_power,
     count_value_pairs,
     digits,
-    map_sum,
     split_halves,
 )
 from .sseries import SeriesReport, singular_series_partial
@@ -92,7 +92,7 @@ def count_box_solutions(
     (ringcount.split_halves), on a box of more than CHUNK points is
     counted from the value arrays of the two sub-boxes, as the pairs with
     f_A = -f_B, and charged the sub-boxes' points.  Any other box is
-    scanned by one ringcount.Grid and charged its points.  The count is
+    scanned by ringcount._count_naive and charged its points.  The count is
     independent of the thread count.
     """
     if B < 1:
@@ -122,9 +122,7 @@ def count_box_solutions(
 
     if halves is None:
         grid = Grid(spec.nvars, Int64(), lows, sizes)
-        scan = GridPolys(grid, spec.generators)
-        count = map_sum(lambda c: np.count_nonzero(scan.zeros(c)), grid.chunks(), threads)
-        return int(count)
+        return _count_naive(spec.generators, grid, None, threads)
     values = []
     for axes, f in halves:
         grid = Grid(len(axes), Int64(), [lows[j] for j in axes], [sizes[j] for j in axes])
@@ -329,8 +327,10 @@ def waring_surjectivity(
     if len(maps) not in (1, ell):
         raise ValueError("need exactly one map or exactly ell maps")
     r = len(maps[0])
-    if any(len(comp) != r for comp in maps):
-        raise ValueError("maps must share the target dimension r")
+    if r < 1 or any(len(comp) != r for comp in maps):
+        raise ValueError("maps must share a target dimension r >= 1")
+    if any(f.nvars != comp[0].nvars for comp in maps for f in comp):
+        raise ValueError("the components of a map must share its variables")
     q = p ** m
     budget = Meter.of(budget)
     charge(q ** r, budget, "waring target space")
@@ -379,9 +379,8 @@ def convolution_fiber_ideal(
     if not maps:
         raise ValueError("need at least one map")
     r = len(maps[0][1])
-    for dom, comp in maps:
-        if len(comp) != r:
-            raise ValueError("maps must share the target dimension r")
+    if r < 1 or any(len(comp) != r for _, comp in maps):
+        raise ValueError("maps must share a target dimension r >= 1")
     tvals = []
     for t in target:
         t = Fraction(t)
@@ -391,21 +390,15 @@ def convolution_fiber_ideal(
     if len(tvals) != r:
         raise ValueError("target length must equal the target dimension")
 
-    offsets = []
-    total = 0
-    for dom, comp in maps:
-        nv = comp[0].nvars if comp else dom[0].nvars
-        offsets.append(total)
-        total += nv
+    nvars = [comp[0].nvars for _, comp in maps]
+    if any(f.nvars != nv for (dom, comp), nv in zip(maps, nvars) for f in [*dom, *comp]):
+        raise ValueError("a map's generators and components must share its variables")
+    total = sum(nvars)
     gens: list[Poly] = []
-    sums = [Poly.zero(total) for _ in range(r)]
-    for (dom, comp), off in zip(maps, offsets):
-        nv = comp[0].nvars
-        mapping = list(range(off, off + nv))
-        for g in dom:
-            gens.append(g.map_vars(mapping, total))
-        for e in range(r):
-            sums[e] = sums[e] + comp[e].map_vars(mapping, total)
-    for e in range(r):
-        gens.append(sums[e] - tvals[e])
-    return IdealSpec.from_gens(gens)
+    sums, off = [Poly.zero(total)] * r, 0
+    for (dom, comp), nv in zip(maps, nvars):
+        mapping = range(off, off + nv)
+        gens += [g.map_vars(mapping, total) for g in dom]
+        sums = [s + f.map_vars(mapping, total) for s, f in zip(sums, comp)]
+        off += nv
+    return IdealSpec.from_gens(gens + [s - t for s, t in zip(sums, tvals)])

@@ -6,8 +6,10 @@ postpones the choice of additive character and keeps everything integral.
 One tally makes every histogram: value_histogram counts the value vectors
 of a list of polynomials on a grid, and residue_histogram runs it on
 (Z/N)^k for any modulus N, with the region decided at every prime of N.
-It serves phase_histogram (N = p^m), the composite oracle of sseries, the
-x-pass of E_charsum and the Waring image of circle.
+It serves phase_histogram (N = p^m), direct_charsum (the literal sum of
+the pairing polynomial, at N = p^m for E_charsum and at a composite N for
+the oracle of sseries), the x-pass of E_charsum and the Waring image of
+circle.
 Identity checks then reduce the histogram modulo the N-th cyclotomic
 polynomial: sum c_j zeta^j equals a rational number iff the reduced
 residue is that constant, so no tolerance ever enters.  Floating values
@@ -260,10 +262,12 @@ def E_charsum(
 
     p^{-m(n+r)} sum over primitive y in (Z/p^m)^r and all x of
     psi(sum y_i f_i(x)).  Requires the presentation to have exactly r
-    generators.  method="direct" builds the pairing polynomial and runs
-    the generic phase histogram over the primitive-block region;
-    method="grouped" enumerates every primitive y against the value-vector
-    classes of x (the same double sum, regrouped), which is much faster.
+    generators.  method="direct" is direct_charsum at N = p^m, one scan
+    of (Z/p^m)^(r+n); method="grouped" enumerates every primitive y
+    against the value-vector classes of x (the same double sum,
+    regrouped), which is much faster.  It is charged the x-pass's q^n
+    points first and then, before the y-pass, the phases it forms: the
+    primitive y times the classes.
     """
     check_prime_power(p, m)
     if spec.r != r:
@@ -272,24 +276,18 @@ def E_charsum(
     q = p ** m
     scale = Fraction(1, p ** (m * (n + r)))
     if method == "direct":
-        h = phase_histogram(
-            build_pairing(spec),
-            p,
-            m,
-            Region.primitive_then_full(r, n),
-            budget=budget,
-            threads=threads,
-        )
-        return cyclo_reduce(h, scale)
+        return direct_charsum(spec, q, budget, threads).scale(scale)
     if method != "grouped":
         raise ValueError(f"unknown method {method!r}")
     if q ** (n + r) > (1 << 52):
         raise ValueError(f"the grouped sum is float64-exact to 2^52 points, not {q ** (n + r)}")
-    charge(q ** n + q ** r, budget, "character sum")
+    budget = Meter.of(budget)
+    charge(q ** n, budget, "character sum")
 
     # x-pass: class-count the generator value vectors
     countv = residue_histogram(spec.generators, q, Region.full(n), threads)
     support = np.nonzero(countv)[0]
+    charge((q ** r - (q // p) ** r) * len(support), budget, "character sum")
     weights = countv[support].astype(np.float64)
     vmat = digits(support, [q] * r)
 
@@ -311,6 +309,20 @@ def E_charsum(
 
     hist = map_sum(y_phases, grid.chunks(), threads)
     return CycloValue.of([round(c) for c in hist], q).scale(scale)
+
+
+def direct_charsum(
+    spec: IdealSpec, N: int, budget: int | Meter = DEFAULT_BUDGET, threads: int = 1
+) -> CycloValue:
+    """sum over y in (Z/N)^r, primitive at every prime of N, and all x in
+    (Z/N)^n of exp(2 pi i g(y, x) / N), reduced mod Phi_N, for the pairing
+    polynomial g = sum y_i f_i(x): one residue_histogram scan of
+    (Z/N)^(r+n), charged its points.  The direct route of E_charsum
+    (N = p^m) and the composite oracle of sseries (N = q1 q2)."""
+    r, n = spec.r, spec.nvars
+    charge(N ** (r + n), budget, "direct character sum")
+    region = Region.primitive_then_full(r, n)
+    return CycloValue.of(residue_histogram([build_pairing(spec)], N, region, threads), N)
 
 
 def verify_moidef(

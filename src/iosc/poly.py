@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DEFAULT_BUDGET, Meter, charge
 
@@ -122,14 +122,7 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.const(1, self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return power(operator.mul, self, k, Poly.const(1, self.nvars))
 
     def _coerce(self, other: "Poly | int") -> "Poly":
         if isinstance(other, Poly):
@@ -263,6 +256,21 @@ class Poly:
         return Poly(new_nvars, out)
 
 
+def power(mul: Callable, a, e: int, one):
+    """a^e under the product mul, by squaring, for e >= 0; the one square-
+    and-multiply loop of the package.  The result starts as the base at the
+    lowest set bit, so one is returned only for e = 0 and never multiplied
+    in, and the base is squared only up to the top bit."""
+    result = None
+    while e:
+        if e & 1:
+            result = a if result is None else mul(result, a)
+        e >>= 1
+        if e:
+            a = mul(a, a)
+    return one if result is None else result
+
+
 def eval_mod(f: Poly, point: Sequence[int], p: int, m: int = 1) -> int:
     """f(point) mod p^m, exact."""
     if m < 1:
@@ -319,23 +327,17 @@ def weighted_parts(f: Poly, w: Weight) -> dict[int, Poly]:
 
 def top_part(f: Poly, w: Weight) -> Poly:
     """The w-homogeneous part of highest w-degree (zero poly for f = 0)."""
-    if not f.terms:
-        return Poly.zero(f.nvars)
-    parts = weighted_parts(f, w)
-    return parts[max(parts)]
+    if len(w) != f.nvars:
+        raise ValueError("weight length does not match nvars")
+    return _top(f, w.w)
 
 
-def _top_part_nonneg(f: Poly, weights: Sequence[int]) -> Poly:
-    # Like top_part but tolerates weight-0 entries (auxiliary variables).
-    if not f.terms:
-        return Poly.zero(f.nvars)
-    best = max(sum(wi * ei for wi, ei in zip(weights, e)) for e in f.terms)
-    keep = {
-        e: c
-        for e, c in f.terms.items()
-        if sum(wi * ei for wi, ei in zip(weights, e)) == best
-    }
-    return Poly(f.nvars, keep)
+def _top(f: Poly, weights: Sequence[int]) -> Poly:
+    """The terms of f of highest weighted degree, for weights >= 0 (a
+    weight 0 makes a variable weightless); the zero poly for f = 0."""
+    degree = {e: sum(map(operator.mul, weights, e)) for e in f.terms}
+    best = max(degree.values(), default=0)
+    return Poly(f.nvars, {e: c for e, c in f.terms.items() if degree[e] == best})
 
 
 # -- ideal presentations -------------------------------------------------
@@ -627,16 +629,6 @@ def jet_expand(
     def constant(c: int) -> list[dict]:
         return [{(0,) * nv: c}] + [{} for _ in range(m)]
 
-    def series_pow(a: list[dict], k: int) -> list[dict]:
-        result, base = constant(1), a
-        while k:
-            if k & 1:
-                result = series_mul(result, base)
-            k >>= 1
-            if k:
-                base = series_mul(base, base)
-        return result
-
     var_series = []
     for i in range(n):
         s: list[dict] = [{} for _ in range(m + 1)]
@@ -648,7 +640,7 @@ def jet_expand(
         term = constant(coeff)
         for i, e in enumerate(expo):
             if e:
-                term = series_mul(term, series_pow(var_series[i], e))
+                term = series_mul(term, power(series_mul, var_series[i], e, constant(1)))
         for acc, part in zip(total, term):
             for e, c in part.items():
                 acc[e] = acc.get(e, 0) + c
@@ -661,15 +653,10 @@ def build_pairing(spec: IdealSpec) -> Poly:
     Auxiliary a-variables come first (group-major, then j), the original
     x-variables follow, shifted by r.
     """
-    r, n = spec.r, spec.nvars
-    nv = r + n
-    shift = list(range(r, r + n))
+    r, nv = spec.r, spec.r + spec.nvars
     g = Poly.zero(nv)
-    a_index = 0
-    for _, gens in spec.groups:
-        for f in gens:
-            g = g + Poly.var(a_index, nv) * f.map_vars(shift, nv)
-            a_index += 1
+    for a, f in enumerate(spec.generators):
+        g = g + Poly.var(a, nv) * f.map_vars(range(r, nv), nv)
     return g
 
 
@@ -692,29 +679,13 @@ def highpart_check(spec: IdealSpec, m: int, budget: int | Meter = DEFAULT_BUDGET
     for i in range(n):
         for level in range(m + 1):
             weights[jet_variable_index(r + i, level, m, 0)] = w.w[i] + D * level
-    lhs = _top_part_nonneg(jets[m], weights)
+    lhs = _top(jets[m], weights)
 
     # Top w-part of g with a-variables weightless: only the top-degree
     # group survives, paired with its (still symbolic) a-variables.
-    top_group = spec.groups[-1][1]
-    a_start = r - len(top_group)
-    shift = list(range(r, r + n))
-    g_top = Poly.zero(r + n)
-    for j, f in enumerate(top_group):
-        g_top = g_top + Poly.var(a_start + j, r + n) * top_part(f, w).map_vars(
-            shift, r + n
-        )
-    rhs_full = jet_expand(g_top, m, 0, budget)[m]
+    g_top = _top(g, [0] * r + list(w.w))
+    rhs = jet_expand(g_top, m, 0, budget)[m]
     # Freeze the a-series at their constant terms: jets of level >= 1 of
     # every a-variable are set to 0.
-    keep: dict[tuple[int, ...], int] = {}
-    for expo, coeff in rhs_full.terms.items():
-        if any(
-            expo[jet_variable_index(a, level, m, 0)]
-            for a in range(r)
-            for level in range(1, m + 1)
-        ):
-            continue
-        keep[expo] = coeff
-    rhs = Poly((r + n) * (m + 1), keep)
-    return lhs == rhs
+    frozen = [jet_variable_index(a, level, m, 0) for a in range(r) for level in range(1, m + 1)]
+    return lhs.terms == {e: c for e, c in rhs.terms.items() if not any(e[j] for j in frozen)}

@@ -36,9 +36,10 @@ the two largest q agree.
 Every exact route of the package is an exhaustive scan of a box, and
 this module holds the one kernel they all share.  A ring (ModQ for Z/q,
 gf.GFTable for F_q, Int64 for exact integers) supplies const, mul, add
-and reduce, and power() squares and multiplies in any of them.  Grid is
-a box of ring points, (Z/q)^k, F_q^k or an integer box, split into a
-prefix and a suffix box of at most CHUNK points.  GridPolys groups each
+and reduce, and power() raises to a power in any of them by poly.power,
+the package's one square-and-multiply loop.  Grid is a box of ring
+points, (Z/q)^k, F_q^k or an integer box, split into a prefix and a
+suffix box of at most CHUNK points.  GridPolys groups each
 polynomial by prefix monomial and evaluates each group's suffix
 polynomial once per scan, so a chunk (a run of prefix points times the
 suffix box) costs one broadcast product and one add per distinct prefix
@@ -49,8 +50,10 @@ half grid.  eval_rows() evaluates a polynomial on given rows in any
 ring, and map_sum() adds a worker's results over chunks in submission
 order on a thread pool, so every total is the same for any thread count.
 The lift builds each grid it scans, (Z/p)^n or a half grid, with its
-power tables, once per call.  split_halves() and count_value_pairs()
-also serve the integer box count of circle.count_box_solutions.
+power tables, once per call.  _count_naive() is the one zero count of a
+whole grid: the naive route, the finite-field and region counts and the
+integer box count of circle.count_box_solutions, whose separable case
+split_halves() and count_value_pairs() also serve.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ import numpy as np
 
 from .errors import DEFAULT_BUDGET, Meter, OracleDisagreement, charge
 from .gf import MAX_TABLE_Q, GFTable
-from .poly import IdealSpec, Poly, Weight, jacobian_minors, top_part
+from .poly import IdealSpec, Poly, Weight, jacobian_minors, top_part, power as poly_power
 
 # -- vectorized helpers ----------------------------------------------------
 
@@ -182,18 +185,9 @@ Ring = ModQ | Int64 | GFTable
 
 
 def power(ring: Ring, a: np.ndarray, e: int) -> np.ndarray:
-    """a^e in the ring for e >= 1, by squaring; the result starts as the
-    base at the lowest set bit, and the base is squared only up to the top
-    bit.  A Z/q base is reduced first, so unreduced rows stay below 2^62."""
-    assert e >= 1
-    base, result = (a % ring.q if isinstance(ring, ModQ) else a), None
-    while True:
-        if e & 1:
-            result = base if result is None else ring.mul(result, base)
-        e >>= 1
-        if not e:
-            return result
-        base = ring.mul(base, base)
+    """a^e in the ring for e >= 1 (poly.power).  A Z/q base is reduced
+    first, so unreduced rows stay below 2^62."""
+    return poly_power(ring.mul, a % ring.q if isinstance(ring, ModQ) else a, e, ring.const(1))
 
 
 def _monomial(
@@ -600,25 +594,35 @@ class Region:
     def count_mod_p(self, p: int, budget: int | Meter = DEFAULT_BUDGET, threads: int = 1) -> int:
         """Number of points of the region in (Z/p)^k."""
         charge(p ** self.k, budget, "region count")
-        return _count_naive([], Grid(self.k, p), self, p, threads)
+        grid = Grid(self.k, p)
+        return _count_naive([], grid, self.on(grid, p), threads)
 
 
 # -- counting over Z/p^m -----------------------------------------------------
 
 
 def _count_naive(
-    gens: Sequence[Poly], grid: Grid, region: Region, p: int, threads: int
+    gens: Sequence[Poly], grid: Grid, inside: Callable | None, threads: int
 ) -> int:
-    """Common zeros of gens on the grid inside the region (decided mod p),
-    by full enumeration; the caller charges the budget.  No row is
-    decoded."""
+    """Common zeros of gens on the grid where the chunk mask inside(chunk)
+    holds (Region.on; None for the whole grid), by full enumeration; the
+    caller charges the budget.  No row is decoded.  It serves the naive
+    count, the finite-field count, the region count and the integer box
+    count of circle.count_box_solutions."""
     scan = GridPolys(grid, gens)
-    inside = region.on(grid, p)
 
     def worker(chunk: tuple[int, int]) -> int:
-        return int(np.count_nonzero(scan.zeros(chunk, inside(chunk))))
+        return int(np.count_nonzero(scan.zeros(chunk, inside and inside(chunk))))
 
     return map_sum(worker, grid.chunks(), threads)
+
+
+def _nonconstant(gens: Sequence[Poly], q: int) -> list[Poly] | None:
+    """The non-constant gens, or None when a constant one is nonzero mod
+    q, so that no point is a common zero."""
+    if any(g.is_constant() and g.constant_value() % q for g in gens):
+        return None
+    return [g for g in gens if not g.is_constant()]
 
 
 def _full_rank(jac: np.ndarray, p: int) -> np.ndarray:
@@ -928,16 +932,14 @@ def count_points_raw(
     """Count common zeros mod p^m of a raw generator list inside a region."""
     check_prime_power(p, m)
     budget = Meter.of(budget)  # "both" charges both routes to it
-    gens = [g for g in gens if not g.is_zero()]
-    for g in gens:
-        if g.is_constant() and g.constant_value() % p ** m != 0:
-            return 0
-    gens = [g for g in gens if not g.is_constant()]
+    gens = _nonconstant(gens, p ** m)
+    if gens is None:
+        return 0
 
     if method == "naive":
         charge(p ** (m * nvars), budget, "naive count")
-        region = region or Region.full(nvars)
-        return _count_naive(gens, Grid(nvars, p ** m), region, p, threads)
+        grid = Grid(nvars, p ** m)
+        return _count_naive(gens, grid, region and region.on(grid, p), threads)
     if method == "lift":
         active = _constraints(((g.terms, m) for g in gens), nvars, p)
         if active is None:
@@ -1037,15 +1039,13 @@ def count_ff_raw(
     check_prime_power(p, k)
     q = p ** k
     charge(q ** nvars, budget, "finite-field count")
-    gens = [g for g in gens if not g.is_zero()]
-    for g in gens:
-        if g.is_constant():
-            if g.constant_value() % p != 0:
-                return 0
-    gens = [g for g in gens if not g.is_constant()]
+    # an integer constant lands in the prime field F_p
+    gens = _nonconstant(gens, p)
+    if gens is None:
+        return 0
     # GFTable stops at q = 4096, and F_p is Z/p
     grid = Grid(nvars, ModQ(p) if k == 1 else GFTable(p, k))
-    return _count_naive(gens, grid, Region.full(nvars), p, threads)
+    return _count_naive(gens, grid, None, threads)
 
 
 def count_ff(

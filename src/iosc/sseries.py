@@ -4,8 +4,9 @@ The exponential sum at a general modulus q is always assembled as the
 product of its prime-power factors (exact rationals from the counting
 form).  The direct sum over Z/q with the character exp(2 pi i / q)
 exists solely as an independent oracle for the multiplicativity check:
-phase_histogram's scan at the composite modulus q = q1 q2, compared
-exactly through reduction modulo the q-th cyclotomic polynomial.
+expsum.direct_charsum, the same literal sum as E_charsum's direct route,
+at the composite modulus q = q1 q2, compared exactly through reduction
+modulo the q-th cyclotomic polynomial.
 
 Verdict-producing probes (irreducibility, density stabilization) use the
 explicit thresholds documented on each function; they are heuristics over
@@ -20,10 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DEFAULT_BUDGET, Meter, charge
-from .expsum import CycloValue, E_counts, equals_rational, residue_histogram
-from .poly import IdealSpec, build_pairing
-from .ringcount import LocalData, Region, check_rank, factorize
+from .errors import DEFAULT_BUDGET, Meter
+from .expsum import E_counts, direct_charsum, equals_rational
+from .poly import IdealSpec
+from .ringcount import LocalData, check_rank, factorize
 
 
 def E_composite(
@@ -58,12 +59,12 @@ def verify_multiplicativity(
     """Exact check of E(q1 q2) = E(q1) E(q2) for coprime moduli.
 
     The left side is an independent brute-force character sum over
-    Z/(q1 q2) with the character exp(2 pi i / (q1 q2)): phase_histogram's
-    scan at the composite modulus N = q1 q2, of the pairing polynomial
-    sum y_i f_i(x) over (Z/N)^(r+n) with y primitive at every prime of N,
-    reduced modulo the N-th cyclotomic polynomial.  It never reaches the
-    counting form.  The right side is the product of counting-form values.
-    The presentation must have exactly r generators.
+    Z/(q1 q2) with the character exp(2 pi i / (q1 q2)): direct_charsum at
+    the composite modulus N = q1 q2, the pairing polynomial sum y_i f_i(x)
+    over (Z/N)^(r+n) with y primitive at every prime of N, reduced modulo
+    the N-th cyclotomic polynomial.  It never reaches the counting form.
+    The right side is the product of counting-form values.  The
+    presentation must have exactly r generators.
     """
     if math.gcd(q1, q2) != 1:
         raise ValueError("moduli must be coprime")
@@ -72,9 +73,7 @@ def verify_multiplicativity(
     N = q1 * q2
     n = spec.nvars
     budget = Meter.of(budget)
-    charge(N ** (n + r), budget, "direct composite character sum")
-    region = Region.primitive_then_full(r, n)
-    lhs = CycloValue.of(residue_histogram([build_pairing(spec)], N, region, threads), N)
+    lhs = direct_charsum(spec, N, budget, threads)
     rhs = E_composite(spec, r, q1, budget, threads) * E_composite(spec, r, q2, budget, threads)
     return equals_rational(lhs, rhs * N ** (n + r))
 

@@ -207,6 +207,16 @@ def test_waring_scans_a_repeated_map_once(monkeypatch):
     assert len(rep.image_sizes) == 3 and len(set(rep.image_sizes)) == 1
 
 
+@pytest.mark.parametrize(
+    "maps",
+    [[[]], [[P("x1", 1), P("x1*x2", 2)]]],
+    ids=["no-component", "components-of-unequal-nvars"],
+)
+def test_waring_rejects_a_malformed_map(maps):
+    with pytest.raises(ValueError):
+        waring_surjectivity(maps, 5, 1, 1)
+
+
 # -- convolution fiber ideals ----------------------------------------------------------
 
 
@@ -248,3 +258,8 @@ def test_fiber_feeds_expsum():
         [([], [P("x1^2", 1)]), ([], [P("x1^2", 1)])], [1]
     )
     assert verify_moidef(spec, 1, 3, 2)
+
+
+def test_fiber_rejects_a_map_with_no_component():
+    with pytest.raises(ValueError):
+        convolution_fiber_ideal([([P("x1^2", 1)], [])], [])

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from iosc import expsum
+from iosc.errors import BudgetExceeded
 from iosc.expsum import (
     CycloValue,
     E_charsum,
@@ -194,6 +195,17 @@ def test_E_charsum_direct_equals_grouped():
         a = E_charsum(spec, r, p, m, method="grouped")
         b = E_charsum(spec, r, p, m, method="direct")
         assert a == b
+
+
+def test_grouped_charsum_is_charged_the_phases_it_forms():
+    # the x-pass's 125 points, then the 15,000 primitive y mod 125 times
+    # the 103 classes of (x^2, x^3) mod 125: 1,545,000 phases
+    spec = S("x1^2", "x1^3", n=1)
+    with pytest.raises(BudgetExceeded):
+        E_charsum(spec, 2, 5, 3, budget=20_000)
+    with pytest.raises(BudgetExceeded):
+        E_charsum(spec, 2, 5, 3, budget=125 + 1_545_000 - 1)
+    assert E_charsum(spec, 2, 5, 3, budget=125 + 1_545_000) == E_charsum(spec, 2, 5, 3)
 
 
 def test_verify_moidef_examples():

@@ -123,10 +123,11 @@ def test_both_raises_on_fault(monkeypatch):
     [
         (["x1^2*x2 - x3^2"], 3, 7, 10, 421759121858806291),
         (["x1*x2*x3"], 3, 5, 8, 4644775390625),
-        # p^m > 2^31: the shift must stay in exact integers
+        # a monomial, so the root is counted in closed form and runs no shift
         (["x1^2"], 1, 2, 40, 2 ** 20),
-        # the same, through a shift: x = -1 is smooth, and x = 0 re-expands
-        # to the closed-form child y^2 (1 + 2y) with target 38
+        # p^m > 2^31: the shift must stay in exact integers; x = -1 is
+        # smooth, and x = 0 re-expands to the closed-form child y^2 (1 + 2y)
+        # with target 38
         (["x1^2 + x1^3"], 1, 2, 40, 2 ** 20 + 1),
     ],
 )
