@@ -276,8 +276,10 @@ def cmd_zeta(args) -> dict:
         result["theta"] = rep
     else:
         # one LocalData for the whole command: every report below shares
-        # its counts
+        # its counts, which one walk at the top order the series identity
+        # reads (V up to max(2, M) + 1) fills
         data = LocalData(spec, args.p, None, budget, threads)
+        data.N(max(2, args.max_order) + 1)
         dist = zeta_mod._ord_distribution(data, args.max_order)
         result["ord_distribution"] = {
             "coefficients": list(dist.coeffs),

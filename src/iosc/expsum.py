@@ -243,8 +243,8 @@ def E_counts(
 
     m >= 2: q^{-mn} (#X(Z/p^m)|_Z - q^{n-r} #X(Z/p^{m-1})|_Z); for m = 1 the
     residue-field form q^{-n} (#(X cap Z)(F_p) - q^{-r} #Z(F_p)).  Z is a
-    region on the reduction mod p, defaulting to the full space.  Each count
-    is computed once per call, through one LocalData.
+    region on the reduction mod p, defaulting to the full space.  Both
+    counts come from one walk at order m, through one LocalData.
     """
     return LocalData(spec, p, Z, budget, threads).E(r, m)
 

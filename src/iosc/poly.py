@@ -550,6 +550,8 @@ def jacobian_minors(gens: Sequence[Poly], r: int) -> list[Poly]:
     gens = list(gens)
     if len(gens) != r:
         raise ValueError("r must equal the number of generators")
+    if not gens:
+        raise ValueError("the generator list is empty")
     nvars = gens[0].nvars
     if r > nvars:
         raise ValueError("more generators than variables: rank condition vacuous")

@@ -4,11 +4,17 @@ Counting over Z/p^m has two independent routes that must agree:
 
 * ``naive`` enumerates the full residue grid (the always-available oracle);
 * ``lift`` walks a recursive residue tree (Denef's stationary-phase
-  recursion): each node finds its zeros mod p, collapses the smooth ones
-  in closed form (a point whose Jacobian has full rank mod p, found by
-  Gaussian elimination, lifts p^(n-r) ways per level) and re-expands
-  x = x0 + p*y only below singular points.  A node scans the grid
-  (Z/p)^n, at a charge of p^n points, except where one constraint g splits into variable-disjoint
+  recursion) once for every order 1..m at the same time: a node is its
+  constraints ord_p h_j >= k - o_j, with offsets o_j, and returns its
+  counts at every order k of a range.  It finds the zeros mod p of the
+  constraints that bind at the range's lowest order, collapses the
+  smooth ones in closed form (a point where the Jacobian of the
+  constraints vanishing there has full rank mod p, found by Gaussian
+  elimination, lifts p^(n - |B|) ways per level; a constraint that is a
+  unit there caps the orders at its offset) and re-expands
+  x = x0 + p*y only below singular points.  A count of one order m is
+  the range [m, m].  A node scans the grid (Z/p)^n, at a charge of p^n
+  points, except where one constraint g splits into variable-disjoint
   blocks, g = g_A(x_A) + g_B(x_B), on more than CHUNK points and under
   no region.  There two half grids are scanned instead: the zeros are
   the convolution of the halves' value histograms (Weil's count of
@@ -17,14 +23,15 @@ Counting over Z/p^m has two independent routes that must agree:
   p^|A| + p^|B| + |C_A| |C_B| points for the critical sets C_A, C_B.
   The re-expansion is an exact Taylor shift on Python ints: g(x0 + p*y)
   has the coefficients p^|b| T_b(x0), with T_b = d^b g / b! tabulated
-  only at a node with singular zeros and only for targets e > 1, and a
-  constraint ord_p(g) >= e keeps only its coefficients mod p^e, divided
-  by their content.  Equal reduced nodes at equal depth have equal
-  counts, so each lift call memoizes them.  A node whose one constraint
-  is a monomial times a unit, h = y^a (c + p w(y)) with c a unit mod p,
-  scans no grid: ord_p h(y) = <a, v> depends only on the valuations v_i
-  of the y_i, so its count is a finite sum over valuation vectors, the
-  monomial leaves at which Denef's recursion closes.
+  only at a node with singular zeros and only for constraints a child
+  keeps; a child's constraint keeps only its coefficients mod p^e for
+  its top target e, divided by their content, which raises its offset.
+  Equal reduced nodes over equal ranges of orders have equal counts, so
+  each lift call memoizes them.  A node whose one constraint is a
+  monomial times a unit, h = y^a (c + p w(y)) with c a unit mod p, scans
+  no grid: ord_p h(y) = <a, v> depends only on the valuations v_i of the
+  y_i, so its counts are suffix sums of one finite sum over valuation
+  vectors, the monomial leaves at which Denef's recursion closes.
 
 Regions constrain coordinates mod p only (all supported modes are
 conditions on the reduction), so they are applied at the first level of
@@ -549,6 +556,8 @@ class Region:
     @staticmethod
     def reduction_in(gens: Sequence[Poly]) -> "Region":
         gens = tuple(gens)
+        if not gens:
+            raise ValueError("the generator list is empty")
         k = gens[0].nvars
         return Region(k, (((0, k), ReductionIn(gens)),))
 
@@ -677,29 +686,35 @@ def _vp(c: int, p: int) -> int:
 
 
 def _constraints(
-    polys: Iterable[tuple[dict[tuple[int, ...], int], int]], nvars: int, p: int
-) -> list[tuple[Poly, int]] | None:
-    """Reduce each constraint ord_p(sum_b coeffs[b] y^b) >= e to its class.
+    polys: Iterable[tuple[dict[tuple[int, ...], int], int]], hi: int, nvars: int, p: int
+) -> tuple[list[tuple[Poly, int]], int]:
+    """Reduce each constraint ord_p(sum_b coeffs[b] y^b) >= k - o, asked at
+    the orders k <= hi, to its class.
 
-    With c the content (the least valuation of a coefficient nonzero mod
-    p^e), the constraint equals ord_p(h) >= e - c for h = coeffs / p^c
-    reduced mod p^(e - c).  It is dropped when c >= e (every coefficient
-    vanishes mod p^e), and no point meets it when h is constant, since that
-    constant is then a unit.  Returns the (h, e - c) pairs, or None when
-    some constraint has no solution.
+    With e = hi - o >= 1 the top target and c the content (the least
+    valuation of a coefficient nonzero mod p^e), the constraint equals
+    ord_p(h) >= k - (o + c) for h = coeffs / p^c reduced mod p^(e - c).  It
+    is dropped when c >= e, since it then holds at every order up to hi.
+    When h is constant, a unit, it holds exactly at the orders k <= o + c,
+    so it lowers the top order to o + c.  Returns the (h, o + c) pairs whose
+    offset is below the top order, and the top order.
     """
-    active = []
-    for coeffs, e in polys:
-        q = p ** e
+    active, top = [], hi
+    for coeffs, o in polys:
+        q = p ** (hi - o)
         nonzero = [(b, r) for b, v in coeffs.items() if (r := v % q)]
         if not nonzero:
             continue
         c = min(_vp(v, p) for _, v in nonzero)
         h = Poly(nvars, {b: v // p ** c for b, v in nonzero})
         if h.is_constant():
-            return None
-        active.append((h, e - c))
-    return active
+            top = min(top, o + c)
+        else:
+            active.append((h, o + c))
+    # o + c < hi, since c < hi - o; only a unit constant can cut deeper
+    if top < hi:
+        active = [(h, o) for h, o in active if o < top]
+    return active, top
 
 
 def _shift_table(g: Poly, top: int) -> dict[tuple[int, ...], list]:
@@ -748,19 +763,24 @@ def _unit_monomial(active: list[tuple[Poly, int]], p: int) -> tuple[int, ...] | 
     return a
 
 
-def _valuation_sum(a: tuple[int, ...], e: int, p: int, depth: int, meter: Meter) -> int:
-    """#{z in (Z/p^depth)^n : ord_p h(z) >= e} for h = z^a times a unit
-    and 1 <= e <= depth.
+def _valuation_sum(
+    a: tuple[int, ...], o: int, p: int, lo: int, hi: int, meter: Meter
+) -> list[int]:
+    """[N(lo), ..., N(hi)] for N(k) = #{z in (Z/p^k)^n : ord_p h(z) >= k - o},
+    h = z^a times a unit and o < lo <= hi.
 
-    ord_p h(z) = <a, v> for v_i = min(ord_p z_i, depth), so the count is
-    the sum over v in {0..depth}^n with <a, v> >= e of prod_i c(v_i), where
-    c(v) = (p-1) p^(depth-1-v) residues have v_i = v < depth and c(depth)
-    = 1.  The sum runs axis by axis over the partial sums <a, v> capped at
-    e, and is charged its n (depth+1) (e+1) steps first; an axis with
-    a_i = 0 constrains nothing and contributes p^depth.
+    On (Z/p^hi)^n, ord_p h(z) = <a, v> for v_i = min(ord_p z_i, hi), and
+    c(v) = (p-1) p^(hi-1-v) residues have v_i = v < hi, c(hi) = 1.  The
+    number of z with <a, v> = s, s capped at e = hi - o, is a sum over v in
+    {0..hi}^n of prod_i c(v_i), run axis by axis and charged its
+    n (hi+1) (e+1) steps first; an axis with a_i = 0 constrains nothing and
+    contributes p^hi.  Its suffix sums count the z with <a, v> >= k - o,
+    and N(k) is that count over p^((hi-k) n), since the condition depends
+    on z mod p^k only.
     """
-    charge(len(a) * (depth + 1) * (e + 1), meter, "closed-form node")
-    c = [(p - 1) * p ** (depth - 1 - v) for v in range(depth)] + [1]
+    e = hi - o
+    charge(len(a) * (hi + 1) * (e + 1), meter, "closed-form node")
+    c = [(p - 1) * p ** (hi - 1 - v) for v in range(hi)] + [1]
     # ways[s]: the residues of the axes so far with <a, v> = s, s capped at e
     ways = [1] + [0] * e
     for ai in filter(None, a):
@@ -770,27 +790,31 @@ def _valuation_sum(a: tuple[int, ...], e: int, p: int, depth: int, meter: Meter)
                 for v, cv in enumerate(c):
                     new[min(s + ai * v, e)] += w * cv
         ways = new
-    return ways[e] * p ** (depth * a.count(0))
+    at_least = list(itertools.accumulate(reversed(ways)))[::-1]
+    free = p ** (hi * a.count(0))
+    return [at_least[k - o] * free // p ** ((hi - k) * len(a)) for k in range(lo, hi + 1)]
 
 
 def _scan_zeros(
-    gens: list[Poly], nvars: int, p: int, grid: Grid, region: Region | None
-) -> tuple[int, np.ndarray]:
-    """The smooth zeros' count and the singular zeros of gens mod p in the
-    region, by one GridPolys scan of the grid (Z/p)^nvars that evaluates
-    the gens and their partials d g_i / d x_j.  The r x n Jacobian is read
-    at the zeros' flat positions, and only the singular zeros are decoded."""
+    gens: list[Poly], need: list[int], nvars: int, p: int, grid: Grid, region: Region | None
+) -> dict[tuple[int, ...], tuple[int, np.ndarray]]:
+    """The common zeros mod p in the region of the gens indexed by need,
+    grouped by the set B of all gens that vanish at them: B -> (the number
+    of zeros at which the Jacobian of B has full rank, the other zeros).
+    One GridPolys scan of the grid (Z/p)^nvars evaluates the gens and their
+    partials d g_i / d x_j; each B's Jacobian is read at its zeros' flat
+    positions, and only the singular zeros are decoded."""
     r = len(gens)
     scan = GridPolys(grid, gens + [g.derivative(j) for g in gens for j in range(nvars)])
     inside = region.on(grid, p) if region is not None else lambda chunk: None
-    smooth = 0
-    sing_chunks = [np.empty((0, nvars), dtype=np.int64)]
+    smooth: dict[tuple[int, ...], int] = {}
+    sing: dict[tuple[int, ...], list[np.ndarray]] = {}
     for chunk in grid.chunks():
         vals = scan.compact(chunk)
         ok = inside(chunk)
         ok = np.ones(1, dtype=bool) if ok is None else ok
-        for v in vals[:r]:
-            ok = ok & (v == 0)
+        for j in need:
+            ok = ok & (vals[j] == 0)
         where = np.flatnonzero(grid.flat(chunk, ok))
         if not len(where):
             continue
@@ -799,10 +823,23 @@ def _scan_zeros(
         jac = np.empty((len(where), r * nvars), dtype=np.int64)
         for col, d in enumerate(vals[r:]):
             jac[:, col] = np.broadcast_to(d, shape)[at]
-        full = _full_rank(jac.reshape(len(where), r, nvars), p)
-        smooth += int(full.sum())
-        sing_chunks.append(grid.rows(chunk, where[~full]))
-    return smooth, np.concatenate(sing_chunks)
+        jac = jac.reshape(len(where), r, nvars)
+        groups = [(tuple(need), slice(None))]
+        if len(need) < r:
+            # bit j of a zero's pattern is set when gens[j] vanishes there
+            pattern = np.zeros(len(where), dtype=np.int64)
+            for j in range(r):
+                zero = True if j in need else np.broadcast_to(vals[j] == 0, shape)[at]
+                pattern |= np.where(zero, 1 << j, 0)
+            groups = [
+                (tuple(j for j in range(r) if bits >> j & 1), pattern == bits)
+                for bits in np.flatnonzero(np.bincount(pattern)).tolist()
+            ]
+        for B, rows in groups:
+            full = _full_rank(jac[rows][:, B], p)
+            smooth[B] = smooth.get(B, 0) + int(full.sum())
+            sing.setdefault(B, []).append(grid.rows(chunk, where[rows][~full]))
+    return {B: (smooth[B], np.concatenate(sing[B])) for B in smooth}
 
 
 def _split_zeros(
@@ -851,72 +888,115 @@ def _lift_count(
     active: list[tuple[Poly, int]],
     nvars: int,
     p: int,
-    depth: int,
+    lo: int,
+    hi: int,
     state: _LiftState,
     region: Region | None,
-) -> int:
-    """Count z in (Z/p^depth)^nvars with ord_p(g_i(z)) >= e_i for all i.
+) -> list[int]:
+    """[N(lo), ..., N(hi)] for N(k) = #{z in (Z/p^k)^nvars : ord_p h_j(z) >=
+    k - o_j for all j}, z mod p in the region.
 
-    Invariant: 1 <= e_i <= depth for every active constraint (g_i, e_i),
-    and g_i's coefficients are reduced mod p^e_i (see _constraints).
+    Invariant: 0 <= o_j < hi for every active constraint (h_j, o_j), and
+    h_j has a coefficient prime to p and is reduced mod p^e for an
+    e >= hi - o_j (see _constraints).
+    Without a region, the orders k <= min o_j hold at every point.  From
+    the next order up, every constraint with o_j < lo binds, and the node
+    takes each common zero z0 mod p of those, with B the set of all
+    constraints that vanish at z0.  A constraint outside B is a unit on
+    z0's disk, so the disk counts only at the orders k <= o_j.  When the
+    Jacobian of B has full rank mod p at z0, the disk adds
+    p^((k-1) n - sum_{j in B} max(k - o_j - 1, 0)) at order k (Hensel).
+    Otherwise it is re-expanded as z0 + p*y: the child has B's shifted
+    constraints, offsets o_j + content - 1, and the orders one lower, and
+    its counts are the disk's.  The coefficient of y^b in h(z0 + p y) is
+    p^|b| T_b(z0), with T_b = d^b h / b!, and only |b| < hi - o_j matters;
+    the tables of T_b are built once per node with singular zeros, for the
+    constraints a child can keep.  A count of one order m is the range
+    [m, m] at the root.
 
     The zeros mod p come from one of two scans of grids that state holds,
     one per size for the whole call.  A node with one constraint, no
-    region and more than CHUNK points (read at call time) whose g splits
+    region and more than CHUNK points (read at call time) whose h splits
     into variable-disjoint blocks scans two half grids (_split_zeros) and
     is charged p^|A| + p^|B| + |C_A| |C_B| points.  Any other node scans
     (Z/p)^nvars (_scan_zeros), is charged p^nvars points, applies the
-    root's region to the zeros and tests the Jacobian's rank on them, on
-    the same scan.  Either way a smooth zero lifts in closed form, and a
-    singular zero z0 is re-expanded as z0 + p*y.  The coefficient of y^b
-    in g(z0 + p y) is p^|b| T_b(z0), with T_b = d^b g / b!, and only
-    |b| < e matters mod p^e; the tables of T_b are built after the scan,
-    once per node with singular zeros, for the targets e > 1.  Each child
-    is reduced by _constraints, so equal subtrees have equal keys: a
-    region-free node is looked up in state.memo by the set of its
-    constraints and its depth, and a hit costs no work and no budget.
-    Only the root may carry a region, and a node with a region is never
-    looked up.  A region-free node whose one constraint is a monomial
-    times a unit (_unit_monomial) scans nothing: it is counted in closed
-    form by _valuation_sum, charged its steps as a "closed-form node",
-    and memoized like any other node.
+    root's region to the zeros and tests the Jacobians' rank on them, on
+    the same scan.  Each child is reduced by _constraints, so equal
+    subtrees have equal keys: a region-free node is looked up in
+    state.memo by the set of its constraints and its range of orders, and
+    a hit costs no work and no budget.  Only the root may carry a region,
+    and a node with a region is never looked up.  A region-free node whose
+    one constraint is a monomial times a unit (_unit_monomial) scans
+    nothing: it is counted in closed form by _valuation_sum, charged its
+    steps as a "closed-form node", and memoized like any other node.
     """
     if not active and region is None:
-        return p ** (depth * nvars)
-    key = (frozenset(active), depth) if region is None else None
-    if key in state.memo:
-        return state.memo[key]
-    expo = _unit_monomial(active, p) if region is None else None
-    if expo is not None:
-        state.memo[key] = _valuation_sum(expo, active[0][1], p, depth, state.meter)
-        return state.memo[key]
+        return [p ** (k * nvars) for k in range(lo, hi + 1)]
+    key, every = None, []
+    if region is None:
+        bind = min(o for _, o in active) + 1
+        if bind > lo:
+            every = [p ** (k * nvars) for k in range(lo, bind)]
+            lo = bind
+        key = (frozenset(active), lo, hi)
+        if key not in state.memo:
+            expo = _unit_monomial(active, p)
+            if expo is not None:
+                state.memo[key] = _valuation_sum(expo, active[0][1], p, lo, hi, state.meter)
+        if key in state.memo:
+            return every + state.memo[key]
 
     gens = [g for g, _ in active]
+    need = [j for j, (_, o) in enumerate(active) if o < lo]
     halves = None
-    if len(gens) == 1 and (region is None or region.is_full):
+    if len(gens) == 1 and need and (region is None or region.is_full):
         halves = split_halves(gens[0], [p] * nvars)
     if halves is None:
         charge(p ** nvars, state.meter, "residue-tree level")
-        smooth, sing = _scan_zeros(gens, nvars, p, state.grid(nvars), region)
+        disks = _scan_zeros(gens, need, nvars, p, state.grid(nvars), region)
     else:
-        smooth, sing = _split_zeros(halves, nvars, p, state)
+        disks = {(0,): _split_zeros(halves, nvars, p, state)}
 
-    # full-rank points lift p^(n-r) ways per level; exponent is >= 0
-    # whenever r <= nvars, the only case where smooth points exist
-    total = 0
-    if smooth:
-        total = smooth * p ** ((depth - 1) * nvars - sum(e - 1 for _, e in active))
-    if len(sing):
-        # rows |b| <= e - 1 shift a constraint; a target of 1 holds at
-        # every child
-        shifted = [(_shift_table(g, e - 1), e) for g, e in active if e > 1]
-        for z0 in sing.tolist():
-            child = _constraints(((_shift(t, z0, p), e) for t, e in shifted), nvars, p)
-            if child is not None:
-                total += _lift_count(child, nvars, p, depth - 1, state, None)
+    counts = [0] * (hi - lo + 1)
+    tables: dict[int, dict] = {}
+    for B, (smooth, sing) in disks.items():
+        top = min([hi] + [o for j, (_, o) in enumerate(active) if j not in B])
+        if top < lo:
+            continue
+        # full-rank points lift p^(n - |B|) ways per level; the exponent
+        # is >= 0 whenever |B| <= nvars, the only case where they exist
+        if smooth:
+            for k in range(lo, top + 1):
+                cut = sum(max(k - active[j][1] - 1, 0) for j in B)
+                counts[k - lo] += smooth * p ** ((k - 1) * nvars - cut)
+        if not len(sing):
+            continue
+        # a constraint with o_j >= top - 1 holds at every child
+        shifted = []
+        for j in B:
+            g, o = active[j]
+            if o < top - 1:
+                if j not in tables:
+                    tables[j] = _shift_table(g, hi - o - 1)
+                shifted.append((tables[j], o - 1))
+        # equal children are walked once, in the order they first appear,
+        # so the charges are those of walking each (a repeat is a memo hit)
+        children: dict[tuple, list] = {}
+        if not shifted:  # every child is the same node, with no constraint
+            children[frozenset(), top - 1] = [[], len(sing)]
+        else:
+            for z0 in sing.tolist():
+                child, child_top = _constraints(
+                    ((_shift(t, z0, p), o) for t, o in shifted), top - 1, nvars, p
+                )
+                if child_top >= lo - 1:
+                    children.setdefault((frozenset(child), child_top), [child, 0])[1] += 1
+        for (_, child_top), (child, times) in children.items():
+            for i, c in enumerate(_lift_count(child, nvars, p, lo - 1, child_top, state, None)):
+                counts[i] += times * c
     if key is not None:
-        state.memo[key] = total
-    return total
+        state.memo[key] = counts
+    return every + counts
 
 
 def count_points_raw(
@@ -928,23 +1008,35 @@ def count_points_raw(
     method: str = "lift",
     budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
-) -> int:
-    """Count common zeros mod p^m of a raw generator list inside a region."""
+    *,
+    orders: bool = False,
+) -> int | tuple[int, ...]:
+    """Count common zeros mod p^m of a raw generator list inside a region.
+
+    With orders=True the lift route returns (N(1), ..., N(m)), the counts
+    mod p^k for k = 1..m, from one walk of the residue tree.
+    """
     check_prime_power(p, m)
+    if orders and method != "lift":
+        raise ValueError(f"orders=True needs method 'lift', got {method!r}")
     budget = Meter.of(budget)  # "both" charges both routes to it
+
+    if method == "lift":
+        lo = 1 if orders else m
+        active, top = _constraints(((g.terms, 0) for g in gens), m, nvars, p)
+        counts = []
+        if top >= lo:
+            counts = _lift_count(active, nvars, p, lo, top, _LiftState(budget, p), region)
+        # no point meets a unit constraint above its offset
+        counts = [*counts, *[0] * (m - max(top, lo - 1))]
+        return tuple(counts) if orders else counts[-1]
     gens = _nonconstant(gens, p ** m)
     if gens is None:
         return 0
-
     if method == "naive":
         charge(p ** (m * nvars), budget, "naive count")
         grid = Grid(nvars, p ** m)
         return _count_naive(gens, grid, region and region.on(grid, p), threads)
-    if method == "lift":
-        active = _constraints(((g.terms, m) for g in gens), nvars, p)
-        if active is None:
-            return 0
-        return _lift_count(active, nvars, p, m, _LiftState(budget, p), region)
     if method == "both":
         a = count_points_raw(gens, nvars, p, m, region, "lift", budget, threads)
         b = count_points_raw(gens, nvars, p, m, region, "naive", budget, threads)
@@ -964,26 +1056,30 @@ def count_zpm(
     method: str = "lift",
     budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
-) -> int:
-    """Exact number of points of the ideal's zero set in (Z/p^m)^n ∩ region."""
+    *,
+    orders: bool = False,
+) -> int | tuple[int, ...]:
+    """Exact number of points of the ideal's zero set in (Z/p^m)^n ∩ region;
+    with orders=True (lift only), the numbers mod p^k for every k = 1..m."""
     if region is not None and region.k != spec.nvars:
         raise ValueError("region size must match nvars")
     return count_points_raw(
-        spec.generators, spec.nvars, p, m, region, method, budget, threads
+        spec.generators, spec.nvars, p, m, region, method, budget, threads, orders=orders
     )
 
 
 class LocalData:
-    """The local counts of one ideal at one prime, each computed once.
+    """The local counts of one ideal at one prime, from one walk each.
 
     N(m) = #{x in (Z/p^m)^n : reduction in Z, ord_I(x) >= m} for m >= 1,
     and N(0) = #Z(F_p).  Every local object of the paper is a function of
     these: the volumes V(m) = N(m) / p^(mn) (V(0) = N(0) / p^n) and the
-    exponential sums E(r, m) = V(m) - p^(-r) V(m-1).  Each N(m) is counted
-    by the lift route on first use and kept in this object, and every count
-    draws down the one meter the object makes of its budget (or is given).
-    One object serves one public call or one CLI command, so no count
-    outlives it.
+    exponential sums E(r, m) = V(m) - p^(-r) V(m-1).  The lift route counts
+    N(1..M) in one walk of the residue tree at the highest order M, so a
+    caller reads its top order first (volumes(), or N(M) before the rest);
+    the counts are kept in this object, and every walk draws down the one
+    meter the object makes of its budget (or is given).  One object serves
+    one public call or one CLI command, so no count outlives it.
     """
 
     def __init__(
@@ -1002,22 +1098,32 @@ class LocalData:
         self._counts: dict[int, int] = {}
 
     def N(self, m: int) -> int:
+        """N(m); a count above every order held so far walks the residue
+        tree once at order m and keeps N(1..m)."""
         if m not in self._counts:
             if m == 0 and self.Z is not None:
-                count = self.Z.count_mod_p(self.p, self.meter, self.threads)
+                self._counts[0] = self.Z.count_mod_p(self.p, self.meter, self.threads)
             elif m == 0:
-                count = self.p ** self.spec.nvars
+                self._counts[0] = self.p ** self.spec.nvars
             else:
-                count = count_zpm(self.spec, self.p, m, self.Z, "lift", self.meter, self.threads)
-            self._counts[m] = count
+                counts = count_zpm(
+                    self.spec, self.p, m, self.Z, "lift", self.meter, self.threads, orders=True
+                )
+                self._counts.update(enumerate(counts, 1))
         return self._counts[m]
 
     def V(self, m: int) -> Fraction:
         """vol{x : ord_I(x) >= m, reduction in Z}."""
         return Fraction(self.N(m), self.p ** (max(m, 1) * self.spec.nvars))
 
+    def volumes(self, M: int) -> list[Fraction]:
+        """[V(0), ..., V(M)], read top first so that one walk counts them."""
+        self.N(M)
+        return [self.V(m) for m in range(M + 1)]
+
     def E(self, r: int, m: int) -> Fraction:
-        """The r-th exponential sum modulo p^m in counts form."""
+        """The r-th exponential sum modulo p^m in counts form; V(m) is read
+        first, so one walk counts both volumes."""
         check_rank(r)
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")

@@ -105,7 +105,8 @@ def singular_series_partial(
 
     E is multiplicative, so E(q) is the product of a table of E over the
     prime powers <= Qmax.  The table is filled from one LocalData per
-    prime, so each count is computed once per call.
+    prime, which counts every power of p at once, in one walk at the
+    largest k with p^k <= Qmax.
 
     With a user-supplied decay exponent sigma > r + 1 a geometric tail
     bound is attached, fitted as c = max |E(q)| q^sigma over the computed
@@ -127,6 +128,10 @@ def singular_series_partial(
         else:
             if p not in local:
                 local[p] = LocalData(spec, p, None, budget, threads)
+                top = k
+                while p ** (top + 1) <= Qmax:
+                    top += 1
+                local[p].N(top)
             E[q] = local[p].E(r, k)
     terms = [(q, e, e * q ** r) for q, e in E.items()]
     sums = list(itertools.accumulate(term for _, _, term in terms))
@@ -167,8 +172,8 @@ def p_adic_density(
     check_rank(r)
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    data = LocalData(spec, p, None, budget, threads)
-    values = [data.V(m) * p ** (m * r) for m in range(1, M + 1)]
+    vols = LocalData(spec, p, None, budget, threads).volumes(M)
+    values = [vols[m] * p ** (m * r) for m in range(1, M + 1)]
     deltas = [values[i + 1] - values[i] for i in range(len(values) - 1)]
     # stabilized means constant from the first repeat onward; a plateau
     # followed by further movement (e.g. 1, 3, 3, 9, 9 for a non-reduced

@@ -14,9 +14,10 @@ vol{ord >= m} = q^(-mn) * N_{p,m}.  On top of it:
   sums telescope to the p-adic densities.
 
 Every count comes from one ringcount.LocalData per public call (per CLI
-command for ``iosc zeta``), so each N_{p,m} is computed once per call and
-the public functions are thin wrappers around private helpers that derive
-their output from its volumes.
+command for ``iosc zeta``), and each helper reads its volumes top first
+(LocalData.volumes), so one walk of the residue tree at the highest order
+counts every N_{p,m} of a call.  The public functions are thin wrappers
+around private helpers that derive their output from those volumes.
 
 Verdicts emitted here are explicitly labeled heuristics on truncated
 data; the exact parts (series identities, reconstruction round-trips)
@@ -92,11 +93,10 @@ def ord_volumes(
 ) -> list[Fraction]:
     """[V_0..V_M] with V_m = vol{x : ord_I(x) >= m, reduction in Z}.
 
-    Each count is computed once per call, through one LocalData.
+    The counts come from one walk at order M, through one LocalData.
     """
     _check_order(M)
-    data = LocalData(spec, p, Z, budget, threads)
-    return [data.V(m) for m in range(M + 1)]
+    return LocalData(spec, p, Z, budget, threads).volumes(M)
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def ord_distribution(
 
 def _ord_distribution(data: LocalData, M: int) -> OrdDistribution:
     _check_order(M)
-    vols = [data.V(m) for m in range(M + 1)]
+    vols = data.volumes(M)
     coeffs = [vols[m] - vols[m + 1] for m in range(M)] + [vols[M]]
     return OrdDistribution(data.p, tuple(coeffs), M)
 
@@ -145,7 +145,8 @@ def zeta_series(
 
 def _zeta_series(data: LocalData, M: int) -> QSeries:
     _check_order(M)
-    return QSeries(data.p, tuple(data.V(m) - data.V(m + 1) for m in range(M + 1)))
+    vols = data.volumes(M + 1)
+    return QSeries(data.p, tuple(vols[m] - vols[m + 1] for m in range(M + 1)))
 
 
 def poincare_relation(
@@ -158,8 +159,8 @@ def poincare_relation(
     """Coefficientwise check of (1 - t) P(t) = 1 - t Z(t) through order M."""
     _check_order(M)
     data = LocalData(spec, p, None, budget, threads)
-    pser = QSeries(p, tuple(data.V(m) for m in range(M + 1)))
-    zser = _zeta_series(data, M)
+    zser = _zeta_series(data, M)  # reads the top order, M + 1, first
+    pser = QSeries(p, tuple(data.volumes(M)))
     lhs = [pser.coeffs[0]] + [
         pser.coeffs[m] - pser.coeffs[m - 1] for m in range(1, M + 1)
     ]
@@ -207,6 +208,7 @@ def _compa(data: LocalData, r: int, M: int) -> CompaResult:
     if M < 2:
         raise ValueError("M must be >= 2")
     p = data.p
+    data.N(M + 1)  # the top order first: one walk counts V_1..V_{M+1}
     # V_0 of Z cap X is V_1 of Z, by the lemma in compa_check's docstring
     vols = [data.V(1)] + [data.V(m) for m in range(1, M + 2)]
     qr = Fraction(1, p ** r)
@@ -365,8 +367,8 @@ def theta_probe(
     check_rank(r)
     if M < 3:
         raise ValueError("M must be >= 3")
-    data = LocalData(spec, p, None, budget, threads)
-    terms = [data.E(r, m) * p ** (r * m) for m in range(1, M + 1)]
+    vols = LocalData(spec, p, None, budget, threads).volumes(M)
+    terms = [(vols[m] - vols[m - 1] / p ** r) * p ** (r * m) for m in range(1, M + 1)]
     sums = [Fraction(1)]
     for t in terms:
         sums.append(sums[-1] + t)

@@ -1,5 +1,5 @@
-"""Each local count is computed once per call, and bad moduli and ranks
-are refused."""
+"""Each call counts its local data in one walk per prime, at its top
+order, and bad moduli and ranks are refused."""
 
 from collections import Counter
 
@@ -57,18 +57,40 @@ def test_zeta_command_counts_each_level_once(counted, capsys):
     argv = ["zeta", "--gens", "x1*x2", "-n", "2", "-p", "3", "--max-order", "4",
             "--reconstruct"]
     assert cli.main(argv) == 0
-    assert counted == {(3, m, None): 1 for m in range(1, 6)}
+    # the series identity reads V up to max(2, M) + 1 = 5
+    assert counted == {(3, 5, None): 1}
+
+
+def test_a_zeta_command_walks_the_tree_once(counted, monkeypatch, capsys):
+    # N(1..7) from one walk at order 7, charged what a count of order 7
+    # alone is charged
+    real, points = ringcount.charge, []
+
+    def charge(needed, budget, what="enumeration"):
+        points.append(needed)
+        real(needed, budget, what)
+
+    monkeypatch.setattr(ringcount, "charge", charge)
+    argv = ["zeta", "--gens", "x1^2*x2-x3^2", "-n", "3", "-p", "7", "--max-order", "6",
+            "--reconstruct"]
+    assert cli.main(argv) == 0
+    assert counted == {(7, 7, None): 1}
+    walk = sum(points)
+    points.clear()
+    count_points_raw([parse_poly("x1^2*x2-x3^2", 3)], 3, 7, 7)
+    assert walk == sum(points) == 40_335
 
 
 def test_poincare_relation_counts_each_level_once(counted):
     ok, _, _ = poincare_relation(S("x1*x2", n=2), 3, 4)
     assert ok
-    assert counted == {(3, m, None): 1 for m in range(1, 6)}
+    assert counted == {(3, 5, None): 1}
 
 
 def test_singular_series_counts_each_prime_power_once(counted):
     singular_series_partial(S("x1^2+x2^2", n=2), 1, 12)
-    want = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (11, 1)]
+    # each prime's largest k with p^k <= 12
+    want = [(2, 3), (3, 2), (5, 1), (7, 1), (11, 1)]
     assert counted == {(p, m, None): 1 for p, m in want}
 
 
@@ -76,7 +98,7 @@ def test_no_count_outlives_its_call(counted):
     spec = S("x1^2-x2^3", n=2)
     assert ord_distribution(spec, 3, 3) == ord_distribution(spec, 3, 3)
     assert E_counts(spec, 1, 3, 2) == E_counts(spec, 1, 3, 2)
-    assert counted == {(3, 1, None): 4, (3, 2, None): 4, (3, 3, None): 2}
+    assert counted == {(3, 3, None): 2, (3, 2, None): 2}
 
 
 def test_count_both_still_runs_the_naive_route(monkeypatch, capsys):

@@ -150,6 +150,11 @@ def test_jacobian_minors_2x2():
     assert jacobian_minors([P("x1^2", 2), P("x1*x2", 2)], 2) == [P("2*x1^2", 2)]
 
 
+def test_jacobian_minors_of_no_generator_is_refused():
+    with pytest.raises(ValueError, match="generator list is empty"):
+        jacobian_minors([], 0)
+
+
 def test_jacobian_minors_too_many_gens():
     with pytest.raises(ValueError):
         jacobian_minors([P("x1", 1), P("x1^2", 1)], 2)

@@ -132,6 +132,47 @@ def test_lift_equals_naive_on_monomials_times_units(ideal):
     count_points_raw(gens, n, p, m, method="both")
 
 
+@st.composite
+def offset_ideals(draw):
+    """(gens, n, p, M, region) with 1-3 generators p^k g, k in {0, 1, 2},
+    and naive grids of at most 4096 points at every order up to M.
+
+    The factors p^k give the generators unequal offsets at the root (3*x1
+    at p = 3 has offset 1), and a later generator may share the earlier
+    ones' terms, so that a node's zeros of its lowest-offset constraints
+    are often zeros of the others too, with a dependent Jacobian.  The
+    region, when drawn, is the reduction locus of a random non-constant
+    polynomial, so it also cuts the orders up to the least root offset.
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    M = draw(st.integers(1, 4))
+    assume((p ** M) ** n <= 4096)
+    monomial = st.tuples(*[st.integers(0, 2)] * n)
+    poly = st.dictionaries(monomial, st.integers(-3, 3), min_size=1, max_size=3).map(
+        lambda terms: Poly(n, terms)
+    )
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        g = draw(poly)
+        if gens and draw(st.booleans()):
+            g = g * gens[-1] if draw(st.booleans()) else g + gens[-1]
+        gens.append(g * p ** draw(st.integers(0, 2)))
+    region = None
+    if draw(st.booleans()):
+        region = Region.reduction_in([draw(poly.filter(lambda f: not f.is_constant()))])
+    return gens, n, p, M, region
+
+
+@given(offset_ideals())
+def test_one_walk_counts_every_order_as_the_naive_route(ideal):
+    gens, n, p, M, region = ideal
+    walk = count_points_raw(gens, n, p, M, region, orders=True)
+    assert walk == tuple(
+        count_points_raw(gens, n, p, m, region, method="naive") for m in range(1, M + 1)
+    )
+
+
 # a node's Jacobian is read across chunk boundaries, for r = 2 too
 @pytest.mark.parametrize("chunk", CHUNKS)
 @given(deep_ideals())

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -135,6 +137,48 @@ def test_deep_tree_pins(gens, n, p, m, count):
     assert count_zpm(S(*gens, n=n), p, m) == count
 
 
+@pytest.mark.parametrize(
+    "gens,n,p,m,charges",
+    [
+        # (number of charges, points, sha256 prefix of the JSON list of
+        # [label, points]) of the walk that counted one order at a time
+        (["x1^2*x2 - x3^2"], 3, 7, 10, (3080, 479296, "aaebddb69ec8730a")),
+        (["x1*x2*x3"], 3, 5, 8, (1, 243, "f103cb787afdef3f")),
+        (["x1^2"], 1, 2, 40, (1, 1681, "3e79d8a7d1f447da")),
+        (["x1^2 + x1^3"], 1, 2, 40, (2, 1562, "7cfe2709456c2190")),
+        (["x1^2+x2^2-x3^2-x4^2", "x1*x3-x2*x4"], 4, 5, 2, (13, 8125, "68ff8892a1e410dc")),
+    ],
+)
+def test_a_single_order_count_walks_the_same_tree(gens, n, p, m, charges, monkeypatch):
+    # a count of one order is the range [m, m]: the same nodes, charged
+    # the same points in the same order
+    real, log = ringcount.charge, []
+
+    def charge(needed, budget, what="enumeration"):
+        log.append([what, needed])
+        real(needed, budget, what)
+
+    monkeypatch.setattr(ringcount, "charge", charge)
+    count_zpm(S(*gens, n=n), p, m)
+    digest = hashlib.sha256(json.dumps(log).encode()).hexdigest()[:16]
+    assert (len(log), sum(x for _, x in log), digest) == charges
+
+
+def test_orders_need_the_lift_route():
+    spec = S("x1^2", n=1)
+    assert count_zpm(spec, 3, 4, orders=True) == (1, 3, 3, 9)
+    for method in ("naive", "both"):
+        with pytest.raises(ValueError, match="orders=True needs method 'lift'"):
+            count_zpm(spec, 3, 2, method=method, orders=True)
+
+
+def test_a_unit_constant_caps_the_orders():
+    # ord_3(9) = 2: the generator 9 holds at orders 1 and 2 and nowhere above
+    gens = [P("9", 2), P("x1*x2", 2)]
+    assert count_points_raw(gens, 2, 3, 4, orders=True) == (5, 21, 0, 0)
+    assert [count_points_raw(gens, 2, 3, m, method="naive") for m in (1, 2, 3)] == [5, 21, 0]
+
+
 def test_a_monomial_times_a_unit_is_counted_with_no_grid_scan(monkeypatch):
     def scan(*args):
         raise AssertionError("a closed-form node scans no grid")
@@ -199,6 +243,11 @@ def test_region_unit_and_zero_per_coordinate():
     z = count_zpm(spec, p, m, Region(2, (((0, 1), ZeroModP()), ((1, 2), Full()))))
     u = count_zpm(spec, p, m, Region(2, (((0, 1), UnitModP()), ((1, 2), Full()))))
     assert full == z + u
+
+
+def test_region_reduction_in_refuses_no_generator():
+    with pytest.raises(ValueError, match="generator list is empty"):
+        Region.reduction_in([])
 
 
 def test_region_reduction_in():
