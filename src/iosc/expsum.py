@@ -8,8 +8,9 @@ of a list of polynomials on a grid, and residue_histogram runs it on
 (Z/N)^k for any modulus N, with the region decided at every prime of N.
 It serves phase_histogram (N = p^m), direct_charsum (the literal sum of
 the pairing polynomial, at N = p^m for E_charsum and at a composite N for
-the oracle of sseries), the x-pass of E_charsum and the Waring image of
-circle.
+the oracle of sseries), the x-pass of E_charsum (through value_classes,
+which tallies sparsely where the q^r value vectors outnumber the points)
+and the Waring image of circle.
 Identity checks then reduce the histogram modulo the N-th cyclotomic
 polynomial: sum c_j zeta^j equals a rational number iff the reduced
 residue is that constant, so no tolerance ever enters.  Floating values
@@ -48,6 +49,7 @@ from .ringcount import (
     Grid,
     GridPolys,
     LocalData,
+    ModQ,
     Region,
     UnitModP,
     ZeroModP,
@@ -199,22 +201,68 @@ def value_histogram(
 
     Values are the ring's codes 0..q-1, and the vector (v_1, ..., v_s) is
     tallied in bin v_1 q^(s-1) + ... + v_s of q^s, encoded on the chunk's
-    compact shape before its rows are spread out.
+    compact shape before its rows are spread out.  One polynomial over Z/q
+    whose G groups (GridPolys) leave G q bins within a chunk's rows is
+    tallied unreduced: its values are sums of G residues, below G q, so
+    their G q bins fold mod q with no pass of % over the rows.
     """
     scan = GridPolys(grid, polys)
     q = grid.ring.q
+    bins = q ** len(polys)
+    fold = 1
+    if len(polys) == 1 and isinstance(grid.ring, ModQ):
+        h0, rest = scan.plans[0]
+        groups = len(rest) + (h0 is not None)
+        if groups > 1 and groups * q <= min(grid.block, grid.prefix_total) * grid.suffix_size:
+            fold = groups
 
     def worker(chunk: tuple[int, int]) -> np.ndarray:
-        idx, *rest = scan.compact(chunk)
-        for vals in rest:
-            idx = idx * q + vals
+        if fold > 1:
+            idx = scan.sums(chunk)[0][0]
+        else:
+            idx = _codes(scan.compact(chunk), q)
         idx = grid.flat(chunk, idx)
         ok = inside(chunk)
         if ok is not None:
             idx = idx[grid.flat(chunk, ok)]
-        return np.bincount(idx, minlength=q ** len(polys))
+        counts = np.bincount(idx, minlength=fold * bins)
+        return counts.reshape(fold, bins).sum(axis=0) if fold > 1 else counts
 
     return map_sum(worker, grid.chunks(), threads)
+
+
+def value_classes(
+    grid: Grid, polys: Sequence[Poly], threads: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The value vectors the polynomials take on the grid, as the codes of
+    value_histogram's bins in ascending order, and how many points take
+    each.  While q^s bins are at most the grid's points they are tallied
+    densely; above that each chunk tallies its own codes (np.unique) and
+    the (code, count) pairs are merged, so memory follows the points."""
+    q = grid.ring.q
+    if q ** len(polys) <= grid.prefix_total * grid.suffix_size:
+        counts = value_histogram(grid, polys, lambda chunk: None, threads)
+        codes = np.flatnonzero(counts)
+        return codes, counts[codes]
+    scan = GridPolys(grid, polys)
+
+    def worker(chunk: tuple[int, int]) -> list[tuple[np.ndarray, np.ndarray]]:
+        codes = grid.flat(chunk, _codes(scan.compact(chunk), q))
+        return [np.unique(codes, return_counts=True)]
+
+    pairs = map_sum(worker, grid.chunks(), threads)
+    codes, at = np.unique(np.concatenate([c for c, _ in pairs]), return_inverse=True)
+    counts = np.zeros(len(codes), dtype=np.int64)
+    np.add.at(counts, at, np.concatenate([n for _, n in pairs]))
+    return codes, counts
+
+
+def _codes(vals: Sequence[np.ndarray], q: int) -> np.ndarray:
+    """v_1 q^(s-1) + ... + v_s of the value vectors, on the compact shape."""
+    idx, *rest = vals
+    for v in rest:
+        idx = idx * q + v
+    return idx
 
 
 def to_complex(h: PhaseHistogram) -> complex:
@@ -285,10 +333,9 @@ def E_charsum(
     charge(q ** n, budget, "character sum")
 
     # x-pass: class-count the generator value vectors
-    countv = residue_histogram(spec.generators, q, Region.full(n), threads)
-    support = np.nonzero(countv)[0]
+    support, counts = value_classes(Grid(n, q), spec.generators, threads)
     charge((q ** r - (q // p) ** r) * len(support), budget, "character sum")
-    weights = countv[support].astype(np.float64)
+    weights = counts.astype(np.float64)
     vmat = digits(support, [q] * r)
 
     # y-pass: every primitive y, grouped x classes, in blocks of rows

@@ -11,11 +11,14 @@ soon as the walk returns to 1 early.  Order q-1 makes all q-1 nonzero
 residues units, so the quotient ring is a field and f is irreducible: the
 walk is the proof, and its output is the antilog table exp[i] = X^i, with
 log its inverse.  The q x q tables follow row by row: mul[a, b] =
-exp[(log a + log b) mod (q-1)], and add is digitwise mod p.
+exp[(log a + log b) mod (q-1)], and add is digitwise mod p, as is the
+length-q negation table, each digit d becoming (p - d) mod p.
 
-The table is a ring of ringcount's grid kernel (const, mul, add and
-reduce), with add and mul as lookups and an integer c as the code c mod
-p.  So F_q^n is scanned by the same Grid and GridPolys as (Z/q)^n.
+The table is a ring of ringcount's grid kernel (const, mul, add, reduce
+and neg), with add, mul and neg as lookups and an integer c as the code
+c mod p.  So F_q^n is scanned by the same Grid and GridPolys as (Z/q)^n,
+and a zero test compares codes with the negated codes of the
+suffix-only terms (ringcount.ZeroScan), with no lookup in the add table.
 
 The absolute trace to F_p is precomputed per element, which is all a
 canonical additive character of F_q needs: psi(a) = exp(2*pi*i*Tr(a)/p).
@@ -78,6 +81,8 @@ class GFTable:
                 mul[a, 1:] = exp[log[a] + log[1:]]
         self.add_table = add
         self.mul_table = mul
+        # -a digitwise: each digit d becomes (p - d) mod p
+        self.neg_table = ((p - elems) % p) @ weights
 
         # absolute trace: Tr(a) = a + a^p + ... + a^(p^(k-1)), lands in F_p,
         # whose elements are encoded by their constant digit
@@ -102,6 +107,9 @@ class GFTable:
 
     def reduce(self, a: np.ndarray) -> np.ndarray:
         return a
+
+    def neg(self, a: np.ndarray) -> np.ndarray:
+        return self.neg_table[a]
 
     def eval_poly(self, f: Poly, pts: np.ndarray) -> np.ndarray:
         """Evaluate an integer polynomial on rows of F_q elements."""

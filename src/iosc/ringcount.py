@@ -42,25 +42,29 @@ the two largest q agree.
 
 Every exact route of the package is an exhaustive scan of a box, and
 this module holds the one kernel they all share.  A ring (ModQ for Z/q,
-gf.GFTable for F_q, Int64 for exact integers) supplies const, mul, add
-and reduce, and power() raises to a power in any of them by poly.power,
-the package's one square-and-multiply loop.  Grid is a box of ring
-points, (Z/q)^k, F_q^k or an integer box, split into a prefix and a
-suffix box of at most CHUNK points.  GridPolys groups each
-polynomial by prefix monomial and evaluates each group's suffix
-polynomial once per scan, so a chunk (a run of prefix points times the
-suffix box) costs one broadcast product and one add per distinct prefix
-monomial, and decodes no rows; a region is decided on the same chunks
-(Region.on).  A lift node's scan evaluates the Jacobian too, so rows are
-decoded only for its singular zeros and for the critical points of a
-half grid.  eval_rows() evaluates a polynomial on given rows in any
-ring, and map_sum() adds a worker's results over chunks in submission
-order on a thread pool, so every total is the same for any thread count.
-The lift builds each grid it scans, (Z/p)^n or a half grid, with its
-power tables, once per call.  _count_naive() is the one zero count of a
-whole grid: the naive route, the finite-field and region counts and the
-integer box count of circle.count_box_solutions, whose separable case
-split_halves() and count_value_pairs() also serve.
+gf.GFTable for F_q, Int64 for exact integers) supplies const, mul, add,
+reduce and neg, and power() raises to a power in any of them by
+poly.power, the package's one square-and-multiply loop.  Grid is a box
+of ring points, (Z/q)^k, F_q^k or an integer box, split into a prefix
+and a suffix box of at most CHUNK points.  GridPolys groups each
+polynomial by prefix monomial, f = h_0 + sum_a x^a h_a, and evaluates
+each group's suffix polynomial once per scan, so a chunk (a run of
+prefix points times the suffix box) costs one broadcast product and one
+add per distinct prefix monomial a != 0, and decodes no rows; a region
+is decided on the same chunks (Region.on).  ZeroScan, the zero test of
+a whole grid, takes -h_0 once per scan (neg) and compares the other
+groups' sum with it, one compare per point and polynomial with no add
+of h_0 and, for one prefix group, no reduce.  A lift node's scan
+evaluates the Jacobian too, so rows are decoded only for its singular
+zeros and for the critical points of a half grid.  eval_rows()
+evaluates a polynomial on given rows in any ring, and map_sum() adds a
+worker's results over chunks in submission order on a thread pool, so
+every total is the same for any thread count.  The lift builds each
+grid it scans, (Z/p)^n or a half grid, with its power tables, once per
+call.  _count_naive() is the one zero count of a whole grid: the naive
+route, the finite-field and region counts and the integer box count of
+circle.count_box_solutions, whose separable case split_halves() and
+count_value_pairs() also serve.
 """
 
 from __future__ import annotations
@@ -170,6 +174,9 @@ class ModQ:
         a %= self.q
         return a
 
+    def neg(self, a: np.ndarray) -> np.ndarray:
+        return -a % self.q
+
 
 class Int64:
     """Exact integers in int64; the caller bounds every value below 2^62."""
@@ -186,8 +193,11 @@ class Int64:
     def reduce(self, a: np.ndarray) -> np.ndarray:
         return a
 
+    def neg(self, a: np.ndarray) -> np.ndarray:
+        return -a
 
-# the rings of the evaluators: each has const, mul, add and reduce
+
+# the rings of the evaluators: each has const, mul, add, reduce and neg
 Ring = ModQ | Int64 | GFTable
 
 
@@ -348,34 +358,42 @@ class Grid:
 class GridPolys:
     """Polynomials evaluated in the ring of a Grid, on its chunks.
 
-    Each polynomial f is grouped by prefix monomial, f = sum_a x^a h_a,
-    and each suffix polynomial h_a is evaluated once, on the suffix box
-    (Grid.box_values), when the scan is built; chunks then only read it,
-    so they may run on any thread.  A chunk costs one broadcast product
-    and one add per distinct a, then one reduce, and no row is decoded.
-    In Z/q, products of two residues stay below 2^62 and each sum of
-    reduced terms below (number of groups) * q, so int64 is exact.
+    Each polynomial f is grouped by prefix monomial, f = h_0 + sum_a x^a h_a
+    with h_0 the group of suffix-only terms, and each suffix polynomial is
+    evaluated once, on the suffix box (Grid.box_values), when the scan is
+    built; chunks then only read it, so they may run on any thread.  A
+    chunk costs one broadcast product and one add per distinct a != 0,
+    then one reduce, and no row is decoded.  In Z/q, products of two
+    residues stay below 2^62 and the sum of G reduced groups below G q, so
+    int64 is exact.
     """
 
     def __init__(self, grid: Grid, polys: Sequence[Poly]):
         self.grid = grid
         split = grid.split
-        self.plans = []
+        # per polynomial (h_0 or None, [(a, h_a) for a != 0])
+        self.plans: list[tuple[np.ndarray | None, list]] = []
         for f in polys:
             groups: dict[tuple[int, ...], dict] = {}
             for expo, c in f.terms.items():
                 groups.setdefault(expo[:split], {})[expo[split:]] = c
-            plan = []
+            h0, rest = None, []
             for a, terms in groups.items():
                 h = grid.box_values(terms)
                 h.flags.writeable = False  # shared by every chunk
-                plan.append((a, h))
-            self.plans.append(plan)
+                if any(a):
+                    rest.append((a, h))
+                else:
+                    h0 = h
+            self.plans.append((h0, rest))
 
-    def compact(self, chunk: tuple[int, int]) -> list[np.ndarray]:
-        """Each polynomial's values on the chunk, as arrays that broadcast
-        against grid.shape(chunk): an axis no term depends on keeps
-        length 1."""
+    def sums(
+        self, chunk: tuple[int, int], with_h0: bool = True
+    ) -> list[tuple[np.ndarray | None, int]]:
+        """Each polynomial's sum of its groups on the chunk, h_0 left out
+        unless with_h0, before the reduce: (the sum, or None for no group,
+        and its number of groups).  The sums broadcast against
+        grid.shape(chunk); an axis no term depends on keeps length 1."""
         start, stop = chunk
         grid, ring = self.grid, self.grid.ring
         s = grid.k - grid.split
@@ -388,19 +406,27 @@ class GridPolys:
             return t.reshape((-1,) + (1,) * s)
 
         out = []
-        for plan in self.plans:
-            acc = None
-            for a, h in plan:
-                if any(a):
-                    if prefix is None:
-                        idx = np.arange(start, stop, dtype=np.int64)
-                        prefix = grid.points(idx, grid.split)
-                    h = ring.mul(mono(a), h)
+        for h0, rest in self.plans:
+            acc = h0 if with_h0 else None
+            for a, h in rest:
+                if prefix is None:
+                    idx = np.arange(start, stop, dtype=np.int64)
+                    prefix = grid.points(idx, grid.split)
+                h = ring.mul(mono(a), h)
                 acc = h if acc is None else ring.add(acc, h)
+            out.append((acc, len(rest) + (with_h0 and h0 is not None)))
+        return out
+
+    def compact(self, chunk: tuple[int, int]) -> list[np.ndarray]:
+        """Each polynomial's values on the chunk, as arrays that broadcast
+        against grid.shape(chunk) (see sums)."""
+        s = self.grid.k - self.grid.split
+        out = []
+        for acc, groups in self.sums(chunk):
             if acc is None:  # the zero polynomial
                 acc = np.zeros((1,) * (s + 1), dtype=np.int64)
-            elif len(plan) > 1:
-                acc = ring.reduce(acc)  # a sum, so not a shared array
+            elif groups > 1:
+                acc = self.grid.ring.reduce(acc)  # a sum, so not a shared array
             out.append(acc)
         return out
 
@@ -408,13 +434,32 @@ class GridPolys:
         """Each polynomial's values on the chunk's rows, in row order."""
         return [self.grid.flat(chunk, v) for v in self.compact(chunk)]
 
+
+class ZeroScan(GridPolys):
+    """GridPolys that finds the common zeros of its polynomials.
+
+    f = h_0 + S vanishes exactly where S == -h_0, for S the reduced sum of
+    the groups with a != 0 (0 for none), so a chunk tests each polynomial
+    with one broadcast compare and adds and reduces no h_0.  The negations
+    -h_0 (ring.neg) are taken once, when the scan is built, so that no
+    other scan (a lift node's) pays for them.
+    """
+
+    def __init__(self, grid: Grid, polys: Sequence[Poly]):
+        super().__init__(grid, polys)
+        self.negs = [0 if h0 is None else grid.ring.neg(h0) for h0, _ in self.plans]
+
     def zeros(self, chunk: tuple[int, int], within: np.ndarray | None = None) -> np.ndarray:
         """The mask of the chunk's rows where every polynomial vanishes,
         and where `within`, a mask in the compact shape, holds if given."""
-        ok = np.ones(1, dtype=bool) if within is None else within
-        for vals in self.compact(chunk):
-            ok = ok & (vals == 0)
-        return self.grid.flat(chunk, ok)
+        ok = within
+        for (vals, groups), neg in zip(self.sums(chunk, with_h0=False), self.negs):
+            if vals is None:
+                vals = 0
+            elif groups > 1:
+                vals = self.grid.ring.reduce(vals)
+            ok = vals == neg if ok is None else ok & (vals == neg)
+        return self.grid.flat(chunk, np.ones(1, dtype=bool) if ok is None else ok)
 
 
 # -- separable zero scans ----------------------------------------------------
@@ -618,7 +663,7 @@ def _count_naive(
     caller charges the budget.  No row is decoded.  It serves the naive
     count, the finite-field count, the region count and the integer box
     count of circle.count_box_solutions."""
-    scan = GridPolys(grid, gens)
+    scan = ZeroScan(grid, gens)
 
     def worker(chunk: tuple[int, int]) -> int:
         return int(np.count_nonzero(scan.zeros(chunk, inside and inside(chunk))))
@@ -665,8 +710,9 @@ class _LiftState:
         self.p = p
         # (Z/p)^k by k: the full grid, and the half grids of split nodes
         self.grids: dict[int, Grid] = {}
-        # (frozenset of active constraints, depth) -> count of a region-free node
-        self.memo: dict[tuple, int] = {}
+        # (frozenset of active constraints, lo, hi) -> the counts N(lo..hi)
+        # of a region-free node
+        self.memo: dict[tuple, list[int]] = {}
 
     def grid(self, k: int) -> Grid:
         if k not in self.grids:

@@ -2,6 +2,7 @@ import cmath
 import inspect
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -206,6 +207,19 @@ def test_grouped_charsum_is_charged_the_phases_it_forms():
     with pytest.raises(BudgetExceeded):
         E_charsum(spec, 2, 5, 3, budget=125 + 1_545_000 - 1)
     assert E_charsum(spec, 2, 5, 3, budget=125 + 1_545_000) == E_charsum(spec, 2, 5, 3)
+
+
+def test_a_refused_charsum_holds_memory_by_points_not_by_value_vectors():
+    # (x1, x1^2) at p = 2, m = 12: 4,096 points of x, but q^r = 2^24 value
+    # vectors, whose dense int64 bins alone would take 128 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            E_charsum(S("x1", "x1^2", n=1), 2, 2, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_verify_moidef_examples():

@@ -40,6 +40,19 @@ def test_trace_is_additive_and_balanced(gf):
     assert np.bincount(gf.trace(a), minlength=gf.p).tolist() == [gf.q // gf.p] * gf.p
 
 
+# the fields the grid-verify benchmark scans, and small odd ones
+NEG_FIELDS = [(2, 8), (3, 5), (5, 2), (2, 4), (7, 2), (11, 2), (13, 2), (3, 2)]
+
+
+@pytest.mark.parametrize("pk", NEG_FIELDS, ids=lambda pk: f"{pk[0]}^{pk[1]}")
+def test_neg_table_is_the_additive_inverse(pk):
+    gf = GFTable(*pk)
+    a = np.arange(gf.q)
+    assert (gf.add_table[a, gf.neg_table] == 0).all()
+    assert gf.neg_table[0] == 0
+    assert (gf.neg(a) == gf.neg_table).all()
+
+
 def test_tables_keep_their_dtypes(gf):
     assert gf.add_table.dtype == gf.mul_table.dtype == np.int32
     assert gf.trace_table.dtype == np.int64

@@ -18,16 +18,20 @@ from iosc.poly import IdealSpec, Poly, eval_mod, parse_poly
 from iosc.ringcount import (
     Full,
     Grid,
-    GridPolys,
     Int64,
+    ModQ,
     PrimitiveBlock,
     ReductionIn,
     Region,
     UnitModP,
     ZeroModP,
+    ZeroScan,
+    _count_naive,
     _full_rank,
     count_ff_raw,
     count_points_raw,
+    eval_rows,
+    factorize,
 )
 
 
@@ -261,7 +265,7 @@ def check_scan(grid, polys, chunk, value_at, axes):
     """Every chunk of a grid scan against the pointwise value_at(f, point):
     values, zero mask, decoded rows and chunk sizes, and that the chunks
     enumerate the box product(*axes) in row-major order."""
-    scan = GridPolys(grid, polys)
+    scan = ZeroScan(grid, polys)
     rows = []
     for c in grid.chunks():
         pts = grid.rows(c, np.arange(math.prod(grid.shape(c)))).tolist()
@@ -560,6 +564,64 @@ def test_residue_histogram_at_any_modulus_equals_pointwise_membership(chunk, N, 
         hist = residue_histogram([f], N, region, threads=1)
     assert len(hist) == N
     assert {v: c for v, c in enumerate(hist.tolist()) if c} == dict(tally)
+
+
+# -- the zero test and the folded tally against a row-by-row reference -----------
+
+# Z/q at prime powers and composites, F_q at odd p only (at p = 2, -a = a
+# would hide a wrong negation), and integer boxes
+KERNEL_RINGS = [4, 8, 9, 25, 6, 10, 12, (3, 1), (3, 2), (5, 2), (7, 1), "box"]
+
+
+@given(st.sampled_from(KERNEL_RINGS), st.data())
+def test_zero_count_and_value_histogram_equal_a_row_by_row_reference(kind, data):
+    """_count_naive and value_histogram against eval_rows on every row.
+
+    CHUNK is drawn small, so the suffix box holds zero to all axes and the
+    prefix runs over several chunks; polynomials come with and without a
+    suffix-only group, zero or constant, one to three of them, in a region
+    or not, so a Z/q histogram of one polynomial folds where its groups'
+    bins fit in a chunk."""
+    n = data.draw(st.integers(1, 3))
+    if kind == "box":
+        ring, primes = Int64(), []
+        lows = data.draw(st.lists(st.integers(-6, 2), min_size=n, max_size=n))
+        sizes = data.draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))
+    else:
+        ring = ModQ(kind) if isinstance(kind, int) else GFTable(*kind)
+        # F_q decides a region with its one zero, code 0
+        primes = [p for p, _ in factorize(kind)] if isinstance(kind, int) else [ring.q]
+        lows, sizes = [0] * n, [ring.q] * n
+    assume(math.prod(sizes) <= 800)
+    monomial = st.tuples(*[st.integers(0, 3)] * n)
+    poly = st.dictionaries(monomial, st.integers(-60, 60), max_size=5).map(
+        lambda terms: Poly(n, terms)
+    )
+    polys = data.draw(st.lists(poly, min_size=1, max_size=3))
+    region = data.draw(st.none() | regions(n)) if primes else None
+    chunk = data.draw(st.integers(1, 60))
+    grid = grid_with_chunk(chunk, n, ring, lows, sizes)
+
+    axes = [range(lo, lo + size) for lo, size in zip(lows, sizes)]
+    pts = np.array(list(itertools.product(*axes)), dtype=np.int64)
+    vals = [eval_rows(f, pts, ring) for f in polys]
+    inside = np.ones(len(pts), dtype=bool)
+    if region is not None:
+        if isinstance(ring, GFTable):
+            vanish = [lambda g, x: field_value(ring, g, x) == 0]
+        else:
+            vanish = [lambda g, x, p=p: g.eval_int(x) % p == 0 for p in primes]
+        inside = np.array([all(member(region, pt, v) for v in vanish) for pt in pts.tolist()])
+    mask = region.on(grid, *primes) if region is not None else None
+    zeros = inside & np.logical_and.reduce([v == 0 for v in vals])
+    assert _count_naive(polys, grid, mask, threads=1) == int(zeros.sum())
+
+    if kind != "box" and len(polys) <= 2:
+        q = ring.q
+        codes = sum(v % q * q ** i for i, v in enumerate(reversed(vals)))
+        want = np.bincount(codes[inside], minlength=q ** len(polys))
+        got = value_histogram(grid, polys, mask or (lambda c: None), threads=1)
+        assert got.tolist() == want.tolist()
 
 
 # -- the rank test -------------------------------------------------------------

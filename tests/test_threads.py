@@ -7,7 +7,7 @@ from iosc import ringcount
 from iosc.circle import BoxSpec, count_box_solutions
 from iosc.expsum import E_charsum, ff_char_sum, phase_histogram, torus_sum_check
 from iosc.poly import IdealSpec, Weight, parse_poly
-from iosc.ringcount import ReductionIn, Region, count_ff, count_zpm
+from iosc.ringcount import ReductionIn, Region, count_ff, count_zpm, dim_estimate
 from iosc.sseries import verify_multiplicativity
 
 
@@ -44,6 +44,17 @@ ENTRY_POINTS = {
     "count_box_solutions": lambda t: count_box_solutions(
         S("x1^2+x2^2+x3^2-x4^2", n=4), BoxSpec.cube(4), 5, threads=t
     ),
+    # two generators never split, so the zero test scans the whole box
+    "count_box_solutions-r2": lambda t: count_box_solutions(
+        S("x1^2+x2^2-x3^2-x4^2", "x1*x3-x2*x4", n=4), BoxSpec.cube(4), 3, threads=t
+    ),
+    # F_4 and F_9 as well as F_2 and F_3
+    "dim_estimate-k2": lambda t: dim_estimate(
+        S("x1^2*x2-x3^2", n=3), primes=(2, 3), maxk=2, threads=t
+    ),
+    # two groups in Z/3, x1*x2*x3 and the suffix's x4^2, fold in 6 bins
+    # within each chunk's 6 rows
+    "phase_histogram-fold": lambda t: phase_histogram(P("x1*x2*x3+x4^2", 4), 3, 1, threads=t),
     "Region.count_mod_p": lambda t: Region(
         3, (((0, 2), ReductionIn((P("x1^2+x2^2-1", 2),))), ((2, 3), ReductionIn((P("x1", 1),))))
     ).count_mod_p(7, threads=t),
