@@ -89,9 +89,10 @@ def count_box_solutions(
     counted in exact int64 arithmetic (Int64) once every generator is
     checked to stay below 2^62 on it.  A single generator that splits
     into variable-disjoint halves, f = f_A(x_A) + f_B(x_B)
-    (ringcount.split_halves), on a box of more than CHUNK points is
-    counted from the value arrays of the two sub-boxes, as the pairs with
-    f_A = -f_B, and charged the sub-boxes' points.  Any other box is
+    (ringcount.split_halves, which splits a list of any number of
+    generators and is given [f] here), on a box of more than CHUNK points
+    is counted from the value arrays of the two sub-boxes, as the pairs
+    with f_A = -f_B, and charged the sub-boxes' points.  Any other box is
     scanned by ringcount._count_naive and charged its points.  The count is
     independent of the thread count.
     """
@@ -109,7 +110,7 @@ def count_box_solutions(
     total = prod(sizes)
     if total == 0:
         return 0
-    halves = split_halves(spec.generators[0], sizes) if spec.r == 1 else None
+    halves = split_halves(spec.generators, sizes) if spec.r == 1 else None
     if halves is not None:
         total = sum(prod(sizes[j] for j in axes) for axes, _ in halves)
     charge(total, budget, "box enumeration")
@@ -124,9 +125,9 @@ def count_box_solutions(
         grid = Grid(spec.nvars, Int64(), lows, sizes)
         return _count_naive(spec.generators, grid, None, threads)
     values = []
-    for axes, f in halves:
+    for axes, parts in halves:
         grid = Grid(len(axes), Int64(), [lows[j] for j in axes], [sizes[j] for j in axes])
-        scan = GridPolys(grid, [f])
+        scan = GridPolys(grid, parts)
         values.append(np.concatenate([scan(c)[0] for c in grid.chunks()]))
     return count_value_pairs(values[0], -values[1])
 

@@ -13,14 +13,18 @@ Counting over Z/p^m has two independent routes that must agree:
   elimination, lifts p^(n - |B|) ways per level; a constraint that is a
   unit there caps the orders at its offset) and re-expands
   x = x0 + p*y only below singular points.  A count of one order m is
-  the range [m, m].  A node scans the grid (Z/p)^n, at a charge of p^n
-  points, except where one constraint g splits into variable-disjoint
-  blocks, g = g_A(x_A) + g_B(x_B), on more than CHUNK points and under
-  no region.  There two half grids are scanned instead: the zeros are
-  the convolution of the halves' value histograms (Weil's count of
-  diagonal equations), and the singular zeros are the pairs of
-  critical points of the halves whose values cancel, at a charge of
-  p^|A| + p^|B| + |C_A| |C_B| points for the critical sets C_A, C_B.
+  the range [m, m].  A node of order 1 (the range [1, 1]) only counts
+  its zeros mod p, since each one counts 1, smooth or singular: it
+  evaluates no partial derivative.  A node scans the grid (Z/p)^n, at a
+  charge of p^n points, except where its constraints split into
+  variable-disjoint blocks, g_j = g_jA(x_A) + g_jB(x_B), on more than
+  CHUNK points and under no region, at order 1 for any number of
+  constraints and above it for one.  There two half grids are scanned
+  instead, at a charge of p^|A| + p^|B| points: the zeros are the pairs
+  of points whose value vectors cancel (Weil's count of diagonal
+  equations, taken to vectors), and above order 1 the singular zeros are
+  the pairs of critical points of the halves whose values cancel, which
+  adds |C_A| |C_B| points for the critical sets C_A, C_B.
   The re-expansion is an exact Taylor shift on Python ints: g(x0 + p*y)
   has the coefficients p^|b| T_b(x0), with T_b = d^b g / b! tabulated
   only at a node with singular zeros and only for constraints a child
@@ -54,9 +58,9 @@ add per distinct prefix monomial a != 0, and decodes no rows; a region
 is decided on the same chunks (Region.on).  ZeroScan, the zero test of
 a whole grid, takes -h_0 once per scan (neg) and compares the other
 groups' sum with it, one compare per point and polynomial with no add
-of h_0 and, for one prefix group, no reduce.  A lift node's scan
-evaluates the Jacobian too, so rows are decoded only for its singular
-zeros and for the critical points of a half grid.  eval_rows()
+of h_0 and, for one prefix group, no reduce.  A lift node's scan above
+order 1 evaluates the Jacobian too, so rows are decoded only for its
+singular zeros and for the critical points of a half grid.  eval_rows()
 evaluates a polynomial on given rows in any ring, and map_sum() adds a
 worker's results over chunks in submission order on a thread pool, so
 every total is the same for any thread count.  The lift builds each
@@ -113,12 +117,16 @@ def factorize(q: int) -> list[tuple[int, int]]:
 
 
 def check_prime_power(p: int, m: int = 1) -> None:
-    """Raise ValueError unless p is a prime below 2^31 and m >= 1.
+    """Raise ValueError unless p is a prime below 2^31 and m >= 1, both
+    Python ints (a bool is refused too).
 
     Every route evaluates polynomials mod p in int64 (ModQ), which is
     exact only below 2^31, so the bound comes first and keeps the trial
     division short.
     """
+    for name, v in (("p", p), ("m", m)):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
     if not 2 <= p < Q_LIMIT or factorize(p) != [(p, 1)]:
         raise ValueError(f"p must be a prime below 2^31, got {p}")
     if m < 1:
@@ -465,34 +473,38 @@ class ZeroScan(GridPolys):
 # -- separable zero scans ----------------------------------------------------
 
 
-def split_halves(f: Poly, sizes: Sequence[int]) -> list[tuple[list[int], Poly]] | None:
-    """f as f_A(x_A) + f_B(x_B) on two halves of the box's axes, or None
-    to scan the whole box.
+def split_halves(
+    gens: Sequence[Poly], sizes: Sequence[int]
+) -> list[tuple[list[int], list[Poly]]] | None:
+    """The gens as g_j = g_jA(x_A) + g_jB(x_B) on two halves of the box's
+    axes, or None to scan the whole box.
 
     A box of at most CHUNK points (read at call time) is scanned, since
-    there a split costs more than the scan, and so is f of a single
+    there a split costs more than the scan, and so are gens of a single
     block.  The blocks are the connected components of the graph on the
-    variables that joins two variables in the same monomial; a variable
-    f does not use is a block of its own.  Largest first, counted in box
-    points (sizes[j] per axis), each block goes to the half with fewer
-    points, A on a tie, and A takes the constant term.  Each half is
-    (axes, f_H), with f_H a polynomial in the variables of axes, in order.
+    variables that joins two variables in the same monomial of any of the
+    gens; a variable no generator uses is a block of its own.  Largest
+    first, counted in box points (sizes[j] per axis), each block goes to
+    the half with fewer points, A on a tie, and A takes the constant
+    terms.  Each half is (axes, [g_1H, ..., g_rH]), one part per
+    generator, with g_jH a polynomial in the variables of axes, in order.
     """
     if math.prod(sizes) <= CHUNK:
         return None
-    parent = list(range(f.nvars))
+    parent = list(range(len(sizes)))
 
     def root(j: int) -> int:
         while parent[j] != j:
             j = parent[j]
         return j
 
-    for expo in f.terms:
-        used = [j for j, e in enumerate(expo) if e]
-        for j in used[1:]:
-            parent[root(j)] = root(used[0])
+    for g in gens:
+        for expo in g.terms:
+            used = [j for j, e in enumerate(expo) if e]
+            for j in used[1:]:
+                parent[root(j)] = root(used[0])
     comps: dict[int, list[int]] = {}
-    for j in range(f.nvars):
+    for j in range(len(sizes)):
         comps.setdefault(root(j), []).append(j)
     if len(comps) < 2:
         return None
@@ -504,11 +516,12 @@ def split_halves(f: Poly, sizes: Sequence[int]) -> list[tuple[list[int], Poly]] 
     for comp in sorted(comps.values(), key=points, reverse=True):
         halves[points(halves[1]) < points(halves[0])].extend(comp)
     axes = [sorted(h) for h in halves]
-    parts: tuple[dict, dict] = ({}, {})
-    for expo, c in f.terms.items():
-        h = int(any(expo[j] for j in axes[1]))
-        parts[h][tuple(expo[j] for j in axes[h])] = c
-    return [(a, Poly(len(a), part)) for a, part in zip(axes, parts)]
+    parts = [({}, {}) for _ in gens]
+    for g, part in zip(gens, parts):
+        for expo, c in g.terms.items():
+            h = int(any(expo[j] for j in axes[1]))
+            part[h][tuple(expo[j] for j in axes[h])] = c
+    return [(a, [Poly(len(a), part[h]) for part in parts]) for h, a in enumerate(axes)]
 
 
 def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
@@ -842,16 +855,29 @@ def _valuation_sum(
 
 
 def _scan_zeros(
-    gens: list[Poly], need: list[int], nvars: int, p: int, grid: Grid, region: Region | None
-) -> dict[tuple[int, ...], tuple[int, np.ndarray]]:
+    gens: list[Poly],
+    need: list[int],
+    nvars: int,
+    p: int,
+    grid: Grid,
+    region: Region | None,
+    hi: int,
+) -> dict[tuple[int, ...], tuple[int, Sequence]]:
     """The common zeros mod p in the region of the gens indexed by need,
     grouped by the set B of all gens that vanish at them: B -> (the number
     of zeros at which the Jacobian of B has full rank, the other zeros).
     One GridPolys scan of the grid (Z/p)^nvars evaluates the gens and their
     partials d g_i / d x_j; each B's Jacobian is read at its zeros' flat
-    positions, and only the singular zeros are decoded."""
+    positions, and only the singular zeros are decoded.
+
+    At a node of order 1 (hi = 1) every gen is needed and every zero
+    counts 1, smooth or singular, so the scan evaluates the gens only,
+    runs no rank test, decodes no row and reports all of the zeros as
+    full rank under B = all gens.
+    """
     r = len(gens)
-    scan = GridPolys(grid, gens + [g.derivative(j) for g in gens for j in range(nvars)])
+    partials = [] if hi == 1 else [g.derivative(j) for g in gens for j in range(nvars)]
+    scan = GridPolys(grid, gens + partials)
     inside = region.on(grid, p) if region is not None else lambda chunk: None
     smooth: dict[tuple[int, ...], int] = {}
     sing: dict[tuple[int, ...], list[np.ndarray]] = {}
@@ -861,10 +887,16 @@ def _scan_zeros(
         ok = np.ones(1, dtype=bool) if ok is None else ok
         for j in need:
             ok = ok & (vals[j] == 0)
+        shape = grid.shape(chunk)
+        if hi == 1:
+            # ok broadcasts against shape, each of its entries over
+            # prod(shape) / ok.size rows
+            zeros = int(np.count_nonzero(ok)) * math.prod(shape) // ok.size
+            smooth[tuple(need)] = smooth.get(tuple(need), 0) + zeros
+            continue
         where = np.flatnonzero(grid.flat(chunk, ok))
         if not len(where):
             continue
-        shape = grid.shape(chunk)
         at = np.unravel_index(where, shape)
         jac = np.empty((len(where), r * nvars), dtype=np.int64)
         for col, d in enumerate(vals[r:]):
@@ -885,14 +917,14 @@ def _scan_zeros(
             full = _full_rank(jac[rows][:, B], p)
             smooth[B] = smooth.get(B, 0) + int(full.sum())
             sing.setdefault(B, []).append(grid.rows(chunk, where[rows][~full]))
-    return {B: (smooth[B], np.concatenate(sing[B])) for B in smooth}
+    return {B: (smooth[B], np.concatenate(sing[B]) if B in sing else ()) for B in smooth}
 
 
 def _split_zeros(
-    halves: list[tuple[list[int], Poly]], nvars: int, p: int, state: _LiftState
+    halves: list[tuple[list[int], list[Poly]]], nvars: int, p: int, state: _LiftState
 ) -> tuple[int, np.ndarray]:
     """The smooth zeros' count and the singular zeros of f = f_A + f_B mod
-    p, from one scan of each half grid (Z/p)^|H|.
+    p, one generator, from one scan of each half grid (Z/p)^|H|.
 
     The zeros are sum_v h_A[v] h_B[-v] over the halves' value histograms.
     The gradient of f at (x_A, x_B) is the pair of the halves' gradients,
@@ -907,7 +939,7 @@ def _split_zeros(
     if scanned > state.meter.left:
         charge(scanned, state.meter, "residue-tree level")
     hists, crit = [], []
-    for axes, f in halves:
+    for axes, (f,) in halves:
         grid = state.grid(len(axes))
         scan = GridPolys(grid, [f] + [f.derivative(i) for i in range(len(axes))])
         hist = np.zeros(p, dtype=np.int64)
@@ -928,6 +960,39 @@ def _split_zeros(
     for (axes, _), pts in zip(halves, (pts_a[ia], pts_b[ib])):
         sing[:, axes] = pts
     return zeros - len(sing), sing
+
+
+def _pair_zeros(halves: list[tuple[list[int], list[Poly]]], p: int, state: _LiftState) -> int:
+    """The common zeros mod p of g_j = g_jA + g_jB, j = 1..r, from one scan
+    of each half grid (Z/p)^|H|, charged p^|A| + p^|B| points first.
+
+    A zero is a pair of a point of A and a point of B whose value vectors
+    mod p have v_A = -v_B, so each point of B enters with its vector
+    negated and count_value_pairs counts the equal pairs.  A vector is
+    encoded as the int64 code sum_j v_j p^(r-1-j) while p^r fits in int64,
+    and otherwise as its rank among the rows of both halves (np.unique),
+    so that no two vectors share a code.
+    """
+    charge(sum(p ** len(axes) for axes, _ in halves), state.meter, "residue-tree level")
+    coded = p ** len(halves[0][1]) <= 1 << 63
+    sides = []
+    for axes, parts in halves:
+        grid = state.grid(len(axes))
+        scan = GridPolys(grid, parts)
+        rows = []
+        for chunk in grid.chunks():
+            vals = scan.compact(chunk)
+            if sides:  # the B half
+                vals = [grid.ring.neg(v) for v in vals]
+            if coded:
+                rows.append(grid.flat(chunk, functools.reduce(lambda c, v: c * p + v, vals)))
+            else:
+                rows.append(np.stack([grid.flat(chunk, v) for v in vals], axis=1))
+        sides.append(np.concatenate(rows))
+    if not coded:
+        _, ranks = np.unique(np.concatenate(sides), axis=0, return_inverse=True)
+        sides = np.split(ranks.reshape(-1), [len(sides[0])])
+    return count_value_pairs(*sides)
 
 
 def _lift_count(
@@ -960,14 +1025,22 @@ def _lift_count(
     constraints a child can keep.  A count of one order m is the range
     [m, m] at the root.
 
+    A node of order 1 (hi = 1, so lo = 1 and every o_j = 0) counts each
+    common zero mod p once, smooth or singular (a singular zero's child
+    of order 0 counts 1), so it evaluates no partial derivative.
+
     The zeros mod p come from one of two scans of grids that state holds,
-    one per size for the whole call.  A node with one constraint, no
-    region and more than CHUNK points (read at call time) whose h splits
-    into variable-disjoint blocks scans two half grids (_split_zeros) and
-    is charged p^|A| + p^|B| + |C_A| |C_B| points.  Any other node scans
-    (Z/p)^nvars (_scan_zeros), is charged p^nvars points, applies the
-    root's region to the zeros and tests the Jacobians' rank on them, on
-    the same scan.  Each child is reduced by _constraints, so equal
+    one per size for the whole call.  A node with no region and more than
+    CHUNK points (read at call time) whose constraints split into
+    variable-disjoint blocks (split_halves) scans two half grids: at
+    order 1, for any number of constraints, it counts the pairs of value
+    vectors that cancel (_pair_zeros) and is charged p^|A| + p^|B|
+    points; above order 1, for one constraint, it also pairs the halves'
+    critical points (_split_zeros) and is charged p^|A| + p^|B| +
+    |C_A| |C_B| points.  Any other node scans (Z/p)^nvars (_scan_zeros),
+    is charged p^nvars points, applies the root's region to the zeros
+    and, above order 1, tests the Jacobians' rank on them, on the same
+    scan.  Each child is reduced by _constraints, so equal
     subtrees have equal keys: a region-free node is looked up in
     state.memo by the set of its constraints and its range of orders, and
     a hit costs no work and no budget.  Only the root may carry a region,
@@ -995,11 +1068,13 @@ def _lift_count(
     gens = [g for g, _ in active]
     need = [j for j, (_, o) in enumerate(active) if o < lo]
     halves = None
-    if len(gens) == 1 and need and (region is None or region.is_full):
-        halves = split_halves(gens[0], [p] * nvars)
+    if need and (region is None or region.is_full) and (hi == 1 or len(gens) == 1):
+        halves = split_halves(gens, [p] * nvars)
     if halves is None:
         charge(p ** nvars, state.meter, "residue-tree level")
-        disks = _scan_zeros(gens, need, nvars, p, state.grid(nvars), region)
+        disks = _scan_zeros(gens, need, nvars, p, state.grid(nvars), region, hi)
+    elif hi == 1:
+        disks = {tuple(need): (_pair_zeros(halves, p, state), ())}
     else:
         disks = {(0,): _split_zeros(halves, nvars, p, state)}
 

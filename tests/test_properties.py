@@ -415,24 +415,81 @@ def test_split_zero_scan_equals_naive(chunk, case):
         count_points_raw([f], n, p, m, method="both")
 
 
+@st.composite
+def separable_ideals(draw):
+    """(gens, n, p, m): 2-3 generators a_j(x_A) + b_j(x_B) over the same
+    two halves A | B of the variables, with constant terms and, one in
+    four, coefficients divisible by p; n <= 4, and (p^m)^n <= 4096 points
+    for the naive route.
+
+    Each part has 2-4 terms: the value vectors of a part of one or two
+    monomials are often symmetric under v -> -v (y^3, or y^2 at p = 5),
+    and then a count that forgets to negate B's vectors is right too.
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 4))
+    assume((p ** m) ** n <= 4096)
+    order = draw(st.permutations(range(n)))
+    cut = draw(st.integers(1, n - 1))
+    coeff = st.tuples(st.integers(-4, 4), st.integers(0, 3)).map(
+        lambda t: t[0] * p if t[1] == 0 else t[0]
+    )
+
+    def part(axes):
+        monomial = st.tuples(*[st.integers(0, 3)] * len(axes)).map(
+            lambda e: tuple(e[axes.index(j)] if j in axes else 0 for j in range(n))
+        )
+        return Poly(n, draw(st.dictionaries(monomial, coeff, min_size=2, max_size=4)))
+
+    gens = [part(order[:cut]) + part(order[cut:]) for _ in range(draw(st.integers(2, 3)))]
+    return gens, n, p, m
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@given(separable_ideals())
+def test_a_separable_ideal_counts_as_the_naive_route(chunk, case):
+    # order-1 nodes of more than CHUNK points count their zeros as pairs
+    # of the halves' value vectors, at the root and below it
+    gens, n, p, m = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ringcount, "CHUNK", chunk)
+        count_points_raw(gens, n, p, m, method="both")
+
+
 @pytest.mark.parametrize(
-    "text, n, p, charged",
+    "text, n, p, m, charges",
     [
-        # halves {x1, x3} and {x2, x4}; only (0, 0) is critical in each
-        ("x1^2+x2^2+x3^2+x4^2", 4, 5, 5 ** 2 + 5 ** 2 + 1 * 1),
+        # top order 2: the root scans the halves {x1, x3} and {x2, x4} and
+        # pairs their critical points, only (0, 0) in each; the origin's
+        # child has no constraint left and is not charged
+        ("x1^2+x2^2+x3^2+x4^2", 4, 5, 2, [5 ** 2 + 5 ** 2 + 1 * 1]),
         # p = 2 kills every gradient: C_A and C_B are the whole halves
-        ("x1^2+x2^2+x3^2", 3, 2, 2 ** 2 + 2 + 4 * 2),
+        # {x1, x3} and {x2}, and no child scans a grid
+        ("x1^2+x2^2+x3^2", 3, 2, 2, [2 ** 2 + 2 + 4 * 2]),
+        # order 1: the two half grids and no critical point, for any r
+        ("x1^2+x2^2+x3^2+x4^2", 4, 5, 1, [5 ** 2 + 5 ** 2]),
+        ("x1^2+x2^2+x3^2", 3, 2, 1, [2 ** 2 + 2]),
+        ("x1^2+x2^2-x3^2-x4^2,x1*x3-x2*x4", 4, 5, 1, [5 ** 2 + 5 ** 2]),
     ],
 )
-def test_a_split_node_is_charged_its_halves_and_its_critical_pairs(text, n, p, charged):
-    # at m = 1 the root is the only charged node
-    f = parse_poly(text, n)
+def test_a_split_node_is_charged_its_halves_and_its_critical_pairs(text, n, p, m, charges):
+    gens = [parse_poly(g, n) for g in text.split(",")]
+    real, log = ringcount.charge, []
+
+    def charge(needed, budget, what="enumeration"):
+        real(needed, budget, what)
+        log.append(needed)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ringcount, "CHUNK", 1)
+        mp.setattr(ringcount, "charge", charge)
         with pytest.raises(BudgetExceeded):
-            count_points_raw([f], n, p, 1, budget=charged - 1)
-        lift = count_points_raw([f], n, p, 1, budget=charged)
-    assert lift == count_points_raw([f], n, p, 1, method="naive")
+            count_points_raw(gens, n, p, m, budget=sum(charges) - 1)
+        log.clear()
+        lift = count_points_raw(gens, n, p, m, budget=sum(charges))
+        assert log == charges
+    assert lift == count_points_raw(gens, n, p, m, method="naive")
 
 
 # -- regions decided on the grid kernel ----------------------------------------

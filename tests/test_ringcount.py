@@ -188,6 +188,49 @@ def test_a_monomial_times_a_unit_is_counted_with_no_grid_scan(monkeypatch):
     assert count_zpm(S("x1*x2*x3", n=3), 5, 8) == 4644775390625
 
 
+QUADRICS = ("x1^2+x2^2-x3^2-x4^2", "x1*x3-x2*x4")
+
+
+@pytest.mark.parametrize(
+    "gens,n,p",
+    [
+        (QUADRICS, 4, 5),  # a scan of the whole grid
+        (QUADRICS, 4, 29),  # two half grids, {x1, x3} and {x2, x4}
+        (["x1*x2 - x3^2"], 3, 7),  # a singular zero at the origin
+        (["x1^2 + x2^2 + x3^2 + x4^2 + x5^2"], 5, 13),  # one generator, split
+    ],
+)
+def test_an_order_one_count_builds_no_partial_derivative(gens, n, p, monkeypatch):
+    naive = count_zpm(S(*gens, n=n), p, 1, method="naive")
+
+    def derivative(self, j):
+        raise AssertionError("an order-1 node counts zeros only")
+
+    monkeypatch.setattr(Poly, "derivative", derivative)
+    assert count_zpm(S(*gens, n=n), p, 1) == naive
+
+
+def test_an_order_one_split_is_charged_its_two_half_grids():
+    spec = S(*QUADRICS, n=4)
+    with pytest.raises(BudgetExceeded):
+        count_zpm(spec, 29, 1, budget=2 * 29 ** 2 - 1)
+    assert count_zpm(spec, 29, 1, budget=2 * 29 ** 2) == 3249
+
+
+def test_value_vectors_past_int64_codes_are_compared_exactly():
+    # the code sum_j v_j p^(4-j) of (1, 0, 0, 0, 0) is p^4, which wraps
+    # mod 2^64 to the code of x2 = 1's negated vector (0, 3, 65531, 3, 65536)
+    gens = [P(t, 2) for t in ("x1", "-3*x2", "-65531*x2", "-3*x2", "-65536*x2")]
+    assert count_points_raw(gens, 2, 65537, 1) == 1
+
+
+@pytest.mark.parametrize("p, m, name", [(3.0, 2, "p"), (3, 2.0, "m"), ("3", 2, "p"),
+                                        (3, "2", "m"), (True, 2, "p"), (3, True, "m")])
+def test_a_non_integer_prime_or_order_is_refused(p, m, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        count_zpm(S("x1", n=1), p, m)
+
+
 @pytest.mark.parametrize(
     "gens,n,p,m",
     [
