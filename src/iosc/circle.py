@@ -33,6 +33,7 @@ from .ringcount import (
     Int64,
     Region,
     _count_naive,
+    check_int,
     check_prime_power,
     count_value_pairs,
     digits,
@@ -89,13 +90,14 @@ def count_box_solutions(
     counted in exact int64 arithmetic (Int64) once every generator is
     checked to stay below 2^62 on it.  A single generator that splits
     into variable-disjoint halves, f = f_A(x_A) + f_B(x_B)
-    (ringcount.split_halves, which splits a list of any number of
-    generators and is given [f] here), on a box of more than CHUNK points
-    is counted from the value arrays of the two sub-boxes, as the pairs
-    with f_A = -f_B, and charged the sub-boxes' points.  Any other box is
-    scanned by ringcount._count_naive and charged its points.  The count is
-    independent of the thread count.
+    (ringcount.split_halves, given [f]), on a box of more than CHUNK
+    points is counted as the lift's one split routine, _split_zeros,
+    counts an order-1 node: the pairs of the two sub-boxes' values with
+    f_A = -f_B, by count_value_pairs, at the same charge, the sub-boxes'
+    points.  Any other box is scanned by ringcount._count_naive and
+    charged its points.  The count is independent of the thread count.
     """
+    check_int("B", B)
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
     for g in spec.generators:
@@ -269,6 +271,7 @@ def major_arc_prediction(
     scale; a ratio outside [0.5, 2] or a vanishing prediction is flagged
     degenerate, and a vanishing prediction has no ratio (None).
     """
+    check_int("B", B)
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
     budget = Meter.of(budget)

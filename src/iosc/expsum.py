@@ -53,6 +53,7 @@ from .ringcount import (
     Region,
     UnitModP,
     ZeroModP,
+    _codes,
     check_prime_power,
     count_zpm,  # noqa: F401  (unused; see the same import in zeta.py)
     digits,
@@ -255,14 +256,6 @@ def value_classes(
     counts = np.zeros(len(codes), dtype=np.int64)
     np.add.at(counts, at, np.concatenate([n for _, n in pairs]))
     return codes, counts
-
-
-def _codes(vals: Sequence[np.ndarray], q: int) -> np.ndarray:
-    """v_1 q^(s-1) + ... + v_s of the value vectors, on the compact shape."""
-    idx, *rest = vals
-    for v in rest:
-        idx = idx * q + v
-    return idx
 
 
 def to_complex(h: PhaseHistogram) -> complex:

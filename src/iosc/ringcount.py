@@ -19,12 +19,12 @@ Counting over Z/p^m has two independent routes that must agree:
   charge of p^n points, except where its constraints split into
   variable-disjoint blocks, g_j = g_jA(x_A) + g_jB(x_B), on more than
   CHUNK points and under no region, at order 1 for any number of
-  constraints and above it for one.  There two half grids are scanned
-  instead, at a charge of p^|A| + p^|B| points: the zeros are the pairs
-  of points whose value vectors cancel (Weil's count of diagonal
-  equations, taken to vectors), and above order 1 the singular zeros are
-  the pairs of critical points of the halves whose values cancel, which
-  adds |C_A| |C_B| points for the critical sets C_A, C_B.
+  constraints and above it for one.  There _split_zeros scans two half
+  grids instead, at one charge of p^|A| + p^|B| + |C_A| |C_B| points: the
+  zeros are the pairs of points whose value vectors cancel (Weil's count
+  of diagonal equations, taken to vectors), and above order 1 the
+  singular zeros are the pairs of points of the halves' critical sets
+  C_A, C_B whose values cancel (at order 1 C_A, C_B are not computed).
   The re-expansion is an exact Taylor shift on Python ints: g(x0 + p*y)
   has the coefficients p^|b| T_b(x0), with T_b = d^b g / b! tabulated
   only at a node with singular zeros and only for constraints a child
@@ -67,8 +67,9 @@ every total is the same for any thread count.  The lift builds each
 grid it scans, (Z/p)^n or a half grid, with its power tables, once per
 call.  _count_naive() is the one zero count of a whole grid: the naive
 route, the finite-field and region counts and the integer box count of
-circle.count_box_solutions, whose separable case split_halves() and
-count_value_pairs() also serve.
+circle.count_box_solutions.  _codes() is the one encoder of value
+vectors and count_value_pairs() the one count of equal codes, for the
+separable nodes and boxes that split_halves() finds.
 """
 
 from __future__ import annotations
@@ -116,17 +117,22 @@ def factorize(q: int) -> list[tuple[int, int]]:
     return out
 
 
+def check_int(name: str, v: int) -> None:
+    """Raise ValueError unless the input v is a Python int and no bool."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 def check_prime_power(p: int, m: int = 1) -> None:
     """Raise ValueError unless p is a prime below 2^31 and m >= 1, both
-    Python ints (a bool is refused too).
+    Python ints (check_int).
 
     Every route evaluates polynomials mod p in int64 (ModQ), which is
     exact only below 2^31, so the bound comes first and keeps the trial
     division short.
     """
-    for name, v in (("p", p), ("m", m)):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
+    check_int("p", p)
+    check_int("m", m)
     if not 2 <= p < Q_LIMIT or factorize(p) != [(p, 1)]:
         raise ValueError(f"p must be a prime below 2^31, got {p}")
     if m < 1:
@@ -134,8 +140,9 @@ def check_prime_power(p: int, m: int = 1) -> None:
 
 
 def check_rank(r: int) -> None:
-    """Raise ValueError unless r >= 1: E^(r) sums over the primitive
-    r-tuples, and there is none for r < 1."""
+    """Raise ValueError unless r is an int >= 1: E^(r) sums over the
+    primitive r-tuples, and there is none for r < 1."""
+    check_int("r", r)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
 
@@ -524,17 +531,21 @@ def split_halves(
     return [(a, [Poly(len(a), part[h]) for part in parts]) for h, a in enumerate(axes)]
 
 
-def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
-    """sum a_i b_i of two int64 count vectors, in Python ints."""
-    return sum(map(operator.mul, a.tolist(), b.tolist()))
+def _codes(vals: Sequence[np.ndarray], q: int) -> np.ndarray:
+    """v_1 q^(s-1) + ... + v_s of the value vectors, on the compact shape."""
+    idx, *rest = vals
+    for v in rest:
+        idx = idx * q + v
+    return idx
 
 
 def count_value_pairs(a: np.ndarray, b: np.ndarray) -> int:
-    """#{(i, j) : a[i] == b[j]} for int64 value arrays, exactly."""
+    """#{(i, j) : a[i] == b[j]} for int64 value arrays, exactly: the
+    products of the matching values' counts are summed in Python ints."""
     ua, ca = np.unique(a, return_counts=True)
     ub, cb = np.unique(b, return_counts=True)
     _, ia, ib = np.intersect1d(ua, ub, assume_unique=True, return_indices=True)
-    return _exact_dot(ca[ia], cb[ib])
+    return sum(map(operator.mul, ca[ia].tolist(), cb[ib].tolist()))
 
 
 def _matching_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -921,78 +932,61 @@ def _scan_zeros(
 
 
 def _split_zeros(
-    halves: list[tuple[list[int], list[Poly]]], nvars: int, p: int, state: _LiftState
-) -> tuple[int, np.ndarray]:
-    """The smooth zeros' count and the singular zeros of f = f_A + f_B mod
-    p, one generator, from one scan of each half grid (Z/p)^|H|.
+    halves: list[tuple[list[int], list[Poly]]], nvars: int, p: int, state: _LiftState, hi: int
+) -> tuple[int, Sequence]:
+    """The smooth zeros' count and the singular zeros mod p of the gens
+    g_j = g_jA(x_A) + g_jB(x_B), from one scan of each half grid (Z/p)^|H|.
 
-    The zeros are sum_v h_A[v] h_B[-v] over the halves' value histograms.
-    The gradient of f at (x_A, x_B) is the pair of the halves' gradients,
-    so the singular zeros are the pairs in C_A x C_B with f_A + f_B = 0,
-    where C_H is the set of points of half H at which every partial
-    d f / d x_j, j in H, vanishes; the same half scan evaluates them.
-    The node is charged once, p^|A| + p^|B| + |C_A| |C_B| points, after
-    the half scans; halves that alone exceed the budget are refused
-    before they are scanned.
+    A zero is a pair of points of A and B whose value vectors cancel, so
+    B's vectors are negated and count_value_pairs counts the equal codes
+    (_codes while p^r fits in int64, else ranks among both halves' rows).
+    At order 1 every zero counts 1.  Above it there is one generator f,
+    whose code is its value, and the singular zeros are the pairs in
+    C_A x C_B whose codes match, C_H being the points of half H where
+    every d f / d x_j, j in H, vanishes (the gradient of f at (x_A, x_B)
+    is the pair of the halves' gradients).  The node is charged once,
+    p^|A| + p^|B| + |C_A| |C_B| points, after the scans; halves that alone
+    exceed the budget are refused before they are scanned.
     """
     scanned = sum(p ** len(axes) for axes, _ in halves)
     if scanned > state.meter.left:
         charge(scanned, state.meter, "residue-tree level")
-    hists, crit = [], []
-    for axes, (f,) in halves:
+    r = len(halves[0][1])
+    coded = p ** r <= 1 << 63
+    sides, crit = [], []
+    for axes, parts in halves:
         grid = state.grid(len(axes))
-        scan = GridPolys(grid, [f] + [f.derivative(i) for i in range(len(axes))])
-        hist = np.zeros(p, dtype=np.int64)
-        pts, vals = [], []
+        partials = [] if hi == 1 else [parts[0].derivative(i) for i in range(len(axes))]
+        scan = GridPolys(grid, parts + partials)
+        codes, found = [], []
         for chunk in grid.chunks():
-            v, *partials = scan(chunk)
-            hist += np.bincount(v, minlength=p)
-            where = np.flatnonzero(np.logical_and.reduce([d == 0 for d in partials]))
-            pts.append(grid.rows(chunk, where))
-            vals.append(v[where])
-        hists.append(hist)
-        crit.append((np.concatenate(pts), np.concatenate(vals)))
-    (pts_a, vals_a), (pts_b, vals_b) = crit
+            vals = scan.compact(chunk)
+            vecs = [grid.ring.neg(v) for v in vals[:r]] if sides else vals[:r]
+            if coded:
+                codes.append(grid.flat(chunk, _codes(vecs, p)))
+            else:
+                codes.append(np.stack([grid.flat(chunk, v) for v in vecs], axis=1))
+            if partials:
+                flat = functools.reduce(operator.and_, [d == 0 for d in vals[r:]])
+                where = np.flatnonzero(grid.flat(chunk, flat))
+                found.append((grid.rows(chunk, where), codes[-1][where]))
+        sides.append(np.concatenate(codes))
+        # the points of C_H and their codes (nothing at order 1)
+        crit.append([np.concatenate(c) for c in zip(*found)])
+    if not coded:
+        _, ranks = np.unique(np.concatenate(sides), axis=0, return_inverse=True)
+        sides = np.split(ranks.reshape(-1), [len(sides[0])])
+    zeros = count_value_pairs(*sides)
+    if hi == 1:
+        charge(scanned, state.meter, "residue-tree level")
+        return zeros, ()
+    (pts_a, at_a), (pts_b, at_b) = crit
     charge(scanned + len(pts_a) * len(pts_b), state.meter, "residue-tree level")
-    zeros = _exact_dot(hists[0], hists[1][-np.arange(p) % p])
-    ia, ib = _matching_pairs(vals_a, -vals_b % p)
+    ia, ib = _matching_pairs(at_a, at_b)
     sing = np.empty((len(ia), nvars), dtype=np.int64)
     for (axes, _), pts in zip(halves, (pts_a[ia], pts_b[ib])):
         sing[:, axes] = pts
     return zeros - len(sing), sing
-
-
-def _pair_zeros(halves: list[tuple[list[int], list[Poly]]], p: int, state: _LiftState) -> int:
-    """The common zeros mod p of g_j = g_jA + g_jB, j = 1..r, from one scan
-    of each half grid (Z/p)^|H|, charged p^|A| + p^|B| points first.
-
-    A zero is a pair of a point of A and a point of B whose value vectors
-    mod p have v_A = -v_B, so each point of B enters with its vector
-    negated and count_value_pairs counts the equal pairs.  A vector is
-    encoded as the int64 code sum_j v_j p^(r-1-j) while p^r fits in int64,
-    and otherwise as its rank among the rows of both halves (np.unique),
-    so that no two vectors share a code.
-    """
-    charge(sum(p ** len(axes) for axes, _ in halves), state.meter, "residue-tree level")
-    coded = p ** len(halves[0][1]) <= 1 << 63
-    sides = []
-    for axes, parts in halves:
-        grid = state.grid(len(axes))
-        scan = GridPolys(grid, parts)
-        rows = []
-        for chunk in grid.chunks():
-            vals = scan.compact(chunk)
-            if sides:  # the B half
-                vals = [grid.ring.neg(v) for v in vals]
-            if coded:
-                rows.append(grid.flat(chunk, functools.reduce(lambda c, v: c * p + v, vals)))
-            else:
-                rows.append(np.stack([grid.flat(chunk, v) for v in vals], axis=1))
-        sides.append(np.concatenate(rows))
-    if not coded:
-        _, ranks = np.unique(np.concatenate(sides), axis=0, return_inverse=True)
-        sides = np.split(ranks.reshape(-1), [len(sides[0])])
-    return count_value_pairs(*sides)
 
 
 def _lift_count(
@@ -1032,16 +1026,15 @@ def _lift_count(
     The zeros mod p come from one of two scans of grids that state holds,
     one per size for the whole call.  A node with no region and more than
     CHUNK points (read at call time) whose constraints split into
-    variable-disjoint blocks (split_halves) scans two half grids: at
-    order 1, for any number of constraints, it counts the pairs of value
-    vectors that cancel (_pair_zeros) and is charged p^|A| + p^|B|
-    points; above order 1, for one constraint, it also pairs the halves'
-    critical points (_split_zeros) and is charged p^|A| + p^|B| +
-    |C_A| |C_B| points.  Any other node scans (Z/p)^nvars (_scan_zeros),
-    is charged p^nvars points, applies the root's region to the zeros
-    and, above order 1, tests the Jacobians' rank on them, on the same
-    scan.  Each child is reduced by _constraints, so equal
-    subtrees have equal keys: a region-free node is looked up in
+    variable-disjoint blocks (split_halves), at order 1 for any number of
+    constraints and above it for one, scans two half grids (_split_zeros):
+    it counts the pairs of value vectors that cancel, above order 1 also
+    pairs the halves' critical points, and is charged p^|A| + p^|B| +
+    |C_A| |C_B| points, with no pair term at order 1.  Any other node scans
+    (Z/p)^nvars (_scan_zeros), is charged p^nvars points, applies the
+    root's region to the zeros and, above order 1, tests the Jacobians'
+    rank on them, on the same scan.  Each child is reduced by _constraints,
+    so equal subtrees have equal keys: a region-free node is looked up in
     state.memo by the set of its constraints and its range of orders, and
     a hit costs no work and no budget.  Only the root may carry a region,
     and a node with a region is never looked up.  A region-free node whose
@@ -1073,10 +1066,8 @@ def _lift_count(
     if halves is None:
         charge(p ** nvars, state.meter, "residue-tree level")
         disks = _scan_zeros(gens, need, nvars, p, state.grid(nvars), region, hi)
-    elif hi == 1:
-        disks = {tuple(need): (_pair_zeros(halves, p, state), ())}
     else:
-        disks = {(0,): _split_zeros(halves, nvars, p, state)}
+        disks = {tuple(need): _split_zeros(halves, nvars, p, state, hi)}
 
     counts = [0] * (hi - lo + 1)
     tables: dict[int, dict] = {}

@@ -24,7 +24,7 @@ from typing import Sequence
 from .errors import DEFAULT_BUDGET, Meter
 from .expsum import E_counts, direct_charsum, equals_rational
 from .poly import IdealSpec
-from .ringcount import LocalData, check_rank, factorize
+from .ringcount import LocalData, check_int, check_rank, factorize
 
 
 def E_composite(
@@ -39,6 +39,7 @@ def E_composite(
     E at the unit modulus is 1 by convention.
     """
     check_rank(r)
+    check_int("q", q)
     budget = Meter.of(budget)
     total = Fraction(1)
     for p, e in factorize(q):
@@ -66,6 +67,8 @@ def verify_multiplicativity(
     The right side is the product of counting-form values.  The
     presentation must have exactly r generators.
     """
+    check_int("q1", q1)
+    check_int("q2", q2)
     if math.gcd(q1, q2) != 1:
         raise ValueError("moduli must be coprime")
     if spec.r != r:
@@ -113,6 +116,7 @@ def singular_series_partial(
     terms; it inherits sigma's conjectural status.
     """
     check_rank(r)
+    check_int("Qmax", Qmax)
     if Qmax < 1:
         raise ValueError(f"Qmax must be >= 1, got {Qmax}")
     if sigma is not None and not math.isfinite(sigma):

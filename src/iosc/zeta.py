@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .errors import DEFAULT_BUDGET, Meter
 from .poly import IdealSpec
-from .ringcount import LocalData, Region, check_rank
+from .ringcount import LocalData, Region, check_int, check_rank
 # unused: every count goes through LocalData, but bench/test_bench.py checks
 # that the tracer rebinds this alias
 from .ringcount import count_zpm  # noqa: F401
@@ -78,7 +78,8 @@ class QSeries:
 
 
 def _check_order(M: int) -> None:
-    """Every series here is truncated at an order M >= 0."""
+    """Every series here is truncated at an order M >= 0, an int."""
+    check_int("M", M)
     if M < 0:
         raise ValueError(f"M must be >= 0, got {M}")
 
@@ -365,6 +366,7 @@ def theta_probe(
     of E^(r)(p, m) exceeds r.
     """
     check_rank(r)
+    check_int("M", M)
     if M < 3:
         raise ValueError("M must be >= 3")
     vols = LocalData(spec, p, None, budget, threads).volumes(M)

@@ -64,6 +64,16 @@ def test_a_box_scale_below_one_is_refused(B):
         major_arc_prediction(spec, BoxSpec.cube(3), B, 3, [0.2, 0.1], samples=1000)
 
 
+@pytest.mark.parametrize("B", [2.5, 2.0, True])
+def test_a_non_integer_box_scale_is_refused(B):
+    # B = 2.5 would scale the box to [-2, 2]^3 and count its 17 points
+    spec = S("x1^2 + x2^2 - x3^2", n=3)
+    with pytest.raises(ValueError, match="B must be an integer"):
+        count_box_solutions(spec, BoxSpec.cube(3), B)
+    with pytest.raises(ValueError, match="B must be an integer"):
+        major_arc_prediction(spec, BoxSpec.cube(3), B, 3, [0.2, 0.1], samples=1000)
+
+
 def test_count_box_requires_homogeneous():
     with pytest.raises(ValueError):
         count_box_solutions(S("x1^2 + x1", n=1), BoxSpec.cube(1), 5)

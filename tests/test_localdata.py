@@ -200,6 +200,26 @@ def test_a_rank_below_one_is_refused(r):
             call()
 
 
+@pytest.mark.parametrize("r", [1.0, 1.5, True])
+def test_a_non_integer_rank_is_refused(r):
+    # a float r would give float values, and r = True would count as r = 1
+    spec = S("x1^2+x2^2", n=2)
+    calls = [
+        lambda: LocalData(spec, 5).E(r, 2),
+        lambda: E_counts(spec, r, 5, 2),
+        lambda: compa_check(spec, r, 5, 2),
+        lambda: theta_probe(spec, r, 5, 3),
+        lambda: pole_report(spec, r, 5, 4),
+        lambda: singular_series_partial(spec, r, 5),
+        lambda: E_composite(spec, r, 6),
+        lambda: p_adic_density(spec, r, 5, 2),
+        lambda: irreducibility_probe(spec, r, [5, 7]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="r must be an integer"):
+            call()
+
+
 def test_int64_bound_is_checked():
     f = parse_poly("x1^2", 1)
     q = (1 << 31) - 1

@@ -224,6 +224,49 @@ def test_value_vectors_past_int64_codes_are_compared_exactly():
     assert count_points_raw(gens, 2, 65537, 1) == 1
 
 
+def test_the_lift_uses_no_part_of_the_naive_route(monkeypatch):
+    # the lift and the naive route are independent oracles, so no kind of
+    # lift node may count through the naive zero count or its zero test
+    cases = [
+        (["x1^2*x2 - x3^2"], 3, 3, 4, None),  # split nodes above order 1
+        (QUADRICS, 4, 3, 1, None),  # an order-1 split of two generators
+        (QUADRICS, 4, 3, 2, None),  # scanned nodes
+        (["x1*x2^2+x2"], 2, 3, 2, Region.primitive_then_full(1, 1)),
+    ]
+    monkeypatch.setattr(ringcount, "CHUNK", 7)
+    naive = [
+        count_points_raw([P(g, n) for g in gens], n, p, m, region, method="naive")
+        for gens, n, p, m, region in cases
+    ]
+    # a closed-form node; (Z/5^4)^3 is too large for the naive route, so
+    # the count is the sum over the valuation vectors v with |v| >= 4
+    cases.append((["x1*x2*x3"], 3, 5, 4, None))
+    naive.append(4140625)
+
+    def refuse(*args):
+        raise AssertionError("the lift reached the naive route")
+
+    reached = set()
+
+    def spy(name, real):
+        def run(*args):
+            reached.add(name)
+            return real(*args)
+
+        monkeypatch.setattr(ringcount, name, run)
+
+    monkeypatch.setattr(ringcount, "_count_naive", refuse)
+    monkeypatch.setattr(ringcount, "ZeroScan", refuse)
+    for name in ("_split_zeros", "_scan_zeros", "_valuation_sum"):
+        spy(name, getattr(ringcount, name))
+    lift = [
+        count_points_raw([P(g, n) for g in gens], n, p, m, region)
+        for gens, n, p, m, region in cases
+    ]
+    assert lift == naive
+    assert reached == {"_split_zeros", "_scan_zeros", "_valuation_sum"}
+
+
 @pytest.mark.parametrize("p, m, name", [(3.0, 2, "p"), (3, 2.0, "m"), ("3", 2, "p"),
                                         (3, "2", "m"), (True, 2, "p"), (3, True, "m")])
 def test_a_non_integer_prime_or_order_is_refused(p, m, name):

@@ -34,6 +34,25 @@ def test_factorize():
 # -- composite sums -----------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda spec: E_composite(spec, 1, 6.0), "q"),
+        (lambda spec: E_composite(spec, 1, True), "q"),
+        (lambda spec: verify_multiplicativity(spec, 1, 2.0, 3), "q1"),
+        (lambda spec: verify_multiplicativity(spec, 1, 2, 3.0), "q2"),
+        (lambda spec: singular_series_partial(spec, 1, 6.5), "Qmax"),
+        (lambda spec: singular_series_partial(spec, 1, 6.0), "Qmax"),
+    ],
+    ids=["E_composite-6.0", "E_composite-True", "verify-q1", "verify-q2",
+         "series-6.5", "series-6.0"],
+)
+def test_a_non_integer_modulus_is_refused(call, name):
+    # factorize would split 6.0 into (2, 1), (3.0, 1), and read True as 1
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call(S("x1^2", n=1))
+
+
 def test_E_composite_unit_modulus():
     assert E_composite(S("x1*x2", n=2), 1, 1) == 1
 

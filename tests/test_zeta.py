@@ -280,6 +280,18 @@ def test_negative_order_is_rejected(call, M):
         call(S("x1^2", n=1), M)
 
 
+@pytest.mark.parametrize("M", [2.5, 4.0, True])
+def test_a_non_integer_order_is_refused(M):
+    # a float M would reach the counts as a float order, and True as 1
+    spec = S("x1^2", n=1)
+    calls = [ord_volumes, ord_distribution, zeta_series, poincare_relation]
+    calls += [lambda spec, p, M: pole_report(spec, 1, p, M),
+              lambda spec, p, M: theta_probe(spec, 1, p, M)]
+    for call in calls:
+        with pytest.raises(ValueError, match="M must be an integer"):
+            call(spec, 3, M)
+
+
 def test_order_zero_is_the_total_volume():
     spec = S("x1^2", n=1)
     assert ord_distribution(spec, 3, 0).coeffs == (F(1),)
