@@ -10,7 +10,11 @@ It serves phase_histogram (N = p^m), direct_charsum (the literal sum of
 the pairing polynomial, at N = p^m for E_charsum and at a composite N for
 the oracle of sseries), the x-pass of E_charsum (through value_classes,
 which tallies sparsely where the q^r value vectors outnumber the points)
-and the Waring image of circle.
+and the Waring image of circle.  On a whole grid, polynomials that split
+into variable-disjoint parts (ringcount.split_halves) are tallied on the
+two half grids, and the tallies are convolved: the value distribution of
+a sum of independent parts (Weil's count of diagonal equations).  A
+region other than the full one is decided per point, so it is scanned.
 Identity checks then reduce the histogram modulo the N-th cyclotomic
 polynomial: sum c_j zeta^j equals a rational number iff the reduced
 residue is that constant, so no tolerance ever enters.  Floating values
@@ -26,8 +30,12 @@ The r-th exponential sum of an ideal has two independent routes:
 verify_moidef checks their exact equality through cyclotomic reduction;
 that comparison is the module's central test and must never be shortcut
 through the identity it verifies.  E_charsum therefore really enumerates
-every primitive y: the only liberty taken is grouping x by the value
-vector of the generators, which is a tautological regrouping of the sum.
+every primitive y: the only liberties taken are grouping x by the value
+vector of the generators and, for separable generators, counting those
+vectors as the convolution of the halves' value distributions, both
+tautological regroupings of the same sum.  The direct route
+(direct_charsum, under a primitive_then_full region) never splits, and
+E_counts shares no code with either.
 """
 
 from __future__ import annotations
@@ -54,12 +62,15 @@ from .ringcount import (
     UnitModP,
     ZeroModP,
     _codes,
+    check_int,
     check_prime_power,
+    convolve_tallies,
     count_zpm,  # noqa: F401  (unused; see the same import in zeta.py)
     digits,
     dim_estimate_raw,
     factorize,
     map_sum,
+    split_halves,
 )
 
 # -- cyclotomic machinery -----------------------------------------------------
@@ -188,28 +199,44 @@ def residue_histogram(
 ) -> np.ndarray:
     """value_histogram of the polynomials over the region in (Z/N)^k, for
     any modulus N: a point is inside when its reduction mod every prime
-    of N is (Region.on), so N = p^m decides it mod p alone."""
+    of N is (Region.on), so N = p^m decides it mod p alone.  A full
+    region passes no mask, so separable polynomials split."""
     grid = Grid(region.k, N)
-    inside = region.on(grid, *(p for p, _ in factorize(N)))
+    inside = None if region.is_full else region.on(grid, *(p for p, _ in factorize(N)))
     return value_histogram(grid, polys, inside, threads)
 
 
 def value_histogram(
-    grid: Grid, polys: Sequence[Poly], inside: Callable, threads: int
+    grid: Grid, polys: Sequence[Poly], inside: Callable | None, threads: int
 ) -> np.ndarray:
     """How many points of the grid, where the chunk mask inside(chunk)
-    holds (see Region.on), give each value vector of the polynomials.
+    holds (see Region.on; None for the whole grid), give each value
+    vector of the polynomials.
 
     Values are the ring's codes 0..q-1, and the vector (v_1, ..., v_s) is
     tallied in bin v_1 q^(s-1) + ... + v_s of q^s, encoded on the chunk's
-    compact shape before its rows are spread out.  One polynomial over Z/q
-    whose G groups (GridPolys) leave G q bins within a chunk's rows is
-    tallied unreduced: its values are sums of G residues, below G q, so
-    their G q bins fold mod q with no pass of % over the rows.
+    compact shape before its rows are spread out.  On the whole grid,
+    polynomials that split into variable-disjoint parts f_j = f_jA(x_A) +
+    f_jB(x_B) (ringcount.split_halves) are tallied on the two half grids,
+    each by this function, so a half that splits again does, and the
+    tallies are convolved (convolve_tallies); the split is taken while the
+    q^(2s) pairs of value vectors it may add are at most the grid's
+    points.  One polynomial over Z/q whose G groups (GridPolys) leave G q
+    bins within a chunk's rows is tallied unreduced: its values are sums
+    of G residues, below G q, so their G q bins fold mod q with no pass
+    of % over the rows.  The caller charges the grid's points either way.
     """
-    scan = GridPolys(grid, polys)
     q = grid.ring.q
     bins = q ** len(polys)
+    if inside is None and bins * bins <= math.prod(grid.sizes):
+        halves = split_halves(polys, grid.sizes)
+        if halves is not None:
+            tallies = [
+                value_histogram(Grid(len(axes), grid.ring), parts, None, threads)
+                for axes, parts in halves
+            ]
+            return convolve_tallies(grid.ring, len(polys), *tallies)
+    scan = GridPolys(grid, polys)
     fold = 1
     if len(polys) == 1 and isinstance(grid.ring, ModQ):
         h0, rest = scan.plans[0]
@@ -223,7 +250,7 @@ def value_histogram(
         else:
             idx = _codes(scan.compact(chunk), q)
         idx = grid.flat(chunk, idx)
-        ok = inside(chunk)
+        ok = inside and inside(chunk)
         if ok is not None:
             idx = idx[grid.flat(chunk, ok)]
         counts = np.bincount(idx, minlength=fold * bins)
@@ -238,11 +265,13 @@ def value_classes(
     """The value vectors the polynomials take on the grid, as the codes of
     value_histogram's bins in ascending order, and how many points take
     each.  While q^s bins are at most the grid's points they are tallied
-    densely; above that each chunk tallies its own codes (np.unique) and
-    the (code, count) pairs are merged, so memory follows the points."""
+    densely, by value_histogram on the whole grid, so separable
+    polynomials are tallied on half grids and convolved; above that each
+    chunk tallies its own codes (np.unique) and the (code, count) pairs
+    are merged, so memory follows the points.  Nothing is charged here."""
     q = grid.ring.q
     if q ** len(polys) <= grid.prefix_total * grid.suffix_size:
-        counts = value_histogram(grid, polys, lambda chunk: None, threads)
+        counts = value_histogram(grid, polys, None, threads)
         codes = np.flatnonzero(counts)
         return codes, counts[codes]
     scan = GridPolys(grid, polys)
@@ -306,9 +335,10 @@ def E_charsum(
     generators.  method="direct" is direct_charsum at N = p^m, one scan
     of (Z/p^m)^(r+n); method="grouped" enumerates every primitive y
     against the value-vector classes of x (the same double sum,
-    regrouped), which is much faster.  It is charged the x-pass's q^n
-    points first and then, before the y-pass, the phases it forms: the
-    primitive y times the classes.
+    regrouped), which is much faster; its x-pass (value_classes) tallies
+    separable generators on half grids and convolves the tallies.  It is
+    charged the x-pass's q^n points first, split or not, and then, before
+    the y-pass, the phases it forms: the primitive y times the classes.
     """
     check_prime_power(p, m)
     if spec.r != r:
@@ -402,14 +432,16 @@ def _gf_trace_histogram(
     f: Poly, gf: GFTable, zero: frozenset[int], unit: frozenset[int], budget: Meter, threads: int
 ) -> np.ndarray:
     """The trace histogram of f over F_q^n with x_j = 0 for j in zero and
-    x_j != 0 for j in unit."""
+    x_j != 0 for j in unit; with neither, value_histogram takes the whole
+    grid, so a separable f splits."""
     n = f.nvars
     charge(gf.q ** n, budget, "finite-field sum")
     grid = Grid(n, gf)
     modes = [ZeroModP() if j in zero else UnitModP() if j in unit else Full() for j in range(n)]
     region = Region(n, tuple(((j, j + 1), mode) for j, mode in enumerate(modes)))
     # decided with modulus q: code 0 is the only zero of F_q
-    values = value_histogram(grid, [f], region.on(grid, gf.q), threads)
+    inside = None if region.is_full else region.on(grid, gf.q)
+    values = value_histogram(grid, [f], inside, threads)
     traces = np.zeros(gf.p, dtype=np.int64)
     np.add.at(traces, gf.trace_table, values)
     return traces
@@ -431,9 +463,13 @@ def ff_char_sum(
 
     The canonical character Psi(a) = exp(2 pi i Tr(a) / p) is used.  The
     ratio divides |sum| by q^{(n+s)/2} where s is the dimension of the
-    singular locus of f (supplied, or estimated from the partials' zero
-    locus).  f should be (w-)homogeneous of degree not divisible by p for
+    singular locus of f: supplied, as an int in [-1, n] (-1 for an empty
+    locus), or estimated from the partials' zero locus over F_p, F_{p^2},
+    ..., F_{p^max(k, 2)} (dim_estimate_raw, within MAX_TABLE_Q and the
+    meter).  f should be (w-)homogeneous of degree not divisible by p for
     the Weil-type bound to be meaningful; otherwise a warning is issued.
+    With no J1 or J2 the sum runs on the whole grid, so a separable f + g
+    is tallied on half grids (value_histogram) at the same charge of q^n.
     """
     check_prime_power(p, k)
     budget = Meter.of(budget)
@@ -451,11 +487,15 @@ def ff_char_sum(
         warnings.warn("degree divisible by p: Weil-type bound not applicable")
 
     if s is None:
+        # over F_p-bar, so on the ladder p, p^2, ..., p^max(k, 2): rungs
+        # above the sum's own field would cost more points than the sum
         partials = [f.derivative(i) for i in range(n)]
-        est = dim_estimate_raw(partials, n, (7, 11, 13), 1, budget, threads)
-        s = est.dim
+        s = dim_estimate_raw(partials, n, (p,), max(k, 2), budget, threads).dim
         s_source = "estimated"
     else:
+        check_int("s", s)
+        if not -1 <= s <= n:
+            raise ValueError(f"s must be in [-1, {n}], got {s}")
         s_source = "given"
 
     total = f if g is None else f + g

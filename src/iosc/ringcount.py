@@ -68,8 +68,12 @@ grid it scans, (Z/p)^n or a half grid, with its power tables, once per
 call.  _count_naive() is the one zero count of a whole grid: the naive
 route, the finite-field and region counts and the integer box count of
 circle.count_box_solutions.  _codes() is the one encoder of value
-vectors and count_value_pairs() the one count of equal codes, for the
-separable nodes and boxes that split_halves() finds.
+vectors, count_value_pairs() the one count of equal codes and
+convolve_tallies() the one sum of two tallies of value vectors, for what
+split_halves() finds separable: the lift's split nodes, the integer box
+count of circle.count_box_solutions and the whole-grid value tallies of
+expsum.value_histogram (E_charsum's x-pass, full-region phase and
+residue histograms, the finite-field sums with no constraint).
 """
 
 from __future__ import annotations
@@ -546,6 +550,26 @@ def count_value_pairs(a: np.ndarray, b: np.ndarray) -> int:
     ub, cb = np.unique(b, return_counts=True)
     _, ia, ib = np.intersect1d(ua, ub, assume_unique=True, return_indices=True)
     return sum(map(operator.mul, ca[ia].tolist(), cb[ib].tolist()))
+
+
+def convolve_tallies(ring: Ring, s: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The tally of u + v over the pairs of points of two half grids, from
+    their tallies a and b of value vectors in q^s bins (_codes): every
+    pair of nonzero bins adds its decoded vectors in the ring, component
+    by component, and adds the product of their counts at the code of the
+    sum, in exact int64.  Runs of a's bins keep each array of pairs within
+    CHUNK entries (read at call time)."""
+    q = ring.q
+    ia, ib = np.flatnonzero(a), np.flatnonzero(b)
+    ca, cb = a[ia], b[ib]
+    va, vb = digits(ia, [q] * s), digits(ib, [q] * s)
+    out = np.zeros(q ** s, dtype=np.int64)
+    block = max(1, CHUNK // len(ib))
+    for lo in range(0, len(ia), block):
+        run = slice(lo, lo + block)
+        sums = [ring.reduce(ring.add(va[run, j, None], vb[:, j])) for j in range(s)]
+        np.add.at(out, _codes(sums, q), np.outer(ca[run], cb))
+    return out
 
 
 def _matching_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

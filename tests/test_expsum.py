@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from iosc import expsum
+from iosc import expsum, ringcount
 from iosc.errors import BudgetExceeded
 from iosc.expsum import (
     CycloValue,
@@ -222,6 +222,49 @@ def test_a_refused_charsum_holds_memory_by_points_not_by_value_vectors():
     assert peak < 8 << 20
 
 
+def grid_sizes(monkeypatch):
+    """The points of every grid a GridPolys scan is built on, from now on."""
+    real, sizes = ringcount.GridPolys.__init__, []
+
+    def record(self, grid, polys):
+        sizes.append(math.prod(grid.sizes))
+        real(self, grid, polys)
+
+    monkeypatch.setattr(ringcount.GridPolys, "__init__", record)
+    return sizes
+
+
+def test_the_charsum_x_pass_of_a_diagonal_cubic_scans_only_half_grids(monkeypatch):
+    # x1^3 + ... + x4^3 mod 49: two half grids of 49^2 points, not 49^4
+    cubic = S("x1^3+x2^3+x3^3+x4^3", n=4)
+    sizes = grid_sizes(monkeypatch)
+    E_charsum(cubic, 1, 7, 2)
+    assert sizes and max(sizes) <= ringcount.CHUNK
+    monkeypatch.undo()
+    assert verify_moidef(cubic, 1, 7, 2)
+
+
+def test_a_split_charsum_equals_the_unsplit_direct_sum_and_the_counts(monkeypatch):
+    monkeypatch.setattr(ringcount, "CHUNK", 7)
+    spec = S("x1^2+x2^2+x3^3", n=3)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the grouped sum counted points")
+
+    with monkeypatch.context() as mp:
+        # the grouped route tallies half grids and never counts a zero
+        for name in ("_count_naive", "_lift_count", "_split_zeros"):
+            mp.setattr(ringcount, name, unreachable)
+        sizes = grid_sizes(mp)
+        grouped = E_charsum(spec, 1, 3, 2)
+        assert max(sizes) < 9 ** 3
+    sizes = grid_sizes(monkeypatch)
+    direct = E_charsum(spec, 1, 3, 2, method="direct")
+    assert max(sizes) == 9 ** 4  # one scan of (y, x), with its region mask
+    assert grouped == direct
+    assert equals_rational(grouped, E_counts(spec, 1, 3, 2))
+
+
 def test_verify_moidef_examples():
     assert verify_moidef(S("x1^2", n=1), 1, 3, 2)
     assert verify_moidef(S("x1", n=1), 1, 2, 2)
@@ -290,6 +333,24 @@ def test_ff_linear_full_sum():
     res = ff_char_sum(P("x1", 1), None, 7, s=-1)
     assert abs(res.value) < 1e-9
     assert res.ratio < 1e-9
+
+
+@pytest.mark.parametrize(
+    "text, n, p, k",
+    # the singular locus over F_p-bar is the line x1 = 0 and the x3-axis
+    [("x1^2+3*x2^2", 2, 3, 2), ("x1^2+x2^2+7*x3^2", 3, 7, 1)],
+)
+def test_ff_char_sum_estimates_the_singular_locus_in_characteristic_p(text, n, p, k):
+    res = ff_char_sum(P(text, n), None, p, k)
+    assert (res.s, res.s_source) == (1, "estimated")
+    # a quadratic form of rank n - 1: |sum| = q^(n/2) * q^(1/2)
+    assert abs(res.ratio - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("s", [-5, 1.5, True, 3])
+def test_ff_char_sum_refuses_a_given_s_outside_minus_one_to_n(s):
+    with pytest.raises(ValueError, match="^s must"):
+        ff_char_sum(P("x1^3+x2^3", 2), None, 7, s=s)
 
 
 def test_ff_constraints():

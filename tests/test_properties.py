@@ -681,6 +681,56 @@ def test_zero_count_and_value_histogram_equal_a_row_by_row_reference(kind, data)
         assert got.tolist() == want.tolist()
 
 
+@st.composite
+def separable_value_polys(draw):
+    """(ring, n, polys): 1-2 polynomials over Z/q or F_q (odd p, so that
+    adding codes as integers is wrong in F_(p^2)), each a constant plus a
+    part on each of up to four variable-disjoint blocks of the n <= 6
+    variables, some of which no part uses; at most 3,000 points, so three
+    or more blocks make halves that split again."""
+    kind = draw(st.sampled_from([4, 8, 9, 25, 6, 10, 12, (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]))
+    ring = ModQ(kind) if isinstance(kind, int) else GFTable(*kind)
+    n = draw(st.integers(2, 6))
+    assume(ring.q ** n <= 3000)
+    # the block of each variable, or None for a variable no part uses
+    block = draw(st.lists(st.none() | st.integers(0, 3), min_size=n, max_size=n))
+    blocks = [[j for j in range(n) if block[j] == b] for b in range(4)]
+    coeff = st.integers(-60, 60)
+
+    def part(axes):
+        monomial = st.lists(st.integers(0, 3), min_size=len(axes), max_size=len(axes)).map(
+            lambda e: tuple(e[axes.index(j)] if j in axes else 0 for j in range(n))
+        )
+        return Poly(n, draw(st.dictionaries(monomial, coeff, max_size=3)))
+
+    polys = []
+    for _ in range(draw(st.integers(1, 2))):
+        f = Poly(n, {(0,) * n: draw(coeff)})
+        for axes in blocks:
+            if axes:
+                f = f + part(axes)
+        polys.append(f)
+    return ring, n, polys
+
+
+@given(separable_value_polys(), st.integers(1, 30))
+def test_a_split_value_tally_equals_the_scan_and_the_rows(case, chunk):
+    """value_histogram on the whole grid (None) tallies half grids of
+    separable polynomials and convolves them: it must equal the scan under
+    a mask that holds everywhere, and a row-by-row tally by eval_rows."""
+    ring, n, polys = case
+    q = ring.q
+    pts = np.array(list(itertools.product(range(q), repeat=n)), dtype=np.int64)
+    codes = sum(eval_rows(f, pts, ring) % q * q ** i for i, f in enumerate(reversed(polys)))
+    want = np.bincount(codes, minlength=q ** len(polys)).tolist()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ringcount, "CHUNK", chunk)
+        grid = Grid(n, ring)
+        assert value_histogram(grid, polys, lambda c: None, threads=1).tolist() == want
+        for threads in (1, 2):
+            assert value_histogram(grid, polys, None, threads).tolist() == want
+
+
 # -- the rank test -------------------------------------------------------------
 
 
