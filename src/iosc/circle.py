@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import ringcount
 from .errors import DEFAULT_BUDGET, Meter, charge
 from .expsum import residue_histogram
 from .poly import IdealSpec, Poly
@@ -149,13 +150,14 @@ class JIntegralReport:
     samples: int
 
 
-def _eval_float(f: Poly, pts: np.ndarray) -> np.ndarray:
-    acc = np.zeros(len(pts), dtype=np.float64)
+def _eval_float(f: Poly, cols: np.ndarray) -> np.ndarray:
+    """f at the points whose coordinates are the rows of cols, shape (n, N)."""
+    acc = np.zeros(cols.shape[1], dtype=np.float64)
     for expo, coeff in f.terms.items():
-        t = np.full(len(pts), float(coeff))
+        t = np.full(cols.shape[1], float(coeff))
         for j, e in enumerate(expo):
             if e:
-                t = t * pts[:, j] ** e
+                t = t * cols[j] ** e
         acc += t
     return acc
 
@@ -180,13 +182,24 @@ def singular_integral(
 ) -> JIntegralReport:
     """Estimate J = lim eps^-r vol{x in box : |f_i(x)| <= eps/2 for all i}.
 
-    The Monte Carlo sampler draws all points once from the 64-bit seed and
-    reuses them along the ladder (deterministic for a fixed seed); the grid
-    sampler uses a midpoint product grid.  Convergence means the last two
-    ladder values agree within 5%; non-convergence is reported, never
-    silently accepted.
+    The Monte Carlo sampler draws its points from one generator seeded
+    with the 64-bit seed, and every ladder value counts the same points
+    (deterministic for a fixed seed); the grid sampler uses a midpoint
+    product grid.  Both stream their points in blocks of CHUNK
+    coordinates (ringcount.CHUNK, read at call time): a block of the
+    Monte Carlo sampler is the generator's next draws, so the draws, and
+    with them the estimates, equal those of one draw of all samples, and
+    a block of the grid is a run of its points in row-major order.  A
+    block is counted for each eps by its largest |f_i|.  Convergence
+    means the last two ladder values agree within 5%; non-convergence is
+    reported, never silently accepted.
     """
     n, r = spec.nvars, spec.r
+    check_int("samples", samples)
+    check_int("grid_resolution", grid_resolution)
+    check_int("seed", seed)
+    if box.n != n:
+        raise ValueError("box dimension must match nvars")
     if not eps_ladder:
         raise ValueError("need at least one epsilon")
     if not all(0 < eps < inf and 0 < _float_pow(eps, r) < inf for eps in eps_ladder):
@@ -196,6 +209,8 @@ def singular_integral(
         )
     if min(samples, grid_resolution) < 1:
         raise ValueError(f"need samples, grid_resolution >= 1, got {samples}, {grid_resolution}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     eps_ladder = sorted(eps_ladder, reverse=True)
     lo = np.array([float(l) for l, _ in box.bounds])
     hi = np.array([float(h) for _, h in box.bounds])
@@ -203,30 +218,34 @@ def singular_integral(
     if sampler == "mc":
         charge(samples, budget, "monte carlo sampling")
         rng = np.random.default_rng(seed)
-        pts = lo + (hi - lo) * rng.random((samples, n))
-        weight = float(box.volume) / samples
         used = samples
     elif sampler == "grid":
-        charge(grid_resolution ** n, budget, "grid sampling")
+        used = grid_resolution ** n
+        charge(used, budget, "grid sampling")
         axes = [
             l + (h - l) * (np.arange(grid_resolution) + 0.5) / grid_resolution
             for l, h in zip(lo, hi)
         ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        weight = float(box.volume) / len(pts)
-        used = len(pts)
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
 
-    vals = [np.abs(_eval_float(g, pts)) for g in spec.generators]
-    estimates = []
-    for eps in eps_ladder:
-        inside = np.ones(len(pts), dtype=bool)
-        for v in vals:
-            inside &= v <= eps / 2
-        vol = float(inside.sum()) * weight
-        estimates.append((eps, vol / eps ** r))
+    block = max(1, ringcount.CHUNK // n)
+    hits = [0] * len(eps_ladder)
+    for start in range(0, used, block):
+        rows = min(block, used - start)
+        if sampler == "mc":
+            cols = (lo + (hi - lo) * rng.random((rows, n))).T.copy()
+        else:
+            idx = digits(np.arange(start, start + rows, dtype=np.int64), [grid_resolution] * n)
+            cols = np.stack([axis[i] for axis, i in zip(axes, idx.T)])
+        # max is exact, so worst <= eps/2 is the & of the per-generator tests
+        worst = np.zeros(rows)
+        for g in spec.generators:
+            np.maximum(worst, np.abs(_eval_float(g, cols)), out=worst)
+        for k, eps in enumerate(eps_ladder):
+            hits[k] += int(np.count_nonzero(worst <= eps / 2))
+    weight = float(box.volume) / used
+    estimates = [(eps, float(h) * weight / eps ** r) for eps, h in zip(eps_ladder, hits)]
     value = estimates[-1][1]
     if len(estimates) >= 2:
         prev = estimates[-2][1]

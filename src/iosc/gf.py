@@ -10,9 +10,12 @@ place and replaces the overflow X^k by X^k - f, and a candidate fails as
 soon as the walk returns to 1 early.  Order q-1 makes all q-1 nonzero
 residues units, so the quotient ring is a field and f is irreducible: the
 walk is the proof, and its output is the antilog table exp[i] = X^i, with
-log its inverse.  The q x q tables follow row by row: mul[a, b] =
-exp[(log a + log b) mod (q-1)], and add is digitwise mod p, as is the
-length-q negation table, each digit d becoming (p - d) mod p.
+log its inverse.  The q x q tables follow in whole-array passes: mul[a,
+b] = exp[log a + log b], one outer sum per run of rows of at most CHUNK
+entries (so no index temporary is q x q), with row and column 0 zero,
+and add is digitwise mod p: a XOR b for p = 2, and for odd p the outer
+sum a + b less p * p^j wherever digit j carries.  The length-q negation
+table is digitwise too, each digit d becoming (p - d) mod p.
 
 The table is a ring of ringcount's grid kernel (const, mul, add, reduce
 and neg), with add, mul and neg as lookups and an integer c as the code
@@ -38,7 +41,7 @@ class GFTable:
 
     def __init__(self, p: int, k: int):
         # imported here because ringcount imports this module
-        from .ringcount import check_prime_power, digits, power
+        from .ringcount import CHUNK, check_prime_power, digits, power
 
         # the walk below ends only if X is a unit, which f(0) != 0 ensures
         # for prime p
@@ -49,8 +52,7 @@ class GFTable:
         self.p = p
         self.k = k
         self.q = q
-        # base-p digits of every code, most significant first; int32 makes
-        # the row loop below twice as fast as int64
+        # base-p digits of every code, most significant first
         elems = digits(np.arange(q, dtype=np.int64), [p] * k).astype(np.int32)
         weights = p ** np.arange(k - 1, -1, -1, dtype=np.int32)
         lead = elems[:, :1]
@@ -71,14 +73,24 @@ class GFTable:
 
         # exp doubled so that log a + log b indexes it without a reduction
         exp = np.array(powers * 2, dtype=np.int32)
-        log = np.zeros(q, dtype=np.int64)
+        log = np.zeros(q, dtype=np.intp)
         log[exp[: q - 1]] = np.arange(q - 1)
+        codes = np.arange(q, dtype=np.int32)
         add = np.empty((q, q), dtype=np.int32)
-        mul = np.zeros((q, q), dtype=np.int32)
-        for a in range(q):
-            add[a] = ((elems[a] + elems) % p) @ weights
-            if a:
-                mul[a, 1:] = exp[log[a] + log[1:]]
+        if p == 2:
+            np.bitwise_xor.outer(codes, codes, out=add)
+        else:
+            # a + b, less p * p^j wherever digit j carries
+            np.add.outer(codes, codes, out=add)
+            for d, w in zip(elems.T, weights):
+                carry = np.greater_equal.outer(d, p - d)
+                np.subtract(add, p * w, out=add, where=carry)
+        mul = np.empty((q, q), dtype=np.int32)
+        # runs of rows of at most CHUNK entries keep the index sums small
+        rows = max(1, CHUNK // q)
+        for a in range(0, q, rows):
+            np.take(exp, np.add.outer(log[a : a + rows], log), out=mul[a : a + rows])
+        mul[0] = mul[:, 0] = 0
         self.add_table = add
         self.mul_table = mul
         # -a digitwise: each digit d becomes (p - d) mod p

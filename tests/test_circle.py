@@ -1,8 +1,10 @@
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from iosc import circle
+from iosc import circle, ringcount
 from iosc.circle import (
     BoxSpec,
     convolution_fiber_ideal,
@@ -11,6 +13,7 @@ from iosc.circle import (
     singular_integral,
     waring_surjectivity,
 )
+from iosc.errors import Meter
 from iosc.poly import IdealSpec, Poly, parse_poly
 
 
@@ -123,12 +126,38 @@ def test_j_integral_empty_locus():
         ([0.2, float("inf")], {}),
         ([0.2, 0.1], {"samples": 0}),
         ([0.2, 0.1], {"sampler": "grid", "grid_resolution": 0}),
+        ([0.2, 0.1], {"sampler": "grid", "grid_resolution": 2.5}),
+        ([0.2, 0.1], {"samples": 2.5}),
+        ([0.2, 0.1], {"samples": True}),
+        ([0.2, 0.1], {"seed": 1.5}),
+        ([0.2, 0.1], {"seed": -1}),
     ],
-    ids=["zero", "negative", "zero-in-ladder", "nan", "inf", "no-samples", "no-grid"],
+    ids=[
+        "zero", "negative", "zero-in-ladder", "nan", "inf", "no-samples", "no-grid",
+        "fractional-grid", "fractional-samples", "bool-samples", "fractional-seed",
+        "negative-seed",
+    ],
 )
 def test_j_integral_rejects_a_bad_ladder_or_sample_size(eps, options):
     with pytest.raises(ValueError):
         singular_integral(S("x1", n=2), BoxSpec.cube(2), eps, **options)
+
+
+@pytest.mark.parametrize(
+    "box, options",
+    [
+        (BoxSpec.cube(3), {}),
+        (BoxSpec.cube(1), {"sampler": "grid"}),
+        (BoxSpec.cube(2), {"sampler": "grid", "grid_resolution": 2.5}),
+        (BoxSpec.cube(2), {"seed": -1}),
+    ],
+    ids=["box-too-big", "box-too-small", "fractional-grid", "negative-seed"],
+)
+def test_j_integral_refuses_a_bad_input_before_charging(box, options):
+    meter = Meter(10 ** 8)
+    with pytest.raises(ValueError):
+        singular_integral(S("x1", n=2), box, [0.2, 0.1], budget=meter, **options)
+    assert meter.left == 10 ** 8
 
 
 def test_j_integral_deterministic_for_seed():
@@ -136,6 +165,95 @@ def test_j_integral_deterministic_for_seed():
     a = singular_integral(spec, BoxSpec.cube(3), [0.2, 0.1], seed=123)
     b = singular_integral(spec, BoxSpec.cube(3), [0.2, 0.1], seed=123)
     assert a.estimates == b.estimates
+
+
+def _eval_all_at_once(f, pts):
+    acc = np.zeros(len(pts), dtype=np.float64)
+    for expo, coeff in f.terms.items():
+        t = np.full(len(pts), float(coeff))
+        for j, e in enumerate(expo):
+            if e:
+                t = t * pts[:, j] ** e
+        acc += t
+    return acc
+
+
+def j_all_at_once(spec, box, eps_ladder, sampler, seed, samples, grid_resolution):
+    """The estimates of singular_integral from every point built at once:
+    one draw of all samples, or the whole meshgrid."""
+    n, r = spec.nvars, spec.r
+    lo = np.array([float(l) for l, _ in box.bounds])
+    hi = np.array([float(h) for _, h in box.bounds])
+    if sampler == "mc":
+        pts = lo + (hi - lo) * np.random.default_rng(seed).random((samples, n))
+    else:
+        axes = [
+            l + (h - l) * (np.arange(grid_resolution) + 0.5) / grid_resolution
+            for l, h in zip(lo, hi)
+        ]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=1)
+    weight = float(box.volume) / len(pts)
+    vals = [np.abs(_eval_all_at_once(g, pts)) for g in spec.generators]
+    estimates = []
+    for eps in sorted(eps_ladder, reverse=True):
+        inside = np.ones(len(pts), dtype=bool)
+        for v in vals:
+            inside &= v <= eps / 2
+        vol = float(inside.sum()) * weight
+        estimates.append((eps, vol / eps ** r))
+    return estimates
+
+
+# the largest eps of a ladder holds every point of the box, so a lost or
+# repeated point changes its estimate
+STREAM_CASES = {
+    "line": (S("x1", n=1), BoxSpec.cube(1), [4.0, 0.5, 0.25]),
+    "cubic-plane": (S("3*x1^3 - x2 + 1", n=2), BoxSpec(((F(-1, 2), F(1, 3)), (F(0), F(1)))),
+                    [20.0, 0.3, 0.2, 0.1]),
+    "cone": (S("x1^2 + x2^2 - x3^2", n=3), BoxSpec.cube(3), [8.0, 0.2, 0.1]),
+    "cone-4": (S("x1^2 + x2^2 + x3^2 - x4^2", n=4), BoxSpec.cube(4, F(1, 2)), [0.4, 9.0]),
+    "r2-plane": (S("x1 + x2", "x1*x2", n=2), BoxSpec.cube(2), [0.7, 0.35, 9.0]),
+    "r2-cone": (S("x1 - x2", "x1^2 + x2^2 - x3^2", n=3), BoxSpec.cube(3), [9.0, 0.5, 0.3]),
+}
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+@pytest.mark.parametrize(
+    "sampler, seed, samples, resolution",
+    [("mc", 0, 1003, 40), ("mc", 123, 389, 40), ("grid", 0, 400_000, 5)],
+    ids=["mc-seed0", "mc-seed123", "grid"],
+)
+def test_streaming_changes_no_estimate(monkeypatch, chunk, case, sampler, seed, samples,
+                                       resolution):
+    # blocks of chunk // n rows leave a partial last block in every case but
+    # the blocks of one row (n = 4, chunk = 7)
+    monkeypatch.setattr(ringcount, "CHUNK", chunk)
+    spec, box, ladder = STREAM_CASES[case]
+    rep = singular_integral(spec, box, ladder, sampler=sampler, seed=seed, samples=samples,
+                            grid_resolution=resolution)
+    expected = j_all_at_once(spec, box, ladder, sampler, seed, samples, resolution)
+    assert rep.estimates == expected
+    assert rep.value == expected[-1][1]
+    assert rep.samples == (samples if sampler == "mc" else resolution ** spec.nvars)
+    assert rep.seed == (seed if sampler == "mc" else None)
+
+
+@pytest.mark.parametrize(
+    "options", [{"samples": 2_000_000}, {"sampler": "grid", "grid_resolution": 40}],
+    ids=["mc-2M", "grid-40^4"],
+)
+def test_the_memory_of_the_singular_integral_follows_its_blocks(options):
+    spec = S("x1^2 + x2^2 + x3^2 - x4^2", n=4)
+    tracemalloc.start()
+    try:
+        singular_integral(spec, BoxSpec.cube(4), [0.2, 0.1], **options)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # all points at once would take 64 MB (2M x 4 floats) and 82 MB (40^4 x 4)
+    assert peak < 16 * 2 ** 20
 
 
 # -- prediction ---------------------------------------------------------------------

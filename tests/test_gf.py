@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iosc.gf import GFTable
-from iosc.ringcount import power
+from iosc.ringcount import digits, power
 
 FIELDS = [(2, 1), (7, 1), (2, 4), (3, 3), (5, 2), (2, 8), (3, 5)]
 
@@ -62,3 +62,56 @@ def test_tables_keep_their_dtypes(gf):
 def test_field_above_the_table_cap_is_rejected():
     with pytest.raises(ValueError):
         GFTable(2, 13)
+
+
+def tables_by_definition(p, k, modpoly):
+    """The add, mul, neg and trace tables of F_p[X]/(f) on codes, from the
+    definitions: add and neg digitwise mod p, a * b = sum_i a_i (X^i b)
+    with X^i b by i multiplications by X, and Tr(a) = sum_i a^(p^i)."""
+    q = p ** k
+    d = digits(np.arange(q), [p] * k)  # most significant digit first
+    w = p ** np.arange(k - 1, -1, -1)
+    low = np.array(modpoly[-2::-1])  # f_{k-1}, ..., f_0, aligned with d
+    # X^i b for i = k-1, ..., 0, aligned with the digits of a; X c moves the
+    # digits of c up one place, with X^k = -(f_0 + ... + f_{k-1} X^{k-1})
+    xb = [d]
+    for _ in range(k - 1):
+        c = xb[0]
+        up = np.concatenate([c[:, 1:], np.zeros((q, 1), dtype=c.dtype)], axis=1)
+        xb.insert(0, (up - c[:, :1] * low) % p)
+    # small integers, so the float product is exact
+    xb = np.stack(xb).reshape(k, q * k).astype(float)
+    add = np.empty((q, q), dtype=np.int64)
+    mul = np.empty((q, q), dtype=np.int64)
+    rows = max(1, (1 << 20) // (q * k))
+    for a in range(0, q, rows):
+        da = d[a : a + rows]
+        add[a : a + rows] = ((da[:, None, :] + d[None, :, :]) % p) @ w
+        prod = (da @ xb).astype(np.int64).reshape(len(da), q, k)
+        mul[a : a + rows] = (prod % p) @ w
+    neg = ((p - d) % p) @ w
+    trace, cur = np.zeros(q, dtype=np.int64), np.arange(q)
+    for _ in range(k):
+        trace = add[trace, cur]
+        frob = np.ones(q, dtype=np.int64)
+        for _ in range(p):
+            frob = mul[frob, cur]
+        cur = frob
+    return add, mul, neg, trace
+
+
+def prime_powers(limit):
+    primes = [p for p in range(2, limit + 1) if all(p % d for d in range(2, p))]
+    return [(p, k) for p in primes for k in range(1, limit.bit_length()) if p ** k <= limit]
+
+
+@pytest.mark.parametrize(
+    "pk", prime_powers(256) + [(2, 12), (3, 7)], ids=lambda pk: f"{pk[0]}^{pk[1]}"
+)
+def test_every_table_is_its_definition(pk):
+    gf = GFTable(*pk)
+    add, mul, neg, trace = tables_by_definition(gf.p, gf.k, gf.modpoly)
+    assert np.array_equal(gf.add_table, add)
+    assert np.array_equal(gf.mul_table, mul)
+    assert np.array_equal(gf.neg_table, neg)
+    assert np.array_equal(gf.trace_table, trace)
