@@ -150,15 +150,18 @@ class JIntegralReport:
     samples: int
 
 
-def _eval_float(f: Poly, cols: np.ndarray) -> np.ndarray:
-    """f at the points whose coordinates are the rows of cols, shape (n, N)."""
-    acc = np.zeros(cols.shape[1], dtype=np.float64)
+def _eval_float(f: Poly, cols: np.ndarray, acc: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """f at the points whose coordinates are the rows of cols, shape (n, N),
+    written into acc; term is a work buffer of length N.  Each term is its
+    coefficient times cols[j] ** e for each of its factors in variable
+    order, and acc sums the terms in f's order from zero."""
+    acc.fill(0.0)
     for expo, coeff in f.terms.items():
-        t = np.full(cols.shape[1], float(coeff))
+        term.fill(float(coeff))
         for j, e in enumerate(expo):
             if e:
-                t = t * cols[j] ** e
-        acc += t
+                np.multiply(term, cols[j] ** e, out=term)
+        acc += term
     return acc
 
 
@@ -190,9 +193,21 @@ def singular_integral(
     Monte Carlo sampler is the generator's next draws, so the draws, and
     with them the estimates, equal those of one draw of all samples, and
     a block of the grid is a run of its points in row-major order.  A
-    block is counted for each eps by its largest |f_i|.  Convergence
-    means the last two ladder values agree within 5%; non-convergence is
-    reported, never silently accepted.
+    block is counted for each eps by its largest |f_i|.
+
+    The blocks reuse one set of buffers, of at most CHUNK // n rows each
+    (a short last block takes their leading rows): the Monte Carlo
+    sampler draws into a (rows, n) array, rng.random(out=...), and scales
+    it axis by axis, lo_j + (hi_j - lo_j) * u, into the (n, rows) point
+    array that the grid sampler fills from its own decode; _eval_float
+    writes each generator into one accumulator and one term buffer, and
+    the largest |f_i| goes to a buffer of its own.  The float operations
+    and their order are fixed, those of one draw of all samples evaluated
+    term by term, so the estimates are bit for bit the same for every
+    CHUNK.
+
+    Convergence means the last two ladder values agree within 5%;
+    non-convergence is reported, never silently accepted.
     """
     n, r = spec.nvars, spec.r
     check_int("samples", samples)
@@ -229,21 +244,32 @@ def singular_integral(
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
 
-    block = max(1, ringcount.CHUNK // n)
+    block = min(max(1, ringcount.CHUNK // n), used)
+    draws = np.empty((block, n)) if sampler == "mc" else None
+    cols = np.empty((n, block))
+    acc, term, worst = np.empty(block), np.empty(block), np.empty(block)
     hits = [0] * len(eps_ladder)
     for start in range(0, used, block):
         rows = min(block, used - start)
+        pts = cols[:, :rows]
         if sampler == "mc":
-            cols = (lo + (hi - lo) * rng.random((rows, n))).T.copy()
+            u = rng.random(out=draws[:rows])
+            for j in range(n):
+                # lo + (hi - lo) * u, one axis at a time
+                np.multiply(u[:, j], hi[j] - lo[j], out=pts[j])
+                np.add(pts[j], lo[j], out=pts[j])
         else:
             idx = digits(np.arange(start, start + rows, dtype=np.int64), [grid_resolution] * n)
-            cols = np.stack([axis[i] for axis, i in zip(axes, idx.T)])
+            for j in range(n):
+                np.take(axes[j], idx[:, j], out=pts[j])
         # max is exact, so worst <= eps/2 is the & of the per-generator tests
-        worst = np.zeros(rows)
+        w = worst[:rows]
+        w.fill(0.0)
         for g in spec.generators:
-            np.maximum(worst, np.abs(_eval_float(g, cols)), out=worst)
+            v = _eval_float(g, pts, acc[:rows], term[:rows])
+            np.maximum(w, np.abs(v, out=v), out=w)
         for k, eps in enumerate(eps_ladder):
-            hits[k] += int(np.count_nonzero(worst <= eps / 2))
+            hits[k] += int(np.count_nonzero(w <= eps / 2))
     weight = float(box.volume) / used
     estimates = [(eps, float(h) * weight / eps ** r) for eps, h in zip(eps_ladder, hits)]
     value = estimates[-1][1]

@@ -15,12 +15,18 @@ Exit codes: 0 success, 2 invalid input, 3 evaluation budget exceeded,
 is reachable only through a bug).  The point budget bounds the whole
 command, as one errors.Meter that all its counts draw down.  It defaults
 to 10^8, is set by IOSC_BUDGET or --budget, and --force bypasses it.
+
+The parser is built once per process, on the first main() call, and is
+never mutated after that: each call parses into a fresh namespace, so no
+state carries from one call to the next, and importing this module
+builds nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -441,7 +447,10 @@ def _add_common(sp, fn):
     sp.add_argument("--weights", default=None, help="comma-separated weights")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one; parse_args reads it and nothing may change it."""
     ap = argparse.ArgumentParser(
         prog="iosc",
         description="exact exponential sums, local zeta data and singular series of polynomial ideals",

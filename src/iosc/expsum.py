@@ -70,6 +70,7 @@ from .ringcount import (
     dim_estimate_raw,
     factorize,
     map_sum,
+    shared_field,
     split_halves,
 )
 
@@ -421,6 +422,9 @@ class FFCharSum:
     value: complex
     ratio: float
     s: int
+    # "given", "estimated" for a confident dimension estimate, or
+    # "estimated-unconfident" for one whose two largest fields disagree
+    # or that had only one field (dim_estimate_raw)
     s_source: str
     trace_counts: tuple[int, ...]
 
@@ -466,8 +470,11 @@ def ff_char_sum(
     singular locus of f: supplied, as an int in [-1, n] (-1 for an empty
     locus), or estimated from the partials' zero locus over F_p, F_{p^2},
     ..., F_{p^max(k, 2)} (dim_estimate_raw, within MAX_TABLE_Q and the
-    meter).  f should be (w-)homogeneous of degree not divisible by p for
-    the Weil-type bound to be meaningful; otherwise a warning is issued.
+    meter), and s_source says which, and whether the estimate was
+    confident.  A ladder that reaches F_{p^k} lends the sum its table, so
+    the call builds each field once.  f should be (w-)homogeneous of
+    degree not divisible by p for the Weil-type bound to be meaningful;
+    otherwise a warning is issued.
     With no J1 or J2 the sum runs on the whole grid, so a separable f + g
     is tallied on half grids (value_histogram) at the same charge of q^n.
     """
@@ -486,12 +493,15 @@ def ff_char_sum(
     elif d % p == 0:
         warnings.warn("degree divisible by p: Weil-type bound not applicable")
 
+    # the ladder's F_(p^k), if it reaches it, is the sum's field too
+    fields: dict[tuple[int, int], GFTable] = {}
     if s is None:
         # over F_p-bar, so on the ladder p, p^2, ..., p^max(k, 2): rungs
         # above the sum's own field would cost more points than the sum
         partials = [f.derivative(i) for i in range(n)]
-        s = dim_estimate_raw(partials, n, (p,), max(k, 2), budget, threads).dim
-        s_source = "estimated"
+        est = dim_estimate_raw(partials, n, (p,), max(k, 2), budget, threads, fields)
+        s = est.dim
+        s_source = "estimated" if est.confident else "estimated-unconfident"
     else:
         check_int("s", s)
         if not -1 <= s <= n:
@@ -499,7 +509,7 @@ def ff_char_sum(
         s_source = "given"
 
     total = f if g is None else f + g
-    traces = _gf_trace_histogram(total, GFTable(p, k), J1, J2, budget, threads)
+    traces = _gf_trace_histogram(total, shared_field(p, k, fields), J1, J2, budget, threads)
     # Psi(a) = exp(2 pi i Tr(a) / p) sums the trace histogram as a phase mod p
     hist = PhaseHistogram(p, 1, tuple(int(c) for c in traces))
     value = to_complex(hist)

@@ -1269,6 +1269,18 @@ class LocalData:
 # -- counting over finite fields ---------------------------------------------
 
 
+def shared_field(p: int, k: int, fields: dict[tuple[int, int], GFTable] | None) -> GFTable:
+    """GFTable(p, k), kept in fields under (p, k) so that one call builds
+    each field once; with no fields dict it is built afresh.  A q = 4096
+    table holds 2 q^2 int32 entries, 128 MB, so fields live for one call,
+    never for the process."""
+    if fields is None:
+        return GFTable(p, k)
+    if (p, k) not in fields:
+        fields[p, k] = GFTable(p, k)
+    return fields[p, k]
+
+
 def count_ff_raw(
     gens: Sequence[Poly],
     nvars: int,
@@ -1276,8 +1288,10 @@ def count_ff_raw(
     k: int,
     budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
+    fields: dict[tuple[int, int], GFTable] | None = None,
 ) -> int:
-    """Common zeros of gens over F_{p^k}, by one zero scan of the grid F_q^n."""
+    """Common zeros of gens over F_{p^k}, by one zero scan of the grid F_q^n.
+    F_{p^k} for k >= 2 comes from fields (shared_field)."""
     check_prime_power(p, k)
     q = p ** k
     charge(q ** nvars, budget, "finite-field count")
@@ -1286,7 +1300,7 @@ def count_ff_raw(
     if gens is None:
         return 0
     # GFTable stops at q = 4096, and F_p is Z/p
-    grid = Grid(nvars, ModQ(p) if k == 1 else GFTable(p, k))
+    grid = Grid(nvars, ModQ(p) if k == 1 else shared_field(p, k, fields))
     return _count_naive(gens, grid, None, threads)
 
 
@@ -1319,11 +1333,13 @@ def dim_estimate_raw(
     maxk: int = 1,
     budget: int | Meter = DEFAULT_BUDGET,
     threads: int = 1,
+    fields: dict[tuple[int, int], GFTable] | None = None,
 ) -> DimEstimate:
     """The dimension read off counts over F_q, q = p^k, in ascending q while
     the meter pays for them; the first count is always tried.  An
     extension field above GFTable's MAX_TABLE_Q elements is left off the
-    ladder."""
+    ladder.  The extension fields are taken from and kept in fields
+    (shared_field)."""
     meter = Meter.of(budget)
     ladder = {
         p ** k: (p, k)
@@ -1338,7 +1354,7 @@ def dim_estimate_raw(
         if samples and q ** nvars > meter.left:
             break
         p, k = ladder[q]
-        samples.append((q, count_ff_raw(gens, nvars, p, k, meter, threads)))
+        samples.append((q, count_ff_raw(gens, nvars, p, k, meter, threads, fields)))
     if all(c == 0 for _, c in samples):
         return DimEstimate(-1, samples, True)
 

@@ -215,10 +215,14 @@ STREAM_CASES = {
     "cone-4": (S("x1^2 + x2^2 + x3^2 - x4^2", n=4), BoxSpec.cube(4, F(1, 2)), [0.4, 9.0]),
     "r2-plane": (S("x1 + x2", "x1*x2", n=2), BoxSpec.cube(2), [0.7, 0.35, 9.0]),
     "r2-cone": (S("x1 - x2", "x1^2 + x2^2 - x3^2", n=3), BoxSpec.cube(3), [9.0, 0.5, 0.3]),
+    # unequal sides, two generators and exponents past the square
+    "r2-quintic-4": (S("x1^5 + 2*x2^3*x3 - x4^2", "x1*x4 - 3*x3^4 + x2", n=4),
+                     BoxSpec(((F(-1), F(1)), (F(0), F(1)), (F(-1), F(0)), (F(-1), F(1)))),
+                     [30.0, 0.5, 0.3]),
 }
 
 
-@pytest.mark.parametrize("chunk", [7, 64])
+@pytest.mark.parametrize("chunk", [7, 64, 1000])
 @pytest.mark.parametrize("case", sorted(STREAM_CASES))
 @pytest.mark.parametrize(
     "sampler, seed, samples, resolution",
@@ -227,8 +231,9 @@ STREAM_CASES = {
 )
 def test_streaming_changes_no_estimate(monkeypatch, chunk, case, sampler, seed, samples,
                                        resolution):
-    # blocks of chunk // n rows leave a partial last block in every case but
-    # the blocks of one row (n = 4, chunk = 7)
+    # blocks of chunk // n rows: chunks 7 and 64 leave a partial last block
+    # in every case but the blocks of one row (n = 4, chunk = 7); chunk 1000
+    # leaves one for 1003 draws and the 5^4 grid, and takes the rest whole
     monkeypatch.setattr(ringcount, "CHUNK", chunk)
     spec, box, ladder = STREAM_CASES[case]
     rep = singular_integral(spec, box, ladder, sampler=sampler, seed=seed, samples=samples,

@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -403,6 +404,65 @@ def test_a_budget_below_one_is_refused(budget, monkeypatch):
 def test_fewer_than_one_thread_is_refused(threads):
     argv = ["count", "--gens", "x1^2", "-n", "1", "-p", "3", "-m", "2", "--threads", threads]
     assert main(argv) == 2
+
+
+# -- the per-process parser ------------------------------------------------------------
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import iosc.cli\n"
+        "print(len(built))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["0"]
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    argv = ["count", "--gens", "x1^2", "-n", "1", "-p", "3", "-m", "2"]
+    assert main(argv) == 0
+    assert len(built) == 8  # iosc and its seven subcommands
+    assert main(argv) == 0
+    assert len(built) == 8
+    capsys.readouterr()
+
+
+def test_a_call_echoes_only_its_own_options(capsys):
+    code, rep = run(capsys, "count", "--gens", "x1", "-n", "1", "-p", "3", "-m", "1")
+    assert code == 0
+    code, rep = run(capsys, "count", "--gens", "x2", "-n", "2", "-p", "3", "-m", "1")
+    assert code == 0
+    gens = [a for a in rep["config"]["argv"] if a.startswith("--gens")]
+    assert gens == ["--gens=x2"]
+
+
+def test_a_refused_call_leaves_the_next_report_unchanged(capsys):
+    argv = ["circle", "jintegral", "--gens", "x1^2+x2^2-x3^2", "-n", "3", "--seed", "5"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv + ["--threads", "0"]) == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
 
 
 def subcommand_cases():

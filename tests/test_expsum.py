@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from iosc import expsum, ringcount
+from iosc import expsum, gf, ringcount
 from iosc.errors import BudgetExceeded
 from iosc.expsum import (
     CycloValue,
@@ -345,6 +345,26 @@ def test_ff_char_sum_estimates_the_singular_locus_in_characteristic_p(text, n, p
     assert (res.s, res.s_source) == (1, "estimated")
     # a quadratic form of rank n - 1: |sum| = q^(n/2) * q^(1/2)
     assert abs(res.ratio - 1.0) < 1e-9
+
+
+def test_ff_char_sum_reports_an_unconfident_estimate_as_such():
+    # p^2 is past MAX_TABLE_Q, so the ladder is the one field F_101
+    res = ff_char_sum(P("x1^3+x2^3", 2), None, 101)
+    assert (res.s, res.s_source) == (0, "estimated-unconfident")
+
+
+def test_ff_char_sum_builds_the_field_of_its_ladder_once(monkeypatch):
+    built = []
+    init = gf.GFTable.__init__
+
+    def counting(self, p, k):
+        built.append((p, k))
+        init(self, p, k)
+
+    monkeypatch.setattr(gf.GFTable, "__init__", counting)
+    res = ff_char_sum(P("x1^3+x2^3+x3^3+x4^3", 4), None, 5, 2)
+    assert built == [(5, 2)]
+    assert res.s_source == "estimated"
 
 
 @pytest.mark.parametrize("s", [-5, 1.5, True, 3])
