@@ -14,7 +14,10 @@ and the Waring image of circle.  On a whole grid, polynomials that split
 into variable-disjoint parts (ringcount.split_halves) are tallied on the
 two half grids, and the tallies are convolved: the value distribution of
 a sum of independent parts (Weil's count of diagonal equations).  A
-region other than the full one is decided per point, so it is scanned.
+region other than the full one is decided per point, so it is scanned;
+the finite-field sums need no region, since each of their conditions
+(x_j = 0 or x_j != 0 over F_q) is the range of a grid axis, and they
+scan, and split, one box.
 Identity checks then reduce the histogram modulo the N-th cyclotomic
 polynomial: sum c_j zeta^j equals a rational number iff the reduced
 residue is that constant, so no tolerance ever enters.  Floating values
@@ -53,14 +56,11 @@ from .errors import DEFAULT_BUDGET, Meter, charge
 from .gf import GFTable
 from .poly import IdealSpec, Poly, Weight, build_pairing, top_part, torus_transform, wdeg
 from .ringcount import (
-    Full,
     Grid,
     GridPolys,
     LocalData,
     ModQ,
     Region,
-    UnitModP,
-    ZeroModP,
     _codes,
     check_int,
     check_prime_power,
@@ -222,10 +222,11 @@ def value_histogram(
     each by this function, so a half that splits again does, and the
     tallies are convolved (convolve_tallies); the split is taken while the
     q^(2s) pairs of value vectors it may add are at most the grid's
-    points.  One polynomial over Z/q whose G groups (GridPolys) leave G q
-    bins within a chunk's rows is tallied unreduced: its values are sums
-    of G residues, below G q, so their G q bins fold mod q with no pass
-    of % over the rows.  The caller charges the grid's points either way.
+    points, and each half grid keeps its axes' lows and sizes, so a box
+    splits into boxes.  One polynomial over Z/q whose G groups
+    (GridPolys) leave G q bins within a chunk's rows is tallied
+    unreduced: its values are sums of G residues, below G q, so their G q
+    bins fold mod q with no pass of % over the rows.  The caller charges the grid's points either way.
     """
     q = grid.ring.q
     bins = q ** len(polys)
@@ -233,7 +234,11 @@ def value_histogram(
         halves = split_halves(polys, grid.sizes)
         if halves is not None:
             tallies = [
-                value_histogram(Grid(len(axes), grid.ring), parts, None, threads)
+                value_histogram(
+                    Grid(len(axes), grid.ring, [grid.lows[j] for j in axes],
+                         [grid.sizes[j] for j in axes]),
+                    parts, None, threads,
+                )
                 for axes, parts in halves
             ]
             return convolve_tallies(grid.ring, len(polys), *tallies)
@@ -435,17 +440,18 @@ class FFCharSum:
 def _gf_trace_histogram(
     f: Poly, gf: GFTable, zero: frozenset[int], unit: frozenset[int], budget: Meter, threads: int
 ) -> np.ndarray:
-    """The trace histogram of f over F_q^n with x_j = 0 for j in zero and
-    x_j != 0 for j in unit; with neither, value_histogram takes the whole
-    grid, so a separable f splits."""
+    """The trace histogram of f over the points of F_q^n with x_j = 0 for
+    j in zero and x_j != 0 for j in unit, charged the points it scans.
+
+    Each condition is the range of its grid axis, since code 0 is the only
+    zero of F_q: x_j = 0 is code 0 alone, x_j != 0 the codes 1..q-1 and a
+    free coordinate all q codes.  So the scan is one box, with no mask,
+    and value_histogram splits a separable f on it into boxed halves."""
     n = f.nvars
-    charge(gf.q ** n, budget, "finite-field sum")
-    grid = Grid(n, gf)
-    modes = [ZeroModP() if j in zero else UnitModP() if j in unit else Full() for j in range(n)]
-    region = Region(n, tuple(((j, j + 1), mode) for j, mode in enumerate(modes)))
-    # decided with modulus q: code 0 is the only zero of F_q
-    inside = None if region.is_full else region.on(grid, gf.q)
-    values = value_histogram(grid, [f], inside, threads)
+    lows = [int(j in unit) for j in range(n)]
+    sizes = [1 if j in zero else gf.q - 1 if j in unit else gf.q for j in range(n)]
+    charge(math.prod(sizes), budget, "finite-field sum")
+    values = value_histogram(Grid(n, gf, lows, sizes), [f], None, threads)
     traces = np.zeros(gf.p, dtype=np.int64)
     np.add.at(traces, gf.trace_table, values)
     return traces
@@ -475,10 +481,12 @@ def ff_char_sum(
     the call builds each field once.  f should be (w-)homogeneous of
     degree not divisible by p for the Weil-type bound to be meaningful;
     otherwise a warning is issued.
-    With no J1 or J2 the sum runs on the whole grid, so a separable f + g
-    is tallied on half grids (value_histogram) at the same charge of q^n.
+    The sum scans one box of F_q^n, each x_j in J1 fixed at 0 and each in
+    J2 running over the q - 1 units, charged its q^(n - |J1| - |J2|)
+    (q - 1)^|J2| points; a separable f + g is tallied on half boxes
+    (value_histogram) at the same charge.
     """
-    check_prime_power(p, k)
+    check_prime_power(p, k, "k")
     budget = Meter.of(budget)
     J1, J2 = frozenset(J1), frozenset(J2)
     if J1 & J2:
@@ -531,11 +539,15 @@ def torus_sum_check(
     (q-1)^{-(|w|-n)} sum over k^n x (k*)^{|w|-n} of Psi(f^ + g^) equals
     sum over k^n of Psi(f + g), where ^ is the substitution
     x_i -> x_{i1}...x_{i w_i}.  Both sides are reduced mod Phi_p after
-    clearing the (q-1) power, so the comparison is exact.
+    clearing the (q-1) power, so the comparison is exact.  Each side is its
+    own scan of one box (_gf_trace_histogram), charged its points: the
+    left side q^n (q-1)^(|w|-n), the right side q^n.
     """
-    check_prime_power(p, k)
+    check_prime_power(p, k, "k")
     n = f.nvars
     if g is not None:
+        if g.nvars != n:
+            raise ValueError(f"g has {g.nvars} variables, f has {n}")
         if wdeg(g, w) >= wdeg(f, w):
             raise ValueError("need w-deg(g) < w-deg(f)")
     fw = torus_transform(f, w)

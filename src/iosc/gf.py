@@ -17,11 +17,16 @@ and add is digitwise mod p: a XOR b for p = 2, and for odd p the outer
 sum a + b less p * p^j wherever digit j carries.  The length-q negation
 table is digitwise too, each digit d becoming (p - d) mod p.
 
-The table is a ring of ringcount's grid kernel (const, mul, add, reduce
-and neg), with add, mul and neg as lookups and an integer c as the code
-c mod p.  So F_q^n is scanned by the same Grid and GridPolys as (Z/q)^n,
-and a zero test compares codes with the negated codes of the
-suffix-only terms (ringcount.ZeroScan), with no lookup in the add table.
+The table is a ring of ringcount's grid kernel (const, mul, mul_rows,
+add, reduce and neg), with an integer c as the code c mod p.  mul and
+neg are lookups, and add is one for odd p; for p = 2 add is the XOR of
+codes.  mul_rows, a column of prefix values times a suffix box, takes
+the table's row of each prefix value and gathers it at the box's codes:
+one 1-D take per row, where mul would gather the q x q table at every
+pair.  Every result is int32.  So F_q^n is scanned by the same Grid and
+GridPolys as (Z/q)^n, and a zero test compares codes with the negated
+codes of the suffix-only terms (ringcount.ZeroScan), with no add of
+those terms.
 
 The absolute trace to F_p is precomputed per element, which is all a
 canonical additive character of F_q needs: psi(a) = exp(2*pi*i*Tr(a)/p).
@@ -45,7 +50,7 @@ class GFTable:
 
         # the walk below ends only if X is a unit, which f(0) != 0 ensures
         # for prime p
-        check_prime_power(p, k)
+        check_prime_power(p, k, "k")
         q = p ** k
         if q > MAX_TABLE_Q:
             raise ValueError(f"extension field of size {q} exceeds table limit")
@@ -114,7 +119,23 @@ class GFTable:
     def mul(self, a, b):
         return self.mul_table[a, b]
 
+    def mul_rows(self, col: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """mul(col, h) for a column col of shape (rows, 1, ..., 1) and a
+        box h that broadcasts against it without its first axis: row i is
+        mul_table[col[i]] taken at h.  The rows x q block of table rows
+        is gathered in runs of at most CHUNK entries (read at call time)."""
+        from .ringcount import CHUNK
+
+        col = col.reshape(-1)
+        run = max(1, CHUNK // self.q)
+        parts = [np.take(self.mul_table[col[i : i + run]], h, axis=1)
+                 for i in range(0, len(col), run)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
     def add(self, a, b):
+        if self.p == 2:
+            # digitwise mod 2; int32 like the lookups, so no int64 array
+            return np.bitwise_xor(a, b, dtype=np.int32)
         return self.add_table[a, b]
 
     def reduce(self, a: np.ndarray) -> np.ndarray:

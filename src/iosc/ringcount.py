@@ -46,26 +46,30 @@ the two largest q agree.
 
 Every exact route of the package is an exhaustive scan of a box, and
 this module holds the one kernel they all share.  A ring (ModQ for Z/q,
-gf.GFTable for F_q, Int64 for exact integers) supplies const, mul, add,
-reduce and neg, and power() raises to a power in any of them by
-poly.power, the package's one square-and-multiply loop.  Grid is a box
-of ring points, (Z/q)^k, F_q^k or an integer box, split into a prefix
-and a suffix box of at most CHUNK points.  GridPolys groups each
-polynomial by prefix monomial, f = h_0 + sum_a x^a h_a, and evaluates
-each group's suffix polynomial once per scan, so a chunk (a run of
-prefix points times the suffix box) costs one broadcast product and one
-add per distinct prefix monomial a != 0, and decodes no rows; a region
-is decided on the same chunks (Region.on).  ZeroScan, the zero test of
-a whole grid, takes -h_0 once per scan (neg) and compares the other
-groups' sum with it, one compare per point and polynomial with no add
-of h_0 and, for one prefix group, no reduce.  A lift node's scan above
-order 1 evaluates the Jacobian too, so rows are decoded only for its
-singular zeros and for the critical points of a half grid.  eval_rows()
-evaluates a polynomial on given rows in any ring, and map_sum() adds a
-worker's results over chunks in submission order on a thread pool, so
-every total is the same for any thread count.  The lift builds each
-grid it scans, (Z/p)^n or a half grid, with its power tables, once per
-call.  _count_naive() is the one zero count of a whole grid: the naive
+gf.GFTable for F_q, Int64 for exact integers) supplies const, mul,
+mul_rows, add, reduce and neg, and power() raises to a power in any of
+them by poly.power, the package's one square-and-multiply loop.
+mul_rows(col, h) is mul of a column of prefix values, shape (rows, 1,
+..., 1), and a suffix box h: ModQ and Int64 alias it to mul, and GFTable
+gathers one table row per prefix value.  Over F_(2^k), add is the XOR
+of codes.  Grid is a box of ring points, (Z/q)^k, F_q^k or an integer
+box, split into a prefix and a suffix box of at most CHUNK points; an
+axis may run over a range of codes, such as the units 1..q-1 of F_q.
+GridPolys groups each polynomial by prefix monomial, f = h_0 + sum_a
+x^a h_a, and evaluates each group's suffix polynomial once per scan, so
+a chunk (a run of prefix points times the suffix box) costs one row
+product (mul_rows) and one add per distinct prefix monomial a != 0, and
+decodes no rows; a region is decided on the same chunks (Region.on).
+ZeroScan, the zero test of a whole grid, takes -h_0 once per scan (neg)
+and compares the other groups' sum with it, one compare per point and
+polynomial with no add of h_0 and, for one prefix group, no reduce.  A
+lift node's scan above order 1 evaluates the Jacobian too, so rows are
+decoded only for its singular zeros and for the critical points of a
+half grid.  eval_rows() evaluates a polynomial on given rows in any
+ring, and map_sum() adds a worker's results over chunks in submission
+order on a thread pool, so every total is the same for any thread
+count.  The lift builds each grid it scans, (Z/p)^n or a half grid,
+with its power tables, once per call.  _count_naive() is the one zero count of a whole grid: the naive
 route, the finite-field and region counts and the integer box count of
 circle.count_box_solutions.  _codes() is the one encoder of value
 vectors, count_value_pairs() the one count of equal codes and
@@ -127,20 +131,21 @@ def check_int(name: str, v: int) -> None:
         raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
-def check_prime_power(p: int, m: int = 1) -> None:
+def check_prime_power(p: int, m: int = 1, name: str = "m") -> None:
     """Raise ValueError unless p is a prime below 2^31 and m >= 1, both
-    Python ints (check_int).
+    Python ints (check_int); name is m's name in the messages, "k" for
+    the degree of an extension field F_(p^k).
 
     Every route evaluates polynomials mod p in int64 (ModQ), which is
     exact only below 2^31, so the bound comes first and keeps the trial
     division short.
     """
     check_int("p", p)
-    check_int("m", m)
+    check_int(name, m)
     if not 2 <= p < Q_LIMIT or factorize(p) != [(p, 1)]:
         raise ValueError(f"p must be a prime below 2^31, got {p}")
     if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+        raise ValueError(f"{name} must be >= 1, got {m}")
 
 
 def check_rank(r: int) -> None:
@@ -186,6 +191,8 @@ class ModQ:
     def mul(self, a, b):
         return a * b % self.q
 
+    mul_rows = mul
+
     def add(self, a, b):
         return a + b
 
@@ -206,6 +213,8 @@ class Int64:
     def mul(self, a, b):
         return a * b
 
+    mul_rows = mul
+
     def add(self, a, b):
         return a + b
 
@@ -216,7 +225,8 @@ class Int64:
         return -a
 
 
-# the rings of the evaluators: each has const, mul, add, reduce and neg
+# the rings of the evaluators: each has const, mul, mul_rows, add, reduce
+# and neg
 Ring = ModQ | Int64 | GFTable
 
 
@@ -381,10 +391,10 @@ class GridPolys:
     with h_0 the group of suffix-only terms, and each suffix polynomial is
     evaluated once, on the suffix box (Grid.box_values), when the scan is
     built; chunks then only read it, so they may run on any thread.  A
-    chunk costs one broadcast product and one add per distinct a != 0,
-    then one reduce, and no row is decoded.  In Z/q, products of two
-    residues stay below 2^62 and the sum of G reduced groups below G q, so
-    int64 is exact.
+    chunk costs one row product and one add per distinct a != 0, then one
+    reduce, and no row is decoded.  In Z/q, products of two residues stay
+    below 2^62 and the sum of G reduced groups below G q, so int64 is
+    exact.
     """
 
     def __init__(self, grid: Grid, polys: Sequence[Poly]):
@@ -412,7 +422,9 @@ class GridPolys:
         """Each polynomial's sum of its groups on the chunk, h_0 left out
         unless with_h0, before the reduce: (the sum, or None for no group,
         and its number of groups).  The sums broadcast against
-        grid.shape(chunk); an axis no term depends on keeps length 1."""
+        grid.shape(chunk); an axis no term depends on keeps length 1.
+        Each group x^a h_a is ring.mul_rows of x^a, one value per prefix
+        point along axis 0, and the suffix box h_a."""
         start, stop = chunk
         grid, ring = self.grid, self.grid.ring
         s = grid.k - grid.split
@@ -431,7 +443,7 @@ class GridPolys:
                 if prefix is None:
                     idx = np.arange(start, stop, dtype=np.int64)
                     prefix = grid.points(idx, grid.split)
-                h = ring.mul(mono(a), h)
+                h = ring.mul_rows(mono(a), h)
                 acc = h if acc is None else ring.add(acc, h)
             out.append((acc, len(rest) + (with_h0 and h0 is not None)))
         return out
@@ -1292,7 +1304,7 @@ def count_ff_raw(
 ) -> int:
     """Common zeros of gens over F_{p^k}, by one zero scan of the grid F_q^n.
     F_{p^k} for k >= 2 comes from fields (shared_field)."""
-    check_prime_power(p, k)
+    check_prime_power(p, k, "k")
     q = p ** k
     charge(q ** nvars, budget, "finite-field count")
     # an integer constant lands in the prime field F_p

@@ -425,6 +425,20 @@ def test_torus_check_with_g():
     assert torus_sum_check(P("x1*x2", 2), P("x1", 2), Weight((2, 1)), 5)
 
 
+def test_torus_check_charges_each_side_its_box():
+    # the grid-verify inputs: the left side scans 16 * 15 * 15 * 16 * 15 =
+    # 864,000 points (x2, x3, x5 units), the right side 16^2 = 256
+    f, g, w = P("x1^2+x2^3", 2), P("x1*x2", 2), Weight((3, 2))
+    assert torus_sum_check(f, g, w, 2, 4, budget=864_256)
+    with pytest.raises(BudgetExceeded):
+        torus_sum_check(f, g, w, 2, 4, budget=864_255)
+
+
+def test_torus_check_names_a_g_in_other_variables():
+    with pytest.raises(ValueError, match="^g has 3 variables, f has 2$"):
+        torus_sum_check(P("x1^2+x2^2", 2), P("x3", 3), Weight((1, 1)), 5)
+
+
 def test_torus_check_random():
     rng = random.Random(5150)
     done = 0
@@ -465,3 +479,18 @@ def test_ff_char_sum_rejects_non_prime(p):
 def test_torus_check_rejects_non_prime():
     with pytest.raises(ValueError):
         torus_sum_check(P("x1^2", 1), None, Weight((2,)), 6)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gf.GFTable(2, 0),
+        lambda: ringcount.count_ff(S("x1^2", n=1), 3, 0),
+        lambda: ff_char_sum(P("x1^3", 1), None, 3, 0),
+        lambda: torus_sum_check(P("x1^2", 1), None, Weight((2,)), 3, 0),
+    ],
+    ids=["GFTable", "count_ff", "ff_char_sum", "torus_sum_check"],
+)
+def test_the_f_q_entry_points_name_the_extension_degree_k(call):
+    with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
+        call()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from iosc import ringcount
 from iosc.gf import GFTable
 from iosc.ringcount import digits, power
 
@@ -115,3 +116,36 @@ def test_every_table_is_its_definition(pk):
     assert np.array_equal(gf.mul_table, mul)
     assert np.array_equal(gf.neg_table, neg)
     assert np.array_equal(gf.trace_table, trace)
+
+
+@pytest.mark.parametrize(
+    "pk", prime_powers(256) + [(2, 12), (3, 7)], ids=lambda pk: f"{pk[0]}^{pk[1]}"
+)
+def test_the_ring_operations_equal_the_tables(pk, monkeypatch):
+    """add (the XOR of codes at p = 2) and the row product mul_rows, on
+    operands that broadcast, against lookups in the add and mul tables;
+    every result is int32."""
+    gf = GFTable(*pk)
+    rng = np.random.default_rng(gf.q)
+
+    def codes(*shape):
+        return rng.integers(0, gf.q, size=shape)
+
+    for a, b in [
+        (codes(6, 1), codes(1, 5)),
+        (codes(4, 1, 1), codes(3, 2).astype(np.int32)),
+        (codes(2000), codes(2000)),
+        (codes(7), 1 % gf.q),
+    ]:
+        got = gf.add(a, b)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, gf.add_table[a, b])
+    # ten rows gathered in runs of four table rows, then in one run
+    for chunk in (4 * gf.q, ringcount.CHUNK):
+        monkeypatch.setattr(ringcount, "CHUNK", chunk)
+        for rows, box in [(10, (3, 4)), (10, (1, 4)), (1, (5,)), (10, ())]:
+            col = codes(rows, *[1] * len(box))
+            h = codes(*box)
+            got = gf.mul_rows(col, h)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, gf.mul_table[col, h])

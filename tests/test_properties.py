@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import assume, given, strategies as st
 
 from iosc import ringcount
 from iosc.circle import BoxSpec, count_box_solutions
-from iosc.expsum import residue_histogram, value_histogram
+from iosc.expsum import ff_char_sum, residue_histogram, value_histogram
 from iosc.gf import GFTable
 from iosc.errors import BudgetExceeded
 from iosc.poly import IdealSpec, Poly, eval_mod, parse_poly
@@ -30,6 +31,7 @@ from iosc.ringcount import (
     _full_rank,
     count_ff_raw,
     count_points_raw,
+    digits,
     eval_rows,
     factorize,
 )
@@ -729,6 +731,64 @@ def test_a_split_value_tally_equals_the_scan_and_the_rows(case, chunk):
         assert value_histogram(grid, polys, lambda c: None, threads=1).tolist() == want
         for threads in (1, 2):
             assert value_histogram(grid, polys, None, threads).tolist() == want
+
+
+# -- finite-field sums on coordinate boxes ----------------------------------------
+
+
+@st.composite
+def boxed_field_sums(draw):
+    """((p, k), f, J1, J2) over F_q for q in {4, 8, 9, 25}: f in n <= 3
+    variables, either any polynomial or, to reach the split into half
+    boxes, a constant plus a part on each of up to three variable-disjoint
+    blocks; each coordinate is free, zero (in J1) or a unit (in J2)."""
+    p, k = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (5, 2)]))
+    n = draw(st.integers(1, 3))
+    coeff = st.integers(-60, 60)
+
+    def part(axes):
+        monomial = st.tuples(*[st.integers(0, 3) if j in axes else st.just(0) for j in range(n)])
+        return Poly(n, draw(st.dictionaries(monomial, coeff, max_size=3)))
+
+    if draw(st.booleans()):
+        block = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        f = Poly(n, {(0,) * n: draw(coeff)})
+        for b in range(3):
+            axes = [j for j in range(n) if block[j] == b]
+            if axes:
+                f = f + part(axes)
+    else:
+        f = part(range(n))
+    modes = draw(st.lists(st.sampled_from("fzu"), min_size=n, max_size=n))
+    J1 = {j for j, c in enumerate(modes) if c == "z"}
+    J2 = {j for j, c in enumerate(modes) if c == "u"}
+    return (p, k), f, J1, J2
+
+
+@given(boxed_field_sums(), st.integers(1, 60))
+def test_a_boxed_trace_histogram_equals_a_row_by_row_reference(case, chunk):
+    """ff_char_sum's trace counts, from one scan of the box of its J1/J2
+    conditions (split into half boxes where f separates), against every
+    row of F_q^n decoded, filtered by the conditions, evaluated by
+    eval_rows and tallied by trace, at 1 and 2 threads."""
+    (p, k), f, J1, J2 = case
+    gf = GFTable(p, k)
+    n = f.nvars
+    pts = digits(np.arange(gf.q ** n), [gf.q] * n)
+    keep = np.ones(len(pts), dtype=bool)
+    for j in J1:
+        keep &= pts[:, j] == 0
+    for j in J2:
+        keep &= pts[:, j] != 0
+    traces = gf.trace_table[eval_rows(f, pts[keep], gf)]
+    want = np.bincount(traces, minlength=p).tolist()
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        # f need not be homogeneous, and the Weil-type ratio is not tested
+        warnings.simplefilter("ignore", UserWarning)
+        mp.setattr(ringcount, "CHUNK", chunk)
+        for threads in (1, 2):
+            got = ff_char_sum(f, None, p, k, J1, J2, s=0, threads=threads)
+            assert list(got.trace_counts) == want
 
 
 # -- the rank test -------------------------------------------------------------
