@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .errors import DEFAULT_BUDGET, Meter
+from .errors import DEFAULT_BUDGET, Meter, check_int
 from .poly import IdealSpec, Weight
-from .ringcount import bsing_dim, check_rank
+from .ringcount import bsing_dim
 
 
 @dataclass(frozen=True)
@@ -143,11 +143,10 @@ def sigma_tilde0w(
 
 def birch_bound(n: int, s: int, r: int, d: int) -> Fraction:
     """(n - s) / (r (d - 1) 2^(d-1)) for a degree-d system of r forms."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if s > n:
-        raise ValueError("s cannot exceed n")
-    check_rank(r)
+    check_int("n", n, 1)
+    check_int("s", s, -1, n)
+    check_int("r", r, 1)
+    check_int("d", d, 2)
     return Fraction(n - s, r * (d - 1) * 2 ** (d - 1))
 
 
@@ -163,10 +162,9 @@ def bhb_tau0(groups: Sequence[tuple[int, int, int]], n: int) -> ExtRational:
     if len(set(degs)) != len(degs):
         raise ValueError("duplicate group degrees")
     for i, ri, si in groups:
+        check_int("r_i", ri, 1)
         if si >= n:
             raise ValueError("tau_0 needs n > s_l for every group")
-        if ri < 1:
-            raise ValueError("group sizes must be positive")
 
     def t(i: int) -> Fraction:
         return sum(
@@ -204,8 +202,9 @@ def convolution_thresholds(r: int, R: int, D: int) -> Thresholds:
     """N(r,R,D) = 2r(D^(R+1) - 1) and N'(r,R,D) = 2(r + 1/2)(D^(R+1) - 1),
     with the affine-space case rD and (r + 1/2)D, plus the chain-variety
     thresholds."""
-    if r < 1 or R < 1 or D < 1:
-        raise ValueError("r, R, D must be positive")
+    check_int("r", r, 1)
+    check_int("R", R, 1)
+    check_int("D", D, 1)
     big = D ** (R + 1) - 1
     general = (2 * r * big, (2 * r + 1) * big)
     affine = (Fraction(r * D), Fraction(2 * r + 1, 2) * D)
@@ -233,7 +232,7 @@ def moi_fit(
     Only m >= m_min enters; zero values are excluded and reported.  Primes
     with fewer than 3 usable points, or with one m only, are dropped; with
     none left the fit is an error.  The pooled slope shares one slope
-    across primes with per-prime intercepts.  Every p must be >= 2 and
+    across primes with per-prime intercepts.  Every p is at least 2 and
     every |E| finite and >= 0.
     """
     by_prime: dict[int, list[tuple[int, float]]] = {}

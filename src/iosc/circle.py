@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ringcount
-from .errors import DEFAULT_BUDGET, Meter, charge
+from .errors import DEFAULT_BUDGET, Meter, charge, check_int
 from .expsum import residue_histogram
 from .poly import IdealSpec, Poly
 from .ringcount import (
@@ -34,7 +34,6 @@ from .ringcount import (
     Int64,
     Region,
     _count_naive,
-    check_int,
     check_prime_power,
     count_value_pairs,
     digits,
@@ -98,9 +97,7 @@ def count_box_solutions(
     points.  Any other box is scanned by ringcount._count_naive and
     charged its points.  The count is independent of the thread count.
     """
-    check_int("B", B)
-    if B < 1:
-        raise ValueError(f"B must be >= 1, got {B}")
+    check_int("B", B, 1)
     for g in spec.generators:
         degs = {sum(e) for e in g.terms}
         if len(degs) > 1:
@@ -210,9 +207,9 @@ def singular_integral(
     non-convergence is reported, never silently accepted.
     """
     n, r = spec.nvars, spec.r
-    check_int("samples", samples)
-    check_int("grid_resolution", grid_resolution)
-    check_int("seed", seed)
+    check_int("samples", samples, 1)
+    check_int("grid_resolution", grid_resolution, 1)
+    check_int("seed", seed, 0)
     if box.n != n:
         raise ValueError("box dimension must match nvars")
     if not eps_ladder:
@@ -222,10 +219,6 @@ def singular_integral(
             f"every epsilon must be finite and > 0, with eps^{r} a nonzero finite"
             f" float, got {list(eps_ladder)}"
         )
-    if min(samples, grid_resolution) < 1:
-        raise ValueError(f"need samples, grid_resolution >= 1, got {samples}, {grid_resolution}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
     eps_ladder = sorted(eps_ladder, reverse=True)
     lo = np.array([float(l) for l, _ in box.bounds])
     hi = np.array([float(h) for _, h in box.bounds])
@@ -316,9 +309,8 @@ def major_arc_prediction(
     scale; a ratio outside [0.5, 2] or a vanishing prediction is flagged
     degenerate, and a vanishing prediction has no ratio (None).
     """
-    check_int("B", B)
-    if B < 1:
-        raise ValueError(f"B must be >= 1, got {B}")
+    check_int("B", B, 1)
+    check_int("Qmax", Qmax, 1)  # before the integral draws from the meter
     budget = Meter.of(budget)
     jint = singular_integral(
         spec, box, eps_ladder, sampler="mc", seed=seed, samples=samples, budget=budget
@@ -371,8 +363,7 @@ def waring_surjectivity(
     (Z/p^m)^r.
     """
     check_prime_power(p, m)
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
+    check_int("ell", ell, 1)
     if len(maps) not in (1, ell):
         raise ValueError("need exactly one map or exactly ell maps")
     r = len(maps[0])

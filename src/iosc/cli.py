@@ -39,7 +39,7 @@ from . import expsum as expsum_mod
 from . import sseries as sseries_mod
 from . import zeta as zeta_mod
 from .bounds import ExtRational
-from .errors import DEFAULT_BUDGET, BudgetExceeded, Meter, OracleDisagreement
+from .errors import DEFAULT_BUDGET, BudgetExceeded, Meter, OracleDisagreement, check_int
 from .poly import IdealSpec, Poly, PolyParseError, Weight, jet_expand, parse_poly
 from .ringcount import (
     Full,
@@ -48,7 +48,6 @@ from .ringcount import (
     Region,
     UnitModP,
     ZeroModP,
-    check_rank,
     count_zpm,
 )
 
@@ -204,8 +203,7 @@ def _resolve_budget(args) -> int:
     if not env:
         return DEFAULT_BUDGET
     budget = int(env)
-    if budget < 1:
-        raise ValueError(f"IOSC_BUDGET must be >= 1, got {budget}")
+    check_int("IOSC_BUDGET", budget, 1)
     return budget
 
 
@@ -275,7 +273,9 @@ def cmd_zeta(args) -> dict:
     spec = _load_ideal(args)
     budget, threads = args.meter, args.threads
     r = args.r if args.r is not None else spec.r
-    check_rank(r)  # before the ord distribution, which needs no r
+    # before the first walk, which needs no r and counts at max(2, M) + 1
+    check_int("r", r, 1)
+    check_int("M", args.max_order, 3 if args.theta else 0)
     result: dict[str, Any] = {}
     if args.theta:
         rep = zeta_mod.theta_probe(spec, r, args.p, args.max_order, budget, threads)

@@ -1,4 +1,7 @@
-"""Shared error types and the evaluation-point budget.
+"""Shared error types, the one integer check and the evaluation-point budget.
+
+check_int is the one check of an integer input (p, m, k, r, an order M,
+Qmax, B, ...), which every entry point makes before it charges anything.
 
 Every enumeration in the package is metered in evaluation points, drawn
 from one Meter per command or call.  A request that exceeds what is left
@@ -6,6 +9,17 @@ raises BudgetExceeded before the work: no count is silently truncated.
 """
 
 DEFAULT_BUDGET = 10 ** 8
+
+
+def check_int(name: str, v: int, lo: int | None = None, hi: int | None = None) -> None:
+    """Raise ValueError naming `name` unless v is a Python int and no bool,
+    with lo <= v (when lo is given) and v <= hi (when hi is given too)."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    if hi is not None and not lo <= v <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {v}")
+    if lo is not None and v < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {v}")
 
 
 class BudgetExceeded(RuntimeError):

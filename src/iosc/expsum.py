@@ -52,7 +52,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, Meter, charge
+from .errors import DEFAULT_BUDGET, Meter, charge, check_int
 from .gf import GFTable
 from .poly import IdealSpec, Poly, Weight, build_pairing, top_part, torus_transform, wdeg
 from .ringcount import (
@@ -62,7 +62,6 @@ from .ringcount import (
     ModQ,
     Region,
     _codes,
-    check_int,
     check_prime_power,
     convolve_tallies,
     count_zpm,  # noqa: F401  (unused; see the same import in zeta.py)
@@ -347,6 +346,7 @@ def E_charsum(
     the y-pass, the phases it forms: the primitive y times the classes.
     """
     check_prime_power(p, m)
+    check_int("r", r, 1)
     if spec.r != r:
         raise ValueError("charsum form needs exactly r generators")
     n = spec.nvars
@@ -511,9 +511,7 @@ def ff_char_sum(
         s = est.dim
         s_source = "estimated" if est.confident else "estimated-unconfident"
     else:
-        check_int("s", s)
-        if not -1 <= s <= n:
-            raise ValueError(f"s must be in [-1, {n}], got {s}")
+        check_int("s", s, -1, n)
         s_source = "given"
 
     total = f if g is None else f + g

@@ -12,10 +12,11 @@ residues units, so the quotient ring is a field and f is irreducible: the
 walk is the proof, and its output is the antilog table exp[i] = X^i, with
 log its inverse.  The q x q tables follow in whole-array passes: mul[a,
 b] = exp[log a + log b], one outer sum per run of rows of at most CHUNK
-entries (so no index temporary is q x q), with row and column 0 zero,
-and add is digitwise mod p: a XOR b for p = 2, and for odd p the outer
-sum a + b less p * p^j wherever digit j carries.  The length-q negation
-table is digitwise too, each digit d becoming (p - d) mod p.
+entries (so no index temporary is q x q), with row and column 0 zero.
+Addition is digitwise mod p: a XOR b for p = 2, which needs no table,
+and for odd p the q x q table of the outer sum a + b less p * p^j
+wherever digit j carries.  The length-q negation table is digitwise
+too, each digit d becoming (p - d) mod p.
 
 The table is a ring of ringcount's grid kernel (const, mul, mul_rows,
 add, reduce and neg), with an integer c as the code c mod p.  mul and
@@ -80,23 +81,21 @@ class GFTable:
         exp = np.array(powers * 2, dtype=np.int32)
         log = np.zeros(q, dtype=np.intp)
         log[exp[: q - 1]] = np.arange(q - 1)
-        codes = np.arange(q, dtype=np.int32)
-        add = np.empty((q, q), dtype=np.int32)
-        if p == 2:
-            np.bitwise_xor.outer(codes, codes, out=add)
-        else:
+        # over F_(2^k) add is the XOR of codes, so only odd p keep a table
+        self.add_table = None
+        if p > 2:
             # a + b, less p * p^j wherever digit j carries
-            np.add.outer(codes, codes, out=add)
+            codes = np.arange(q, dtype=np.int32)
+            self.add_table = np.add.outer(codes, codes)
             for d, w in zip(elems.T, weights):
                 carry = np.greater_equal.outer(d, p - d)
-                np.subtract(add, p * w, out=add, where=carry)
+                np.subtract(self.add_table, p * w, out=self.add_table, where=carry)
         mul = np.empty((q, q), dtype=np.int32)
         # runs of rows of at most CHUNK entries keep the index sums small
         rows = max(1, CHUNK // q)
         for a in range(0, q, rows):
             np.take(exp, np.add.outer(log[a : a + rows], log), out=mul[a : a + rows])
         mul[0] = mul[:, 0] = 0
-        self.add_table = add
         self.mul_table = mul
         # -a digitwise: each digit d becomes (p - d) mod p
         self.neg_table = ((p - elems) % p) @ weights
@@ -106,7 +105,7 @@ class GFTable:
         trace = np.zeros(q, dtype=np.int64)
         cur = np.arange(q, dtype=np.int64)
         for _ in range(k):
-            trace = add[trace, cur]
+            trace = self.add(trace, cur)
             cur = power(self, cur, p)
         self.trace_table = trace.astype(np.int64)
 

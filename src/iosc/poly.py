@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import DEFAULT_BUDGET, Meter, charge
+from .errors import DEFAULT_BUDGET, Meter, charge, check_int
 
 
 class PolyParseError(ValueError):
@@ -273,10 +273,8 @@ def power(mul: Callable, a, e: int, one):
 
 def eval_mod(f: Poly, point: Sequence[int], p: int, m: int = 1) -> int:
     """f(point) mod p^m, exact."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    q = p ** m
-    return f.eval_int(point) % q
+    check_int("m", m, 1)
+    return f.eval_int(point) % p ** m
 
 
 # -- weights and weighted parts -----------------------------------------
@@ -364,8 +362,7 @@ class IdealSpec:
         seen: set[int] = set()
         norm: list[tuple[int, list[Poly]]] = []
         for degree, gens in sorted(self.groups, key=lambda g: g[0]):
-            if degree < 1:
-                raise ValueError("group degrees must be >= 1")
+            check_int("group degree", degree, 1)
             if degree in seen:
                 raise ValueError(f"duplicate group degree {degree}")
             seen.add(degree)
@@ -607,8 +604,7 @@ def jet_expand(
     power of t; one meter is charged the jet variables' exponent tuples
     first, then each series product's term pairs before it is formed.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    check_int("m", m, 0)
     if start not in (0, 1):
         raise ValueError("start must be 0 or 1")
     meter = Meter.of(budget)

@@ -69,15 +69,16 @@ half grid.  eval_rows() evaluates a polynomial on given rows in any
 ring, and map_sum() adds a worker's results over chunks in submission
 order on a thread pool, so every total is the same for any thread
 count.  The lift builds each grid it scans, (Z/p)^n or a half grid,
-with its power tables, once per call.  _count_naive() is the one zero count of a whole grid: the naive
-route, the finite-field and region counts and the integer box count of
-circle.count_box_solutions.  _codes() is the one encoder of value
-vectors, count_value_pairs() the one count of equal codes and
-convolve_tallies() the one sum of two tallies of value vectors, for what
-split_halves() finds separable: the lift's split nodes, the integer box
-count of circle.count_box_solutions and the whole-grid value tallies of
-expsum.value_histogram (E_charsum's x-pass, full-region phase and
-residue histograms, the finite-field sums with no constraint).
+with its power tables, once per call.  _count_naive() is the one zero
+count of a whole grid: the naive route, the finite-field and region
+counts and the integer box count of circle.count_box_solutions.
+_codes() is the one encoder of value vectors, count_value_pairs() the
+one count of equal codes and convolve_tallies() the one sum of two
+tallies of value vectors, for what split_halves() finds separable: the
+lift's split nodes, the integer box count of circle.count_box_solutions
+and the whole-grid value tallies of expsum.value_histogram (E_charsum's
+x-pass, full-region phase and residue histograms, the finite-field sums
+with no constraint).
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, Meter, OracleDisagreement, charge
+from .errors import DEFAULT_BUDGET, Meter, OracleDisagreement, charge, check_int
 from .gf import MAX_TABLE_Q, GFTable
 from .poly import IdealSpec, Poly, Weight, jacobian_minors, top_part, power as poly_power
 
@@ -125,12 +126,6 @@ def factorize(q: int) -> list[tuple[int, int]]:
     return out
 
 
-def check_int(name: str, v: int) -> None:
-    """Raise ValueError unless the input v is a Python int and no bool."""
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ValueError(f"{name} must be an integer, got {v!r}")
-
-
 def check_prime_power(p: int, m: int = 1, name: str = "m") -> None:
     """Raise ValueError unless p is a prime below 2^31 and m >= 1, both
     Python ints (check_int); name is m's name in the messages, "k" for
@@ -141,19 +136,9 @@ def check_prime_power(p: int, m: int = 1, name: str = "m") -> None:
     division short.
     """
     check_int("p", p)
-    check_int(name, m)
+    check_int(name, m, 1)
     if not 2 <= p < Q_LIMIT or factorize(p) != [(p, 1)]:
         raise ValueError(f"p must be a prime below 2^31, got {p}")
-    if m < 1:
-        raise ValueError(f"{name} must be >= 1, got {m}")
-
-
-def check_rank(r: int) -> None:
-    """Raise ValueError unless r is an int >= 1: E^(r) sums over the
-    primitive r-tuples, and there is none for r < 1."""
-    check_int("r", r)
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
 
 
 def digits(idx: np.ndarray, radices: Sequence[int]) -> np.ndarray:
@@ -1272,9 +1257,8 @@ class LocalData:
     def E(self, r: int, m: int) -> Fraction:
         """The r-th exponential sum modulo p^m in counts form; V(m) is read
         first, so one walk counts both volumes."""
-        check_rank(r)
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
+        check_int("r", r, 1)
+        check_int("m", m, 1)
         return self.V(m) - self.V(m - 1) / self.p ** r
 
 
@@ -1352,6 +1336,7 @@ def dim_estimate_raw(
     extension field above GFTable's MAX_TABLE_Q elements is left off the
     ladder.  The extension fields are taken from and kept in fields
     (shared_field)."""
+    check_int("maxk", maxk, 1)
     meter = Meter.of(budget)
     ladder = {
         p ** k: (p, k)
@@ -1360,7 +1345,7 @@ def dim_estimate_raw(
         if k == 1 or p ** k <= MAX_TABLE_Q
     }
     if not ladder:
-        raise ValueError("the ladder needs a prime and maxk >= 1")
+        raise ValueError("the ladder needs a prime")
     samples: list[tuple[int, int]] = []
     for q in sorted(ladder):
         if samples and q ** nvars > meter.left:

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DEFAULT_BUDGET, Meter
+from .errors import DEFAULT_BUDGET, Meter, check_int
 from .expsum import E_counts, direct_charsum, equals_rational
 from .poly import IdealSpec
-from .ringcount import LocalData, check_int, check_rank, factorize
+from .ringcount import LocalData, factorize
 
 
 def E_composite(
@@ -38,8 +38,8 @@ def E_composite(
 
     E at the unit modulus is 1 by convention.
     """
-    check_rank(r)
-    check_int("q", q)
+    check_int("r", r, 1)
+    check_int("q", q, 1)
     budget = Meter.of(budget)
     total = Fraction(1)
     for p, e in factorize(q):
@@ -67,8 +67,8 @@ def verify_multiplicativity(
     The right side is the product of counting-form values.  The
     presentation must have exactly r generators.
     """
-    check_int("q1", q1)
-    check_int("q2", q2)
+    check_int("q1", q1, 1)
+    check_int("q2", q2, 1)
     if math.gcd(q1, q2) != 1:
         raise ValueError("moduli must be coprime")
     if spec.r != r:
@@ -115,10 +115,8 @@ def singular_series_partial(
     bound is attached, fitted as c = max |E(q)| q^sigma over the computed
     terms; it inherits sigma's conjectural status.
     """
-    check_rank(r)
-    check_int("Qmax", Qmax)
-    if Qmax < 1:
-        raise ValueError(f"Qmax must be >= 1, got {Qmax}")
+    check_int("r", r, 1)
+    check_int("Qmax", Qmax, 1)
     if sigma is not None and not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
     budget = Meter.of(budget)
@@ -173,9 +171,8 @@ def p_adic_density(
     threads: int = 1,
 ) -> DensityReport:
     """Truncated p-adic density sequence; stabilized when the last two agree."""
-    check_rank(r)
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
+    check_int("r", r, 1)
+    check_int("M", M, 1)
     vols = LocalData(spec, p, None, budget, threads).volumes(M)
     values = [vols[m] * p ** (m * r) for m in range(1, M + 1)]
     deltas = [values[i + 1] - values[i] for i in range(len(values) - 1)]
@@ -211,7 +208,7 @@ def irreducibility_probe(
     with no decrease reads "reducible-or-wrong-dimension"; anything else
     is "inconclusive".
     """
-    check_rank(r)
+    check_int("r", r, 1)
     if not primes:
         raise ValueError("need at least one prime")
     budget = Meter.of(budget)

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DEFAULT_BUDGET, Meter
+from .errors import DEFAULT_BUDGET, Meter, check_int
 from .poly import IdealSpec
-from .ringcount import LocalData, Region, check_int, check_rank
+from .ringcount import LocalData, Region
 # unused: every count goes through LocalData, but bench/test_bench.py checks
 # that the tracer rebinds this alias
 from .ringcount import count_zpm  # noqa: F401
@@ -77,13 +77,6 @@ class QSeries:
 # -- valuation distribution ----------------------------------------------------
 
 
-def _check_order(M: int) -> None:
-    """Every series here is truncated at an order M >= 0, an int."""
-    check_int("M", M)
-    if M < 0:
-        raise ValueError(f"M must be >= 0, got {M}")
-
-
 def ord_volumes(
     spec: IdealSpec,
     p: int,
@@ -96,7 +89,7 @@ def ord_volumes(
 
     The counts come from one walk at order M, through one LocalData.
     """
-    _check_order(M)
+    check_int("M", M, 0)
     return LocalData(spec, p, Z, budget, threads).volumes(M)
 
 
@@ -126,7 +119,7 @@ def ord_distribution(
 
 
 def _ord_distribution(data: LocalData, M: int) -> OrdDistribution:
-    _check_order(M)
+    check_int("M", M, 0)
     vols = data.volumes(M)
     coeffs = [vols[m] - vols[m + 1] for m in range(M)] + [vols[M]]
     return OrdDistribution(data.p, tuple(coeffs), M)
@@ -145,7 +138,7 @@ def zeta_series(
 
 
 def _zeta_series(data: LocalData, M: int) -> QSeries:
-    _check_order(M)
+    check_int("M", M, 0)
     vols = data.volumes(M + 1)
     return QSeries(data.p, tuple(vols[m] - vols[m + 1] for m in range(M + 1)))
 
@@ -158,7 +151,7 @@ def poincare_relation(
     threads: int = 1,
 ) -> tuple[bool, QSeries, QSeries]:
     """Coefficientwise check of (1 - t) P(t) = 1 - t Z(t) through order M."""
-    _check_order(M)
+    check_int("M", M, 0)
     data = LocalData(spec, p, None, budget, threads)
     zser = _zeta_series(data, M)  # reads the top order, M + 1, first
     pser = QSeries(p, tuple(data.volumes(M)))
@@ -205,9 +198,8 @@ def compa_check(
 
 
 def _compa(data: LocalData, r: int, M: int) -> CompaResult:
-    check_rank(r)
-    if M < 2:
-        raise ValueError("M must be >= 2")
+    check_int("r", r, 1)
+    check_int("M", M, 2)
     p = data.p
     data.N(M + 1)  # the top order first: one walk counts V_1..V_{M+1}
     # V_0 of Z cap X is V_1 of Z, by the lemma in compa_check's docstring
@@ -315,6 +307,7 @@ def rational_reconstruct(
     The order is at most half the number of coefficients, so the shortest
     recurrence found by Berlekamp-Massey is the unique one of its order.
     """
+    check_int("max_order", max_order, 0)
     if isinstance(series, QSeries):
         coeffs = list(series.coeffs)
     else:
@@ -365,10 +358,8 @@ def theta_probe(
     "decaying" is evidence (never a certificate) that the decay exponent
     of E^(r)(p, m) exceeds r.
     """
-    check_rank(r)
-    check_int("M", M)
-    if M < 3:
-        raise ValueError("M must be >= 3")
+    check_int("r", r, 1)
+    check_int("M", M, 3)
     vols = LocalData(spec, p, None, budget, threads).volumes(M)
     terms = [(vols[m] - vols[m - 1] / p ** r) * p ** (r * m) for m in range(1, M + 1)]
     sums = [Fraction(1)]
@@ -411,9 +402,12 @@ def pole_report(
     Exact pole analysis is beyond truncated data, so this is a probe, not
     a certificate.
     """
-    check_rank(r)
+    check_int("r", r, 1)
+    check_int("M", M, 0)
+    max_order = M // 2 if max_order is None else max_order
+    check_int("max_order", max_order, 0)
     z = _zeta_series(LocalData(spec, p, None, budget, threads), M)
-    rec = rational_reconstruct(z, max_order if max_order is not None else M // 2)
+    rec = rational_reconstruct(z, max_order)
     return _pole_report(rec, p, r)
 
 

@@ -1,5 +1,7 @@
 """Field axioms of the F_{p^k} lookup tables."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,13 +17,24 @@ def gf(request):
     return GFTable(*request.param)
 
 
+def field_add(gf, a, b):
+    """a + b by the digitwise definition: a ^ b over F_(2^k), where GFTable
+    keeps no add table, and the add table for odd p, which
+    test_every_table_is_its_definition checks against the definition."""
+    return np.bitwise_xor(a, b) if gf.p == 2 else gf.add_table[a, b]
+
+
 def test_distributive_and_associative(gf):
     rng = np.random.default_rng(gf.q)
     a, b, c = rng.integers(0, gf.q, size=(3, 2000))
-    add, mul = gf.add_table, gf.mul_table
-    assert (mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]).all()
+    mul = gf.mul_table
+
+    def add(x, y):
+        return field_add(gf, x, y)
+
+    assert (mul[a, add(b, c)] == add(mul[a, b], mul[a, c])).all()
     assert (mul[a, mul[b, c]] == mul[mul[a, b], c]).all()
-    assert (add[a, add[b, c]] == add[add[a, b], c]).all()
+    assert (add(a, add(b, c)) == add(add(a, b), c)).all()
 
 
 def test_every_nonzero_row_permutes_the_units(gf):
@@ -36,7 +49,7 @@ def test_frobenius_to_the_q_is_the_identity(gf):
 
 def test_trace_is_additive_and_balanced(gf):
     a = np.arange(gf.q)
-    tr = gf.trace(gf.add_table[a[:, None], a[None, :]])
+    tr = gf.trace(field_add(gf, a[:, None], a[None, :]))
     assert (tr == (gf.trace(a)[:, None] + gf.trace(a)[None, :]) % gf.p).all()
     assert np.bincount(gf.trace(a), minlength=gf.p).tolist() == [gf.q // gf.p] * gf.p
 
@@ -49,15 +62,32 @@ NEG_FIELDS = [(2, 8), (3, 5), (5, 2), (2, 4), (7, 2), (11, 2), (13, 2), (3, 2)]
 def test_neg_table_is_the_additive_inverse(pk):
     gf = GFTable(*pk)
     a = np.arange(gf.q)
-    assert (gf.add_table[a, gf.neg_table] == 0).all()
+    assert (field_add(gf, a, gf.neg_table) == 0).all()
     assert gf.neg_table[0] == 0
     assert (gf.neg(a) == gf.neg_table).all()
 
 
 def test_tables_keep_their_dtypes(gf):
-    assert gf.add_table.dtype == gf.mul_table.dtype == np.int32
+    assert gf.mul_table.dtype == np.int32
     assert gf.trace_table.dtype == np.int64
-    assert gf.add_table.shape == gf.mul_table.shape == (gf.q, gf.q)
+    assert gf.mul_table.shape == (gf.q, gf.q)
+    if gf.p == 2:
+        assert gf.add_table is None  # add is the XOR of codes
+    else:
+        assert gf.add_table.dtype == np.int32
+        assert gf.add_table.shape == (gf.q, gf.q)
+
+
+def test_a_binary_field_holds_no_add_table():
+    # F_(2^12): the q x q int32 mul table is 64 MB, and nothing else is large
+    tracemalloc.start()
+    try:
+        gf = GFTable(2, 12)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert gf.add_table is None
+    assert held <= 65 << 20
 
 
 def test_field_above_the_table_cap_is_rejected():
@@ -112,7 +142,12 @@ def prime_powers(limit):
 def test_every_table_is_its_definition(pk):
     gf = GFTable(*pk)
     add, mul, neg, trace = tables_by_definition(gf.p, gf.k, gf.modpoly)
-    assert np.array_equal(gf.add_table, add)
+    if gf.p == 2:
+        # the digitwise definition is the XOR of codes, which add computes
+        assert gf.add_table is None
+        assert np.array_equal(np.bitwise_xor.outer(np.arange(gf.q), np.arange(gf.q)), add)
+    else:
+        assert np.array_equal(gf.add_table, add)
     assert np.array_equal(gf.mul_table, mul)
     assert np.array_equal(gf.neg_table, neg)
     assert np.array_equal(gf.trace_table, trace)
@@ -123,8 +158,8 @@ def test_every_table_is_its_definition(pk):
 )
 def test_the_ring_operations_equal_the_tables(pk, monkeypatch):
     """add (the XOR of codes at p = 2) and the row product mul_rows, on
-    operands that broadcast, against lookups in the add and mul tables;
-    every result is int32."""
+    operands that broadcast, against the digitwise sum (field_add) and
+    lookups in the mul table; every result is int32."""
     gf = GFTable(*pk)
     rng = np.random.default_rng(gf.q)
 
@@ -139,7 +174,7 @@ def test_the_ring_operations_equal_the_tables(pk, monkeypatch):
     ]:
         got = gf.add(a, b)
         assert got.dtype == np.int32
-        assert np.array_equal(got, gf.add_table[a, b])
+        assert np.array_equal(got, field_add(gf, a, b))
     # ten rows gathered in runs of four table rows, then in one run
     for chunk in (4 * gf.q, ringcount.CHUNK):
         monkeypatch.setattr(ringcount, "CHUNK", chunk)

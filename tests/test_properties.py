@@ -299,14 +299,16 @@ def test_grid_kernel_equals_pointwise_evaluation(chunk, case):
 
 def field_value(gf, f, point):
     """f at a point of F_q by scalar table lookups, one multiplication per
-    unit of degree; an integer coefficient c is the code c mod p."""
+    unit of degree, and digitwise sums; an integer coefficient c is the
+    code c mod p."""
     acc = 0
     for expo, c in f.terms.items():
         t = c % gf.p
         for x, e in zip(point, expo):
             for _ in range(e):
                 t = int(gf.mul_table[t, x])
-        acc = int(gf.add_table[acc, t])
+        # digitwise: the XOR of codes at p = 2, which keeps no add table
+        acc = acc ^ t if gf.p == 2 else int(gf.add_table[acc, t])
     return acc
 
 
