@@ -76,6 +76,29 @@ class BoxSpec:
         return v
 
 
+def _box_ranges(spec: IdealSpec, box: BoxSpec, B: int) -> list[tuple[int, int]]:
+    """The integer box [ceil(lo B), floor(hi B)] of each axis, once B >= 1,
+    the generators' homogeneity, the box's dimension and, on a nonempty
+    box, the 2^62 bound of every generator's values are checked: the
+    checks of count_box_solutions, made before anything is charged."""
+    check_int("B", B, 1)
+    for g in spec.generators:
+        degs = {sum(e) for e in g.terms}
+        if len(degs) > 1:
+            raise ValueError("box counting expects homogeneous generators")
+    if box.n != spec.nvars:
+        raise ValueError("box dimension must match nvars")
+    ranges = [(ceil(lo * B), floor(hi * B)) for lo, hi in box.bounds]
+    if all(lo <= hi for lo, hi in ranges):
+        # int64 overflow guard for the exact evaluation
+        big = max(abs(end) for r in ranges for end in r) or 1
+        for g in spec.generators:
+            bound = sum(abs(c) * big ** sum(e) for e, c in g.terms.items())
+            if bound >= 1 << 62:
+                raise ValueError("values too large for exact vectorized evaluation")
+    return ranges
+
+
 def count_box_solutions(
     spec: IdealSpec,
     box: BoxSpec,
@@ -88,23 +111,18 @@ def count_box_solutions(
 
     The points form the integer box [ceil(lo B), floor(hi B)] per axis,
     counted in exact int64 arithmetic (Int64) once every generator is
-    checked to stay below 2^62 on it.  A single generator that splits
-    into variable-disjoint halves, f = f_A(x_A) + f_B(x_B)
-    (ringcount.split_halves, given [f]), on a box of more than CHUNK
-    points is counted as the lift's one split routine, _split_zeros,
-    counts an order-1 node: the pairs of the two sub-boxes' values with
+    checked to stay below 2^62 on it (_box_ranges, before any charge).
+    A single generator that splits into variable-disjoint halves,
+    f = f_A(x_A) + f_B(x_B) (ringcount.split_halves, given [f]), on a box
+    of more than min(CHUNK, SPLIT_POINTS) points (ringcount, read at call
+    time; 2^14, where a split's fixed cost falls below the scan's) is
+    counted as the lift's one split routine, _split_zeros, counts an
+    order-1 node: the pairs of the two sub-boxes' values with
     f_A = -f_B, by count_value_pairs, at the same charge, the sub-boxes'
     points.  Any other box is scanned by ringcount._count_naive and
     charged its points.  The count is independent of the thread count.
     """
-    check_int("B", B, 1)
-    for g in spec.generators:
-        degs = {sum(e) for e in g.terms}
-        if len(degs) > 1:
-            raise ValueError("box counting expects homogeneous generators")
-    if box.n != spec.nvars:
-        raise ValueError("box dimension must match nvars")
-    ranges = [(ceil(lo * B), floor(hi * B)) for lo, hi in box.bounds]
+    ranges = _box_ranges(spec, box, B)
     lows = [lo for lo, _ in ranges]
     sizes = [max(0, hi - lo + 1) for lo, hi in ranges]
     total = prod(sizes)
@@ -114,12 +132,6 @@ def count_box_solutions(
     if halves is not None:
         total = sum(prod(sizes[j] for j in axes) for axes, _ in halves)
     charge(total, budget, "box enumeration")
-    # int64 overflow guard for the exact evaluation
-    big = max(abs(lo) for r in ranges for lo in r) or 1
-    for g in spec.generators:
-        bound = sum(abs(c) * big ** sum(e) for e, c in g.terms.items())
-        if bound >= 1 << 62:
-            raise ValueError("values too large for exact vectorized evaluation")
 
     if halves is None:
         grid = Grid(spec.nvars, Int64(), lows, sizes)
@@ -309,8 +321,9 @@ def major_arc_prediction(
     scale; a ratio outside [0.5, 2] or a vanishing prediction is flagged
     degenerate, and a vanishing prediction has no ratio (None).
     """
-    check_int("B", B, 1)
-    check_int("Qmax", Qmax, 1)  # before the integral draws from the meter
+    # the box count's checks and Qmax's, before the integral draws from the meter
+    _box_ranges(spec, box, B)
+    check_int("Qmax", Qmax, 1)
     budget = Meter.of(budget)
     jint = singular_integral(
         spec, box, eps_ladder, sampler="mc", seed=seed, samples=samples, budget=budget

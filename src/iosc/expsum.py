@@ -10,10 +10,12 @@ It serves phase_histogram (N = p^m), direct_charsum (the literal sum of
 the pairing polynomial, at N = p^m for E_charsum and at a composite N for
 the oracle of sseries), the x-pass of E_charsum (through value_classes,
 which tallies sparsely where the q^r value vectors outnumber the points)
-and the Waring image of circle.  On a whole grid, polynomials that split
-into variable-disjoint parts (ringcount.split_halves) are tallied on the
-two half grids, and the tallies are convolved: the value distribution of
-a sum of independent parts (Weil's count of diagonal equations).  A
+and the Waring image of circle.  On a whole grid of more than
+ringcount.SPLIT_POINTS = 2^14 points, where a split's fixed cost of
+about 0.2 ms falls below the scan's, polynomials that split into
+variable-disjoint parts (ringcount.split_halves) are tallied on the two
+half grids, and the tallies are convolved: the value distribution of a
+sum of independent parts (Weil's count of diagonal equations).  A
 region other than the full one is decided per point, so it is scanned;
 the finite-field sums need no region, since each of their conditions
 (x_j = 0 or x_j != 0 over F_q) is the range of a grid axis, and they
@@ -215,7 +217,9 @@ def value_histogram(
 
     Values are the ring's codes 0..q-1, and the vector (v_1, ..., v_s) is
     tallied in bin v_1 q^(s-1) + ... + v_s of q^s, encoded on the chunk's
-    compact shape before its rows are spread out.  On the whole grid,
+    compact shape before its rows are spread out.  On the whole grid of
+    more than min(CHUNK, SPLIT_POINTS) points (ringcount, read at call
+    time; 2^14, where a split's fixed cost falls below the scan's),
     polynomials that split into variable-disjoint parts f_j = f_jA(x_A) +
     f_jB(x_B) (ringcount.split_halves) are tallied on the two half grids,
     each by this function, so a half that splits again does, and the
@@ -225,7 +229,8 @@ def value_histogram(
     splits into boxes.  One polynomial over Z/q whose G groups
     (GridPolys) leave G q bins within a chunk's rows is tallied
     unreduced: its values are sums of G residues, below G q, so their G q
-    bins fold mod q with no pass of % over the rows.  The caller charges the grid's points either way.
+    bins fold mod q with no pass of % over the rows.  The caller charges
+    the grid's points either way.
     """
     q = grid.ring.q
     bins = q ** len(polys)

@@ -18,13 +18,15 @@ Counting over Z/p^m has two independent routes that must agree:
   evaluates no partial derivative.  A node scans the grid (Z/p)^n, at a
   charge of p^n points, except where its constraints split into
   variable-disjoint blocks, g_j = g_jA(x_A) + g_jB(x_B), on more than
-  CHUNK points and under no region, at order 1 for any number of
-  constraints and above it for one.  There _split_zeros scans two half
-  grids instead, at one charge of p^|A| + p^|B| + |C_A| |C_B| points: the
-  zeros are the pairs of points whose value vectors cancel (Weil's count
-  of diagonal equations, taken to vectors), and above order 1 the
-  singular zeros are the pairs of points of the halves' critical sets
-  C_A, C_B whose values cancel (at order 1 C_A, C_B are not computed).
+  SPLIT_POINTS = 2^14 points and under no region, at order 1 for any
+  number of constraints and above it for one: from about 2^14 points a
+  split's fixed cost, about 0.2 ms, is below the scan's (split_halves).
+  There _split_zeros scans two half grids instead, at one charge of
+  p^|A| + p^|B| + |C_A| |C_B| points: the zeros are the pairs of points
+  whose value vectors cancel (Weil's count of diagonal equations, taken
+  to vectors), and above order 1 the singular zeros are the pairs of
+  points of the halves' critical sets C_A, C_B whose values cancel (at
+  order 1 C_A, C_B are not computed).
   The re-expansion is an exact Taylor shift on Python ints: g(x0 + p*y)
   has the coefficients p^|b| T_b(x0), with T_b = d^b g / b! tabulated
   only at a node with singular zeros and only for constraints a child
@@ -103,6 +105,10 @@ from .poly import IdealSpec, Poly, Weight, jacobian_minors, top_part, power as p
 
 # rows per chunk, so each int64 array over a chunk takes at most 2 MB
 CHUNK = 1 << 18
+# separable boxes of more points split (split_halves): a split's fixed
+# cost, about 0.2 ms of np.unique and intersect1d, is that of scanning
+# 10^4 to 3*10^4 points at 6-20 ns a point
+SPLIT_POINTS = 1 << 14
 # products of two residues below 2^31 fit in int64
 Q_LIMIT = 1 << 31
 
@@ -487,9 +493,15 @@ def split_halves(
     """The gens as g_j = g_jA(x_A) + g_jB(x_B) on two halves of the box's
     axes, or None to scan the whole box.
 
-    A box of at most CHUNK points (read at call time) is scanned, since
-    there a split costs more than the scan, and so are gens of a single
-    block.  The blocks are the connected components of the graph on the
+    A box of at most min(CHUNK, SPLIT_POINTS) points (both read at call
+    time) is scanned, since there a split costs more than the scan, and
+    so are gens of a single block.  The gate was measured on a 2-core
+    Xeon VM: a split has a fixed cost of about 0.2 ms and a scan costs
+    6-20 ns a point, so the two cross near 2^14 points (an order-1 lift
+    node of x1^2+x2^2-x3^2-x4^2, x1*x3-x2*x4 took 0.23 ms to scan and
+    0.34 ms to split at 7^4 points, 0.65 ms and 0.22 ms at 13^4).
+
+    The blocks are the connected components of the graph on the
     variables that joins two variables in the same monomial of any of the
     gens; a variable no generator uses is a block of its own.  Largest
     first, counted in box points (sizes[j] per axis), each block goes to
@@ -497,7 +509,7 @@ def split_halves(
     terms.  Each half is (axes, [g_1H, ..., g_rH]), one part per
     generator, with g_jH a polynomial in the variables of axes, in order.
     """
-    if math.prod(sizes) <= CHUNK:
+    if math.prod(sizes) <= min(CHUNK, SPLIT_POINTS):
         return None
     parent = list(range(len(sizes)))
 
@@ -660,8 +672,11 @@ class Region:
         GridPolys.compact), or None for a full region, from one GridPolys
         scan of x_j for a block's coordinates and of the ReductionIn
         equations; the zero tests mod every one of the primes combine by
-        and/not, so no row is decoded.  Z/q is decided at the primes of q,
-        and F_q with the one "prime" q, since code 0 is its only zero.
+        and/not, so no row is decoded.  Z/q is decided at the primes of q.
+        An F_q grid would be decided with the one "prime" q, since code 0
+        is its only zero, but no counting route asks for one: the
+        finite-field sums take their conditions as the ranges of a
+        coordinate box (Grid lows and sizes).
         """
         polys, tests = [], []
         for (start, stop), mode in self.blocks:
@@ -1046,22 +1061,24 @@ def _lift_count(
 
     The zeros mod p come from one of two scans of grids that state holds,
     one per size for the whole call.  A node with no region and more than
-    CHUNK points (read at call time) whose constraints split into
-    variable-disjoint blocks (split_halves), at order 1 for any number of
-    constraints and above it for one, scans two half grids (_split_zeros):
-    it counts the pairs of value vectors that cancel, above order 1 also
-    pairs the halves' critical points, and is charged p^|A| + p^|B| +
-    |C_A| |C_B| points, with no pair term at order 1.  Any other node scans
-    (Z/p)^nvars (_scan_zeros), is charged p^nvars points, applies the
-    root's region to the zeros and, above order 1, tests the Jacobians'
-    rank on them, on the same scan.  Each child is reduced by _constraints,
-    so equal subtrees have equal keys: a region-free node is looked up in
-    state.memo by the set of its constraints and its range of orders, and
-    a hit costs no work and no budget.  Only the root may carry a region,
-    and a node with a region is never looked up.  A region-free node whose
-    one constraint is a monomial times a unit (_unit_monomial) scans
-    nothing: it is counted in closed form by _valuation_sum, charged its
-    steps as a "closed-form node", and memoized like any other node.
+    min(CHUNK, SPLIT_POINTS) points (read at call time; 2^14, where a
+    split's fixed cost falls below the scan's) whose constraints split
+    into variable-disjoint blocks (split_halves), at order 1 for any
+    number of constraints and above it for one, scans two half grids
+    (_split_zeros): it counts the pairs of value vectors that cancel,
+    above order 1 also pairs the halves' critical points, and is charged
+    p^|A| + p^|B| + |C_A| |C_B| points, with no pair term at order 1.  Any
+    other node scans (Z/p)^nvars (_scan_zeros), is charged p^nvars points,
+    applies the root's region to the zeros and, above order 1, tests the
+    Jacobians' rank on them, on the same scan.  Each child is reduced by
+    _constraints, so equal subtrees have equal keys: a region-free node is
+    looked up in state.memo by the set of its constraints and its range of
+    orders, and a hit costs no work and no budget.  Only the root may
+    carry a region, and a node with a region is never looked up.  A
+    region-free node whose one constraint is a monomial times a unit
+    (_unit_monomial) scans nothing: it is counted in closed form by
+    _valuation_sum, charged its steps as a "closed-form node", and
+    memoized like any other node.
     """
     if not active and region is None:
         return [p ** (k * nvars) for k in range(lo, hi + 1)]

@@ -82,6 +82,23 @@ def test_count_box_requires_homogeneous():
         count_box_solutions(S("x1^2 + x1", n=1), BoxSpec.cube(1), 5)
 
 
+@pytest.mark.parametrize(
+    "top, points, charged", [(F(127, 128), 128 * 128, 128 * 128), (F(1), 129 * 128, 129 + 128)]
+)
+def test_a_box_count_splits_above_the_gate(monkeypatch, top, points, charged):
+    # at B = 128 the box [0, top] x [0, 127/128] has 128 x 128 = 2^14
+    # points (at the gate) or 129 x 128 (above it)
+    spec = S("x1^2-x2^2", n=2)
+    box = BoxSpec(((F(0), top), (F(0), F(127, 128))))
+    meter = Meter(10 ** 6)
+    count = count_box_solutions(spec, box, 128, budget=meter)
+    assert 10 ** 6 - meter.left == charged
+    monkeypatch.setattr(ringcount, "SPLIT_POINTS", ringcount.CHUNK)
+    meter = Meter(10 ** 6)
+    assert count == count_box_solutions(spec, box, 128, budget=meter) == 128
+    assert 10 ** 6 - meter.left == points
+
+
 # -- singular integral -----------------------------------------------------------
 
 
@@ -281,6 +298,27 @@ def test_major_arc_line_trivial():
     # the slab in one variable: vol{|x| <= eps/2} = eps, so J = 1
     assert rep.actual == 1
     assert 0.5 <= rep.ratio <= 2.0
+
+
+@pytest.mark.parametrize(
+    "gens, n, box, B, message",
+    [
+        (["x1^2 + x2"], 2, BoxSpec.cube(2), 3, "homogeneous"),
+        (["x1^2 - x2^2"], 2, BoxSpec.cube(3), 3, "box dimension"),
+        # |x1^2| + |x2^2| reaches 2^63 on [-2^31, 2^31]^2
+        (["x1^2 - x2^2"], 2, BoxSpec.cube(2), 2 ** 31, "too large"),
+    ],
+    ids=["inhomogeneous", "dimension", "2^62"],
+)
+def test_a_refused_box_count_draws_nothing_from_the_meter(gens, n, box, B, message):
+    # the prediction checks the box count's input before its integral draws
+    spec = S(*gens, n=n)
+    meter = Meter(10 ** 6)
+    with pytest.raises(ValueError, match=message):
+        major_arc_prediction(spec, box, B, 3, [0.2, 0.1], samples=1000, budget=meter)
+    with pytest.raises(ValueError, match=message):
+        count_box_solutions(spec, box, B, budget=meter)
+    assert meter.left == 10 ** 6
 
 
 # -- waring ------------------------------------------------------------------------

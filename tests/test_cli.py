@@ -347,6 +347,13 @@ def test_a_scale_or_summand_count_below_one_is_refused(argv):
     assert main(argv) == 2
 
 
+def test_a_prediction_refuses_an_inhomogeneous_ideal_before_any_charge(capsys):
+    # refused as input (2), not for its integral's 400,000 points (3)
+    argv = ["circle", "predict", "--gens", "x1^2+x2", "-n", "2", "--budget", "1"]
+    assert main(argv) == 2
+    assert "homogeneous" in capsys.readouterr().err
+
+
 def test_a_rational_of_any_length_is_written_exactly():
     # 5,001 digits, beyond the interpreter's default limit of 4,300 for
     # int-to-str conversion (Python >= 3.10.7), which is left as found
@@ -556,7 +563,7 @@ def test_a_refused_input_is_named_in_the_message(argv, message, capsys):
         (["count", "--gens", "x1*x2-x3*x4", "-n", "4", "-p", "7", "-m", "2",
           "--method", "both"], 5_764_801),
         (["sseries", "--gens", "x1^2+x2^2-x3^2-x4^2", "--gens", "x1*x3-x2*x4", "-n", "4",
-          "--qmax", "30"], 200_000),
+          "--qmax", "30"], 20_000),
         (["expsum", "--gens", "x1^3+x2^3+x3^3+x4^3", "-n", "4", "-p", "7", "-m", "2",
           "--verify"], 5_764_850),
     ],
@@ -565,7 +572,8 @@ def test_a_refused_input_is_named_in_the_message(argv, message, capsys):
 def test_the_budget_bounds_the_sum_of_a_commands_counts(argv, budget, capsys):
     # each charge fits the budget alone; together they charge more (the
     # zeta command's one walk charges 40,335 points, at most 343 per node;
-    # the sseries command charges 270,792, at most 130,321 = 19^4 at once)
+    # the sseries command charges 30,027, at most 14,641 = 11^4 at once,
+    # since every box above 2^14 points splits into halves of p^2)
     assert main(argv + ["--budget", str(budget)]) == 3
     assert "budget has" in capsys.readouterr().err
 

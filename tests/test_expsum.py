@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from iosc import expsum, gf, ringcount
@@ -232,6 +233,19 @@ def grid_sizes(monkeypatch):
 
     monkeypatch.setattr(ringcount.GridPolys, "__init__", record)
     return sizes
+
+
+@pytest.mark.parametrize("q, scans", [(128, [128 * 128]), (129, [129, 129])])
+def test_a_value_histogram_splits_above_the_gate(monkeypatch, q, scans):
+    # (Z/128)^2 has 2^14 points, at the gate; (Z/129)^2 has 16,641
+    f = [P("x1^2+3*x2^3", 2)]
+    sizes = grid_sizes(monkeypatch)
+    tally = expsum.value_histogram(ringcount.Grid(2, q), f, None, 1)
+    assert sizes == scans
+    monkeypatch.setattr(ringcount, "SPLIT_POINTS", ringcount.CHUNK)
+    sizes.clear()
+    assert np.array_equal(tally, expsum.value_histogram(ringcount.Grid(2, q), f, None, 1))
+    assert sizes == [q * q]
 
 
 def test_the_charsum_x_pass_of_a_diagonal_cubic_scans_only_half_grids(monkeypatch):

@@ -510,3 +510,63 @@ def test_dim_products_add():
     line = dim_estimate(S("x1 + x2", n=2), primes=[7, 11], maxk=1)
     pt = dim_estimate(S("x1", n=1), primes=[7, 11], maxk=1)
     assert est.dim == line.dim + pt.dim
+
+
+# -- the split gate -------------------------------------------------------------
+#
+# split_halves splits a separable box of more than SPLIT_POINTS = 2^14
+# points and scans one of at most that many; the lift, value_histogram
+# (tests/test_expsum.py) and count_box_solutions (tests/test_circle.py)
+# all route through it.
+
+
+def charges(monkeypatch):
+    """The list that the lift's charges are logged to."""
+    real, log = ringcount.charge, []
+
+    def charge(needed, budget, what="enumeration"):
+        real(needed, budget, what)
+        log.append(needed)
+
+    monkeypatch.setattr(ringcount, "charge", charge)
+    return log
+
+
+def squares(n):
+    return P("+".join(f"x{j}^2" for j in range(1, n + 1)), n)
+
+
+@pytest.mark.parametrize(
+    "p, n, m, first",
+    [
+        (2, 14, 1, 2 ** 14),  # at the gate: one scan of (Z/2)^14
+        (3, 9, 1, 3 ** 5 + 3 ** 4),  # 19,683 points: halves of 5 and 4 axes
+        (2, 15, 1, 2 ** 8 + 2 ** 7),
+        # above order 1, the halves' critical sets are {0} x {0}
+        (3, 9, 2, 3 ** 5 + 3 ** 4 + 1),
+    ],
+)
+def test_the_lift_splits_a_separable_node_above_the_gate(monkeypatch, p, n, m, first):
+    assert ringcount.SPLIT_POINTS == 2 ** 14
+    f = squares(n)
+    log = charges(monkeypatch)
+    lift = count_points_raw([f], n, p, m)
+    assert log[0] == first
+    # the same count with the gate at CHUNK scans the root
+    monkeypatch.setattr(ringcount, "SPLIT_POINTS", ringcount.CHUNK)
+    log.clear()
+    assert lift == count_points_raw([f], n, p, m)
+    assert log[0] == p ** n
+    if m == 1:
+        assert lift == count_points_raw([f], n, p, m, method="naive")
+
+
+def test_two_planes_never_split(monkeypatch):
+    # x1*x2, x2*x3 share x2: one block, so a box of 29^3 = 24,389 points,
+    # above the gate, is scanned whole
+    gens = [P("x1*x2", 3), P("x2*x3", 3)]
+    assert ringcount.split_halves(gens, [29] * 3) is None
+    log = charges(monkeypatch)
+    # x2 = 0, or x1 = x3 = 0
+    assert count_points_raw(gens, 3, 29, 1) == 29 ** 2 + 29 - 1
+    assert log == [29 ** 3]
