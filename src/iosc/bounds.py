@@ -232,14 +232,17 @@ def moi_fit(
     Only m >= m_min enters; zero values are excluded and reported.  Primes
     with fewer than 3 usable points, or with one m only, are dropped; with
     none left the fit is an error.  The pooled slope shares one slope
-    across primes with per-prime intercepts.  Every p is at least 2 and
-    every |E| finite and >= 0.
+    across primes with per-prime intercepts.  Every p >= 2, m >= 1 and
+    m_min >= 1 is an int (check_int) and every |E| finite and >= 0.
     """
+    check_int("m_min", m_min, 1)
     by_prime: dict[int, list[tuple[int, float]]] = {}
     excluded: list[tuple[int, int]] = []
     for p, m, absE in data:
-        if p < 2 or not 0 <= absE < math.inf:
-            raise ValueError(f"need p >= 2 and 0 <= |E| < oo, got p={p}, |E|={absE}")
+        check_int("p", p, 2)
+        check_int("m", m, 1)
+        if not 0 <= absE < math.inf:
+            raise ValueError(f"need 0 <= |E| < oo, got p={p}, |E|={absE}")
         if m < m_min:
             continue
         if absE == 0:

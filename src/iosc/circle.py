@@ -30,12 +30,11 @@ from .expsum import residue_histogram
 from .poly import IdealSpec, Poly
 from .ringcount import (
     Grid,
-    GridPolys,
     Int64,
     Region,
     _count_naive,
+    _split_zeros,
     check_prime_power,
-    count_value_pairs,
     digits,
     split_halves,
 )
@@ -113,14 +112,14 @@ def count_box_solutions(
     counted in exact int64 arithmetic (Int64) once every generator is
     checked to stay below 2^62 on it (_box_ranges, before any charge).
     A single generator that splits into variable-disjoint halves,
-    f = f_A(x_A) + f_B(x_B) (ringcount.split_halves, given [f]), on a box
-    of more than min(CHUNK, SPLIT_POINTS) points (ringcount, read at call
-    time; 2^14, where a split's fixed cost falls below the scan's) is
-    counted as the lift's one split routine, _split_zeros, counts an
-    order-1 node: the pairs of the two sub-boxes' values with
-    f_A = -f_B, by count_value_pairs, at the same charge, the sub-boxes'
-    points.  Any other box is scanned by ringcount._count_naive and
-    charged its points.  The count is independent of the thread count.
+    f = f_A(x_A) + f_B(x_B) (ringcount.split_halves of the box's Int64
+    grid), on a box of more than min(CHUNK, SPLIT_POINTS) points
+    (ringcount, read at call time; 2^14, where a split's fixed cost falls
+    below the scan's) is counted by the lift's one split routine,
+    _split_zeros, as an order-1 node: the pairs of the two sub-boxes'
+    values with f_A = -f_B, charged the sub-boxes' points.  Any other box
+    is scanned by ringcount._count_naive and charged its points.  The
+    count is independent of the thread count.
     """
     ranges = _box_ranges(spec, box, B)
     lows = [lo for lo, _ in ranges]
@@ -128,20 +127,12 @@ def count_box_solutions(
     total = prod(sizes)
     if total == 0:
         return 0
-    halves = split_halves(spec.generators, sizes) if spec.r == 1 else None
+    grid = Grid(spec.nvars, Int64(), lows, sizes)
+    halves = split_halves(spec.generators, grid) if spec.r == 1 else None
     if halves is not None:
-        total = sum(prod(sizes[j] for j in axes) for axes, _ in halves)
+        return _split_zeros(halves, spec.nvars, Meter.of(budget), 1, "box enumeration")[0]
     charge(total, budget, "box enumeration")
-
-    if halves is None:
-        grid = Grid(spec.nvars, Int64(), lows, sizes)
-        return _count_naive(spec.generators, grid, None, threads)
-    values = []
-    for axes, parts in halves:
-        grid = Grid(len(axes), Int64(), [lows[j] for j in axes], [sizes[j] for j in axes])
-        scan = GridPolys(grid, parts)
-        values.append(np.concatenate([scan(c)[0] for c in grid.chunks()]))
-    return count_value_pairs(values[0], -values[1])
+    return _count_naive(spec.generators, grid, None, threads)
 
 
 # -- singular integral ------------------------------------------------------------

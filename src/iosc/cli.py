@@ -363,7 +363,6 @@ def cmd_bounds(args) -> dict:
             p_, m_, e_ = part.split(":")
             data.append((int(p_), int(m_), float(e_)))
         return {"fit": bounds_mod.moi_fit(data, m_min=args.m_min)}
-    raise ValueError(f"unknown bounds subcommand {args.which!r}")
 
 
 def cmd_circle(args) -> dict:
@@ -399,7 +398,6 @@ def cmd_circle(args) -> dict:
             spec, box, args.B, args.qmax, eps, seed=args.seed, budget=budget, threads=threads
         )
         return {"prediction": rep}
-    raise ValueError(f"unknown circle subcommand {args.which!r}")
 
 
 def cmd_jet(args) -> dict:
@@ -417,7 +415,6 @@ def cmd_jet(args) -> dict:
         if not ok:
             raise OracleDisagreement("top weighted part of the jet differs")
         return {"highpart_identity": ok}
-    raise ValueError(f"unknown jet subcommand {args.which!r}")
 
 
 # -- parser ----------------------------------------------------------------------------

@@ -225,9 +225,9 @@ def value_histogram(
     each by this function, so a half that splits again does, and the
     tallies are convolved (convolve_tallies); the split is taken while the
     q^(2s) pairs of value vectors it may add are at most the grid's
-    points, and each half grid keeps its axes' lows and sizes, so a box
-    splits into boxes.  One polynomial over Z/q whose G groups
-    (GridPolys) leave G q bins within a chunk's rows is tallied
+    points, and split_halves gives each half grid its axes' lows and
+    sizes, so a box splits into boxes.  One polynomial over Z/q whose G
+    groups (GridPolys) leave G q bins within a chunk's rows is tallied
     unreduced: its values are sums of G residues, below G q, so their G q
     bins fold mod q with no pass of % over the rows.  The caller charges
     the grid's points either way.
@@ -235,16 +235,9 @@ def value_histogram(
     q = grid.ring.q
     bins = q ** len(polys)
     if inside is None and bins * bins <= math.prod(grid.sizes):
-        halves = split_halves(polys, grid.sizes)
+        halves = split_halves(polys, grid)
         if halves is not None:
-            tallies = [
-                value_histogram(
-                    Grid(len(axes), grid.ring, [grid.lows[j] for j in axes],
-                         [grid.sizes[j] for j in axes]),
-                    parts, None, threads,
-                )
-                for axes, parts in halves
-            ]
+            tallies = [value_histogram(half, parts, None, threads) for _, half, parts in halves]
             return convolve_tallies(grid.ring, len(polys), *tallies)
     scan = GridPolys(grid, polys)
     fold = 1

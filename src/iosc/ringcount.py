@@ -70,17 +70,17 @@ decoded only for its singular zeros and for the critical points of a
 half grid.  eval_rows() evaluates a polynomial on given rows in any
 ring, and map_sum() adds a worker's results over chunks in submission
 order on a thread pool, so every total is the same for any thread
-count.  The lift builds each grid it scans, (Z/p)^n or a half grid,
-with its power tables, once per call.  _count_naive() is the one zero
-count of a whole grid: the naive route, the finite-field and region
-counts and the integer box count of circle.count_box_solutions.
-_codes() is the one encoder of value vectors, count_value_pairs() the
-one count of equal codes and convolve_tallies() the one sum of two
-tallies of value vectors, for what split_halves() finds separable: the
-lift's split nodes, the integer box count of circle.count_box_solutions
-and the whole-grid value tallies of expsum.value_histogram (E_charsum's
-x-pass, full-region phase and residue histograms, the finite-field sums
-with no constraint).
+count.  The lift builds its grid (Z/p)^n, with its power tables, once
+per call.  _count_naive() is the one zero count of a whole grid: the
+naive route, the finite-field and region counts and the integer box
+count of circle.count_box_solutions.  split_halves() is the one builder
+of half grids, for what it finds separable.  _split_zeros() counts the
+zeros on two half grids (_codes() encodes value vectors and
+count_value_pairs() counts equal codes) for the lift's split nodes and
+the integer box count of circle.count_box_solutions; convolve_tallies()
+sums two halves' tallies for the whole-grid value tallies of
+expsum.value_histogram (E_charsum's x-pass, full-region phase and
+residue histograms, the finite-field sums with no constraint).
 """
 
 from __future__ import annotations
@@ -452,10 +452,6 @@ class GridPolys:
             out.append(acc)
         return out
 
-    def __call__(self, chunk: tuple[int, int]) -> list[np.ndarray]:
-        """Each polynomial's values on the chunk's rows, in row order."""
-        return [self.grid.flat(chunk, v) for v in self.compact(chunk)]
-
 
 class ZeroScan(GridPolys):
     """GridPolys that finds the common zeros of its polynomials.
@@ -488,10 +484,10 @@ class ZeroScan(GridPolys):
 
 
 def split_halves(
-    gens: Sequence[Poly], sizes: Sequence[int]
-) -> list[tuple[list[int], list[Poly]]] | None:
-    """The gens as g_j = g_jA(x_A) + g_jB(x_B) on two halves of the box's
-    axes, or None to scan the whole box.
+    gens: Sequence[Poly], grid: Grid
+) -> list[tuple[list[int], Grid, list[Poly]]] | None:
+    """The gens as g_j = g_jA(x_A) + g_jB(x_B) on two halves of the grid's
+    axes, or None to scan the whole grid.
 
     A box of at most min(CHUNK, SPLIT_POINTS) points (both read at call
     time) is scanned, since there a split costs more than the scan, and
@@ -506,9 +502,11 @@ def split_halves(
     gens; a variable no generator uses is a block of its own.  Largest
     first, counted in box points (sizes[j] per axis), each block goes to
     the half with fewer points, A on a tie, and A takes the constant
-    terms.  Each half is (axes, [g_1H, ..., g_rH]), one part per
-    generator, with g_jH a polynomial in the variables of axes, in order.
+    terms.  Each half is (axes, its grid, [g_1H, ..., g_rH]): the grid
+    keeps the ring, lows and sizes of axes, and g_jH is a polynomial in
+    the variables of axes, in order.
     """
+    sizes = grid.sizes
     if math.prod(sizes) <= min(CHUNK, SPLIT_POINTS):
         return None
     parent = list(range(len(sizes)))
@@ -541,7 +539,11 @@ def split_halves(
         for expo, c in g.terms.items():
             h = int(any(expo[j] for j in axes[1]))
             part[h][tuple(expo[j] for j in axes[h])] = c
-    return [(a, [Poly(len(a), part[h]) for part in parts]) for h, a in enumerate(axes)]
+    return [
+        (a, Grid(len(a), grid.ring, [grid.lows[j] for j in a], [sizes[j] for j in a]),
+         [Poly(len(a), part[h]) for part in parts])
+        for h, a in enumerate(axes)
+    ]
 
 
 def _codes(vals: Sequence[np.ndarray], q: int) -> np.ndarray:
@@ -763,21 +765,14 @@ def _full_rank(jac: np.ndarray, p: int) -> np.ndarray:
 
 
 class _LiftState:
-    """The meter one lift call charges, its node memo and its residue grids."""
+    """The meter one lift call charges, its node memo and its grid (Z/p)^n."""
 
-    def __init__(self, meter: Meter, p: int):
+    def __init__(self, meter: Meter, nvars: int, p: int):
         self.meter = meter
-        self.p = p
-        # (Z/p)^k by k: the full grid, and the half grids of split nodes
-        self.grids: dict[int, Grid] = {}
+        self.grid = Grid(nvars, p)
         # (frozenset of active constraints, lo, hi) -> the counts N(lo..hi)
         # of a region-free node
         self.memo: dict[tuple, list[int]] = {}
-
-    def grid(self, k: int) -> Grid:
-        if k not in self.grids:
-            self.grids[k] = Grid(k, self.p)
-        return self.grids[k]
 
 
 def _vp(c: int, p: int) -> int:
@@ -968,30 +963,35 @@ def _scan_zeros(
 
 
 def _split_zeros(
-    halves: list[tuple[list[int], list[Poly]]], nvars: int, p: int, state: _LiftState, hi: int
+    halves: list[tuple[list[int], Grid, list[Poly]]],
+    nvars: int,
+    meter: Meter,
+    hi: int,
+    what: str = "residue-tree level",
 ) -> tuple[int, Sequence]:
-    """The smooth zeros' count and the singular zeros mod p of the gens
-    g_j = g_jA(x_A) + g_jB(x_B), from one scan of each half grid (Z/p)^|H|.
+    """The smooth zeros' count and the singular zeros of the gens
+    g_j = g_jA(x_A) + g_jB(x_B), from one scan of each half grid.
 
     A zero is a pair of points of A and B whose value vectors cancel, so
     B's vectors are negated and count_value_pairs counts the equal codes
-    (_codes while p^r fits in int64, else ranks among both halves' rows).
-    At order 1 every zero counts 1.  Above it there is one generator f,
-    whose code is its value, and the singular zeros are the pairs in
-    C_A x C_B whose codes match, C_H being the points of half H where
-    every d f / d x_j, j in H, vanishes (the gradient of f at (x_A, x_B)
-    is the pair of the halves' gradients).  The node is charged once,
-    p^|A| + p^|B| + |C_A| |C_B| points, after the scans; halves that alone
-    exceed the budget are refused before they are scanned.
+    (_codes in radix q while q^r fits in int64, else ranks among both
+    halves' rows; one value is its own code).  At order 1 every zero
+    counts 1.  Above it there is one generator f, whose code is its
+    value, and the singular zeros are the pairs in C_A x C_B whose codes
+    match, C_H being the points of half H where every d f / d x_j, j in
+    H, vanishes (the gradient of f at (x_A, x_B) is the pair of the
+    halves' gradients).  The meter is charged once, under `what`, the
+    halves' points plus |C_A| |C_B|, after the scans; halves that alone
+    exceed it are refused before they are scanned.
     """
-    scanned = sum(p ** len(axes) for axes, _ in halves)
-    if scanned > state.meter.left:
-        charge(scanned, state.meter, "residue-tree level")
-    r = len(halves[0][1])
-    coded = p ** r <= 1 << 63
+    scanned = sum(math.prod(grid.sizes) for _, grid, _ in halves)
+    if scanned > meter.left:
+        charge(scanned, meter, what)
+    r = len(halves[0][2])
+    q = halves[0][1].ring.q if r > 1 else None
+    coded = r == 1 or q ** r <= 1 << 63
     sides, crit = [], []
-    for axes, parts in halves:
-        grid = state.grid(len(axes))
+    for axes, grid, parts in halves:
         partials = [] if hi == 1 else [parts[0].derivative(i) for i in range(len(axes))]
         scan = GridPolys(grid, parts + partials)
         codes, found = [], []
@@ -999,7 +999,7 @@ def _split_zeros(
             vals = scan.compact(chunk)
             vecs = [grid.ring.neg(v) for v in vals[:r]] if sides else vals[:r]
             if coded:
-                codes.append(grid.flat(chunk, _codes(vecs, p)))
+                codes.append(grid.flat(chunk, _codes(vecs, q)))
             else:
                 codes.append(np.stack([grid.flat(chunk, v) for v in vecs], axis=1))
             if partials:
@@ -1014,13 +1014,13 @@ def _split_zeros(
         sides = np.split(ranks.reshape(-1), [len(sides[0])])
     zeros = count_value_pairs(*sides)
     if hi == 1:
-        charge(scanned, state.meter, "residue-tree level")
+        charge(scanned, meter, what)
         return zeros, ()
     (pts_a, at_a), (pts_b, at_b) = crit
-    charge(scanned + len(pts_a) * len(pts_b), state.meter, "residue-tree level")
+    charge(scanned + len(pts_a) * len(pts_b), meter, what)
     ia, ib = _matching_pairs(at_a, at_b)
     sing = np.empty((len(ia), nvars), dtype=np.int64)
-    for (axes, _), pts in zip(halves, (pts_a[ia], pts_b[ib])):
+    for (axes, _, _), pts in zip(halves, (pts_a[ia], pts_b[ib])):
         sing[:, axes] = pts
     return zeros - len(sing), sing
 
@@ -1059,8 +1059,8 @@ def _lift_count(
     common zero mod p once, smooth or singular (a singular zero's child
     of order 0 counts 1), so it evaluates no partial derivative.
 
-    The zeros mod p come from one of two scans of grids that state holds,
-    one per size for the whole call.  A node with no region and more than
+    The zeros mod p come from a scan of state.grid, built once per call,
+    or of two half grids.  A node with no region and more than
     min(CHUNK, SPLIT_POINTS) points (read at call time; 2^14, where a
     split's fixed cost falls below the scan's) whose constraints split
     into variable-disjoint blocks (split_halves), at order 1 for any
@@ -1100,12 +1100,12 @@ def _lift_count(
     need = [j for j, (_, o) in enumerate(active) if o < lo]
     halves = None
     if need and (region is None or region.is_full) and (hi == 1 or len(gens) == 1):
-        halves = split_halves(gens, [p] * nvars)
+        halves = split_halves(gens, state.grid)
     if halves is None:
         charge(p ** nvars, state.meter, "residue-tree level")
-        disks = _scan_zeros(gens, need, nvars, p, state.grid(nvars), region, hi)
+        disks = _scan_zeros(gens, need, nvars, p, state.grid, region, hi)
     else:
-        disks = {tuple(need): _split_zeros(halves, nvars, p, state, hi)}
+        disks = {tuple(need): _split_zeros(halves, nvars, state.meter, hi)}
 
     counts = [0] * (hi - lo + 1)
     tables: dict[int, dict] = {}
@@ -1176,7 +1176,7 @@ def count_points_raw(
         active, top = _constraints(((g.terms, 0) for g in gens), m, nvars, p)
         counts = []
         if top >= lo:
-            counts = _lift_count(active, nvars, p, lo, top, _LiftState(budget, p), region)
+            counts = _lift_count(active, nvars, p, lo, top, _LiftState(budget, nvars, p), region)
         # no point meets a unit constraint above its offset
         counts = [*counts, *[0] * (m - max(top, lo - 1))]
         return tuple(counts) if orders else counts[-1]

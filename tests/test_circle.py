@@ -99,6 +99,29 @@ def test_a_box_count_splits_above_the_gate(monkeypatch, top, points, charged):
     assert 10 ** 6 - meter.left == points
 
 
+@pytest.mark.parametrize(
+    "gens, n, top, count, splits",
+    [
+        (["x1^2-x2^2"], 2, F(1), 128, True),  # 129 x 128 points, one generator
+        (["x1^2-x2^2"], 2, F(127, 128), 128, False),  # 2^14 points, at the gate
+        (["x1^2-x2^2", "x3"], 3, F(1), 128, False),  # r = 2 is scanned whole
+    ],
+)
+def test_a_separable_box_count_is_the_lifts_order_one_split(
+    monkeypatch, gens, n, top, count, splits
+):
+    calls, real = [], circle._split_zeros
+
+    def spy(halves, nvars, meter, hi, what):
+        calls.append((hi, what))
+        return real(halves, nvars, meter, hi, what)
+
+    monkeypatch.setattr(circle, "_split_zeros", spy)
+    box = BoxSpec(((F(0), top),) + ((F(0), F(127, 128)),) * (n - 1))
+    assert count_box_solutions(S(*gens, n=n), box, 128) == count
+    assert calls == ([(1, "box enumeration")] if splits else [])
+
+
 # -- singular integral -----------------------------------------------------------
 
 

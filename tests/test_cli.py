@@ -317,6 +317,12 @@ def test_circle_waring_rejects_a_bad_modulus(p):
     assert main(argv) == 2
 
 
+@pytest.mark.parametrize("command", ["bounds", "circle", "jet"])
+def test_an_unknown_subcommand_is_refused(command, capsys):
+    assert main([command, "nosuch"]) == 2
+    assert "invalid choice: 'nosuch'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("extra", [[], ["--reconstruct"]])
 def test_zeta_rejects_a_negative_max_order(extra):
     argv = ["zeta", "--gens", "x1^2", "-n", "1", "-p", "3", "--max-order", "-1"]

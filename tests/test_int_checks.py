@@ -28,6 +28,7 @@ from iosc import (
     irreducibility_probe,
     jet_expand,
     major_arc_prediction,
+    moi_fit,
     ord_distribution,
     p_adic_density,
     parse_poly,
@@ -131,6 +132,9 @@ CASES = {
     "convolution_thresholds-r": ("r", 0, lambda v, b: convolution_thresholds(v, 1, 2)),
     "convolution_thresholds-R": ("R", 0, lambda v, b: convolution_thresholds(1, v, 2)),
     "convolution_thresholds-D": ("D", 0, lambda v, b: convolution_thresholds(1, 1, v)),
+    "moi_fit-p": ("p", 1, lambda v, b: moi_fit([(5, 2, 0.04), (v, 3, 0.008)])),
+    "moi_fit-m": ("m", 0, lambda v, b: moi_fit([(5, 2, 0.04), (5, v, 0.008)])),
+    "moi_fit-m_min": ("m_min", 0, lambda v, b: moi_fit([(5, 2, 0.04)], v)),
     # circle
     "count_box_solutions-B": (
         "B", 0, lambda v, b: count_box_solutions(CONE, BoxSpec.cube(3), v, b)

@@ -272,7 +272,7 @@ def check_scan(grid, polys, chunk, value_at, axes):
     for c in grid.chunks():
         pts = grid.rows(c, np.arange(math.prod(grid.shape(c)))).tolist()
         assert 1 <= len(pts) <= chunk
-        vals = [v.tolist() for v in scan(c)]
+        vals = [grid.flat(c, v).tolist() for v in scan.compact(c)]
         assert vals == [[value_at(f, pt) for pt in pts] for f in polys]
         zeros = scan.zeros(c)
         assert zeros.tolist() == [all(v[i] == 0 for v in vals) for i in range(len(pts))]

@@ -7,9 +7,12 @@ import pytest
 
 from iosc import ringcount
 from iosc.errors import BudgetExceeded, OracleDisagreement
+from iosc.gf import GFTable
 from iosc.poly import IdealSpec, Poly, parse_poly
 from iosc.ringcount import (
     Full,
+    Grid,
+    Int64,
     PrimitiveBlock,
     ReductionIn,
     Region,
@@ -561,11 +564,29 @@ def test_the_lift_splits_a_separable_node_above_the_gate(monkeypatch, p, n, m, f
         assert lift == count_points_raw([f], n, p, m, method="naive")
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid(4, 29),  # (Z/29)^4
+        Grid(4, Int64(), (-6, -5, -5, -4), (13, 12, 11, 10)),  # 17,160 integers
+        Grid(4, GFTable(2, 4), (1,) * 4, (15,) * 4),  # the units of F_16
+    ],
+)
+def test_split_halves_hands_out_boxed_half_grids(grid):
+    f = P("x1^3+x2^3+x3^3-x4^3", 4)
+    halves = ringcount.split_halves([f], grid)
+    assert sorted(j for axes, _, _ in halves for j in axes) == [0, 1, 2, 3]
+    for axes, half, parts in halves:
+        assert half.ring is grid.ring and half.k == len(axes) == parts[0].nvars
+        assert half.lows == tuple(grid.lows[j] for j in axes)
+        assert half.sizes == tuple(grid.sizes[j] for j in axes)
+
+
 def test_two_planes_never_split(monkeypatch):
     # x1*x2, x2*x3 share x2: one block, so a box of 29^3 = 24,389 points,
     # above the gate, is scanned whole
     gens = [P("x1*x2", 3), P("x2*x3", 3)]
-    assert ringcount.split_halves(gens, [29] * 3) is None
+    assert ringcount.split_halves(gens, Grid(3, 29)) is None
     log = charges(monkeypatch)
     # x2 = 0, or x1 = x3 = 0
     assert count_points_raw(gens, 3, 29, 1) == 29 ** 2 + 29 - 1

@@ -40,9 +40,10 @@ ENTRY_POINTS = {
     "torus_sum_check": lambda t: torus_sum_check(
         P("x1*x2", 2), P("x1", 2), Weight((2, 1)), 3, 2, threads=t
     ),
-    # 11^4 points: 2,092 chunks of 7, the last one short
+    # the four variables form one block, so the zero test scans the whole
+    # box of 11^4 points: 2,092 chunks of 7, the last one short
     "count_box_solutions": lambda t: count_box_solutions(
-        S("x1^2+x2^2+x3^2-x4^2", n=4), BoxSpec.cube(4), 5, threads=t
+        S("x1*x2+x2*x3+x3*x4-x4*x1", n=4), BoxSpec.cube(4), 5, threads=t
     ),
     # two generators never split, so the zero test scans the whole box
     "count_box_solutions-r2": lambda t: count_box_solutions(
