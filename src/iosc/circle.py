@@ -64,10 +64,6 @@ class BoxSpec:
         return len(self.bounds)
 
     @property
-    def contains_origin(self) -> bool:
-        return all(lo < 0 < hi for lo, hi in self.bounds)
-
-    @property
     def volume(self) -> Fraction:
         v = Fraction(1)
         for lo, hi in self.bounds:

@@ -168,13 +168,6 @@ class PhaseHistogram:
     m: int
     counts: tuple[int, ...]
 
-    @property
-    def region_size(self) -> int:
-        return sum(self.counts)
-
-    def to_cyclo(self, scale: Fraction | int = 1) -> CycloValue:
-        return cyclo_reduce(self, scale)
-
 
 def phase_histogram(
     f: Poly,

@@ -158,12 +158,6 @@ class Poly:
             raise ValueError("polynomial is not constant")
         return self.terms.get((0,) * self.nvars, 0)
 
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in lexicographic exponent order (canonical form)."""
         return sorted(self.terms.items())

@@ -33,11 +33,14 @@ Counting over Z/p^m has two independent routes that must agree:
   keeps; a child's constraint keeps only its coefficients mod p^e for
   its top target e, divided by their content, which raises its offset.
   Equal reduced nodes over equal ranges of orders have equal counts, so
-  each lift call memoizes them.  A node whose one constraint is a
-  monomial times a unit, h = y^a (c + p w(y)) with c a unit mod p, scans
-  no grid: ord_p h(y) = <a, v> depends only on the valuations v_i of the
-  y_i, so its counts are suffix sums of one finite sum over valuation
-  vectors, the monomial leaves at which Denef's recursion closes.
+  each lift call memoizes them; region-free nodes whose constraints
+  agree mod p, the same ones binding, share one scan of (Z/p)^n, since
+  the zeros mod p and the Jacobian ranks there depend on nothing else.
+  A node whose one constraint is a monomial times a unit, h = y^a (c +
+  p w(y)) with c a unit mod p, scans no grid: ord_p h(y) = <a, v>
+  depends only on the valuations v_i of the y_i, so its counts are
+  suffix sums of one finite sum over valuation vectors, the monomial
+  leaves at which Denef's recursion closes.
 
 Regions constrain coordinates mod p only (all supported modes are
 conditions on the reduction), so they are applied at the first level of
@@ -765,7 +768,20 @@ def _full_rank(jac: np.ndarray, p: int) -> np.ndarray:
 
 
 class _LiftState:
-    """The meter one lift call charges, its node memo and its grid (Z/p)^n."""
+    """The meter one lift call charges, its node memo, its grid (Z/p)^n and
+    its scans of that grid.
+
+    A region-free node's zeros mod p, their sets B and the Jacobian ranks
+    there (_scan_zeros) depend only on its constraints mod p, since
+    GridPolys evaluates them in Z/p and _full_rank works mod p, on which
+    of them must vanish (need), and on whether the node is of order 1,
+    where no rank is tested.  scan() keys them so, with each constraint's
+    nonzero terms mod p in constraint order, since B indexes the
+    constraints, and holds one entry per distinct key for the whole lift
+    call; hits share the dict and its arrays, which callers only read.
+    The caller charges p^n points for every lookup, a hit too, so the
+    charges are those of scanning every node.
+    """
 
     def __init__(self, meter: Meter, nvars: int, p: int):
         self.meter = meter
@@ -773,6 +789,21 @@ class _LiftState:
         # (frozenset of active constraints, lo, hi) -> the counts N(lo..hi)
         # of a region-free node
         self.memo: dict[tuple, list[int]] = {}
+        # (each gen's terms mod p, need, hi == 1) -> _scan_zeros' dict
+        self.scans: dict[tuple, dict] = {}
+
+    def scan(self, gens: list[Poly], need: list[int], hi: int) -> dict:
+        """_scan_zeros(gens, need, ...) of a region-free node, scanned once
+        per distinct key."""
+        p = self.grid.ring.q
+        key = (
+            tuple(frozenset((a, c % p) for a, c in g.terms.items() if c % p) for g in gens),
+            tuple(need),
+            hi == 1,
+        )
+        if key not in self.scans:
+            self.scans[key] = _scan_zeros(gens, need, self.grid.k, p, self.grid, None, hi)
+        return self.scans[key]
 
 
 def _vp(c: int, p: int) -> int:
@@ -1070,7 +1101,12 @@ def _lift_count(
     p^|A| + p^|B| + |C_A| |C_B| points, with no pair term at order 1.  Any
     other node scans (Z/p)^nvars (_scan_zeros), is charged p^nvars points,
     applies the root's region to the zeros and, above order 1, tests the
-    Jacobians' rank on them, on the same scan.  Each child is reduced by
+    Jacobians' rank on them, on the same scan.  That scan reads the
+    constraints mod p only, so a region-free node takes it from
+    state.scan, keyed by the constraints' terms mod p in their order, the
+    constraints it needs and whether hi = 1: one scan per distinct key
+    for the whole call, and a hit is charged p^nvars points as a scan is,
+    before the lookup.  Each child is reduced by
     _constraints, so equal subtrees have equal keys: a region-free node is
     looked up in state.memo by the set of its constraints and its range of
     orders, and a hit costs no work and no budget.  Only the root may
@@ -1103,7 +1139,10 @@ def _lift_count(
         halves = split_halves(gens, state.grid)
     if halves is None:
         charge(p ** nvars, state.meter, "residue-tree level")
-        disks = _scan_zeros(gens, need, nvars, p, state.grid, region, hi)
+        if region is None:
+            disks = state.scan(gens, need, hi)
+        else:
+            disks = _scan_zeros(gens, need, nvars, p, state.grid, region, hi)
     else:
         disks = {tuple(need): _split_zeros(halves, nvars, state.meter, hi)}
 

@@ -176,7 +176,7 @@ def test_torus_transform_degree():
     w = Weight((2, 1))
     out = torus_transform(f, w)
     assert out == P("x1*x2*x3", 3)
-    assert out.total_degree() == wdeg(f, w) == 3
+    assert max(sum(e) for e in out.terms) == wdeg(f, w) == 3
 
 
 def test_torus_transform_w_homogeneous_becomes_homogeneous():

@@ -14,7 +14,7 @@ from iosc import ringcount
 from iosc.circle import BoxSpec, count_box_solutions
 from iosc.expsum import ff_char_sum, residue_histogram, value_histogram
 from iosc.gf import GFTable
-from iosc.errors import BudgetExceeded
+from iosc.errors import DEFAULT_BUDGET, BudgetExceeded
 from iosc.poly import IdealSpec, Poly, eval_mod, parse_poly
 from iosc.ringcount import (
     Full,
@@ -219,6 +219,148 @@ def test_reduction_region_is_implied_at_every_level(ideal):
     assert count_points_raw(gens, n, p, m, region, method="naive") == count_points_raw(
         gens, n, p, m, method="naive"
     )
+
+
+# -- the lift's scan cache ------------------------------------------------------
+
+
+def check_scans(gens, n, p, m, budget=DEFAULT_BUDGET):
+    """The lift's counts N(1..m), each scan it takes from its cache checked
+    against a fresh _scan_zeros of the node's own constraints, and the
+    (scans, distinct keys, lookups) of the walk.
+
+    A key is the constraints' terms mod p in their order, the constraints
+    a node needs and whether it is of order 1; the lift must scan once per
+    distinct key.
+    """
+    real_scan, real_lookup = ringcount._scan_zeros, ringcount._LiftState.scan
+    scans, keys = [], []
+
+    def scan_zeros(*args):
+        scans.append(args)
+        return real_scan(*args)
+
+    def lookup(state, gens, need, hi):
+        before = len(scans)
+        disks = real_lookup(state, gens, need, hi)
+        keys.append((
+            tuple(tuple(sorted((a, c % p) for a, c in g.terms.items() if c % p)) for g in gens),
+            tuple(need),
+            hi == 1,
+        ))
+        if len(scans) == before:  # a hit: the node's own scan must agree
+            fresh = real_scan(gens, need, n, p, state.grid, None, hi)
+            assert disks.keys() == fresh.keys()
+            for B, (smooth, sing) in fresh.items():
+                assert disks[B][0] == smooth
+                assert np.asarray(disks[B][1]).tolist() == np.asarray(sing).tolist()
+        return disks
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ringcount, "_scan_zeros", scan_zeros)
+        mp.setattr(ringcount._LiftState, "scan", lookup)
+        counts = count_points_raw(gens, n, p, m, orders=True, budget=budget)
+    return counts, (len(scans), len(set(keys)), len(keys))
+
+
+@st.composite
+def walk_ideals(draw):
+    """(gens, n, p, M): 1-2 generators with no constant or linear term, in
+    2-3 variables, walked for every order up to M <= 6.
+
+    Every zero at the origin is singular, so the walks go deep and reach
+    many nodes that agree mod p but not mod p^2; no naive count bounds
+    the grid.
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 3))
+    M = draw(st.integers(2, 6))
+    monomial = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) >= 2)
+    poly = st.dictionaries(monomial, st.integers(-9, 9), min_size=1, max_size=3).map(
+        lambda terms: Poly(n, terms)
+    )
+    return draw(st.lists(poly, min_size=1, max_size=2)), n, p, M
+
+
+@given(walk_ideals())
+def test_a_cached_scan_is_the_nodes_own_scan(ideal):
+    try:
+        _, (scans, keys, _) = check_scans(*ideal, budget=10 ** 6)
+    except BudgetExceeded:
+        assume(False)
+    assert scans == keys
+
+
+# the pinned ideals: top count N(M), and the (scans, distinct keys,
+# lookups) of the walk of every order up to M
+PINNED_SCANS = [
+    # the umbrella's 775 region-free scanned nodes reduce to 17 keys mod 7
+    ("x1^2*x2-x3^2", 3, 7, 10, 421759121858806291, (17, 17, 775)),
+    ("x1^2*x2-x3^2", 3, 5, 3, 28125, (5, 5, 5)),
+    # closed form at the root: nothing is scanned
+    ("x1*x2*x3", 3, 5, 8, 4644775390625, (0, 0, 0)),
+    ("x1^2+x1^3", 1, 2, 40, 2 ** 20 + 1, (1, 1, 1)),
+    ("x1^2+x2^2-x3^2-x4^2,x1*x3-x2*x4", 4, 5, 2, 4225, (13, 13, 13)),
+    ("x1*x2,x2*x3", 3, 5, 4, 468625, (47, 47, 308)),
+    ("x1*x2+x3*x4,x1*x3", 4, 3, 3, 6561, (21, 21, 22)),
+]
+
+
+@pytest.mark.parametrize("text, n, p, M, top, walk", PINNED_SCANS)
+def test_a_cached_scan_is_the_nodes_own_scan_on_the_pinned_ideals(text, n, p, M, top, walk):
+    gens = [parse_poly(g, n) for g in text.split(",")]
+    counts, scans = check_scans(gens, n, p, M)
+    assert (counts[-1], scans) == (top, walk)
+
+
+# -- counts are invariant under GL_n(Z) ----------------------------------------
+
+
+def substitute(gens, a):
+    """The gens composed with x -> a x, for an integer n x n matrix a."""
+    n = len(a)
+    rows = [Poly(n, {tuple(int(k == j) for k in range(n)): c for j, c in enumerate(row) if c})
+            for row in a]
+    return [g.eval_poly(rows) for g in gens]
+
+
+@st.composite
+def unimodular(draw, n):
+    """An n x n integer matrix of determinant +-1: a signed permutation
+    times 0-3 transvections x_i += t x_j with |t| <= 2."""
+    order = draw(st.permutations(range(n)))
+    a = [[draw(st.sampled_from([1, -1])) if j == order[i] else 0 for j in range(n)]
+         for i in range(n)]
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j]))
+        t = draw(st.integers(-2, 2))
+        a[i] = [x + t * y for x, y in zip(a[i], a[j])]
+    return a
+
+
+def check_unimodular(gens, n, p, M, a):
+    # x -> a x permutes (Z/p^m)^n for every m, so every N(m) stays
+    assert round(abs(np.linalg.det(np.array(a, dtype=float)))) == 1
+    assert count_points_raw(substitute(gens, a), n, p, M, orders=True) == count_points_raw(
+        gens, n, p, M, orders=True
+    )
+
+
+@given(st.one_of(small_ideals(), deep_ideals(), offset_ideals().map(lambda i: i[:4])), st.data())
+def test_counts_are_invariant_under_unimodular_changes_of_coordinates(ideal, data):
+    gens, n, p, M = ideal
+    check_unimodular(gens, n, p, M, data.draw(unimodular(n)))
+
+
+@pytest.mark.parametrize("text, n, p, M", [case[:4] for case in PINNED_SCANS])
+def test_the_pinned_counts_are_invariant_under_a_unimodular_change(text, n, p, M):
+    gens = [parse_poly(g, n) for g in text.split(",")]
+    # x1 -> -x1 for n = 1; else x1 += x2, then x2 -= 2 x_n, then x_n += x1
+    a = [[-1]] if n == 1 else [[int(i == j) for j in range(n)] for i in range(n)]
+    if n > 1:
+        for i, j, t in [(0, 1, 1), (1, n - 1, -2), (n - 1, 0, 1)]:
+            a[i] = [x + t * y for x, y in zip(a[i], a[j])]
+    check_unimodular(gens, n, p, M, a)
 
 
 # a fixed non-residue c per p, so that F_{p^2} = F_p[t] / (t^2 - c)

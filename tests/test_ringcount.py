@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from iosc import ringcount
-from iosc.errors import BudgetExceeded, OracleDisagreement
+from iosc.errors import BudgetExceeded, Meter, OracleDisagreement
 from iosc.gf import GFTable
 from iosc.poly import IdealSpec, Poly, parse_poly
 from iosc.ringcount import (
@@ -293,6 +294,38 @@ def test_a_non_integer_prime_or_order_is_refused(p, m, name):
 def test_deep_tree_agrees_with_naive(gens, n, p, m):
     # method="both" raises OracleDisagreement when lift and naive differ
     count_zpm(S(*gens, n=n), p, m, method="both")
+
+
+def node_counts(active, nvars, p, lo, hi):
+    """[N(lo), ..., N(hi)] of a lift node by brute force: the z in
+    (Z/p^k)^nvars with ord_p h_j(z) >= k - o_j for every (h_j, o_j)."""
+    return [
+        sum(
+            all(h.eval_int(z) % p ** max(k - o, 0) == 0 for h, o in active)
+            for z in itertools.product(range(p ** k), repeat=nvars)
+        )
+        for k in range(lo, hi + 1)
+    ]
+
+
+def test_one_lift_call_shares_its_scans_only_between_equal_keys():
+    # nodes walked in turn on one lift state: each pair reduces to the same
+    # constraints mod 3, and its second node must not take the first's scan
+    g1, g2, g3 = P("x1^2 - x2^2", 2), P("x1 - x2", 2), P("x1", 2)
+    nodes = [
+        # order 1 counts every zero as smooth, order 2 does not
+        ([(g1, 0)], 1, 1),
+        ([(g1, 0)], 1, 2),
+        # both constraints bind, then only g1 does
+        ([(g1, 0), (g2, 0)], 1, 3),
+        ([(g1, 0), (g2, 1)], 1, 3),
+        # the same constraints in another order: B indexes them
+        ([(g1, 0), (g2, 1), (g3, 2)], 1, 3),
+        ([(g1, 0), (g3, 1), (g2, 2)], 1, 3),
+    ]
+    state = ringcount._LiftState(Meter.of(10 ** 6), 2, 3)
+    walked = [ringcount._lift_count(a, 2, 3, lo, hi, state, None) for a, lo, hi in nodes]
+    assert walked == [node_counts(a, 2, 3, lo, hi) for a, lo, hi in nodes]
 
 
 def test_powmod_matches_pow():
