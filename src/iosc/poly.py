@@ -57,6 +57,18 @@ class Poly:
                 clean[expo] = int(coeff)
         self.terms = clean
 
+    @classmethod
+    def _of(cls, nvars: int, terms: dict[tuple[int, ...], int]) -> "Poly":
+        """The polynomial with this term dict, unchecked and uncopied.
+
+        The caller guarantees what __init__ would enforce: nvars >= 0, each
+        key a tuple of nvars nonnegative ints, each value a nonzero int;
+        and it hands the dict over, never changing it afterwards.
+        """
+        f = object.__new__(cls)
+        f.nvars, f.terms = nvars, terms
+        return f
+
     # -- constructors ---------------------------------------------------
 
     @staticmethod
@@ -356,16 +368,18 @@ class IdealSpec:
         seen: set[int] = set()
         norm: list[tuple[int, list[Poly]]] = []
         for degree, gens in sorted(self.groups, key=lambda g: g[0]):
+            gens = list(gens)
+            # a constant has degree 0, so it is named before the degree check
+            for g in gens:
+                if g.is_constant():
+                    raise ValueError(f"generators must be non-constant, got {g!r}")
             check_int("group degree", degree, 1)
             if degree in seen:
                 raise ValueError(f"duplicate group degree {degree}")
             seen.add(degree)
-            gens = list(gens)
             for g in gens:
                 if g.nvars != self.nvars:
                     raise ValueError("generator nvars mismatch")
-                if g.is_constant():
-                    raise ValueError("generators must be non-constant")
                 if wdeg(g, w) != degree:
                     raise ValueError(
                         f"generator {g!r} has w-degree {wdeg(g, w)}, expected {degree}"

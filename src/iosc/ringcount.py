@@ -30,17 +30,23 @@ Counting over Z/p^m has two independent routes that must agree:
   The re-expansion is an exact Taylor shift on Python ints: g(x0 + p*y)
   has the coefficients p^|b| T_b(x0), with T_b = d^b g / b! tabulated
   only at a node with singular zeros and only for constraints a child
-  keeps; a child's constraint keeps only its coefficients mod p^e for
-  its top target e, divided by their content, which raises its offset.
-  Equal reduced nodes over equal ranges of orders have equal counts, so
-  each lift call memoizes them; region-free nodes whose constraints
-  agree mod p, the same ones binding, share one scan of (Z/p)^n, since
-  the zeros mod p and the Jacobian ranks there depend on nothing else.
-  A node whose one constraint is a monomial times a unit, h = y^a (c +
-  p w(y)) with c a unit mod p, scans no grid: ord_p h(y) = <a, v>
-  depends only on the valuations v_i of the y_i, so its counts are
+  keeps.  A table is compiled: its binomials, powers of p and exponents
+  depend only on g's exponents and the depth, and are built once per
+  lift call, so a node multiplies in its own coefficients only; each
+  singular zero takes one row of powers x0_i^e, shared by the node's
+  constraints.  A child's constraint keeps only its coefficients mod p^e
+  for its top target e, reduced in the shift, divided by their content
+  (the valuation of their gcd), which raises its offset, and is built
+  unchecked.  Equal reduced nodes over equal ranges of orders have equal
+  counts, so each lift call memoizes them; region-free nodes whose
+  constraints agree mod p, the same ones binding, share one scan of
+  (Z/p)^n, since the zeros mod p and the Jacobian ranks there depend on
+  nothing else.  A node whose one constraint is a monomial times a unit,
+  h = y^a (c + p w(y)) with c a unit mod p, scans no grid: ord_p h(y) =
+  <a, v> depends only on the valuations v_i of the y_i, so its counts are
   suffix sums of one finite sum over valuation vectors, the monomial
-  leaves at which Denef's recursion closes.
+  leaves at which Denef's recursion closes; the sum depends on (a, o,
+  lo, hi) only, so a lift call runs it once per such key.
 
 Regions constrain coordinates mod p only (all supported modes are
 conditions on the reduction), so they are applied at the first level of
@@ -768,29 +774,37 @@ def _full_rank(jac: np.ndarray, p: int) -> np.ndarray:
 
 
 class _LiftState:
-    """The meter one lift call charges, its node memo, its grid (Z/p)^n and
-    its scans of that grid.
+    """What one lift call shares between its nodes: the meter it charges,
+    its grid (Z/p)^n and four dicts, each living for the call only.
+
+    - memo: a region-free node's counts N(lo..hi), keyed by (the frozenset
+      of its (constraint, offset) pairs, lo, hi).
+    - scans: _scan_zeros of a region-free node (scan()), keyed by (each
+      constraint's nonzero terms mod p in constraint order, need, hi == 1).
+    - shapes: the shape of a Taylor table (_shift_table), keyed by (a
+      constraint's exponents in order, the table's depth).
+    - sums: the counts of a closed-form node (closed()), keyed by (a, o,
+      lo, hi).
 
     A region-free node's zeros mod p, their sets B and the Jacobian ranks
     there (_scan_zeros) depend only on its constraints mod p, since
     GridPolys evaluates them in Z/p and _full_rank works mod p, on which
     of them must vanish (need), and on whether the node is of order 1,
-    where no rank is tested.  scan() keys them so, with each constraint's
-    nonzero terms mod p in constraint order, since B indexes the
-    constraints, and holds one entry per distinct key for the whole lift
-    call; hits share the dict and its arrays, which callers only read.
-    The caller charges p^n points for every lookup, a hit too, so the
-    charges are those of scanning every node.
+    where no rank is tested.  scan() keys them so, with the constraints in
+    order, since B indexes them, and holds one entry per distinct key;
+    hits share the dict and its arrays, which callers only read, and the
+    singular zeros are int32 rows, since p < 2^31.  The caller charges
+    p^n points for every lookup, a hit too, so the charges are those of
+    scanning every node.
     """
 
     def __init__(self, meter: Meter, nvars: int, p: int):
         self.meter = meter
         self.grid = Grid(nvars, p)
-        # (frozenset of active constraints, lo, hi) -> the counts N(lo..hi)
-        # of a region-free node
         self.memo: dict[tuple, list[int]] = {}
-        # (each gen's terms mod p, need, hi == 1) -> _scan_zeros' dict
         self.scans: dict[tuple, dict] = {}
+        self.shapes: dict[tuple, list] = {}
+        self.sums: dict[tuple, list[int]] = {}
 
     def scan(self, gens: list[Poly], need: list[int], hi: int) -> dict:
         """_scan_zeros(gens, need, ...) of a region-free node, scanned once
@@ -804,6 +818,17 @@ class _LiftState:
         if key not in self.scans:
             self.scans[key] = _scan_zeros(gens, need, self.grid.k, p, self.grid, None, hi)
         return self.scans[key]
+
+    def closed(self, a: tuple[int, ...], o: int, lo: int, hi: int) -> list[int]:
+        """_valuation_sum(a, o, p, lo, hi) of a closed-form node, summed once
+        per distinct key.  Every node is charged its n (hi+1) (hi-o+1)
+        steps first, a hit too, so the charges are those of summing every
+        node."""
+        charge(len(a) * (hi + 1) * (hi - o + 1), self.meter, "closed-form node")
+        key = (a, o, lo, hi)
+        if key not in self.sums:
+            self.sums[key] = _valuation_sum(a, o, self.grid.ring.q, lo, hi)
+        return self.sums[key]
 
 
 def _vp(c: int, p: int) -> int:
@@ -823,62 +848,73 @@ def _constraints(
     """Reduce each constraint ord_p(sum_b coeffs[b] y^b) >= k - o, asked at
     the orders k <= hi, to its class.
 
-    With e = hi - o >= 1 the top target and c the content (the least
-    valuation of a coefficient nonzero mod p^e), the constraint equals
-    ord_p(h) >= k - (o + c) for h = coeffs / p^c reduced mod p^(e - c).  It
-    is dropped when c >= e, since it then holds at every order up to hi.
-    When h is constant, a unit, it holds exactly at the orders k <= o + c,
-    so it lowers the top order to o + c.  Returns the (h, o + c) pairs whose
-    offset is below the top order, and the top order.
+    Each coeffs is a fresh dict of residues mod p^e, e = hi - o >= 1 the
+    top target, in 1..p^e - 1: the zero ones are dropped (_shift), and a
+    dict with none left holds at every order up to hi and is dropped.
+    With c the content, the valuation of the coefficients' gcd, the
+    constraint equals ord_p(h) >= k - (o + c) for h = coeffs / p^c, which
+    is reduced mod p^(e - c).  When h's one exponent is 0, h is a unit and
+    holds exactly at the orders k <= o + c, so it lowers the top order to
+    o + c.  Otherwise h is built on the dict by the unchecked Poly._of.
+    Returns the (h, o + c) pairs whose offset is below the top order, and
+    the top order.
     """
-    active, top = [], hi
+    active, top, zero = [], hi, (0,) * nvars
     for coeffs, o in polys:
-        q = p ** (hi - o)
-        nonzero = [(b, r) for b, v in coeffs.items() if (r := v % q)]
-        if not nonzero:
+        if not coeffs:
             continue
-        c = min(_vp(v, p) for _, v in nonzero)
-        h = Poly(nvars, {b: v // p ** c for b, v in nonzero})
-        if h.is_constant():
+        c = _vp(math.gcd(*coeffs.values()), p)
+        if c:
+            unit = p ** c
+            coeffs = {b: v // unit for b, v in coeffs.items()}
+        if len(coeffs) == 1 and zero in coeffs:
             top = min(top, o + c)
         else:
-            active.append((h, o + c))
+            active.append((Poly._of(nvars, coeffs), o + c))
     # o + c < hi, since c < hi - o; only a unit constant can cut deeper
     if top < hi:
         active = [(h, o) for h, o in active if o < top]
     return active, top
 
 
-def _shift_table(g: Poly, top: int) -> dict[tuple[int, ...], list]:
-    """The Taylor coefficients T_b = d^b g / b! of g for |b| <= top.
+def _shift_table(g: Poly, depth: int, p: int, shapes: dict) -> list[tuple[tuple, list]]:
+    """The scaled Taylor coefficients p^|b| T_b, T_b = d^b g / b!, of g for
+    |b| <= depth, so that g(z + p y) = sum_b p^|b| T_b(z) y^b.
 
-    T_b is kept as a list of (exponent, coefficient) terms, built from the
-    binomials C(a, b) of g's terms c x^a, so that
-    g(z + p y) = sum_b p^|b| T_b(z) y^b with T_0 = g.
+    Each b comes with the terms of p^|b| T_b, as (c C(a, b) p^|b|, the
+    nonzero (i, e) of a - b) for g's terms c x^a with b <= a.  Only the
+    coefficients c depend on g: the rest, the shape, depends on g's
+    exponents in order and the depth, and is built once per such key in
+    shapes (_LiftState.shapes), with each term's index in g.
     """
-    table: dict[tuple[int, ...], list] = {}
-    for a, c in g.terms.items():
-        for b in itertools.product(*(range(min(ai, top) + 1) for ai in a)):
-            if sum(b) <= top:
-                binom = math.prod(math.comb(ai, bi) for ai, bi in zip(a, b))
-                rest = tuple(ai - bi for ai, bi in zip(a, b))
-                table.setdefault(b, []).append((rest, c * binom))
-    return table
+    key = (tuple(g.terms), depth)
+    if key not in shapes:
+        shape: dict[tuple[int, ...], list] = {}
+        for k, a in enumerate(g.terms):
+            for b in itertools.product(*(range(min(ai, depth) + 1) for ai in a)):
+                if sum(b) <= depth:
+                    scale = math.prod(map(math.comb, a, b)) * p ** sum(b)
+                    rest = tuple((i, ai - bi) for i, (ai, bi) in enumerate(zip(a, b)) if ai > bi)
+                    shape.setdefault(b, []).append((k, scale, rest))
+        shapes[key] = list(shape.items())
+    coeffs = list(g.terms.values())
+    return [(b, [(coeffs[k] * scale, rest) for k, scale, rest in terms])
+            for b, terms in shapes[key]]
 
 
-def _shift(table: dict, z0: list[int], p: int) -> dict[tuple[int, ...], int]:
-    """The coefficients of y^b in g(z0 + p y) for the table's b."""
-
-    def at(terms) -> int:
+def _shift(table: list, powers: list[list[int]], q: int) -> dict[tuple[int, ...], int]:
+    """The coefficients of y^b in g(z0 + p y) mod q, for the b of g's table
+    (_shift_table), the zero ones dropped; powers[i][e] is z0_i^e."""
+    out = {}
+    for b, terms in table:
         total = 0
-        for a, c in terms:
-            for z, ai in zip(z0, a):
-                if ai:
-                    c *= z ** ai
+        for c, rest in terms:
+            for i, e in rest:
+                c *= powers[i][e]
             total += c
-        return total
-
-    return {b: at(terms) * p ** sum(b) for b, terms in table.items()}
+        if total := total % q:
+            out[b] = total
+    return out
 
 
 def _unit_monomial(active: list[tuple[Poly, int]], p: int) -> tuple[int, ...] | None:
@@ -895,23 +931,20 @@ def _unit_monomial(active: list[tuple[Poly, int]], p: int) -> tuple[int, ...] | 
     return a
 
 
-def _valuation_sum(
-    a: tuple[int, ...], o: int, p: int, lo: int, hi: int, meter: Meter
-) -> list[int]:
+def _valuation_sum(a: tuple[int, ...], o: int, p: int, lo: int, hi: int) -> list[int]:
     """[N(lo), ..., N(hi)] for N(k) = #{z in (Z/p^k)^n : ord_p h(z) >= k - o},
     h = z^a times a unit and o < lo <= hi.
 
     On (Z/p^hi)^n, ord_p h(z) = <a, v> for v_i = min(ord_p z_i, hi), and
     c(v) = (p-1) p^(hi-1-v) residues have v_i = v < hi, c(hi) = 1.  The
     number of z with <a, v> = s, s capped at e = hi - o, is a sum over v in
-    {0..hi}^n of prod_i c(v_i), run axis by axis and charged its
-    n (hi+1) (e+1) steps first; an axis with a_i = 0 constrains nothing and
-    contributes p^hi.  Its suffix sums count the z with <a, v> >= k - o,
-    and N(k) is that count over p^((hi-k) n), since the condition depends
-    on z mod p^k only.
+    {0..hi}^n of prod_i c(v_i), run axis by axis in n (hi+1) (e+1) steps,
+    which the caller charges (_LiftState.closed); an axis with a_i = 0
+    constrains nothing and contributes p^hi.  Its suffix sums count the z
+    with <a, v> >= k - o, and N(k) is that count over p^((hi-k) n), since
+    the condition depends on z mod p^k only.
     """
     e = hi - o
-    charge(len(a) * (hi + 1) * (e + 1), meter, "closed-form node")
     c = [(p - 1) * p ** (hi - 1 - v) for v in range(hi)] + [1]
     # ways[s]: the residues of the axes so far with <a, v> = s, s capped at e
     ways = [1] + [0] * e
@@ -938,7 +971,8 @@ def _scan_zeros(
 ) -> dict[tuple[int, ...], tuple[int, Sequence]]:
     """The common zeros mod p in the region of the gens indexed by need,
     grouped by the set B of all gens that vanish at them: B -> (the number
-    of zeros at which the Jacobian of B has full rank, the other zeros).
+    of zeros at which the Jacobian of B has full rank, the other zeros as
+    int32 rows, or () for none).
     One GridPolys scan of the grid (Z/p)^nvars evaluates the gens and their
     partials d g_i / d x_j; each B's Jacobian is read at its zeros' flat
     positions, and only the singular zeros are decoded.
@@ -990,7 +1024,10 @@ def _scan_zeros(
             full = _full_rank(jac[rows][:, B], p)
             smooth[B] = smooth.get(B, 0) + int(full.sum())
             sing.setdefault(B, []).append(grid.rows(chunk, where[rows][~full]))
-    return {B: (smooth[B], np.concatenate(sing[B]) if B in sing else ()) for B in smooth}
+    return {
+        B: (smooth[B], np.concatenate(sing[B], dtype=np.int32) if B in sing else ())
+        for B in smooth
+    }
 
 
 def _split_zeros(
@@ -1082,9 +1119,13 @@ def _lift_count(
     constraints, offsets o_j + content - 1, and the orders one lower, and
     its counts are the disk's.  The coefficient of y^b in h(z0 + p y) is
     p^|b| T_b(z0), with T_b = d^b h / b!, and only |b| < hi - o_j matters;
-    the tables of T_b are built once per node with singular zeros, for the
-    constraints a child can keep.  A count of one order m is the range
-    [m, m] at the root.
+    the tables of p^|b| T_b are built once per node with singular zeros,
+    for the constraints a child can keep, on shapes shared by the call
+    (_shift_table).  Each singular zero takes one row of powers z0_i^e,
+    which the shift of every such constraint reads (_shift), and the child
+    keeps the coefficients mod p^(top - o_j) for the disk's top order top.
+    _constraints reduces the child and builds its constraints unchecked.
+    A count of one order m is the range [m, m] at the root.
 
     A node of order 1 (hi = 1, so lo = 1 and every o_j = 0) counts each
     common zero mod p once, smooth or singular (a singular zero's child
@@ -1113,8 +1154,9 @@ def _lift_count(
     carry a region, and a node with a region is never looked up.  A
     region-free node whose one constraint is a monomial times a unit
     (_unit_monomial) scans nothing: it is counted in closed form by
-    _valuation_sum, charged its steps as a "closed-form node", and
-    memoized like any other node.
+    state.closed, charged its steps as a "closed-form node" whether or not
+    its sum is cached, runs _valuation_sum once per (a, o, lo, hi) for the
+    whole call, and is memoized like any other node.
     """
     if not active and region is None:
         return [p ** (k * nvars) for k in range(lo, hi + 1)]
@@ -1128,7 +1170,7 @@ def _lift_count(
         if key not in state.memo:
             expo = _unit_monomial(active, p)
             if expo is not None:
-                state.memo[key] = _valuation_sum(expo, active[0][1], p, lo, hi, state.meter)
+                state.memo[key] = state.closed(expo, active[0][1], lo, hi)
         if key in state.memo:
             return every + state.memo[key]
 
@@ -1160,14 +1202,16 @@ def _lift_count(
                 counts[k - lo] += smooth * p ** ((k - 1) * nvars - cut)
         if not len(sing):
             continue
-        # a constraint with o_j >= top - 1 holds at every child
-        shifted = []
+        # a constraint with o_j >= top - 1 holds at every child, which
+        # keeps the others mod p^(top - o_j): (table, that modulus, offset)
+        shifted, degree = [], 0
         for j in B:
             g, o = active[j]
             if o < top - 1:
                 if j not in tables:
-                    tables[j] = _shift_table(g, hi - o - 1)
-                shifted.append((tables[j], o - 1))
+                    tables[j] = _shift_table(g, hi - o - 1, p, state.shapes)
+                shifted.append((tables[j], p ** (top - o), o - 1))
+                degree = max(degree, *map(max, g.terms))
         # equal children are walked once, in the order they first appear,
         # so the charges are those of walking each (a repeat is a memo hit)
         children: dict[tuple, list] = {}
@@ -1175,8 +1219,9 @@ def _lift_count(
             children[frozenset(), top - 1] = [[], len(sing)]
         else:
             for z0 in sing.tolist():
+                powers = [[z ** e for e in range(degree + 1)] for z in z0]
                 child, child_top = _constraints(
-                    ((_shift(t, z0, p), o) for t, o in shifted), top - 1, nvars, p
+                    [(_shift(t, powers, q), o) for t, q, o in shifted], top - 1, nvars, p
                 )
                 if child_top >= lo - 1:
                     children.setdefault((frozenset(child), child_top), [child, 0])[1] += 1
@@ -1212,7 +1257,10 @@ def count_points_raw(
 
     if method == "lift":
         lo = 1 if orders else m
-        active, top = _constraints(((g.terms, 0) for g in gens), m, nvars, p)
+        q = p ** m
+        active, top = _constraints(
+            (({b: r for b, c in g.terms.items() if (r := c % q)}, 0) for g in gens), m, nvars, p
+        )
         counts = []
         if top >= lo:
             counts = _lift_count(active, nvars, p, lo, top, _LiftState(budget, nvars, p), region)

@@ -178,6 +178,17 @@ def test_exit_invalid_input():
     assert main(["count", "--gens", "1 - 1", "-n", "1", "-p", "3", "-m", "1"]) == 2
 
 
+@pytest.mark.parametrize("gens", [["3"], ["x1", "3"]])
+def test_a_constant_generator_exits_2_and_is_named(gens, capsys):
+    argv = ["count", "-n", "2", "-p", "3", "-m", "2"]
+    for g in gens:
+        argv += ["--gens", g]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "generators must be non-constant, got 3" in err
+    assert "group degree" not in err
+
+
 def test_exit_budget():
     assert (
         main(

@@ -271,6 +271,23 @@ def test_ideal_spec_rejects_constant_gen():
         IdealSpec.from_gens([Poly.const(3, 1)])
 
 
+@pytest.mark.parametrize("gens", [["3"], ["x1", "3"], ["x1^2", "x2", "-7"]])
+def test_a_constant_generator_is_named_before_its_degree_is_checked(gens):
+    # a constant has degree 0, which the group degree check would refuse
+    # first with a message about degrees
+    with pytest.raises(ValueError, match="generators must be non-constant, got -?[37]$"):
+        IdealSpec.from_gens([P(g, 2) for g in gens])
+    with pytest.raises(ValueError, match="generators must be non-constant"):
+        IdealSpec(2, [(1, [P("x1", 2)]), (2, [P(g, 2) for g in gens])])
+
+
+def test_the_unchecked_constructor_equals_the_checked_one():
+    terms = {(2, 0): 3, (0, 1): -1}
+    f = Poly._of(2, terms)
+    assert f == Poly(2, terms) and hash(f) == hash(Poly(2, terms))
+    assert f.terms is terms
+
+
 def test_ideal_spec_weight_mismatch():
     with pytest.raises(ValueError):
         IdealSpec(1, [(1, [P("x1^2", 1)])], Weight((1,)))

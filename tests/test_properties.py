@@ -14,7 +14,7 @@ from iosc import ringcount
 from iosc.circle import BoxSpec, count_box_solutions
 from iosc.expsum import ff_char_sum, residue_histogram, value_histogram
 from iosc.gf import GFTable
-from iosc.errors import DEFAULT_BUDGET, BudgetExceeded
+from iosc.errors import DEFAULT_BUDGET, BudgetExceeded, Meter
 from iosc.poly import IdealSpec, Poly, eval_mod, parse_poly
 from iosc.ringcount import (
     Full,
@@ -311,6 +311,66 @@ def test_a_cached_scan_is_the_nodes_own_scan_on_the_pinned_ideals(text, n, p, M,
     gens = [parse_poly(g, n) for g in text.split(",")]
     counts, scans = check_scans(gens, n, p, M)
     assert (counts[-1], scans) == (top, walk)
+
+
+# -- the lift's compiled Taylor shift --------------------------------------------
+
+
+@st.composite
+def shifted_nodes(draw):
+    """(constraints, n, p, lo, hi, zeros): a node of 1-2 constraints (h, o)
+    in n <= 3 variables, each of degree <= 4 with a coefficient prime to p
+    and others that p may divide, all shifted (o < hi - 1), and 2-3 points
+    of [0, p)^n to shift them at."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 3))
+    hi = draw(st.integers(2, 6))
+    monomial = st.tuples(*[st.integers(0, 4)] * n).filter(lambda e: 0 < sum(e) <= 4)
+    coeff = st.tuples(st.integers(-9, 9), st.integers(0, 2)).map(lambda t: t[0] * p ** t[1])
+    poly = st.dictionaries(monomial, coeff, min_size=1, max_size=4).map(lambda t: Poly(n, t))
+    active = draw(st.lists(st.tuples(poly, st.integers(0, hi - 2)), min_size=1, max_size=2))
+    for h, _ in active:
+        assume(any(c % p for c in h.terms.values()))
+    # one constraint that is a monomial times a unit is summed, not shifted
+    assume(ringcount._unit_monomial(active, p) is None)
+    lo = draw(st.integers(1, hi))
+    zeros = draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * n), min_size=2, max_size=3))
+    return active, n, p, lo, hi, zeros
+
+
+def taylor_shift(h, z0, p, q):
+    """The coefficients of h(z0 + p y) mod q, the zero ones dropped, by
+    Poly arithmetic."""
+    n = h.nvars
+    shifted = Poly.zero(n)
+    for a, c in h.terms.items():
+        term = Poly.const(c, n)
+        for i, e in enumerate(a):
+            term = term * (Poly.const(z0[i], n) + p * Poly.var(i, n)) ** e
+        shifted = shifted + term
+    return {b: r for b, c in shifted.terms.items() if (r := c % q)}
+
+
+@given(shifted_nodes())
+def test_the_compiled_shift_is_the_taylor_shift(node):
+    # the node's scan is replaced by the drawn points, all singular for
+    # every constraint, so each child keeps every constraint, shifted
+    # there and reduced mod p^(hi - o)
+    active, n, p, lo, hi, zeros = node
+    state = ringcount._LiftState(Meter.of(10 ** 9), n, p)
+    state.scan = lambda gens, *_: {tuple(range(len(gens))): (0, np.array(zeros))}
+    seen = []
+
+    def constraints(polys, top, nvars, p):
+        seen.append(list(polys))
+        return [], top
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ringcount, "_constraints", constraints)
+        ringcount._lift_count(active, n, p, lo, hi, state, None)
+    assert seen == [
+        [(taylor_shift(h, z0, p, p ** (hi - o)), o - 1) for h, o in active] for z0 in zeros
+    ]
 
 
 # -- counts are invariant under GL_n(Z) ----------------------------------------

@@ -192,6 +192,48 @@ def test_a_monomial_times_a_unit_is_counted_with_no_grid_scan(monkeypatch):
     assert count_zpm(S("x1*x2*x3", n=3), 5, 8) == 4644775390625
 
 
+def test_a_closed_form_sum_runs_once_per_key_and_charges_every_node(monkeypatch):
+    # ord_p(u y^a) = <a, v> for every unit u, so a node's closed-form counts
+    # depend only on (a, o, lo, hi); the umbrella's walk at p = 7 reaches
+    # 289 closed-form nodes with 3 keys, and each node is charged its steps
+    real_sum, keys = ringcount._valuation_sum, []
+
+    def valuation_sum(a, o, p, lo, hi):
+        assert (a, o, lo, hi) not in keys, "a key summed twice"
+        keys.append((a, o, lo, hi))
+        return real_sum(a, o, p, lo, hi)
+
+    real_charge, closed = ringcount.charge, []
+
+    def charge(needed, budget, what="enumeration"):
+        if what == "closed-form node":
+            closed.append(needed)
+        real_charge(needed, budget, what)
+
+    monkeypatch.setattr(ringcount, "_valuation_sum", valuation_sum)
+    monkeypatch.setattr(ringcount, "charge", charge)
+    counts = count_points_raw([P("x1^2*x2 - x3^2", 3)], 3, 7, 7, orders=True)
+    assert counts == (49, 4459, 218491, 15647317, 766718533, 49433168575, 2422225260175)
+    assert (len(keys), len(closed), sum(closed)) == (3, 289, 14610)
+
+
+def test_closed_form_nodes_share_a_sum_only_between_equal_keys():
+    # nodes walked in turn on one lift state, each a monomial times a unit;
+    # each pair differs in one of o, lo and hi, and its second node must
+    # not take the first's counts
+    h, u = P("x1*x2^2", 2), P("2*x1*x2^2 + 3*x1^2*x2^2", 2)
+    nodes = [
+        ([(h, 0)], 1, 3),
+        ([(h, 0)], 2, 3),  # lo
+        ([(u, 1)], 2, 3),  # o, and the unit 2 + 3 y1
+        ([(h, 0)], 2, 2),  # hi
+    ]
+    state = ringcount._LiftState(Meter.of(10 ** 6), 2, 3)
+    walked = [ringcount._lift_count(a, 2, 3, lo, hi, state, None) for a, lo, hi in nodes]
+    assert walked == [node_counts(a, 2, 3, lo, hi) for a, lo, hi in nodes]
+    assert len(state.sums) == len(nodes)
+
+
 QUADRICS = ("x1^2+x2^2-x3^2-x4^2", "x1*x3-x2*x4")
 
 
