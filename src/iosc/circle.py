@@ -109,11 +109,10 @@ def count_box_solutions(
     checked to stay below 2^62 on it (_box_ranges, before any charge).
     A single generator that splits into variable-disjoint halves,
     f = f_A(x_A) + f_B(x_B) (ringcount.split_halves of the box's Int64
-    grid), on a box of more than min(CHUNK, SPLIT_POINTS) points
-    (ringcount, read at call time; 2^14, where a split's fixed cost falls
-    below the scan's) is counted by the lift's one split routine,
-    _split_zeros, as an order-1 node: the pairs of the two sub-boxes'
-    values with f_A = -f_B, charged the sub-boxes' points.  Any other box
+    grid), on a box past the split gate (ringcount.SPLIT_POINTS) is
+    counted by the lift's one split routine, _split_zeros, as an order-1
+    node: the pairs of the two sub-boxes' values with f_A = -f_B, charged
+    the sub-boxes' points.  Any other box
     is scanned by ringcount._count_naive and charged its points.  The
     count is independent of the thread count.
     """
@@ -126,7 +125,7 @@ def count_box_solutions(
     grid = Grid(spec.nvars, Int64(), lows, sizes)
     halves = split_halves(spec.generators, grid) if spec.r == 1 else None
     if halves is not None:
-        return _split_zeros(halves, spec.nvars, Meter.of(budget), 1, "box enumeration")[0]
+        return _split_zeros(halves, Meter.of(budget), 1, "box enumeration")[0]
     charge(total, budget, "box enumeration")
     return _count_naive(spec.generators, grid, None, threads)
 

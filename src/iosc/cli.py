@@ -40,7 +40,7 @@ from . import sseries as sseries_mod
 from . import zeta as zeta_mod
 from .bounds import ExtRational
 from .errors import DEFAULT_BUDGET, BudgetExceeded, Meter, OracleDisagreement, check_int
-from .poly import IdealSpec, Poly, PolyParseError, Weight, jet_expand, parse_poly
+from .poly import IdealSpec, Poly, PolyParseError, Weight, highpart_check, jet_expand, parse_poly
 from .ringcount import (
     Full,
     LocalData,
@@ -408,8 +408,6 @@ def cmd_jet(args) -> dict:
         jets = jet_expand(f, args.order, args.start, args.meter)
         return {"jets": [repr(j) for j in jets]}
     if args.which == "highpart-check":
-        from .poly import highpart_check
-
         spec = _load_ideal(args)
         ok = highpart_check(spec, args.m, args.meter)
         if not ok:

@@ -482,7 +482,11 @@ def parse_poly(text: str, nvars: int, names: Sequence[str] | None = None) -> Pol
         return result
 
     def parse_factor() -> Poly:
+        # a unary minus binds looser than ^, as in Python: -x^2 = -(x^2)
         nonlocal pos
+        if peek() == "-":
+            pos += 1
+            return -parse_factor()
         base = parse_atom()
         if peek() == "^":
             pos += 1
@@ -506,9 +510,6 @@ def parse_poly(text: str, nvars: int, names: Sequence[str] | None = None) -> Pol
                 raise PolyParseError("expected ')'", pos)
             pos += 1
             return inner
-        if c == "-":
-            pos += 1
-            return -parse_atom()
         if c.isdigit():
             while pos < len(text) and text[pos].isdigit():
                 pos += 1

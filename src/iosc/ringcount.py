@@ -3,50 +3,8 @@
 Counting over Z/p^m has two independent routes that must agree:
 
 * ``naive`` enumerates the full residue grid (the always-available oracle);
-* ``lift`` walks a recursive residue tree (Denef's stationary-phase
-  recursion) once for every order 1..m at the same time: a node is its
-  constraints ord_p h_j >= k - o_j, with offsets o_j, and returns its
-  counts at every order k of a range.  It finds the zeros mod p of the
-  constraints that bind at the range's lowest order, collapses the
-  smooth ones in closed form (a point where the Jacobian of the
-  constraints vanishing there has full rank mod p, found by Gaussian
-  elimination, lifts p^(n - |B|) ways per level; a constraint that is a
-  unit there caps the orders at its offset) and re-expands
-  x = x0 + p*y only below singular points.  A count of one order m is
-  the range [m, m].  A node of order 1 (the range [1, 1]) only counts
-  its zeros mod p, since each one counts 1, smooth or singular: it
-  evaluates no partial derivative.  A node scans the grid (Z/p)^n, at a
-  charge of p^n points, except where its constraints split into
-  variable-disjoint blocks, g_j = g_jA(x_A) + g_jB(x_B), on more than
-  SPLIT_POINTS = 2^14 points and under no region, at order 1 for any
-  number of constraints and above it for one: from about 2^14 points a
-  split's fixed cost, about 0.2 ms, is below the scan's (split_halves).
-  There _split_zeros scans two half grids instead, at one charge of
-  p^|A| + p^|B| + |C_A| |C_B| points: the zeros are the pairs of points
-  whose value vectors cancel (Weil's count of diagonal equations, taken
-  to vectors), and above order 1 the singular zeros are the pairs of
-  points of the halves' critical sets C_A, C_B whose values cancel (at
-  order 1 C_A, C_B are not computed).
-  The re-expansion is an exact Taylor shift on Python ints: g(x0 + p*y)
-  has the coefficients p^|b| T_b(x0), with T_b = d^b g / b! tabulated
-  only at a node with singular zeros and only for constraints a child
-  keeps.  A table is compiled: its binomials, powers of p and exponents
-  depend only on g's exponents and the depth, and are built once per
-  lift call, so a node multiplies in its own coefficients only; each
-  singular zero takes one row of powers x0_i^e, shared by the node's
-  constraints.  A child's constraint keeps only its coefficients mod p^e
-  for its top target e, reduced in the shift, divided by their content
-  (the valuation of their gcd), which raises its offset, and is built
-  unchecked.  Equal reduced nodes over equal ranges of orders have equal
-  counts, so each lift call memoizes them; region-free nodes whose
-  constraints agree mod p, the same ones binding, share one scan of
-  (Z/p)^n, since the zeros mod p and the Jacobian ranks there depend on
-  nothing else.  A node whose one constraint is a monomial times a unit,
-  h = y^a (c + p w(y)) with c a unit mod p, scans no grid: ord_p h(y) =
-  <a, v> depends only on the valuations v_i of the y_i, so its counts are
-  suffix sums of one finite sum over valuation vectors, the monomial
-  leaves at which Denef's recursion closes; the sum depends on (a, o,
-  lo, hi) only, so a lift call runs it once per such key.
+* ``lift`` walks Denef's recursive residue tree once for every order
+  1..m at the same time (_Lift).
 
 Regions constrain coordinates mod p only (all supported modes are
 conditions on the reduction), so they are applied at the first level of
@@ -285,9 +243,9 @@ def map_sum(worker: Callable, chunks: Iterable, threads: int):
     submission order.
 
     The fixed order makes the total identical for any thread count.  The
-    first result starts the sum, so boolean masks add as logical or and
-    no accumulator is wider than the worker's results.  Submissions are
-    windowed so that only a bounded number of chunks is alive at a time.
+    first result starts the sum, so no accumulator is wider than the
+    worker's results.  Submissions are windowed so that only a bounded
+    number of chunks is alive at a time.
     """
     total = None
 
@@ -773,64 +731,6 @@ def _full_rank(jac: np.ndarray, p: int) -> np.ndarray:
     return full
 
 
-class _LiftState:
-    """What one lift call shares between its nodes: the meter it charges,
-    its grid (Z/p)^n and four dicts, each living for the call only.
-
-    - memo: a region-free node's counts N(lo..hi), keyed by (the frozenset
-      of its (constraint, offset) pairs, lo, hi).
-    - scans: _scan_zeros of a region-free node (scan()), keyed by (each
-      constraint's nonzero terms mod p in constraint order, need, hi == 1).
-    - shapes: the shape of a Taylor table (_shift_table), keyed by (a
-      constraint's exponents in order, the table's depth).
-    - sums: the counts of a closed-form node (closed()), keyed by (a, o,
-      lo, hi).
-
-    A region-free node's zeros mod p, their sets B and the Jacobian ranks
-    there (_scan_zeros) depend only on its constraints mod p, since
-    GridPolys evaluates them in Z/p and _full_rank works mod p, on which
-    of them must vanish (need), and on whether the node is of order 1,
-    where no rank is tested.  scan() keys them so, with the constraints in
-    order, since B indexes them, and holds one entry per distinct key;
-    hits share the dict and its arrays, which callers only read, and the
-    singular zeros are int32 rows, since p < 2^31.  The caller charges
-    p^n points for every lookup, a hit too, so the charges are those of
-    scanning every node.
-    """
-
-    def __init__(self, meter: Meter, nvars: int, p: int):
-        self.meter = meter
-        self.grid = Grid(nvars, p)
-        self.memo: dict[tuple, list[int]] = {}
-        self.scans: dict[tuple, dict] = {}
-        self.shapes: dict[tuple, list] = {}
-        self.sums: dict[tuple, list[int]] = {}
-
-    def scan(self, gens: list[Poly], need: list[int], hi: int) -> dict:
-        """_scan_zeros(gens, need, ...) of a region-free node, scanned once
-        per distinct key."""
-        p = self.grid.ring.q
-        key = (
-            tuple(frozenset((a, c % p) for a, c in g.terms.items() if c % p) for g in gens),
-            tuple(need),
-            hi == 1,
-        )
-        if key not in self.scans:
-            self.scans[key] = _scan_zeros(gens, need, self.grid.k, p, self.grid, None, hi)
-        return self.scans[key]
-
-    def closed(self, a: tuple[int, ...], o: int, lo: int, hi: int) -> list[int]:
-        """_valuation_sum(a, o, p, lo, hi) of a closed-form node, summed once
-        per distinct key.  Every node is charged its n (hi+1) (hi-o+1)
-        steps first, a hit too, so the charges are those of summing every
-        node."""
-        charge(len(a) * (hi + 1) * (hi - o + 1), self.meter, "closed-form node")
-        key = (a, o, lo, hi)
-        if key not in self.sums:
-            self.sums[key] = _valuation_sum(a, o, self.grid.ring.q, lo, hi)
-        return self.sums[key]
-
-
 def _vp(c: int, p: int) -> int:
     """The p-adic valuation of a nonzero integer."""
     if c == 0:
@@ -885,7 +785,7 @@ def _shift_table(g: Poly, depth: int, p: int, shapes: dict) -> list[tuple[tuple,
     nonzero (i, e) of a - b) for g's terms c x^a with b <= a.  Only the
     coefficients c depend on g: the rest, the shape, depends on g's
     exponents in order and the depth, and is built once per such key in
-    shapes (_LiftState.shapes), with each term's index in g.
+    shapes (_Lift.shapes), with each term's index in g.
     """
     key = (tuple(g.terms), depth)
     if key not in shapes:
@@ -939,7 +839,7 @@ def _valuation_sum(a: tuple[int, ...], o: int, p: int, lo: int, hi: int) -> list
     c(v) = (p-1) p^(hi-1-v) residues have v_i = v < hi, c(hi) = 1.  The
     number of z with <a, v> = s, s capped at e = hi - o, is a sum over v in
     {0..hi}^n of prod_i c(v_i), run axis by axis in n (hi+1) (e+1) steps,
-    which the caller charges (_LiftState.closed); an axis with a_i = 0
+    which the caller charges (_Lift.count); an axis with a_i = 0
     constrains nothing and contributes p^hi.  Its suffix sums count the z
     with <a, v> >= k - o, and N(k) is that count over p^((hi-k) n), since
     the condition depends on z mod p^k only.
@@ -961,19 +861,13 @@ def _valuation_sum(a: tuple[int, ...], o: int, p: int, lo: int, hi: int) -> list
 
 
 def _scan_zeros(
-    gens: list[Poly],
-    need: list[int],
-    nvars: int,
-    p: int,
-    grid: Grid,
-    region: Region | None,
-    hi: int,
+    gens: list[Poly], need: list[int], grid: Grid, region: Region | None, hi: int
 ) -> dict[tuple[int, ...], tuple[int, Sequence]]:
     """The common zeros mod p in the region of the gens indexed by need,
     grouped by the set B of all gens that vanish at them: B -> (the number
     of zeros at which the Jacobian of B has full rank, the other zeros as
     int32 rows, or () for none).
-    One GridPolys scan of the grid (Z/p)^nvars evaluates the gens and their
+    One GridPolys scan of the grid (Z/p)^n evaluates the gens and their
     partials d g_i / d x_j; each B's Jacobian is read at its zeros' flat
     positions, and only the singular zeros are decoded.
 
@@ -982,7 +876,7 @@ def _scan_zeros(
     runs no rank test, decodes no row and reports all of the zeros as
     full rank under B = all gens.
     """
-    r = len(gens)
+    r, nvars, p = len(gens), grid.k, grid.ring.q
     partials = [] if hi == 1 else [g.derivative(j) for g in gens for j in range(nvars)]
     scan = GridPolys(grid, gens + partials)
     inside = region.on(grid, p) if region is not None else lambda chunk: None
@@ -1032,7 +926,6 @@ def _scan_zeros(
 
 def _split_zeros(
     halves: list[tuple[list[int], Grid, list[Poly]]],
-    nvars: int,
     meter: Meter,
     hi: int,
     what: str = "residue-tree level",
@@ -1087,150 +980,164 @@ def _split_zeros(
     (pts_a, at_a), (pts_b, at_b) = crit
     charge(scanned + len(pts_a) * len(pts_b), meter, what)
     ia, ib = _matching_pairs(at_a, at_b)
-    sing = np.empty((len(ia), nvars), dtype=np.int64)
+    sing = np.empty((len(ia), len(halves[0][0]) + len(halves[1][0])), dtype=np.int64)
     for (axes, _, _), pts in zip(halves, (pts_a[ia], pts_b[ib])):
         sing[:, axes] = pts
     return zeros - len(sing), sing
 
 
-def _lift_count(
-    active: list[tuple[Poly, int]],
-    nvars: int,
-    p: int,
-    lo: int,
-    hi: int,
-    state: _LiftState,
-    region: Region | None,
-) -> list[int]:
-    """[N(lo), ..., N(hi)] for N(k) = #{z in (Z/p^k)^nvars : ord_p h_j(z) >=
-    k - o_j for all j}, z mod p in the region.
+class _Lift:
+    """One lift call: Denef's residue tree over (Z/p)^n, each node walked
+    for every order of a range at once.  It holds the meter it charges,
+    its grid (Z/p)^n, built once, and four dicts that live for the call:
 
-    Invariant: 0 <= o_j < hi for every active constraint (h_j, o_j), and
-    h_j has a coefficient prime to p and is reduced mod p^e for an
-    e >= hi - o_j (see _constraints).
-    Without a region, the orders k <= min o_j hold at every point.  From
-    the next order up, every constraint with o_j < lo binds, and the node
-    takes each common zero z0 mod p of those, with B the set of all
-    constraints that vanish at z0.  A constraint outside B is a unit on
-    z0's disk, so the disk counts only at the orders k <= o_j.  When the
-    Jacobian of B has full rank mod p at z0, the disk adds
-    p^((k-1) n - sum_{j in B} max(k - o_j - 1, 0)) at order k (Hensel).
-    Otherwise it is re-expanded as z0 + p*y: the child has B's shifted
-    constraints, offsets o_j + content - 1, and the orders one lower, and
-    its counts are the disk's.  The coefficient of y^b in h(z0 + p y) is
-    p^|b| T_b(z0), with T_b = d^b h / b!, and only |b| < hi - o_j matters;
-    the tables of p^|b| T_b are built once per node with singular zeros,
-    for the constraints a child can keep, on shapes shared by the call
-    (_shift_table).  Each singular zero takes one row of powers z0_i^e,
-    which the shift of every such constraint reads (_shift), and the child
-    keeps the coefficients mod p^(top - o_j) for the disk's top order top.
-    _constraints reduces the child and builds its constraints unchecked.
-    A count of one order m is the range [m, m] at the root.
+    - memo: a node's counts, keyed by (the frozenset of its (h_j, o_j)
+      pairs, lo, hi);
+    - scans: _scan_zeros of a node, keyed by (each constraint's nonzero
+      terms mod p in constraint order, need, hi == 1);
+    - shapes: the shape of a Taylor table (_shift_table), keyed by (a
+      constraint's exponents in order, the table's depth);
+    - sums: the counts of a closed-form node, keyed by (a, o, lo, hi).
 
-    A node of order 1 (hi = 1, so lo = 1 and every o_j = 0) counts each
-    common zero mod p once, smooth or singular (a singular zero's child
-    of order 0 counts 1), so it evaluates no partial derivative.
+    A node is its constraints (h_j, o_j), ord_p h_j >= k - o_j with
+    0 <= o_j < hi, each h_j with a coefficient prime to p and reduced mod
+    p^e for an e >= hi - o_j (_constraints), and its counts are [N(lo),
+    ..., N(hi)], N(k) = #{z in (Z/p^k)^n : ord_p h_j(z) >= k - o_j for
+    all j}.  A count of one order m is the range [m, m] at the root.
 
-    The zeros mod p come from a scan of state.grid, built once per call,
-    or of two half grids.  A node with no region and more than
-    min(CHUNK, SPLIT_POINTS) points (read at call time; 2^14, where a
-    split's fixed cost falls below the scan's) whose constraints split
-    into variable-disjoint blocks (split_halves), at order 1 for any
-    number of constraints and above it for one, scans two half grids
-    (_split_zeros): it counts the pairs of value vectors that cancel,
-    above order 1 also pairs the halves' critical points, and is charged
-    p^|A| + p^|B| + |C_A| |C_B| points, with no pair term at order 1.  Any
-    other node scans (Z/p)^nvars (_scan_zeros), is charged p^nvars points,
-    applies the root's region to the zeros and, above order 1, tests the
-    Jacobians' rank on them, on the same scan.  That scan reads the
-    constraints mod p only, so a region-free node takes it from
-    state.scan, keyed by the constraints' terms mod p in their order, the
-    constraints it needs and whether hi = 1: one scan per distinct key
-    for the whole call, and a hit is charged p^nvars points as a scan is,
-    before the lookup.  Each child is reduced by
-    _constraints, so equal subtrees have equal keys: a region-free node is
-    looked up in state.memo by the set of its constraints and its range of
-    orders, and a hit costs no work and no budget.  Only the root may
-    carry a region, and a node with a region is never looked up.  A
-    region-free node whose one constraint is a monomial times a unit
-    (_unit_monomial) scans nothing: it is counted in closed form by
-    state.closed, charged its steps as a "closed-form node" whether or not
-    its sum is cached, runs _valuation_sum once per (a, o, lo, hi) for the
-    whole call, and is memoized like any other node.
+    count() is a node's step.  The orders k <= min o_j hold at every
+    point, and from the next one up the constraints with o_j < lo bind
+    (need).  Each child is reduced by _constraints, so equal subtrees
+    have equal keys, and a memo hit costs no work and no budget.  A node
+    whose one constraint is a monomial times a unit, h = y^a (c + p w(y))
+    with c a unit mod p (_unit_monomial), scans no grid: ord_p h(y) =
+    <a, v> for the valuations v_i of the y_i, so its counts are suffix
+    sums of one finite sum over valuation vectors (_valuation_sum), the
+    leaves at which Denef's recursion closes.  The sum depends on (a, o,
+    lo, hi) only, so sums runs it once per key, and every node is charged
+    its n (hi+1) (hi-o+1) steps as a "closed-form node", a hit too.  Any
+    other node finds the common zeros mod p of need, grouped by the set B
+    of all constraints that vanish there (its disks):
+    - when the constraints split into variable-disjoint blocks
+      (split_halves, past the SPLIT_POINTS gate), at order 1 for any
+      number of them and above it for one, from two half grids
+      (_split_zeros), charged p^|A| + p^|B| + |C_A| |C_B| points;
+    - otherwise from one scan of the grid (_scan_zeros), charged p^n
+      points.  The zeros mod p, their sets B and the Jacobian ranks there
+      depend only on the constraints mod p, in order, on need and on
+      whether hi = 1, where no rank is tested, so scans holds one entry
+      per such key; a hit shares the dict and its arrays, which callers
+      only read, and is charged p^n points as a scan is.
+
+    walk() adds up a node's disks.  A constraint outside B is a unit on
+    z0's disk, so the disk counts only at the orders k <= top, the least
+    of hi and those o_j.  Where the Jacobian of B has full rank mod p,
+    the disk adds p^((k-1) n - sum_{j in B} max(k - o_j - 1, 0)) at order
+    k (Hensel).  A singular zero z0 is re-expanded as z0 + p y: the child
+    has B's shifted constraints and the orders one lower, and its counts
+    are the disk's.  The coefficient of y^b in h(z0 + p y) is p^|b|
+    T_b(z0), T_b = d^b h / b!, and only |b| < hi - o_j matters; the tables
+    of p^|b| T_b are built once per node, for the constraints a child
+    keeps, on shapes shared by the call (_shift_table), and each zero
+    takes one row of powers z0_i^e that every shift reads (_shift).  The
+    child keeps the coefficients mod p^(top - o_j).  A node of order 1
+    (hi = 1, so lo = 1 and every o_j = 0) counts each common zero mod p
+    once, smooth or singular (a singular zero's child of order 0 counts
+    1), so it evaluates no partial derivative.
+
+    Only the root may have a region (count_points_raw): its one scan is
+    masked by it and walked, and every node below is region-free.
     """
-    if not active and region is None:
-        return [p ** (k * nvars) for k in range(lo, hi + 1)]
-    key, every = None, []
-    if region is None:
+
+    def __init__(self, meter: Meter, nvars: int, p: int):
+        self.meter, self.n, self.p = meter, nvars, p
+        self.grid = Grid(nvars, p)
+        self.memo: dict[tuple, list[int]] = {}
+        self.scans: dict[tuple, dict] = {}
+        self.shapes: dict[tuple, list] = {}
+        self.sums: dict[tuple, list[int]] = {}
+
+    def count(self, active: list[tuple[Poly, int]], lo: int, hi: int) -> list[int]:
+        """[N(lo), ..., N(hi)] of the node with the constraints active."""
+        p, n = self.p, self.n
+        if not active:
+            return [p ** (k * n) for k in range(lo, hi + 1)]
         bind = min(o for _, o in active) + 1
-        if bind > lo:
-            every = [p ** (k * nvars) for k in range(lo, bind)]
-            lo = bind
+        every = [p ** (k * n) for k in range(lo, bind)]
+        lo = max(lo, bind)
         key = (frozenset(active), lo, hi)
-        if key not in state.memo:
-            expo = _unit_monomial(active, p)
-            if expo is not None:
-                state.memo[key] = state.closed(expo, active[0][1], lo, hi)
-        if key in state.memo:
-            return every + state.memo[key]
-
-    gens = [g for g, _ in active]
-    need = [j for j, (_, o) in enumerate(active) if o < lo]
-    halves = None
-    if need and (region is None or region.is_full) and (hi == 1 or len(gens) == 1):
-        halves = split_halves(gens, state.grid)
-    if halves is None:
-        charge(p ** nvars, state.meter, "residue-tree level")
-        if region is None:
-            disks = state.scan(gens, need, hi)
+        if key in self.memo:
+            return every + self.memo[key]
+        a = _unit_monomial(active, p)
+        if a is not None:
+            o = active[0][1]
+            charge(n * (hi + 1) * (hi - o + 1), self.meter, "closed-form node")
+            if (a, o, lo, hi) not in self.sums:
+                self.sums[a, o, lo, hi] = _valuation_sum(a, o, p, lo, hi)
+            counts = self.sums[a, o, lo, hi]
         else:
-            disks = _scan_zeros(gens, need, nvars, p, state.grid, region, hi)
-    else:
-        disks = {tuple(need): _split_zeros(halves, nvars, state.meter, hi)}
+            gens = [g for g, _ in active]
+            need = [j for j, (_, o) in enumerate(active) if o < lo]
+            halves = split_halves(gens, self.grid) if hi == 1 or len(gens) == 1 else None
+            if halves is not None:
+                disks = {tuple(need): _split_zeros(halves, self.meter, hi)}
+            else:
+                charge(p ** n, self.meter, "residue-tree level")
+                mod_p = (frozenset((b, c % p) for b, c in g.terms.items() if c % p) for g in gens)
+                scan = (tuple(mod_p), tuple(need), hi == 1)
+                if scan not in self.scans:
+                    self.scans[scan] = _scan_zeros(gens, need, self.grid, None, hi)
+                disks = self.scans[scan]
+            counts = self.walk(active, lo, hi, disks)
+        self.memo[key] = counts
+        return every + counts
 
-    counts = [0] * (hi - lo + 1)
-    tables: dict[int, dict] = {}
-    for B, (smooth, sing) in disks.items():
-        top = min([hi] + [o for j, (_, o) in enumerate(active) if j not in B])
-        if top < lo:
-            continue
-        # full-rank points lift p^(n - |B|) ways per level; the exponent
-        # is >= 0 whenever |B| <= nvars, the only case where they exist
-        if smooth:
-            for k in range(lo, top + 1):
-                cut = sum(max(k - active[j][1] - 1, 0) for j in B)
-                counts[k - lo] += smooth * p ** ((k - 1) * nvars - cut)
-        if not len(sing):
-            continue
-        # a constraint with o_j >= top - 1 holds at every child, which
-        # keeps the others mod p^(top - o_j): (table, that modulus, offset)
-        shifted, degree = [], 0
-        for j in B:
-            g, o = active[j]
-            if o < top - 1:
-                if j not in tables:
-                    tables[j] = _shift_table(g, hi - o - 1, p, state.shapes)
-                shifted.append((tables[j], p ** (top - o), o - 1))
-                degree = max(degree, *map(max, g.terms))
-        # equal children are walked once, in the order they first appear,
-        # so the charges are those of walking each (a repeat is a memo hit)
-        children: dict[tuple, list] = {}
-        if not shifted:  # every child is the same node, with no constraint
-            children[frozenset(), top - 1] = [[], len(sing)]
-        else:
+    def walk(
+        self,
+        active: list[tuple[Poly, int]],
+        lo: int,
+        hi: int,
+        disks: dict[tuple[int, ...], tuple[int, Sequence]],
+    ) -> list[int]:
+        """[N(lo), ..., N(hi)] of the node with the constraints active, from
+        its disks B -> (smooth zeros, singular zeros) (_scan_zeros)."""
+        p, n = self.p, self.n
+        counts = [0] * (hi - lo + 1)
+        tables: dict[int, list] = {}
+        for B, (smooth, sing) in disks.items():
+            top = min([hi] + [o for j, (_, o) in enumerate(active) if j not in B])
+            # full-rank points lift p^(n - |B|) ways per level; the exponent
+            # is >= 0 whenever |B| <= n, the only case where they exist
+            if smooth:
+                for k in range(lo, top + 1):
+                    cut = sum(max(k - active[j][1] - 1, 0) for j in B)
+                    counts[k - lo] += smooth * p ** ((k - 1) * n - cut)
+            if not len(sing):
+                continue
+            # a constraint with o_j >= top - 1 holds at every child, which
+            # keeps the others mod p^(top - o_j): (table, that modulus, offset)
+            shifted, degree = [], 0
+            for j in B:
+                g, o = active[j]
+                if o < top - 1:
+                    if j not in tables:
+                        tables[j] = _shift_table(g, hi - o - 1, p, self.shapes)
+                    shifted.append((tables[j], p ** (top - o), o - 1))
+                    degree = max(degree, *map(max, g.terms))
+            # equal children are walked once, in the order they first appear,
+            # so the charges are those of walking each (a repeat is a memo hit)
+            children: dict[tuple, list] = {}
             for z0 in sing.tolist():
                 powers = [[z ** e for e in range(degree + 1)] for z in z0]
                 child, child_top = _constraints(
-                    [(_shift(t, powers, q), o) for t, q, o in shifted], top - 1, nvars, p
+                    [(_shift(t, powers, q), o) for t, q, o in shifted], top - 1, n, p
                 )
                 if child_top >= lo - 1:
                     children.setdefault((frozenset(child), child_top), [child, 0])[1] += 1
-        for (_, child_top), (child, times) in children.items():
-            for i, c in enumerate(_lift_count(child, nvars, p, lo - 1, child_top, state, None)):
-                counts[i] += times * c
-    if key is not None:
-        state.memo[key] = counts
-    return every + counts
+            for (_, child_top), (child, times) in children.items():
+                for i, c in enumerate(self.count(child, lo - 1, child_top)):
+                    counts[i] += times * c
+        return counts
 
 
 def count_points_raw(
@@ -1254,6 +1161,8 @@ def count_points_raw(
     if orders and method != "lift":
         raise ValueError(f"orders=True needs method 'lift', got {method!r}")
     budget = Meter.of(budget)  # "both" charges both routes to it
+    if region is not None and region.is_full:
+        region = None
 
     if method == "lift":
         lo = 1 if orders else m
@@ -1263,7 +1172,15 @@ def count_points_raw(
         )
         counts = []
         if top >= lo:
-            counts = _lift_count(active, nvars, p, lo, top, _LiftState(budget, nvars, p), region)
+            lift = _Lift(budget, nvars, p)
+            if region is None:
+                counts = lift.count(active, lo, top)
+            else:
+                # the region masks the root's one scan, and no node below has one
+                charge(p ** nvars, budget, "residue-tree level")
+                need = [j for j, (_, o) in enumerate(active) if o < lo]
+                disks = _scan_zeros([g for g, _ in active], need, lift.grid, region, top)
+                counts = lift.walk(active, lo, top, disks)
         # no point meets a unit constraint above its offset
         counts = [*counts, *[0] * (m - max(top, lo - 1))]
         return tuple(counts) if orders else counts[-1]
@@ -1372,8 +1289,8 @@ class LocalData:
 def shared_field(p: int, k: int, fields: dict[tuple[int, int], GFTable] | None) -> GFTable:
     """GFTable(p, k), kept in fields under (p, k) so that one call builds
     each field once; with no fields dict it is built afresh.  A q = 4096
-    table holds 2 q^2 int32 entries, 128 MB, so fields live for one call,
-    never for the process."""
+    field holds one q x q int32 table, 64 MiB, so fields live for one
+    call, never for the process."""
     if fields is None:
         return GFTable(p, k)
     if (p, k) not in fields:

@@ -112,9 +112,9 @@ def test_a_separable_box_count_is_the_lifts_order_one_split(
 ):
     calls, real = [], circle._split_zeros
 
-    def spy(halves, nvars, meter, hi, what):
+    def spy(halves, meter, hi, what):
         calls.append((hi, what))
-        return real(halves, nvars, meter, hi, what)
+        return real(halves, meter, hi, what)
 
     monkeypatch.setattr(circle, "_split_zeros", spy)
     box = BoxSpec(((F(0), top),) + ((F(0), F(127, 128)),) * (n - 1))
@@ -321,6 +321,20 @@ def test_major_arc_line_trivial():
     # the slab in one variable: vol{|x| <= eps/2} = eps, so J = 1
     assert rep.actual == 1
     assert 0.5 <= rep.ratio <= 2.0
+
+
+def test_one_epsilon_is_never_converged_and_the_prediction_flags_it():
+    # convergence compares the last two ladder values, so a ladder of one
+    # has none to compare
+    spec = S("x1", n=1)
+    rep = singular_integral(spec, BoxSpec.cube(1), [0.25], sampler="grid")
+    assert not rep.converged
+    assert len(rep.estimates) == 1
+    pred = major_arc_prediction(
+        spec, BoxSpec.cube(1), B=10, Qmax=10, eps_ladder=[0.25], seed=5, samples=1000
+    )
+    assert not pred.j_integral.converged
+    assert "j-integral-not-converged" in pred.flags
 
 
 @pytest.mark.parametrize(

@@ -87,7 +87,7 @@ def unreferenced(defs: list[tuple[str, ast.AST]]) -> list[str]:
 
 def test_the_guard_sees_the_private_helpers():
     names = {node.name for _, node in private_defs()}
-    assert {"_count_naive", "_top", "_LiftState"} <= names
+    assert {"_count_naive", "_top", "_Lift"} <= names
 
 
 def test_every_private_helper_is_referenced():

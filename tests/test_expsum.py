@@ -267,7 +267,7 @@ def test_a_split_charsum_equals_the_unsplit_direct_sum_and_the_counts(monkeypatc
 
     with monkeypatch.context() as mp:
         # the grouped route tallies half grids and never counts a zero
-        for name in ("_count_naive", "_lift_count", "_split_zeros"):
+        for name in ("_count_naive", "_Lift", "_split_zeros"):
             mp.setattr(ringcount, name, unreachable)
         sizes = grid_sizes(mp)
         grouped = E_charsum(spec, 1, 3, 2)

@@ -64,6 +64,54 @@ def test_parse_custom_names():
     assert f.terms == {(1, 1): 1, (0, 0): -1}
 
 
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        ("-x1^2", {(2,): -1}),
+        ("2*-x1^2", {(2,): -2}),
+        ("x1 - -x1^2", {(1,): 1, (2,): 1}),
+        ("(-x1)^2", {(2,): 1}),
+        ("x1*--x1^3", {(4,): 1}),
+    ],
+)
+def test_a_unary_minus_binds_looser_than_a_power(text, terms):
+    assert P(text, 1).terms == terms
+
+
+def random_expr(rng, depth):
+    """A random expression in x1, x2 with a unary minus after operators,
+    in the parser's syntax."""
+
+    def factor(depth):
+        if depth and rng.random() < 0.3:
+            atom = f"({random_expr(rng, depth - 1)})"
+        else:
+            atom = rng.choice(["x1", "x2", str(rng.randint(0, 9))])
+        if rng.random() < 0.4:
+            atom += f"^{rng.randint(0, 3)}"
+        return "-" * rng.choice([0, 0, 1, 2]) + atom
+
+    def term(depth):
+        return "*".join(factor(depth) for _ in range(rng.randint(1, 3)))
+
+    out = rng.choice(["", "-", "+"]) + term(depth)
+    for _ in range(rng.randint(0, 2)):
+        out += rng.choice([" + ", " - "]) + term(depth)
+    return out
+
+
+def test_the_parser_follows_pythons_precedence():
+    # a unary minus anywhere binds looser than ^ and tighter than * and
+    # +/-, as in Python with ^ read as **
+    rng = random.Random(28)
+    for _ in range(300):
+        text = random_expr(rng, 2)
+        f = P(text, 2)
+        for pt in [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(3)]:
+            want = eval(text.replace("^", "**"), {"x1": pt[0], "x2": pt[1]})
+            assert f.eval_int(pt) == want, text
+
+
 def test_parse_roundtrip_eval():
     rng = random.Random(7)
     f = P("2*x1^3 - x1*x2 + 5", 2)

@@ -231,34 +231,37 @@ def check_scans(gens, n, p, m, budget=DEFAULT_BUDGET):
 
     A key is the constraints' terms mod p in their order, the constraints
     a node needs and whether it is of order 1; the lift must scan once per
-    distinct key.
+    distinct key.  A lookup is a node walked on a cached scan, and a hit
+    is one walked on a scan that an earlier node was walked on.
     """
-    real_scan, real_lookup = ringcount._scan_zeros, ringcount._LiftState.scan
-    scans, keys = [], []
+    real_scan, real_walk = ringcount._scan_zeros, ringcount._Lift.walk
+    scans, keys, walked = [], [], []
 
     def scan_zeros(*args):
         scans.append(args)
         return real_scan(*args)
 
-    def lookup(state, gens, need, hi):
-        before = len(scans)
-        disks = real_lookup(state, gens, need, hi)
-        keys.append((
-            tuple(tuple(sorted((a, c % p) for a, c in g.terms.items() if c % p)) for g in gens),
-            tuple(need),
-            hi == 1,
-        ))
-        if len(scans) == before:  # a hit: the node's own scan must agree
-            fresh = real_scan(gens, need, n, p, state.grid, None, hi)
-            assert disks.keys() == fresh.keys()
-            for B, (smooth, sing) in fresh.items():
-                assert disks[B][0] == smooth
-                assert np.asarray(disks[B][1]).tolist() == np.asarray(sing).tolist()
-        return disks
+    def walk(lift, active, lo, hi, disks):
+        if any(disks is cached for cached in lift.scans.values()):
+            gens = [g for g, _ in active]
+            need = [j for j, (_, o) in enumerate(active) if o < lo]
+            keys.append((
+                tuple(tuple(sorted((a, c % p) for a, c in g.terms.items() if c % p)) for g in gens),
+                tuple(need),
+                hi == 1,
+            ))
+            if any(disks is d for d in walked):  # a hit: the node's own scan must agree
+                fresh = real_scan(gens, need, lift.grid, None, hi)
+                assert disks.keys() == fresh.keys()
+                for B, (smooth, sing) in fresh.items():
+                    assert disks[B][0] == smooth
+                    assert np.asarray(disks[B][1]).tolist() == np.asarray(sing).tolist()
+            walked.append(disks)
+        return real_walk(lift, active, lo, hi, disks)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ringcount, "_scan_zeros", scan_zeros)
-        mp.setattr(ringcount._LiftState, "scan", lookup)
+        mp.setattr(ringcount._Lift, "walk", walk)
         counts = count_points_raw(gens, n, p, m, orders=True, budget=budget)
     return counts, (len(scans), len(set(keys)), len(keys))
 
@@ -353,12 +356,11 @@ def taylor_shift(h, z0, p, q):
 
 @given(shifted_nodes())
 def test_the_compiled_shift_is_the_taylor_shift(node):
-    # the node's scan is replaced by the drawn points, all singular for
-    # every constraint, so each child keeps every constraint, shifted
-    # there and reduced mod p^(hi - o)
+    # the node is walked on the drawn points, all singular for every
+    # constraint, so each child keeps every constraint, shifted there and
+    # reduced mod p^(hi - o)
     active, n, p, lo, hi, zeros = node
-    state = ringcount._LiftState(Meter.of(10 ** 9), n, p)
-    state.scan = lambda gens, *_: {tuple(range(len(gens))): (0, np.array(zeros))}
+    lift = ringcount._Lift(Meter.of(10 ** 9), n, p)
     seen = []
 
     def constraints(polys, top, nvars, p):
@@ -367,7 +369,7 @@ def test_the_compiled_shift_is_the_taylor_shift(node):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ringcount, "_constraints", constraints)
-        ringcount._lift_count(active, n, p, lo, hi, state, None)
+        lift.walk(active, lo, hi, {tuple(range(len(active))): (0, np.array(zeros))})
     assert seen == [
         [(taylor_shift(h, z0, p, p ** (hi - o)), o - 1) for h, o in active] for z0 in zeros
     ]

@@ -218,7 +218,7 @@ def test_a_closed_form_sum_runs_once_per_key_and_charges_every_node(monkeypatch)
 
 
 def test_closed_form_nodes_share_a_sum_only_between_equal_keys():
-    # nodes walked in turn on one lift state, each a monomial times a unit;
+    # nodes walked in turn on one lift call, each a monomial times a unit;
     # each pair differs in one of o, lo and hi, and its second node must
     # not take the first's counts
     h, u = P("x1*x2^2", 2), P("2*x1*x2^2 + 3*x1^2*x2^2", 2)
@@ -228,10 +228,10 @@ def test_closed_form_nodes_share_a_sum_only_between_equal_keys():
         ([(u, 1)], 2, 3),  # o, and the unit 2 + 3 y1
         ([(h, 0)], 2, 2),  # hi
     ]
-    state = ringcount._LiftState(Meter.of(10 ** 6), 2, 3)
-    walked = [ringcount._lift_count(a, 2, 3, lo, hi, state, None) for a, lo, hi in nodes]
+    lift = ringcount._Lift(Meter.of(10 ** 6), 2, 3)
+    walked = [lift.count(a, lo, hi) for a, lo, hi in nodes]
     assert walked == [node_counts(a, 2, 3, lo, hi) for a, lo, hi in nodes]
-    assert len(state.sums) == len(nodes)
+    assert len(lift.sums) == len(nodes)
 
 
 QUADRICS = ("x1^2+x2^2-x3^2-x4^2", "x1*x3-x2*x4")
@@ -351,7 +351,7 @@ def node_counts(active, nvars, p, lo, hi):
 
 
 def test_one_lift_call_shares_its_scans_only_between_equal_keys():
-    # nodes walked in turn on one lift state: each pair reduces to the same
+    # nodes walked in turn on one lift call: each pair reduces to the same
     # constraints mod 3, and its second node must not take the first's scan
     g1, g2, g3 = P("x1^2 - x2^2", 2), P("x1 - x2", 2), P("x1", 2)
     nodes = [
@@ -365,8 +365,8 @@ def test_one_lift_call_shares_its_scans_only_between_equal_keys():
         ([(g1, 0), (g2, 1), (g3, 2)], 1, 3),
         ([(g1, 0), (g3, 1), (g2, 2)], 1, 3),
     ]
-    state = ringcount._LiftState(Meter.of(10 ** 6), 2, 3)
-    walked = [ringcount._lift_count(a, 2, 3, lo, hi, state, None) for a, lo, hi in nodes]
+    lift = ringcount._Lift(Meter.of(10 ** 6), 2, 3)
+    walked = [lift.count(a, lo, hi) for a, lo, hi in nodes]
     assert walked == [node_counts(a, 2, 3, lo, hi) for a, lo, hi in nodes]
 
 
@@ -398,6 +398,26 @@ def test_region_zero_partition():
     )
     prim = count_zpm(spec, p, m, Region(3, (((0, 3), PrimitiveBlock()),)))
     assert full == zero + prim
+
+
+def test_a_full_region_walks_as_no_region(monkeypatch):
+    # 3 x1^2 x2 is a monomial times a unit with offset 1, so the root is one
+    # closed-form node of n (hi+1) (hi-o+1) = 2 * 5 * 4 steps and scans no
+    # grid; the full region must be charged exactly the same
+    real_charge, logs = ringcount.charge, []
+
+    def charge(needed, budget, what="enumeration"):
+        logs[-1].append((what, needed))
+        real_charge(needed, budget, what)
+
+    monkeypatch.setattr(ringcount, "charge", charge)
+    gens = [P("3*x1^2*x2", 2)]
+    counts = []
+    for region in (None, Region.full(2)):
+        logs.append([])
+        counts.append(count_points_raw(gens, 2, 3, 4, region, orders=True))
+    assert counts == [(9, 45, 297, 1377)] * 2
+    assert logs == [[("closed-form node", 40)]] * 2
 
 
 def test_region_unit_and_zero_per_coordinate():

@@ -204,6 +204,14 @@ def test_probe_three_squares_consistent():
     assert all(v == 0 for _, v in rep.values)
 
 
+def test_probe_sum_of_two_squares_is_inconclusive():
+    # |E(p, 1)| p is 0 at p = 2, where x1^2 + x2^2 = (x1 + x2)^2, and 2/3
+    # at p = 3, where it has only the zero (0, 0): it grows, and not from 1/2 up
+    rep = irreducibility_probe(S("x1^2 + x2^2", n=2), 1, [2, 3])
+    assert rep.values == [(2, 0), (3, F(2, 3))]
+    assert rep.verdict == "inconclusive"
+
+
 def test_probe_linear_consistent():
     rep = irreducibility_probe(S("x1", n=1), 1, [3, 5, 7])
     assert rep.verdict == "consistent-with-geometric-irreducibility"

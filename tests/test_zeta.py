@@ -231,6 +231,13 @@ def test_theta_quadric_cone_decays():
     assert rep.verdict == "decaying"
 
 
+def test_theta_normal_crossing_stalls():
+    # x1 x2 at p = 3: every term is 2/3, so the last two have ratio 1
+    rep = theta_probe(S("x1*x2", n=2), 1, 3, 6)
+    assert rep.terms == (F(2, 3),) * 6
+    assert rep.verdict == "stalled"
+
+
 def test_theta_partial_sums_match_density():
     from iosc.ringcount import count_zpm
 
@@ -249,6 +256,25 @@ def test_pole_report_line():
     rep = pole_report(S("x1", n=1), 1, 3, 8, max_order=2)
     assert rep.status == "ok"
     assert rep.multiplicity in (0, 1)
+
+
+# (1 - t/3)^2 and (1 - t/7)^2 (1 + t/7)
+SQUARE_3 = (F(1), F(-2, 3), F(1, 9))
+SQUARE_7_TIMES = (F(1), F(-1, 7), F(-1, 49), F(1, 343))
+
+
+@pytest.mark.parametrize(
+    "denom, t0, mult",
+    [
+        (SQUARE_3, F(3), 2),
+        (SQUARE_3, F(1, 3), 0),
+        (SQUARE_7_TIMES, F(7), 2),
+        (SQUARE_7_TIMES, F(-7), 1),
+        (SQUARE_7_TIMES, F(1, 7), 0),
+    ],
+)
+def test_a_denominator_root_is_divided_out_once_per_multiplicity(denom, t0, mult):
+    assert RationalFunc((F(1),), denom).denominator_root_multiplicity(t0) == mult
 
 
 def test_pole_report_abstains_without_data():
