@@ -40,6 +40,13 @@ from .ringcount import (
 )
 from .sseries import SeriesReport, singular_series_partial
 
+# singular_integral streams blocks of at most this many coordinates: its
+# five buffers are written afresh in every process, and blocks of CHUNK
+# coordinates took 5.5 MB of them at n = 4, about 1,400 first-touch page
+# faults; 2^16 coordinates take 1.4 MB, and a numpy call still covers
+# 16,384 points
+SAMPLE_POINTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class BoxSpec:
@@ -183,23 +190,25 @@ def singular_integral(
     The Monte Carlo sampler draws its points from one generator seeded
     with the 64-bit seed, and every ladder value counts the same points
     (deterministic for a fixed seed); the grid sampler uses a midpoint
-    product grid.  Both stream their points in blocks of CHUNK
-    coordinates (ringcount.CHUNK, read at call time): a block of the
-    Monte Carlo sampler is the generator's next draws, so the draws, and
-    with them the estimates, equal those of one draw of all samples, and
-    a block of the grid is a run of its points in row-major order.  A
-    block is counted for each eps by its largest |f_i|.
+    product grid.  Both stream their points in blocks of min(CHUNK,
+    SAMPLE_POINTS) coordinates (ringcount.CHUNK, read at call time): a
+    block of the Monte Carlo sampler is the generator's next draws, so
+    the draws, and with them the estimates, equal those of one draw of
+    all samples, and a block of the grid is a run of its points in
+    row-major order.  A block is counted for each eps by its largest
+    |f_i|.
 
-    The blocks reuse one set of buffers, of at most CHUNK // n rows each
-    (a short last block takes their leading rows): the Monte Carlo
-    sampler draws into a (rows, n) array, rng.random(out=...), and scales
-    it axis by axis, lo_j + (hi_j - lo_j) * u, into the (n, rows) point
-    array that the grid sampler fills from its own decode; _eval_float
-    writes each generator into one accumulator and one term buffer, and
-    the largest |f_i| goes to a buffer of its own.  The float operations
+    The blocks reuse one set of buffers, of at most min(CHUNK,
+    SAMPLE_POINTS) // n rows each (a short last block takes their leading
+    rows): the Monte Carlo sampler draws into a (rows, n) array,
+    rng.random(out=...), and scales it axis by axis, lo_j + (hi_j - lo_j)
+    * u, into the (n, rows) point array that the grid sampler fills from
+    its own decode; _eval_float writes each generator into one
+    accumulator and one term buffer, and the largest |f_i| goes to a
+    buffer of its own.  The float operations
     and their order are fixed, those of one draw of all samples evaluated
     term by term, so the estimates are bit for bit the same for every
-    CHUNK.
+    block size.
 
     Convergence means the last two ladder values agree within 5%;
     non-convergence is reported, never silently accepted.
@@ -235,7 +244,7 @@ def singular_integral(
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
 
-    block = min(max(1, ringcount.CHUNK // n), used)
+    block = min(max(1, min(ringcount.CHUNK, SAMPLE_POINTS) // n), used)
     draws = np.empty((block, n)) if sampler == "mc" else None
     cols = np.empty((n, block))
     acc, term, worst = np.empty(block), np.empty(block), np.empty(block)

@@ -16,10 +16,13 @@ is reachable only through a bug).  The point budget bounds the whole
 command, as one errors.Meter that all its counts draw down.  It defaults
 to 10^8, is set by IOSC_BUDGET or --budget, and --force bypasses it.
 
-The parser is built once per process, on the first main() call, and is
-never mutated after that: each call parses into a fresh namespace, so no
-state carries from one call to the next, and importing this module
-builds nothing.
+main() parses with a parser that holds only the invoked subcommand,
+built once per process and command, on the first call that names it;
+-h, no command or an unknown one gets the parser of every subcommand,
+built once too.  Usage, help and error text are the same from both.
+No parser is mutated after it is built: each call parses into a fresh
+namespace, so no state carries from one call to the next, and importing
+this module builds nothing.
 """
 
 from __future__ import annotations
@@ -442,31 +445,23 @@ def _add_common(sp, fn):
     sp.add_argument("--weights", default=None, help="comma-separated weights")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call and shared by every later
-    one; parse_args reads it and nothing may change it."""
-    ap = argparse.ArgumentParser(
-        prog="iosc",
-        description="exact exponential sums, local zeta data and singular series of polynomial ideals",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("expsum", help="exponential sums E^(r)(p, m)")
+def _expsum(sp):
     _add_common(sp, cmd_expsum)
     sp.add_argument("-p", type=int, required=True)
     sp.add_argument("-m", type=int, required=True)
     sp.add_argument("-r", type=int, default=None)
     sp.add_argument("--verify", action="store_true", help="cross-check the character-sum form")
 
-    sp = sub.add_parser("count", help="point counts over Z/p^m")
+
+def _count(sp):
     _add_common(sp, cmd_count)
     sp.add_argument("-p", type=int, required=True)
     sp.add_argument("-m", type=int, required=True)
     sp.add_argument("--method", choices=["lift", "naive", "both"], default="both")
     sp.add_argument("--region", default=None)
 
-    sp = sub.add_parser("zeta", help="truncated zeta series and probes")
+
+def _zeta(sp):
     _add_common(sp, cmd_zeta)
     sp.add_argument("-p", type=int, required=True)
     sp.add_argument("--max-order", type=int, required=True)
@@ -474,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reconstruct", action="store_true")
     sp.add_argument("--theta", action="store_true", help="local factor probe")
 
-    sp = sub.add_parser("sseries", help="singular series and diagnostics")
+
+def _sseries(sp):
     _add_common(sp, cmd_sseries)
     sp.add_argument("-r", type=int, default=None)
     sp.add_argument("--qmax", type=int, default=20)
@@ -482,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--irreducible", action="store_true")
     sp.add_argument("--primes", default="5,7,11,13")
 
-    sp = sub.add_parser("bounds", help="closed-form exponent bounds")
+
+def _bounds(sp):
     sp.add_argument("which", choices=["sigma0", "sigmaw", "birch", "tau0", "thresholds", "moi-fit"])
     _add_common(sp, cmd_bounds)
     sp.add_argument("--s", default=None, help="degree:s pairs, comma separated")
@@ -494,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", default=None, help="p:m:absE triples for moi-fit")
     sp.add_argument("--m-min", type=int, default=2)
 
-    sp = sub.add_parser("circle", help="major-arc numerics and Waring probes")
+
+def _circle(sp):
     sp.add_argument("which", choices=["count", "jintegral", "predict", "waring"])
     _add_common(sp, cmd_circle)
     sp.add_argument("-B", type=int, default=10)
@@ -508,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ell", type=int, default=2)
     sp.add_argument("--map", action="append", default=None, help="nvars:comp;comp;...")
 
-    sp = sub.add_parser("jet", help="jet expansion and the top-part identity")
+
+def _jet(sp):
     sp.add_argument("which", choices=["expand", "highpart-check"])
     _add_common(sp, cmd_jet)
     sp.add_argument("--poly", default=None)
@@ -516,11 +515,43 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--start", type=int, choices=[0, 1], default=0)
     sp.add_argument("-m", type=int, default=2)
 
+
+# each subcommand in order: its help and what adds its arguments
+SUBCOMMANDS = {
+    "expsum": ("exponential sums E^(r)(p, m)", _expsum),
+    "count": ("point counts over Z/p^m", _count),
+    "zeta": ("truncated zeta series and probes", _zeta),
+    "sseries": ("singular series and diagnostics", _sseries),
+    "bounds": ("closed-form exponent bounds", _bounds),
+    "circle": ("major-arc numerics and Waring probes", _circle),
+    "jet": ("jet expansion and the top-part identity", _jet),
+}
+
+
+@functools.cache
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with every subcommand or with only `command`'s,
+    built on the first call for it and shared by every later one;
+    parse_args reads it and nothing may change it.  A parser of one
+    subcommand spells every choice out in its usage line, as the full one
+    does; only the full one can fail on the command itself, whose errors
+    name the argument "command"."""
+    ap = argparse.ArgumentParser(
+        prog="iosc",
+        description="exact exponential sums, local zeta data and singular series of polynomial ideals",
+    )
+    choices = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=choices)
+    for name, (text, add_arguments) in SUBCOMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=text))
     return ap
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # -h, no command or an unknown one needs the parser of every subcommand
+    ap = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:

@@ -39,15 +39,18 @@ ring, and map_sum() adds a worker's results over chunks in submission
 order on a thread pool, so every total is the same for any thread
 count.  The lift builds its grid (Z/p)^n, with its power tables, once
 per call.  _count_naive() is the one zero count of a whole grid: the
-naive route, the finite-field and region counts and the integer box
-count of circle.count_box_solutions.  split_halves() is the one builder
-of half grids, for what it finds separable.  _split_zeros() counts the
-zeros on two half grids (_codes() encodes value vectors and
-count_value_pairs() counts equal codes) for the lift's split nodes and
-the integer box count of circle.count_box_solutions; convolve_tallies()
-sums two halves' tallies for the whole-grid value tallies of
-expsum.value_histogram (E_charsum's x-pass, full-region phase and
-residue histograms, the finite-field sums with no constraint).
+naive route, the region counts, and the finite-field and integer box
+counts of gens that do not split.  split_halves() is the one builder of
+half grids, for what it finds separable.  _split_zeros() counts the
+zeros on two half grids (_codes() encodes value vectors in int64 and
+count_value_pairs() counts equal codes) for the lift's split nodes, the
+finite-field count of count_ff_raw (and so dim_estimate, bsing_dim and
+ff_char_sum's dimension ladder) and the integer box count of
+circle.count_box_solutions; convolve_tallies() sums two halves' tallies
+for the whole-grid value tallies of expsum.value_histogram (E_charsum's
+x-pass, full-region phase and residue histograms, the finite-field sums
+with no constraint).  The naive route and the region counts never
+split, so the lift and the naive count stay independent.
 """
 
 from __future__ import annotations
@@ -78,6 +81,11 @@ CHUNK = 1 << 18
 SPLIT_POINTS = 1 << 14
 # products of two residues below 2^31 fit in int64
 Q_LIMIT = 1 << 31
+# count_value_pairs tallies values densely while their range is at most
+# this many times the values counted: on a 2-core Xeon VM two bincounts
+# took 0.3-0.6 of np.unique's time at 1-2 times, and as long at 3
+# (169 to 200,000 values)
+DENSE = 2
 
 
 def factorize(q: int) -> list[tuple[int, int]]:
@@ -508,26 +516,41 @@ def split_halves(
             part[h][tuple(expo[j] for j in axes[h])] = c
     return [
         (a, Grid(len(a), grid.ring, [grid.lows[j] for j in a], [sizes[j] for j in a]),
-         [Poly(len(a), part[h]) for part in parts])
+         [Poly._of(len(a), part[h]) for part in parts])
         for h, a in enumerate(axes)
     ]
 
 
 def _codes(vals: Sequence[np.ndarray], q: int) -> np.ndarray:
-    """v_1 q^(s-1) + ... + v_s of the value vectors, on the compact shape."""
+    """v_1 q^(s-1) + ... + v_s of the value vectors, on the compact shape,
+    in int64 whatever the ring's dtype (GFTable codes are int32, whose
+    products would wrap at 2^31); one vector is its own code."""
     idx, *rest = vals
     for v in rest:
-        idx = idx * q + v
+        idx = np.multiply(idx, q, dtype=np.int64) + v
     return idx
 
 
 def count_value_pairs(a: np.ndarray, b: np.ndarray) -> int:
-    """#{(i, j) : a[i] == b[j]} for int64 value arrays, exactly: the
-    products of the matching values' counts are summed in Python ints."""
-    ua, ca = np.unique(a, return_counts=True)
-    ub, cb = np.unique(b, return_counts=True)
-    _, ia, ib = np.intersect1d(ua, ub, assume_unique=True, return_indices=True)
-    return sum(map(operator.mul, ca[ia].tolist(), cb[ib].tolist()))
+    """#{(i, j) : a[i] == b[j]} for non-empty integer arrays, exactly: the
+    products of the matching values' counts are summed in Python ints.
+
+    Values whose range is at most DENSE times the arrays' total length
+    are tallied densely, by np.bincount of both arrays less their common
+    minimum; wider ones by np.unique, matched by intersect1d.
+    """
+    lo = min(a.min(), b.min())
+    span = int(max(a.max(), b.max())) - int(lo) + 1
+    if span <= DENSE * (len(a) + len(b)):
+        ca, cb = np.bincount(a - lo, minlength=span), np.bincount(b - lo, minlength=span)
+        both = np.flatnonzero((ca > 0) & (cb > 0))
+        ca, cb = ca[both], cb[both]
+    else:
+        ua, ca = np.unique(a, return_counts=True)
+        ub, cb = np.unique(b, return_counts=True)
+        _, ia, ib = np.intersect1d(ua, ub, assume_unique=True, return_indices=True)
+        ca, cb = ca[ia], cb[ib]
+    return sum(map(operator.mul, ca.tolist(), cb.tolist()))
 
 
 def convolve_tallies(ring: Ring, s: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -690,8 +713,9 @@ def _count_naive(
     """Common zeros of gens on the grid where the chunk mask inside(chunk)
     holds (Region.on; None for the whole grid), by full enumeration; the
     caller charges the budget.  No row is decoded.  It serves the naive
-    count, the finite-field count, the region count and the integer box
-    count of circle.count_box_solutions."""
+    count and the region count, and the finite-field count and the
+    integer box count of circle.count_box_solutions for gens that
+    split_halves does not split."""
     scan = ZeroScan(grid, gens)
 
     def worker(chunk: tuple[int, int]) -> int:
@@ -926,7 +950,7 @@ def _scan_zeros(
 
 def _split_zeros(
     halves: list[tuple[list[int], Grid, list[Poly]]],
-    meter: Meter,
+    meter: Meter | None,
     hi: int,
     what: str = "residue-tree level",
 ) -> tuple[int, Sequence]:
@@ -943,10 +967,11 @@ def _split_zeros(
     H, vanishes (the gradient of f at (x_A, x_B) is the pair of the
     halves' gradients).  The meter is charged once, under `what`, the
     halves' points plus |C_A| |C_B|, after the scans; halves that alone
-    exceed it are refused before they are scanned.
+    exceed it are refused before they are scanned.  With no meter
+    nothing is charged: the caller has charged the whole grid.
     """
     scanned = sum(math.prod(grid.sizes) for _, grid, _ in halves)
-    if scanned > meter.left:
+    if meter is not None and scanned > meter.left:
         charge(scanned, meter, what)
     r = len(halves[0][2])
     q = halves[0][1].ring.q if r > 1 else None
@@ -974,11 +999,13 @@ def _split_zeros(
         _, ranks = np.unique(np.concatenate(sides), axis=0, return_inverse=True)
         sides = np.split(ranks.reshape(-1), [len(sides[0])])
     zeros = count_value_pairs(*sides)
-    if hi == 1:
+    if hi > 1:
+        (pts_a, at_a), (pts_b, at_b) = crit
+        scanned += len(pts_a) * len(pts_b)
+    if meter is not None:
         charge(scanned, meter, what)
+    if hi == 1:
         return zeros, ()
-    (pts_a, at_a), (pts_b, at_b) = crit
-    charge(scanned + len(pts_a) * len(pts_b), meter, what)
     ia, ib = _matching_pairs(at_a, at_b)
     sing = np.empty((len(ia), len(halves[0][0]) + len(halves[1][0])), dtype=np.int64)
     for (axes, _, _), pts in zip(halves, (pts_a[ia], pts_b[ib])):
@@ -1307,8 +1334,14 @@ def count_ff_raw(
     threads: int = 1,
     fields: dict[tuple[int, int], GFTable] | None = None,
 ) -> int:
-    """Common zeros of gens over F_{p^k}, by one zero scan of the grid F_q^n.
-    F_{p^k} for k >= 2 comes from fields (shared_field)."""
+    """Common zeros of gens over F_{p^k} on the grid F_q^n, charged its
+    q^n points.  Gens that split into variable-disjoint blocks past the
+    split gate (split_halves) are counted from the two half grids as an
+    order-1 lift node is (_split_zeros), which charges nothing more,
+    unless a half has more than CHUNK points, or each gen is in one
+    variable on a box of at most CHUNK points; other gens by one zero
+    scan of the grid (_count_naive).  F_{p^k} for k >= 2 comes from
+    fields (shared_field)."""
     check_prime_power(p, k, "k")
     q = p ** k
     charge(q ** nvars, budget, "finite-field count")
@@ -1318,6 +1351,21 @@ def count_ff_raw(
         return 0
     # GFTable stops at q = 4096, and F_p is Z/p
     grid = Grid(nvars, ModQ(p) if k == 1 else shared_field(p, k, fields))
+    # past the split gate (tested first, as it is cheaper), gens of one
+    # variable each are still scanned on a box of at most CHUNK points:
+    # the scan, one chunk, evaluates each on one axis and does no
+    # arithmetic on the whole box, so it beats a split (four coordinate
+    # squares: 0.08 against 0.16 ms at 13^4 points, 0.14 against 0.17 ms
+    # at 19^4)
+    box = q ** nvars
+    if gens and box > min(CHUNK, SPLIT_POINTS) and (
+        box > CHUNK or any(sum(map(any, zip(*g.terms))) > 1 for g in gens)
+    ):
+        halves = split_halves(gens, grid)
+        # _split_zeros holds a half's codes whole, so a half of more than
+        # CHUNK points is left to the scan, which holds one chunk at a time
+        if halves is not None and all(math.prod(h.sizes) <= CHUNK for _, h, _ in halves):
+            return _split_zeros(halves, None, 1)[0]
     return _count_naive(gens, grid, None, threads)
 
 

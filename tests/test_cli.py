@@ -452,7 +452,7 @@ def test_importing_the_cli_builds_no_parser():
     assert out.split() == ["0"]
 
 
-def test_the_parser_is_built_once_per_process(monkeypatch, capsys):
+def test_one_parser_is_built_per_command_per_process(monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -462,11 +462,14 @@ def test_the_parser_is_built_once_per_process(monkeypatch, capsys):
 
     build_parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    argv = ["count", "--gens", "x1^2", "-n", "1", "-p", "3", "-m", "2"]
-    assert main(argv) == 0
-    assert len(built) == 8  # iosc and its seven subcommands
-    assert main(argv) == 0
-    assert len(built) == 8
+    count = ["count", "--gens", "x1^2", "-n", "1", "-p", "3", "-m", "2"]
+    zeta = ["zeta", "--gens", "x1^2", "-n", "1", "-p", "3", "--max-order", "2"]
+    # (argv, parsers built so far): iosc and the command's subparser once
+    # per command, iosc and all seven subcommands for -h
+    for argv, total in [(count, 2), (count, 2), (zeta, 4), (count, 4), (["-h"], 12),
+                        (["--help"], 12), (zeta, 12)]:
+        assert main(argv) == 0
+        assert len(built) == total
     capsys.readouterr()
 
 
@@ -501,6 +504,31 @@ def subcommand_cases():
         for which in positional[0].choices if positional else [None]:
             name = f"{command}-{which}" if which else command
             yield pytest.param(command, which, required, id=name)
+
+
+def full_parser_text(argv):
+    """(stdout, stderr) of the parser of every subcommand on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+    return out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command, which, required", subcommand_cases())
+def test_a_commands_own_parser_reads_as_the_full_one(command, which, required, capsys):
+    # the help of each subcommand, and an error of the top-level parser,
+    # whose usage line lists every subcommand
+    argv = [command] + ([which] if which else [])
+    for flag in required:
+        argv += [flag, "2"]
+    for args, code in [([command, "--help"], 0), (argv + ["--no-such"], 2)]:
+        expected = full_parser_text(args)
+        assert main(args) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == expected
+    assert expected[1].startswith("usage: iosc [-h] {expsum,count,zeta,sseries,bounds,circle,jet}")
+    assert expected[1].endswith("error: unrecognized arguments: --no-such\n")
 
 
 @pytest.mark.parametrize("command, which, required", subcommand_cases())

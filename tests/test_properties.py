@@ -665,6 +665,61 @@ def test_a_separable_ideal_counts_as_the_naive_route(chunk, case):
         count_points_raw(gens, n, p, m, method="both")
 
 
+@st.composite
+def separable_field_gens(draw):
+    """(gens, n, p, k, chunk): 1-5 generators over F_(p^k), p in {2, 3, 5}
+    and k <= 3, on a box past the split gate: with CHUNK = chunk, the
+    least n >= 2 with q^n above min(CHUNK, SPLIT_POINTS), so CHUNK = 50
+    moves the gate down to boxes of a few hundred points.
+
+    The variables fall into 2-3 blocks of a random partition, and each
+    generator is a constant plus 1-3 terms in each of 1-2 blocks, so some
+    generators sit in one half alone and a variable may be in none.
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    k = draw(st.integers(1, 3))
+    chunk = draw(st.sampled_from([ringcount.CHUNK, 50]))
+    q, n = p ** k, 2
+    while q ** n <= min(chunk, ringcount.SPLIT_POINTS):
+        n += 1
+    blocks = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    assume(len(set(blocks)) >= 2)
+    coeff = st.integers(-4, 4).filter(bool)
+    gens = []
+    for _ in range(draw(st.integers(1, 5))):
+        terms = {(0,) * n: draw(st.integers(-2, 2))}
+        for b in draw(st.sets(st.sampled_from(sorted(set(blocks))), min_size=1, max_size=2)):
+            axes = [j for j in range(n) if blocks[j] == b]
+            monomial = st.tuples(*[st.integers(0, 3)] * len(axes)).map(
+                lambda e, axes=axes: tuple(e[axes.index(j)] if j in axes else 0 for j in range(n))
+            )
+            terms.update(draw(st.dictionaries(monomial, coeff, min_size=1, max_size=3)))
+        gens.append(Poly(n, terms))
+    return gens, n, p, k, chunk
+
+
+FIELDS: dict = {}
+
+
+@given(separable_field_gens())
+def test_a_separable_finite_field_count_equals_the_scan(case):
+    # count_ff_raw counts the zeros from two half grids (but for a half of
+    # more than CHUNK points, or gens of one variable each on one chunk)
+    # and is charged the whole grid, once; the scan of the whole grid is
+    # the reference
+    gens, n, p, k, chunk = case
+    q = p ** k
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ringcount, "CHUNK", chunk)
+        grid = Grid(n, ModQ(p) if k == 1 else ringcount.shared_field(p, k, FIELDS))
+        assert ringcount.split_halves(gens, grid) is not None
+        meter = Meter(q ** n)
+        assert count_ff_raw(gens, n, p, k, meter, fields=FIELDS) == _count_naive(
+            gens, grid, None, 1
+        )
+    assert meter.left == 0
+
+
 @pytest.mark.parametrize(
     "text, n, p, m, charges",
     [

@@ -6,8 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from iosc import ringcount
+from iosc import expsum, ringcount
 from iosc.errors import BudgetExceeded, Meter, OracleDisagreement
+from iosc.expsum import ff_char_sum
 from iosc.gf import GFTable
 from iosc.poly import IdealSpec, Poly, parse_poly
 from iosc.ringcount import (
@@ -268,6 +269,109 @@ def test_value_vectors_past_int64_codes_are_compared_exactly():
     # mod 2^64 to the code of x2 = 1's negated vector (0, 3, 65531, 3, 65536)
     gens = [P(t, 2) for t in ("x1", "-3*x2", "-65531*x2", "-3*x2", "-65536*x2")]
     assert count_points_raw(gens, 2, 65537, 1) == 1
+
+
+def test_split_codes_are_int64_over_an_int32_field():
+    # F_256 codes are int32; the first of five base-256 digits is scaled by
+    # 2^32, which int32 arithmetic would wrap to 0 and so find zeros
+    gens = [P(t, 2) for t in ("x1+x2+1", "x1+x2", "x1+x2^2", "x1^2+x2", "x1^3+x2^3")]
+    grid = Grid(2, GFTable(2, 8))
+    assert ringcount.split_halves(gens, grid) is not None
+    assert ringcount.count_ff_raw(gens, 2, 2, 8) == 0
+    assert ringcount._count_naive(gens, grid, None, 1) == 0
+
+
+@pytest.mark.parametrize(
+    "gens, n, p, k, splits",
+    [
+        # one variable each: a box of one chunk (13^4 points) is scanned,
+        # a larger one (25^4 points) splits
+        (["3*x1^2", "3*x2^2", "3*x3^2", "3*x4^2"], 4, 13, 1, False),
+        (["3*x1^2", "3*x2^2", "3*x3^2", "3*x4^2"], 4, 5, 2, True),
+        # x1^2 - x2^3 is in two variables: its 243^2 points split
+        (["x1^2 - x2^3"], 2, 3, 5, True),
+    ],
+)
+def test_a_finite_field_count_splits_unless_one_variable_gens_fit_a_chunk(
+    gens, n, p, k, splits, monkeypatch
+):
+    calls, real = [], ringcount._split_zeros
+    monkeypatch.setattr(ringcount, "_split_zeros", lambda *a: calls.append(1) or real(*a))
+    gens = [P(g, n) for g in gens]
+    field = ModQ(p) if k == 1 else GFTable(p, k)
+    assert ringcount.count_ff_raw(gens, n, p, k) == ringcount._count_naive(
+        gens, Grid(n, field), None, 1
+    )
+    assert bool(calls) == splits
+
+
+def test_a_finite_field_count_scans_past_a_half_of_more_than_chunk_points(monkeypatch):
+    # x1...x7 + x8 over F_2 splits into halves of 2^7 and 2 points; with
+    # CHUNK = 64 the half of 128 points would be held whole, so the box
+    # is scanned in chunks
+    monkeypatch.setattr(ringcount, "CHUNK", 64)
+    monkeypatch.setattr(ringcount, "_split_zeros", None)
+    f = P("x1*x2*x3*x4*x5*x6*x7 + x8", 8)
+    assert ringcount.split_halves([f], Grid(8, 2)) is not None
+    # x8 = x1...x7: one zero for each point of the half of 2^7 points
+    assert ringcount.count_ff_raw([f], 8, 2, 1) == 2 ** 7
+
+
+def brute_pairs(a, b):
+    return sum(int(x == y) for x in a.tolist() for y in b.tolist())
+
+
+@pytest.mark.parametrize(
+    "a, b, dense",
+    [
+        (np.array([-3, -1, -1, 0, 2, 2, 2]), np.array([-1, 2, 2, -5, 7]), True),
+        (np.array([-3, 0, 4], dtype=np.int32), np.array([4, 4, -3, 9], dtype=np.int64), True),
+        (np.array([-(10 ** 12), 5, 5, 10 ** 12]), np.array([5, 10 ** 12, -(10 ** 12), 3]), False),
+        (np.array([-(2 ** 62), 2 ** 62 - 1]), np.array([2 ** 62 - 1] * 3), False),
+        (np.array([7, 7, 7]), np.array([7, 7]), True),
+        (np.array([1, 2]), np.array([3, 4, 5]), True),
+    ],
+)
+def test_count_value_pairs_is_the_brute_force_pair_count(a, b, dense):
+    span = int(max(a.max(), b.max())) - int(min(a.min(), b.min())) + 1
+    assert (span <= ringcount.DENSE * (len(a) + len(b))) == dense
+    assert ringcount.count_value_pairs(a, b) == brute_pairs(a, b)
+    rng = np.random.default_rng(len(a))
+    for width in (3, 10 ** 6):
+        a, b = rng.integers(-width, width, 200), rng.integers(-width, width, 150)
+        assert ringcount.count_value_pairs(a, b) == brute_pairs(a, b)
+
+
+@pytest.mark.parametrize(
+    "call, log",
+    [
+        # the finite-field calls of the grid-verify workload: a split count
+        # is charged the whole grid, once, as a scan is
+        (lambda: count_ff(S("x1^2-x2^3", n=2), 2, 8), [("finite-field count", 2 ** 16)]),
+        (lambda: count_ff(S("x1^2-x2^3", n=2), 3, 5), [("finite-field count", 3 ** 10)]),
+        (lambda: dim_estimate(S("x1^2*x2-x3^2", n=3), maxk=2),
+         [("finite-field count", q ** 3) for q in (7, 11, 13, 49, 121, 169)]),
+        (lambda: ff_char_sum(P("x1^3+x2^3+x3^3+x4^3", 4), None, 5, 2),
+         [("finite-field count", 5 ** 4), ("finite-field count", 25 ** 4),
+          ("finite-field sum", 25 ** 4)]),
+    ],
+    ids=["count-ff-cusp-2^8", "count-ff-cusp-3^5", "dim-estimate-umbrella",
+         "ff-char-sum-cubic-5^2"],
+)
+def test_a_split_finite_field_count_keeps_the_charge_log(call, log, monkeypatch):
+    real, seen = ringcount.charge, []
+
+    def charge(needed, budget, what="enumeration"):
+        seen.append((what, needed))
+        real(needed, budget, what)
+
+    monkeypatch.setattr(ringcount, "charge", charge)
+    monkeypatch.setattr(expsum, "charge", charge)
+    splits, split = [], ringcount._split_zeros
+    monkeypatch.setattr(ringcount, "_split_zeros", lambda *a: splits.append(1) or split(*a))
+    call()
+    assert seen == log
+    assert splits
 
 
 def test_the_lift_uses_no_part_of_the_naive_route(monkeypatch):
