@@ -24,10 +24,14 @@ neg are lookups, and add is one for odd p; for p = 2 add is the XOR of
 codes.  mul_rows, a column of prefix values times a suffix box, takes
 the table's row of each prefix value and gathers it at the box's codes:
 one 1-D take per row, where mul would gather the q x q table at every
-pair.  Every result is int32.  So F_q^n is scanned by the same Grid and
-GridPolys as (Z/q)^n, and a zero test compares codes with the negated
-codes of the suffix-only terms (ringcount.ZeroScan), with no add of
-those terms.
+pair.  The mul, add and neg tables hold codes in the field's code dtype
+(code_dtype: int8 up to q = 128, else int16), and so does every result,
+the XOR too: a lookup does no arithmetic, so gathers, adds and the zero
+test move 1-2 bytes a code, and a caller that does arithmetic on codes
+(ringcount._codes) widens them to int64 first.  So F_q^n is scanned by
+the same Grid and GridPolys as (Z/q)^n, and a zero test compares codes
+with the negated codes of the suffix-only terms (ringcount.ZeroScan),
+with no add of those terms.
 
 The absolute trace to F_p is precomputed per element, which is all a
 canonical additive character of F_q needs: psi(a) = exp(2*pi*i*Tr(a)/p).
@@ -40,6 +44,11 @@ import numpy as np
 from .poly import Poly
 
 MAX_TABLE_Q = 4096
+
+
+def code_dtype(q: int) -> type:
+    """The smallest signed integer dtype that holds the codes 0..q-1."""
+    return np.int8 if q <= 1 << 7 else np.int16 if q <= 1 << 15 else np.int32
 
 
 class GFTable:
@@ -58,6 +67,7 @@ class GFTable:
         self.p = p
         self.k = k
         self.q = q
+        self.dtype = code_dtype(q)
         # base-p digits of every code, most significant first
         elems = digits(np.arange(q, dtype=np.int64), [p] * k).astype(np.int32)
         weights = p ** np.arange(k - 1, -1, -1, dtype=np.int32)
@@ -78,19 +88,21 @@ class GFTable:
         self.modpoly = list(lower) + [1]
 
         # exp doubled so that log a + log b indexes it without a reduction
-        exp = np.array(powers * 2, dtype=np.int32)
+        exp = np.array(powers * 2, dtype=self.dtype)
         log = np.zeros(q, dtype=np.intp)
         log[exp[: q - 1]] = np.arange(q - 1)
         # over F_(2^k) add is the XOR of codes, so only odd p keep a table
         self.add_table = None
         if p > 2:
-            # a + b, less p * p^j wherever digit j carries
-            codes = np.arange(q, dtype=np.int32)
-            self.add_table = np.add.outer(codes, codes)
+            # a + b, less p * p^j wherever digit j carries; a sum of two
+            # codes below 4096 fits int16
+            codes = np.arange(q, dtype=np.int16)
+            add = np.add.outer(codes, codes)
             for d, w in zip(elems.T, weights):
                 carry = np.greater_equal.outer(d, p - d)
-                np.subtract(self.add_table, p * w, out=self.add_table, where=carry)
-        mul = np.empty((q, q), dtype=np.int32)
+                np.subtract(add, p * int(w), out=add, where=carry)
+            self.add_table = add.astype(self.dtype, copy=False)
+        mul = np.empty((q, q), dtype=self.dtype)
         # runs of rows of at most CHUNK entries keep the index sums small
         rows = max(1, CHUNK // q)
         for a in range(0, q, rows):
@@ -98,7 +110,7 @@ class GFTable:
         mul[0] = mul[:, 0] = 0
         self.mul_table = mul
         # -a digitwise: each digit d becomes (p - d) mod p
-        self.neg_table = ((p - elems) % p) @ weights
+        self.neg_table = (((p - elems) % p) @ weights).astype(self.dtype)
 
         # absolute trace: Tr(a) = a + a^p + ... + a^(p^(k-1)), lands in F_p,
         # whose elements are encoded by their constant digit
@@ -121,8 +133,9 @@ class GFTable:
     def mul_rows(self, col: np.ndarray, h: np.ndarray) -> np.ndarray:
         """mul(col, h) for a column col of shape (rows, 1, ..., 1) and a
         box h that broadcasts against it without its first axis: row i is
-        mul_table[col[i]] taken at h.  The rows x q block of table rows
-        is gathered in runs of at most CHUNK entries (read at call time)."""
+        mul_table[col[i]] taken at h, in the code dtype.  The rows x q
+        block of table rows is gathered in runs of at most CHUNK entries
+        (read at call time)."""
         from .ringcount import CHUNK
 
         col = col.reshape(-1)
@@ -133,8 +146,9 @@ class GFTable:
 
     def add(self, a, b):
         if self.p == 2:
-            # digitwise mod 2; int32 like the lookups, so no int64 array
-            return np.bitwise_xor(a, b, dtype=np.int32)
+            # digitwise mod 2; in the code dtype like the lookups, so no
+            # int64 array
+            return np.bitwise_xor(a, b, dtype=self.dtype)
         return self.add_table[a, b]
 
     def reduce(self, a: np.ndarray) -> np.ndarray:

@@ -40,7 +40,9 @@ class PolyParseError(ValueError):
 class Poly:
     """Sparse polynomial with exact integer coefficients."""
 
-    __slots__ = ("nvars", "terms")
+    # _hash is filled by the first __hash__: nothing changes terms after
+    # construction (see _of), and the lift hashes each child more than once
+    __slots__ = ("nvars", "terms", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int] | None = None):
         if nvars < 0:
@@ -56,6 +58,7 @@ class Poly:
                     raise ValueError(f"bad exponent vector {expo} for nvars={nvars}")
                 clean[expo] = int(coeff)
         self.terms = clean
+        self._hash = None
 
     @classmethod
     def _of(cls, nvars: int, terms: dict[tuple[int, ...], int]) -> "Poly":
@@ -66,7 +69,7 @@ class Poly:
         and it hands the dict over, never changing it afterwards.
         """
         f = object.__new__(cls)
-        f.nvars, f.terms = nvars, terms
+        f.nvars, f.terms, f._hash = nvars, terms, None
         return f
 
     # -- constructors ---------------------------------------------------
@@ -151,7 +154,9 @@ class Poly:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
+        if self._hash is None:
+            self._hash = hash((self.nvars, frozenset(self.terms.items())))
+        return self._hash
 
     def __bool__(self) -> bool:
         return bool(self.terms)

@@ -31,19 +31,21 @@ product (mul_rows) and one add per distinct prefix monomial a != 0, and
 decodes no rows; a region is decided on the same chunks (Region.on).
 ZeroScan, the zero test of a whole grid, takes -h_0 once per scan (neg)
 and compares the other groups' sum with it, one compare per point and
-polynomial with no add of h_0 and, for one prefix group, no reduce.  A
-lift node's scan above order 1 evaluates the Jacobian too, so rows are
-decoded only for its singular zeros and for the critical points of a
-half grid.  eval_rows() evaluates a polynomial on given rows in any
-ring, and map_sum() adds a worker's results over chunks in submission
-order on a thread pool, so every total is the same for any thread
-count.  The lift builds its grid (Z/p)^n, with its power tables, once
+polynomial with no add of h_0 and, for one prefix group, no reduce; the
+compare is in the ring's code dtype (int8 or int16 for small q), while
+the arithmetic before it stays int64 for Z/q.  A lift node's scan above
+order 1 evaluates the Jacobian too, so rows are decoded only for its
+singular zeros and for the critical points of a half grid.  eval_rows()
+evaluates a polynomial on given rows in any ring, and map_sum() adds a
+worker's results over chunks in submission order on a thread pool, so
+every total is the same for any thread count.  The lift builds its grid (Z/p)^n, with its power tables, once
 per call.  _count_naive() is the one zero count of a whole grid: the
 naive route, the region counts, and the finite-field and integer box
 counts of gens that do not split.  split_halves() is the one builder of
 half grids, for what it finds separable.  _split_zeros() counts the
-zeros on two half grids (_codes() encodes value vectors in int64 and
-count_value_pairs() counts equal codes) for the lift's split nodes, the
+zeros on two half grids (_codes() encodes value vectors in int64, the
+smaller half is tallied by value_tally() and the larger matched to it a
+chunk at a time by count_tally_pairs()) for the lift's split nodes, the
 finite-field count of count_ff_raw (and so dim_estimate, bsing_dim and
 ff_char_sum's dimension ladder) and the integer box count of
 circle.count_box_solutions; convolve_tallies() sums two halves' tallies
@@ -68,7 +70,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DEFAULT_BUDGET, Meter, OracleDisagreement, charge, check_int
-from .gf import MAX_TABLE_Q, GFTable
+from .gf import MAX_TABLE_Q, GFTable, code_dtype
 from .poly import IdealSpec, Poly, Weight, jacobian_minors, top_part, power as poly_power
 
 # -- vectorized helpers ----------------------------------------------------
@@ -81,10 +83,10 @@ CHUNK = 1 << 18
 SPLIT_POINTS = 1 << 14
 # products of two residues below 2^31 fit in int64
 Q_LIMIT = 1 << 31
-# count_value_pairs tallies values densely while their range is at most
-# this many times the values counted: on a 2-core Xeon VM two bincounts
-# took 0.3-0.6 of np.unique's time at 1-2 times, and as long at 3
-# (169 to 200,000 values)
+# value_tally and count_tally_pairs tally values densely while their
+# range is at most this many times the values counted: on a 2-core Xeon
+# VM two bincounts took 0.3-0.6 of np.unique's time at 1-2 times, and as
+# long at 3 (169 to 200,000 values)
 DENSE = 2
 
 
@@ -144,12 +146,16 @@ class ModQ:
 
     A product of two residues stays below 2^62.  add() leaves a sum
     unreduced, since a sum of a few residues stays far inside int64, and
-    reduce() takes it mod q once, in place.
+    reduce() takes it mod q once, in place.  Arithmetic stays int64, since
+    products of residues need it; dtype, the smallest signed integer type
+    that holds q - 1 (gf.code_dtype: int8 up to q = 128, int16 up to 2^15,
+    else int32), is what ZeroScan compares reduced residues in.
     """
 
     def __init__(self, q: int):
         _check_modulus(q)
         self.q = q
+        self.dtype = code_dtype(q)
 
     def const(self, c: int) -> int:
         return c % self.q
@@ -171,7 +177,10 @@ class ModQ:
 
 
 class Int64:
-    """Exact integers in int64; the caller bounds every value below 2^62."""
+    """Exact integers in int64; the caller bounds every value below 2^62.
+    Values are compared in int64 too (dtype)."""
+
+    dtype = np.int64
 
     def const(self, c: int) -> int:
         return c
@@ -192,7 +201,7 @@ class Int64:
 
 
 # the rings of the evaluators: each has const, mul, mul_rows, add, reduce
-# and neg
+# and neg, and the dtype ZeroScan compares values in
 Ring = ModQ | Int64 | GFTable
 
 
@@ -237,8 +246,11 @@ def _eval_terms(
 
 
 def eval_rows(f: Poly, pts: np.ndarray, ring: Ring) -> np.ndarray:
-    """f at every row of pts, in the ring; the one row evaluator."""
-    return _eval_terms(f.terms.items(), lambda j: pts[:, j], ring, {}, len(pts))
+    """f at every row of pts, in the ring, as int64 (F_q codes widened
+    from the code dtype, so callers may do arithmetic on them); the one
+    row evaluator."""
+    vals = _eval_terms(f.terms.items(), lambda j: pts[:, j], ring, {}, len(pts))
+    return vals.astype(np.int64, copy=False)
 
 
 def eval_poly_mod(f: Poly, pts: np.ndarray, q: int) -> np.ndarray:
@@ -436,21 +448,33 @@ class ZeroScan(GridPolys):
     with one broadcast compare and adds and reduces no h_0.  The negations
     -h_0 (ring.neg) are taken once, when the scan is built, so that no
     other scan (a lift node's) pays for them.
+
+    The compare is in the ring's code dtype (ring.dtype): int8 or int16
+    for Z/q of q <= 2^15, int32 above, the F_q codes' own dtype, and
+    int64 for Int64.  A chunk's reduced sums, compact arrays far smaller
+    than the broadcast, are cast to it, and so are the negations, once;
+    the arithmetic before the compare stays int64 for Z/q, because
+    products of residues need it.  Every point is still compared.
     """
 
     def __init__(self, grid: Grid, polys: Sequence[Poly]):
         super().__init__(grid, polys)
-        self.negs = [0 if h0 is None else grid.ring.neg(h0) for h0, _ in self.plans]
+        code = grid.ring.dtype
+        self.negs = [
+            0 if h0 is None else grid.ring.neg(h0).astype(code) for h0, _ in self.plans
+        ]
 
     def zeros(self, chunk: tuple[int, int], within: np.ndarray | None = None) -> np.ndarray:
         """The mask of the chunk's rows where every polynomial vanishes,
         and where `within`, a mask in the compact shape, holds if given."""
-        ok = within
+        ring, ok = self.grid.ring, within
         for (vals, groups), neg in zip(self.sums(chunk, with_h0=False), self.negs):
             if vals is None:
                 vals = 0
-            elif groups > 1:
-                vals = self.grid.ring.reduce(vals)
+            else:
+                if groups > 1:
+                    vals = ring.reduce(vals)
+                vals = vals.astype(ring.dtype, copy=False)
             ok = vals == neg if ok is None else ok & (vals == neg)
         return self.grid.flat(chunk, np.ones(1, dtype=bool) if ok is None else ok)
 
@@ -523,34 +547,58 @@ def split_halves(
 
 def _codes(vals: Sequence[np.ndarray], q: int) -> np.ndarray:
     """v_1 q^(s-1) + ... + v_s of the value vectors, on the compact shape,
-    in int64 whatever the ring's dtype (GFTable codes are int32, whose
-    products would wrap at 2^31); one vector is its own code."""
+    in int64 whatever the ring's dtype (GFTable codes are int8 or int16,
+    whose products would wrap); one vector is its own code, in its own
+    dtype."""
     idx, *rest = vals
     for v in rest:
         idx = np.multiply(idx, q, dtype=np.int64) + v
     return idx
 
 
-def count_value_pairs(a: np.ndarray, b: np.ndarray) -> int:
-    """#{(i, j) : a[i] == b[j]} for non-empty integer arrays, exactly: the
-    products of the matching values' counts are summed in Python ints.
+def value_tally(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a non-empty integer array, ascending, and
+    how many times each occurs: by np.bincount of a less its minimum while
+    its range is at most DENSE times its length, else by np.unique."""
+    lo = int(a.min())
+    span = int(a.max()) - lo + 1
+    if span <= DENSE * len(a):
+        counts = np.bincount(np.subtract(a, lo, dtype=np.int64), minlength=span)
+        values = np.flatnonzero(counts)
+        return values + lo, counts[values]
+    return np.unique(a, return_counts=True)
 
-    Values whose range is at most DENSE times the arrays' total length
-    are tallied densely, by np.bincount of both arrays less their common
-    minimum; wider ones by np.unique, matched by intersect1d.
+
+def count_tally_pairs(tally: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> int:
+    """#{(i, j) : a[i] == b[j]} for the value_tally of an array a and a
+    non-empty integer array b, exactly: the sum of the products of the
+    matching values' counts.
+
+    While the range of both arrays' values is at most DENSE times the
+    tally's values and b together, b is tallied densely, by np.bincount
+    less the common minimum, and read at the tally's values; wider b by
+    np.unique, matched by intersect1d.  The sum has at most len(a) len(b)
+    pairs, so below 2^63 it is one int64 dot product, else a sum of
+    Python ints.
     """
-    lo = min(a.min(), b.min())
-    span = int(max(a.max(), b.max())) - int(lo) + 1
-    if span <= DENSE * (len(a) + len(b)):
-        ca, cb = np.bincount(a - lo, minlength=span), np.bincount(b - lo, minlength=span)
-        both = np.flatnonzero((ca > 0) & (cb > 0))
-        ca, cb = ca[both], cb[both]
+    values, ca = tally
+    lo = min(int(values[0]), int(b.min()))
+    span = max(int(values[-1]), int(b.max())) - lo + 1
+    if span <= DENSE * (len(values) + len(b)):
+        cb = np.bincount(np.subtract(b, lo, dtype=np.int64), minlength=span)
+        cb = cb[np.subtract(values, lo, dtype=np.int64)]
     else:
-        ua, ca = np.unique(a, return_counts=True)
         ub, cb = np.unique(b, return_counts=True)
-        _, ia, ib = np.intersect1d(ua, ub, assume_unique=True, return_indices=True)
+        _, ia, ib = np.intersect1d(values, ub, assume_unique=True, return_indices=True)
         ca, cb = ca[ia], cb[ib]
+    if int(ca.sum()) * len(b) < 1 << 63:
+        return int(np.dot(ca, cb))
     return sum(map(operator.mul, ca.tolist(), cb.tolist()))
+
+
+def count_value_pairs(a: np.ndarray, b: np.ndarray) -> int:
+    """#{(i, j) : a[i] == b[j]} for non-empty integer arrays, exactly."""
+    return count_tally_pairs(value_tally(a), b)
 
 
 def convolve_tallies(ring: Ring, s: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -685,7 +733,8 @@ class Region:
             for p in primes:
                 lo = 0
                 for mode, hi in tests:
-                    zero = [v % p == 0 for v in vals[lo:hi]]
+                    # in int64: F_q codes are narrower than p = q may be
+                    zero = [np.remainder(v, p, dtype=np.int64) == 0 for v in vals[lo:hi]]
                     lo = hi
                     if isinstance(mode, UnitModP):
                         masks += [~z for z in zero]
@@ -958,14 +1007,18 @@ def _split_zeros(
     g_j = g_jA(x_A) + g_jB(x_B), from one scan of each half grid.
 
     A zero is a pair of points of A and B whose value vectors cancel, so
-    B's vectors are negated and count_value_pairs counts the equal codes
-    (_codes in radix q while q^r fits in int64, else ranks among both
-    halves' rows; one value is its own code).  At order 1 every zero
-    counts 1.  Above it there is one generator f, whose code is its
-    value, and the singular zeros are the pairs in C_A x C_B whose codes
-    match, C_H being the points of half H where every d f / d x_j, j in
-    H, vanishes (the gradient of f at (x_A, x_B) is the pair of the
-    halves' gradients).  The meter is charged once, under `what`, the
+    B's vectors are negated and equal codes are counted (_codes in radix
+    q while q^r fits in int64; one value is its own code).  The half of
+    fewer points (A on a tie) is scanned first and tallied whole
+    (value_tally); the other half is matched against that tally one chunk
+    at a time (count_tally_pairs), so at most a chunk of its codes is
+    held.  Past int64 codes the first half's rows are held instead, and
+    each chunk's rows are ranked together with them (count_value_pairs).
+    At order 1 every zero counts 1.  Above it there is one generator f,
+    whose code is its value, and the singular zeros are the pairs in C_A
+    x C_B whose codes match, C_H being the points of half H where every
+    d f / d x_j, j in H, vanishes (the gradient of f at (x_A, x_B) is the
+    pair of the halves' gradients).  The meter is charged once, under `what`, the
     halves' points plus |C_A| |C_B|, after the scans; halves that alone
     exceed it are refused before they are scanned.  With no meter
     nothing is charged: the caller has charged the whole grid.
@@ -976,29 +1029,37 @@ def _split_zeros(
     r = len(halves[0][2])
     q = halves[0][1].ring.q if r > 1 else None
     coded = r == 1 or q ** r <= 1 << 63
-    sides, crit = [], []
-    for axes, grid, parts in halves:
+    zeros, tally, crit = 0, None, [None, None]
+    for h in sorted((0, 1), key=lambda h: math.prod(halves[h][1].sizes)):
+        axes, grid, parts = halves[h]
         partials = [] if hi == 1 else [parts[0].derivative(i) for i in range(len(axes))]
         scan = GridPolys(grid, parts + partials)
         codes, found = [], []
         for chunk in grid.chunks():
             vals = scan.compact(chunk)
-            vecs = [grid.ring.neg(v) for v in vals[:r]] if sides else vals[:r]
+            vecs = [grid.ring.neg(v) for v in vals[:r]] if h else vals[:r]
             if coded:
-                codes.append(grid.flat(chunk, _codes(vecs, q)))
+                code = grid.flat(chunk, _codes(vecs, q))
             else:
-                codes.append(np.stack([grid.flat(chunk, v) for v in vecs], axis=1))
+                code = np.stack([grid.flat(chunk, v) for v in vecs], axis=1)
             if partials:
                 flat = functools.reduce(operator.and_, [d == 0 for d in vals[r:]])
                 where = np.flatnonzero(grid.flat(chunk, flat))
-                found.append((grid.rows(chunk, where), codes[-1][where]))
-        sides.append(np.concatenate(codes))
+                found.append((grid.rows(chunk, where), code[where]))
+            if tally is None:
+                codes.append(code)
+            elif coded:
+                zeros += count_tally_pairs(tally, code)
+            else:
+                # the first half's rows and the chunk's, ranked together
+                rows = np.concatenate([tally, code])
+                _, ranks = np.unique(rows, axis=0, return_inverse=True)
+                zeros += count_value_pairs(*np.split(ranks.reshape(-1), [len(tally)]))
+        if tally is None:
+            codes = np.concatenate(codes)
+            tally = value_tally(codes) if coded else codes
         # the points of C_H and their codes (nothing at order 1)
-        crit.append([np.concatenate(c) for c in zip(*found)])
-    if not coded:
-        _, ranks = np.unique(np.concatenate(sides), axis=0, return_inverse=True)
-        sides = np.split(ranks.reshape(-1), [len(sides[0])])
-    zeros = count_value_pairs(*sides)
+        crit[h] = [np.concatenate(c) for c in zip(*found)]
     if hi > 1:
         (pts_a, at_a), (pts_b, at_b) = crit
         scanned += len(pts_a) * len(pts_b)
@@ -1316,7 +1377,7 @@ class LocalData:
 def shared_field(p: int, k: int, fields: dict[tuple[int, int], GFTable] | None) -> GFTable:
     """GFTable(p, k), kept in fields under (p, k) so that one call builds
     each field once; with no fields dict it is built afresh.  A q = 4096
-    field holds one q x q int32 table, 64 MiB, so fields live for one
+    field holds one q x q int16 table, 32 MiB, so fields live for one
     call, never for the process."""
     if fields is None:
         return GFTable(p, k)
@@ -1362,8 +1423,9 @@ def count_ff_raw(
         box > CHUNK or any(sum(map(any, zip(*g.terms))) > 1 for g in gens)
     ):
         halves = split_halves(gens, grid)
-        # _split_zeros holds a half's codes whole, so a half of more than
-        # CHUNK points is left to the scan, which holds one chunk at a time
+        # _split_zeros holds the smaller half's codes whole (the larger one
+        # streams), and a half of more than CHUNK points is still left to
+        # the scan, which holds one chunk at a time
         if halves is not None and all(math.prod(h.sizes) <= CHUNK for _, h, _ in halves):
             return _split_zeros(halves, None, 1)[0]
     return _count_naive(gens, grid, None, threads)

@@ -67,19 +67,26 @@ def test_neg_table_is_the_additive_inverse(pk):
     assert (gf.neg(a) == gf.neg_table).all()
 
 
+def code_dtype(q):
+    # the code dtype rule: int8 for q <= 128, int16 above (up to 4096)
+    return np.int8 if q <= 128 else np.int16
+
+
 def test_tables_keep_their_dtypes(gf):
-    assert gf.mul_table.dtype == np.int32
+    assert gf.dtype == code_dtype(gf.q)
+    assert gf.mul_table.dtype == code_dtype(gf.q)
+    assert gf.neg_table.dtype == code_dtype(gf.q)
     assert gf.trace_table.dtype == np.int64
     assert gf.mul_table.shape == (gf.q, gf.q)
     if gf.p == 2:
         assert gf.add_table is None  # add is the XOR of codes
     else:
-        assert gf.add_table.dtype == np.int32
+        assert gf.add_table.dtype == code_dtype(gf.q)
         assert gf.add_table.shape == (gf.q, gf.q)
 
 
 def test_a_binary_field_holds_no_add_table():
-    # F_(2^12): the q x q int32 mul table is 64 MB, and nothing else is large
+    # F_(2^12): the q x q int16 mul table is 32 MiB, and nothing else is large
     tracemalloc.start()
     try:
         gf = GFTable(2, 12)
@@ -87,7 +94,7 @@ def test_a_binary_field_holds_no_add_table():
     finally:
         tracemalloc.stop()
     assert gf.add_table is None
-    assert held <= 65 << 20
+    assert held <= 33 << 20
 
 
 def test_field_above_the_table_cap_is_rejected():
@@ -159,7 +166,8 @@ def test_every_table_is_its_definition(pk):
 def test_the_ring_operations_equal_the_tables(pk, monkeypatch):
     """add (the XOR of codes at p = 2) and the row product mul_rows, on
     operands that broadcast, against the digitwise sum (field_add) and
-    lookups in the mul table; every result is int32."""
+    lookups in the mul table; every result is in the code dtype, int8
+    for q <= 128 and int16 above."""
     gf = GFTable(*pk)
     rng = np.random.default_rng(gf.q)
 
@@ -173,7 +181,7 @@ def test_the_ring_operations_equal_the_tables(pk, monkeypatch):
         (codes(7), 1 % gf.q),
     ]:
         got = gf.add(a, b)
-        assert got.dtype == np.int32
+        assert got.dtype == code_dtype(gf.q)
         assert np.array_equal(got, field_add(gf, a, b))
     # ten rows gathered in runs of four table rows, then in one run
     for chunk in (4 * gf.q, ringcount.CHUNK):
@@ -182,5 +190,5 @@ def test_the_ring_operations_equal_the_tables(pk, monkeypatch):
             col = codes(rows, *[1] * len(box))
             h = codes(*box)
             got = gf.mul_rows(col, h)
-            assert got.dtype == np.int32
+            assert got.dtype == code_dtype(gf.q)
             assert np.array_equal(got, gf.mul_table[col, h])

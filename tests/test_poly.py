@@ -336,6 +336,19 @@ def test_the_unchecked_constructor_equals_the_checked_one():
     assert f.terms is terms
 
 
+def test_the_cached_hash_is_the_hash_of_the_terms():
+    rng = random.Random(7)
+    for n in range(4):
+        f = random_poly(rng, n)
+        for g in (f, Poly._of(n, dict(f.terms)), f * f + 1):
+            want = hash((g.nvars, frozenset(g.terms.items())))
+            # the first call fills the cache, the second reads it
+            assert hash(g) == want and hash(g) == want
+    # equal polynomials hash alike whichever constructor built them
+    assert hash(Poly(2, {(1, 0): 1})) == hash(Poly._of(2, {(1, 0): 1}))
+    assert len({Poly(1, {(1,): 2}), Poly._of(1, {(1,): 2}), Poly(1, {(2,): 2})}) == 2
+
+
 def test_ideal_spec_weight_mismatch():
     with pytest.raises(ValueError):
         IdealSpec(1, [(1, [P("x1^2", 1)])], Weight((1,)))

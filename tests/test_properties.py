@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from iosc import ringcount
 from iosc.circle import BoxSpec, count_box_solutions
@@ -942,6 +942,91 @@ def test_zero_count_and_value_histogram_equal_a_row_by_row_reference(kind, data)
         want = np.bincount(codes[inside], minlength=q ** len(polys))
         got = value_histogram(grid, polys, mask or (lambda c: None), threads=1)
         assert got.tolist() == want.tolist()
+
+
+# Z/q on both sides of the code dtypes' bounds (int8 up to q = 128, int16 up
+# to 2^15, int32 above), and fields of both table dtypes up to the cap
+NARROW_RINGS = [127, 128, 129, 32767, 32768, 32769, (2, 7), (2, 8), (3, 5), (2, 12)]
+
+
+@pytest.fixture(scope="module", params=NARROW_RINGS, ids=str)
+def narrow_ring(request):
+    kind = request.param
+    return ModQ(kind) if isinstance(kind, int) else GFTable(*kind)
+
+
+def naive_and_rows(ring, lows, sizes, polys, region, chunk):
+    """(_count_naive on the box, the count of its rows where eval_rows
+    gives 0 for every polynomial, in int64), both inside the region if one
+    is given: Z/q decides it at the primes of q, F_q at q."""
+    n = len(lows)
+    primes = [p for p, _ in factorize(ring.q)] if isinstance(ring, ModQ) else [ring.q]
+    grid = grid_with_chunk(chunk, n, ring, lows, sizes)
+    pts = np.array(
+        list(itertools.product(*[range(lo, lo + size) for lo, size in zip(lows, sizes)])),
+        dtype=np.int64,
+    )
+    zeros = np.logical_and.reduce([eval_rows(f, pts, ring) == 0 for f in polys])
+    mask = None
+    if region is not None:
+        mask = region.on(grid, *primes)
+        if isinstance(ring, GFTable):
+            vanish = [lambda g, x: field_value(ring, g, x) == 0]
+        else:
+            vanish = [lambda g, x, p=p: g.eval_int(x) % p == 0 for p in primes]
+        zeros &= [all(member(region, pt, v) for v in vanish) for pt in pts.tolist()]
+    return _count_naive(polys, grid, mask, threads=1), int(zeros.sum())
+
+
+@settings(max_examples=120)
+@given(data=st.data())
+def test_the_narrow_zero_compare_equals_int64_rows_at_the_dtype_bounds(narrow_ring, data):
+    """ZeroScan compares in the ring's code dtype; on small boxes whose
+    coordinates sit near q (and wrap past it in Z/q), its count must equal
+    the int64 zero test of eval_rows on every row.  A polynomial is drawn
+    as it is, less its value at a point of the box (Z/q), or less itself
+    with two variables swapped, so that zeros are common; CHUNK puts each
+    number of the last axes in the suffix box, so the compare meets both
+    prefix sums and negated suffix values."""
+    ring = narrow_ring
+    q = ring.q
+    n = data.draw(st.integers(1, 3))
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    if isinstance(ring, ModQ):
+        lows = [data.draw(st.integers(q - 6, q + 2)) for _ in sizes]
+    else:  # codes stop at q - 1
+        lows = [data.draw(st.integers(q - 6, q - size)) for size in sizes]
+    monomial = st.tuples(*[st.integers(0, 3)] * n)
+    polys = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        g = Poly(n, data.draw(st.dictionaries(monomial, st.integers(-60, 60), max_size=4)))
+        how = data.draw(st.sampled_from(["as is", "at a point", "swapped"]))
+        if how == "at a point" and isinstance(ring, ModQ):
+            pt = [lo + data.draw(st.integers(0, size - 1)) for lo, size in zip(lows, sizes)]
+            g = g - g.eval_int(pt)
+        elif how == "swapped" and n > 1:
+            i, j = data.draw(st.sampled_from(list(itertools.combinations(range(n), 2))))
+            perm = list(range(n))
+            perm[i], perm[j] = j, i
+            g = g - g.map_vars(perm, n)
+        polys.append(g)
+    region = data.draw(regions(n)) if data.draw(st.booleans()) else None
+    # CHUNK holds the last axes from `split` on, times 1-3 prefix points
+    split = data.draw(st.integers(0, n))
+    chunk = math.prod(sizes[split:]) * data.draw(st.integers(1, 3))
+    got, want = naive_and_rows(ring, lows, sizes, polys, region, chunk)
+    assert got == want
+
+
+def test_a_code_dtype_one_step_too_narrow_fails_the_compare():
+    """The check above catches a dtype that cannot hold q - 1: Z/1000 in
+    int8 takes the residue 261 for 5, so x1 - x2 at (5, 261) would vanish."""
+    ring = ModQ(1000)
+    x1_minus_x2 = parse_poly("x1 - x2", 2)
+    case = ([5, 261], [1, 1], [x1_minus_x2], None, 1)
+    assert naive_and_rows(ring, *case) == (0, 0)
+    ring.dtype = np.int8
+    assert naive_and_rows(ring, *case) == (1, 0)
 
 
 @st.composite

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,6 +322,13 @@ def brute_pairs(a, b):
     return sum(int(x == y) for x in a.tolist() for y in b.tolist())
 
 
+def test_a_pair_count_past_int64_is_summed_exactly():
+    # a tally of 2^62 fives against two fives: 2^63 pairs, one past int64
+    tally = (np.array([5]), np.array([2 ** 62]))
+    assert ringcount.count_tally_pairs(tally, np.array([5, 5, 6])) == 2 ** 63
+    assert ringcount.count_tally_pairs(tally, np.array([5])) == 2 ** 62
+
+
 @pytest.mark.parametrize(
     "a, b, dense",
     [
@@ -372,6 +380,25 @@ def test_a_split_finite_field_count_keeps_the_charge_log(call, log, monkeypatch)
     call()
     assert seen == log
     assert splits
+
+
+def test_a_split_holds_at_most_a_chunk_of_the_larger_halfs_codes(monkeypatch):
+    # the lift's order-1 node of x1*...*x21 + x22 at p = 2 splits into
+    # halves of 2^21 points and 2; the larger is matched a chunk at a time
+    # against the smaller's tally, so the peak is a few int64 arrays of
+    # CHUNK entries (2 MiB each), not the 2^21 codes (16 MiB) and their
+    # copies
+    f = P("*".join(f"x{i}" for i in range(1, 22)) + " + x22", 22)
+    splits, split = [], ringcount._split_zeros
+    monkeypatch.setattr(ringcount, "_split_zeros", lambda *a: splits.append(1) or split(*a))
+    tracemalloc.start()
+    try:
+        count = count_points_raw([f], 22, 2, 1, method="lift")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert splits and count == 2 ** 21
+    assert peak <= 5 * ringcount.CHUNK * 8
 
 
 def test_the_lift_uses_no_part_of_the_naive_route(monkeypatch):
