@@ -116,7 +116,7 @@ def count_box_solutions(
     checked to stay below 2^62 on it (_box_ranges, before any charge).
     A single generator that splits into variable-disjoint halves,
     f = f_A(x_A) + f_B(x_B) (ringcount.split_halves of the box's Int64
-    grid), on a box past the split gate (ringcount.SPLIT_POINTS) is
+    grid), on a box past the split gate (split_halves too) is
     counted by the lift's one split routine, _split_zeros, as an order-1
     node: the pairs of the two sub-boxes' values with f_A = -f_B, charged
     the sub-boxes' points.  Any other box

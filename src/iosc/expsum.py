@@ -10,10 +10,10 @@ It serves phase_histogram (N = p^m), direct_charsum (the literal sum of
 the pairing polynomial, at N = p^m for E_charsum and at a composite N for
 the oracle of sseries), the x-pass of E_charsum (through value_classes,
 which tallies sparsely where the q^r value vectors outnumber the points)
-and the Waring image of circle.  On a whole grid past the split gate
-(ringcount.SPLIT_POINTS), polynomials that split into variable-disjoint
-parts (ringcount.split_halves) are tallied on the two half grids, and
-the tallies are convolved: the value distribution of a
+and the Waring image of circle.  On a whole grid past the split gate,
+polynomials that split into variable-disjoint parts
+(ringcount.split_halves, which holds the gate) are tallied on the two
+half grids, and the tallies are convolved: the value distribution of a
 sum of independent parts (Weil's count of diagonal equations).  A
 region other than the full one is decided per point, so it is scanned;
 the finite-field sums need no region, since each of their conditions
@@ -210,10 +210,10 @@ def value_histogram(
     Values are the ring's codes 0..q-1, and the vector (v_1, ..., v_s) is
     tallied in bin v_1 q^(s-1) + ... + v_s of q^s, encoded on the chunk's
     compact shape before its rows are spread out.  On the whole grid past
-    the split gate (ringcount.SPLIT_POINTS), polynomials that split into
-    variable-disjoint parts f_j = f_jA(x_A) + f_jB(x_B)
-    (ringcount.split_halves) are tallied on the two half grids,
-    each by this function, so a half that splits again does, and the
+    the split gate, polynomials that split into variable-disjoint parts
+    f_j = f_jA(x_A) + f_jB(x_B) (ringcount.split_halves, which holds the
+    gate) are tallied on the two half grids, each by this function, so a
+    half that splits again does, and the
     tallies are convolved (convolve_tallies); the split is taken while the
     q^(2s) pairs of value vectors it may add are at most the grid's
     points, and split_halves gives each half grid its axes' lows and

@@ -4,7 +4,8 @@ Counting over Z/p^m has two independent routes that must agree:
 
 * ``naive`` enumerates the full residue grid (the always-available oracle);
 * ``lift`` walks Denef's recursive residue tree once for every order
-  1..m at the same time (_Lift).
+  1..m at the same time (_Lift), and reads a count of one order m off
+  that walk.
 
 Regions constrain coordinates mod p only (all supported modes are
 conditions on the reduction), so they are applied at the first level of
@@ -41,13 +42,14 @@ worker's results over chunks in submission order on a thread pool, so
 every total is the same for any thread count.  The lift builds its grid (Z/p)^n, with its power tables, once
 per call.  _count_naive() is the one zero count of a whole grid: the
 naive route, the region counts, and the finite-field and integer box
-counts of gens that do not split.  split_halves() is the one builder of
-half grids, for what it finds separable.  _split_zeros() counts the
-zeros on two half grids (_codes() encodes value vectors in int64, the
-smaller half is tallied by value_tally() and the larger matched to it a
-chunk at a time by count_tally_pairs()) for the lift's split nodes, the
-finite-field count of count_ff_raw (and so dim_estimate, bsing_dim and
-ff_char_sum's dimension ladder) and the integer box count of
+counts of gens that do not split.  split_halves() is the one split gate
+and the one builder of half grids, for what it finds separable.
+_split_zeros() counts the zeros on two half grids (_codes() encodes
+value vectors in int64, as Python ints past it, the smaller half is
+tallied by value_tally() and the larger matched to it a chunk at a time
+by count_tally_pairs()) for the lift's split nodes, the finite-field
+count of count_ff_raw (and so dim_estimate, bsing_dim and ff_char_sum's
+dimension ladder) and the integer box count of
 circle.count_box_solutions; convolve_tallies() sums two halves' tallies
 for the whole-grid value tallies of expsum.value_histogram (E_charsum's
 x-pass, full-region phase and residue histograms, the finite-field sums
@@ -486,15 +488,21 @@ def split_halves(
     gens: Sequence[Poly], grid: Grid
 ) -> list[tuple[list[int], Grid, list[Poly]]] | None:
     """The gens as g_j = g_jA(x_A) + g_jB(x_B) on two halves of the grid's
-    axes, or None to scan the whole grid.
+    axes, or None to scan the whole grid; the one split gate of the
+    lift, the finite-field and box counts and value_histogram.
 
     A box of at most min(CHUNK, SPLIT_POINTS) points (both read at call
     time) is scanned, since there a split costs more than the scan, and
-    so are gens of a single block.  The gate was measured on a 2-core
-    Xeon VM: a split has a fixed cost of about 0.2 ms and a scan costs
-    6-20 ns a point, so the two cross near 2^14 points (an order-1 lift
-    node of x1^2+x2^2-x3^2-x4^2, x1*x3-x2*x4 took 0.23 ms to scan and
-    0.34 ms to split at 7^4 points, 0.65 ms and 0.22 ms at 13^4).
+    so are no gens and gens of a single block.  The gate was measured on
+    a 2-core Xeon VM: a split has a fixed cost of about 0.2 ms and a scan
+    costs 6-20 ns a point, so the two cross near 2^14 points (an order-1
+    lift node of x1^2+x2^2-x3^2-x4^2, x1*x3-x2*x4 took 0.23 ms to scan
+    and 0.34 ms to split at 7^4 points, 0.65 ms and 0.22 ms at 13^4).
+    Gens that each use at most one variable are scanned up to CHUNK
+    points: the scan, one chunk, evaluates each on one axis and does no
+    arithmetic on the whole box, about 1 ns a point (four coordinate
+    squares over F_p: 0.08 against 0.16 ms at 13^4 points, 0.14 against
+    0.17 ms at 19^4).
 
     The blocks are the connected components of the graph on the
     variables that joins two variables in the same monomial of any of the
@@ -506,7 +514,10 @@ def split_halves(
     the variables of axes, in order.
     """
     sizes = grid.sizes
-    if math.prod(sizes) <= min(CHUNK, SPLIT_POINTS):
+    box = math.prod(sizes)
+    if not gens or box <= min(CHUNK, SPLIT_POINTS) or box <= CHUNK and all(
+        sum(map(any, zip(*g.terms))) <= 1 for g in gens
+    ):
         return None
     parent = list(range(len(sizes)))
 
@@ -546,23 +557,26 @@ def split_halves(
 
 
 def _codes(vals: Sequence[np.ndarray], q: int) -> np.ndarray:
-    """v_1 q^(s-1) + ... + v_s of the value vectors, on the compact shape,
+    """v_1 q^(s-1) + ... + v_s of the value vectors, on the compact shape:
     in int64 whatever the ring's dtype (GFTable codes are int8 or int16,
-    whose products would wrap); one vector is its own code, in its own
-    dtype."""
+    whose products would wrap) while q^s <= 2^63, and as Python ints
+    (dtype object) above, so no code wraps; one vector is its own code,
+    in its own dtype."""
     idx, *rest = vals
+    dtype = np.int64 if not rest or q ** len(vals) <= 1 << 63 else object
     for v in rest:
-        idx = np.multiply(idx, q, dtype=np.int64) + v
+        idx = np.multiply(idx, q, dtype=dtype) + v
     return idx
 
 
 def value_tally(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of a non-empty integer array, ascending, and
     how many times each occurs: by np.bincount of a less its minimum while
-    its range is at most DENSE times its length, else by np.unique."""
+    its range is at most DENSE times its length, else, and for Python-int
+    codes (dtype object, _codes), by np.unique."""
     lo = int(a.min())
     span = int(a.max()) - lo + 1
-    if span <= DENSE * len(a):
+    if a.dtype != object and span <= DENSE * len(a):
         counts = np.bincount(np.subtract(a, lo, dtype=np.int64), minlength=span)
         values = np.flatnonzero(counts)
         return values + lo, counts[values]
@@ -576,15 +590,15 @@ def count_tally_pairs(tally: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> in
 
     While the range of both arrays' values is at most DENSE times the
     tally's values and b together, b is tallied densely, by np.bincount
-    less the common minimum, and read at the tally's values; wider b by
-    np.unique, matched by intersect1d.  The sum has at most len(a) len(b)
-    pairs, so below 2^63 it is one int64 dot product, else a sum of
-    Python ints.
+    less the common minimum, and read at the tally's values; wider b, and
+    Python-int codes (dtype object, _codes), by np.unique, matched by
+    intersect1d.  The sum has at most len(a) len(b) pairs, so below 2^63 it
+    is one int64 dot product, else a sum of Python ints.
     """
     values, ca = tally
     lo = min(int(values[0]), int(b.min()))
     span = max(int(values[-1]), int(b.max())) - lo + 1
-    if span <= DENSE * (len(values) + len(b)):
+    if b.dtype != object and span <= DENSE * (len(values) + len(b)):
         cb = np.bincount(np.subtract(b, lo, dtype=np.int64), minlength=span)
         cb = cb[np.subtract(values, lo, dtype=np.int64)]
     else:
@@ -594,11 +608,6 @@ def count_tally_pairs(tally: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> in
     if int(ca.sum()) * len(b) < 1 << 63:
         return int(np.dot(ca, cb))
     return sum(map(operator.mul, ca.tolist(), cb.tolist()))
-
-
-def count_value_pairs(a: np.ndarray, b: np.ndarray) -> int:
-    """#{(i, j) : a[i] == b[j]} for non-empty integer arrays, exactly."""
-    return count_tally_pairs(value_tally(a), b)
 
 
 def convolve_tallies(ring: Ring, s: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -904,9 +913,9 @@ def _unit_monomial(active: list[tuple[Poly, int]], p: int) -> tuple[int, ...] | 
     return a
 
 
-def _valuation_sum(a: tuple[int, ...], o: int, p: int, lo: int, hi: int) -> list[int]:
-    """[N(lo), ..., N(hi)] for N(k) = #{z in (Z/p^k)^n : ord_p h(z) >= k - o},
-    h = z^a times a unit and o < lo <= hi.
+def _valuation_sum(a: tuple[int, ...], o: int, p: int, hi: int) -> list[int]:
+    """[N(o+1), ..., N(hi)] for N(k) = #{z in (Z/p^k)^n : ord_p h(z) >= k - o},
+    h = z^a times a unit and o < hi; every z counts at the orders k <= o.
 
     On (Z/p^hi)^n, ord_p h(z) = <a, v> for v_i = min(ord_p z_i, hi), and
     c(v) = (p-1) p^(hi-1-v) residues have v_i = v < hi, c(hi) = 1.  The
@@ -930,7 +939,7 @@ def _valuation_sum(a: tuple[int, ...], o: int, p: int, lo: int, hi: int) -> list
         ways = new
     at_least = list(itertools.accumulate(reversed(ways)))[::-1]
     free = p ** (hi * a.count(0))
-    return [at_least[k - o] * free // p ** ((hi - k) * len(a)) for k in range(lo, hi + 1)]
+    return [at_least[k - o] * free // p ** ((hi - k) * len(a)) for k in range(o + 1, hi + 1)]
 
 
 def _scan_zeros(
@@ -1007,28 +1016,25 @@ def _split_zeros(
     g_j = g_jA(x_A) + g_jB(x_B), from one scan of each half grid.
 
     A zero is a pair of points of A and B whose value vectors cancel, so
-    B's vectors are negated and equal codes are counted (_codes in radix
-    q while q^r fits in int64; one value is its own code).  The half of
-    fewer points (A on a tie) is scanned first and tallied whole
-    (value_tally); the other half is matched against that tally one chunk
-    at a time (count_tally_pairs), so at most a chunk of its codes is
-    held.  Past int64 codes the first half's rows are held instead, and
-    each chunk's rows are ranked together with them (count_value_pairs).
-    At order 1 every zero counts 1.  Above it there is one generator f,
-    whose code is its value, and the singular zeros are the pairs in C_A
-    x C_B whose codes match, C_H being the points of half H where every
-    d f / d x_j, j in H, vanishes (the gradient of f at (x_A, x_B) is the
-    pair of the halves' gradients).  The meter is charged once, under `what`, the
+    B's vectors are negated and equal codes are counted (_codes in radix q,
+    Python ints past int64; one value is its own code).  The half of fewer
+    points (A on a tie) is scanned first and tallied whole (value_tally);
+    the other half is matched against that tally one chunk at a time
+    (count_tally_pairs), so at most a chunk of its codes is held.  At order
+    1 every zero counts 1.  Above it there is one generator f, whose code
+    is its value, and the singular zeros are the pairs in C_A x C_B whose
+    codes match, C_H being the points of half H where every d f / d x_j, j
+    in H, vanishes (the gradient of f at (x_A, x_B) is the pair of the
+    halves' gradients).  The meter is charged once, under `what`, the
     halves' points plus |C_A| |C_B|, after the scans; halves that alone
-    exceed it are refused before they are scanned.  With no meter
-    nothing is charged: the caller has charged the whole grid.
+    exceed it are refused before they are scanned.  With no meter nothing
+    is charged: the caller has charged the whole grid.
     """
     scanned = sum(math.prod(grid.sizes) for _, grid, _ in halves)
     if meter is not None and scanned > meter.left:
         charge(scanned, meter, what)
     r = len(halves[0][2])
     q = halves[0][1].ring.q if r > 1 else None
-    coded = r == 1 or q ** r <= 1 << 63
     zeros, tally, crit = 0, None, [None, None]
     for h in sorted((0, 1), key=lambda h: math.prod(halves[h][1].sizes)):
         axes, grid, parts = halves[h]
@@ -1038,26 +1044,17 @@ def _split_zeros(
         for chunk in grid.chunks():
             vals = scan.compact(chunk)
             vecs = [grid.ring.neg(v) for v in vals[:r]] if h else vals[:r]
-            if coded:
-                code = grid.flat(chunk, _codes(vecs, q))
-            else:
-                code = np.stack([grid.flat(chunk, v) for v in vecs], axis=1)
+            code = grid.flat(chunk, _codes(vecs, q))
             if partials:
                 flat = functools.reduce(operator.and_, [d == 0 for d in vals[r:]])
                 where = np.flatnonzero(grid.flat(chunk, flat))
                 found.append((grid.rows(chunk, where), code[where]))
             if tally is None:
                 codes.append(code)
-            elif coded:
-                zeros += count_tally_pairs(tally, code)
             else:
-                # the first half's rows and the chunk's, ranked together
-                rows = np.concatenate([tally, code])
-                _, ranks = np.unique(rows, axis=0, return_inverse=True)
-                zeros += count_value_pairs(*np.split(ranks.reshape(-1), [len(tally)]))
+                zeros += count_tally_pairs(tally, code)
         if tally is None:
-            codes = np.concatenate(codes)
-            tally = value_tally(codes) if coded else codes
+            tally = value_tally(np.concatenate(codes))
         # the points of C_H and their codes (nothing at order 1)
         crit[h] = [np.concatenate(c) for c in zip(*found)]
     if hi > 1:
@@ -1075,41 +1072,41 @@ def _split_zeros(
 
 
 class _Lift:
-    """One lift call: Denef's residue tree over (Z/p)^n, each node walked
-    for every order of a range at once.  It holds the meter it charges,
-    its grid (Z/p)^n, built once, and four dicts that live for the call:
+    """One lift call: Denef's residue tree over (Z/p)^n, each node walked for
+    every order at once.  It holds the meter it charges, its grid (Z/p)^n,
+    built once, and four dicts that live for the call:
 
     - memo: a node's counts, keyed by (the frozenset of its (h_j, o_j)
-      pairs, lo, hi);
+      pairs, hi);
     - scans: _scan_zeros of a node, keyed by (each constraint's nonzero
       terms mod p in constraint order, need, hi == 1);
     - shapes: the shape of a Taylor table (_shift_table), keyed by (a
       constraint's exponents in order, the table's depth);
-    - sums: the counts of a closed-form node, keyed by (a, o, lo, hi).
+    - sums: the counts of a closed-form node, keyed by (a, o, hi).
 
     A node is its constraints (h_j, o_j), ord_p h_j >= k - o_j with
     0 <= o_j < hi, each h_j with a coefficient prime to p and reduced mod
-    p^e for an e >= hi - o_j (_constraints), and its counts are [N(lo),
+    p^e for an e >= hi - o_j (_constraints), and its counts are [N(0),
     ..., N(hi)], N(k) = #{z in (Z/p^k)^n : ord_p h_j(z) >= k - o_j for
-    all j}.  A count of one order m is the range [m, m] at the root.
+    all j}.  A count of one order m reads N(m) off the root's walk.
 
-    count() is a node's step.  The orders k <= min o_j hold at every
-    point, and from the next one up the constraints with o_j < lo bind
-    (need).  Each child is reduced by _constraints, so equal subtrees
-    have equal keys, and a memo hit costs no work and no budget.  A node
-    whose one constraint is a monomial times a unit, h = y^a (c + p w(y))
-    with c a unit mod p (_unit_monomial), scans no grid: ord_p h(y) =
-    <a, v> for the valuations v_i of the y_i, so its counts are suffix
-    sums of one finite sum over valuation vectors (_valuation_sum), the
-    leaves at which Denef's recursion closes.  The sum depends on (a, o,
-    lo, hi) only, so sums runs it once per key, and every node is charged
-    its n (hi+1) (hi-o+1) steps as a "closed-form node", a hit too.  Any
-    other node finds the common zeros mod p of need, grouped by the set B
-    of all constraints that vanish there (its disks):
+    count() is a node's step.  The orders k <= min o_j hold at every point,
+    and from the next one up, bind = min o_j + 1, the constraints of that
+    least offset bind (need).  Each child is reduced by _constraints, so equal
+    subtrees have equal keys, and a memo hit costs no work and no budget.
+    A node whose one constraint is a monomial times a unit, h = y^a (c + p
+    w(y)) with c a unit mod p (_unit_monomial), scans no grid: ord_p h(y) =
+    <a, v> for the valuations v_i of the y_i, so its counts are suffix sums
+    of one finite sum over valuation vectors (_valuation_sum), the leaves
+    at which Denef's recursion closes.  The sum depends on (a, o, hi) only,
+    so sums runs it once per key, and every node is charged its n (hi+1)
+    (hi-o+1) steps as a "closed-form node", a hit too.  Any other node
+    finds the common zeros mod p of need, grouped by the set B of all
+    constraints that vanish there (its disks):
     - when the constraints split into variable-disjoint blocks
-      (split_halves, past the SPLIT_POINTS gate), at order 1 for any
-      number of them and above it for one, from two half grids
-      (_split_zeros), charged p^|A| + p^|B| + |C_A| |C_B| points;
+      (split_halves, past its gate), at order 1 for any number of them and
+      above it for one, from two half grids (_split_zeros), charged p^|A| +
+      p^|B| + |C_A| |C_B| points;
     - otherwise from one scan of the grid (_scan_zeros), charged p^n
       points.  The zeros mod p, their sets B and the Jacobian ranks there
       depend only on the constraints mod p, in order, on need and on
@@ -1117,21 +1114,21 @@ class _Lift:
       per such key; a hit shares the dict and its arrays, which callers
       only read, and is charged p^n points as a scan is.
 
-    walk() adds up a node's disks.  A constraint outside B is a unit on
-    z0's disk, so the disk counts only at the orders k <= top, the least
-    of hi and those o_j.  Where the Jacobian of B has full rank mod p,
-    the disk adds p^((k-1) n - sum_{j in B} max(k - o_j - 1, 0)) at order
-    k (Hensel).  A singular zero z0 is re-expanded as z0 + p y: the child
-    has B's shifted constraints and the orders one lower, and its counts
-    are the disk's.  The coefficient of y^b in h(z0 + p y) is p^|b|
-    T_b(z0), T_b = d^b h / b!, and only |b| < hi - o_j matters; the tables
-    of p^|b| T_b are built once per node, for the constraints a child
-    keeps, on shapes shared by the call (_shift_table), and each zero
-    takes one row of powers z0_i^e that every shift reads (_shift).  The
-    child keeps the coefficients mod p^(top - o_j).  A node of order 1
-    (hi = 1, so lo = 1 and every o_j = 0) counts each common zero mod p
-    once, smooth or singular (a singular zero's child of order 0 counts
-    1), so it evaluates no partial derivative.
+    walk() adds up a node's disks at the orders bind..hi (1..hi at a root
+    with a region).  A constraint outside B is a unit on z0's disk, so the
+    disk counts only at the orders k <= top, the least of hi and those o_j.
+    Where the Jacobian of B has full rank mod p, the disk adds p^((k-1) n -
+    sum_{j in B} max(k - o_j - 1, 0)) at order k (Hensel).  A singular zero
+    z0 is re-expanded as z0 + p y: the child has B's shifted constraints
+    and the orders one lower, and its counts are the disk's.  The
+    coefficient of y^b in h(z0 + p y) is p^|b| T_b(z0), T_b = d^b h / b!,
+    and only |b| < hi - o_j matters; the tables of p^|b| T_b are built once
+    per node, for the constraints a child keeps, on shapes shared by the
+    call (_shift_table), and each zero takes one row of powers z0_i^e that
+    every shift reads (_shift).  The child keeps the coefficients mod
+    p^(top - o_j).  A node of order 1 (hi = 1, so every o_j = 0) counts
+    each common zero mod p once, smooth or singular (a singular zero's
+    child of order 0 counts 1), so it evaluates no partial derivative.
 
     Only the root may have a region (count_points_raw): its one scan is
     masked by it and walked, and every node below is region-free.
@@ -1145,27 +1142,26 @@ class _Lift:
         self.shapes: dict[tuple, list] = {}
         self.sums: dict[tuple, list[int]] = {}
 
-    def count(self, active: list[tuple[Poly, int]], lo: int, hi: int) -> list[int]:
-        """[N(lo), ..., N(hi)] of the node with the constraints active."""
+    def count(self, active: list[tuple[Poly, int]], hi: int) -> list[int]:
+        """[N(0), ..., N(hi)] of the node with the constraints active."""
         p, n = self.p, self.n
         if not active:
-            return [p ** (k * n) for k in range(lo, hi + 1)]
+            return [p ** (k * n) for k in range(hi + 1)]
         bind = min(o for _, o in active) + 1
-        every = [p ** (k * n) for k in range(lo, bind)]
-        lo = max(lo, bind)
-        key = (frozenset(active), lo, hi)
+        every = [p ** (k * n) for k in range(bind)]
+        key = (frozenset(active), hi)
         if key in self.memo:
             return every + self.memo[key]
         a = _unit_monomial(active, p)
         if a is not None:
             o = active[0][1]
             charge(n * (hi + 1) * (hi - o + 1), self.meter, "closed-form node")
-            if (a, o, lo, hi) not in self.sums:
-                self.sums[a, o, lo, hi] = _valuation_sum(a, o, p, lo, hi)
-            counts = self.sums[a, o, lo, hi]
+            if (a, o, hi) not in self.sums:
+                self.sums[a, o, hi] = _valuation_sum(a, o, p, hi)
+            counts = self.sums[a, o, hi]
         else:
             gens = [g for g, _ in active]
-            need = [j for j, (_, o) in enumerate(active) if o < lo]
+            need = [j for j, (_, o) in enumerate(active) if o < bind]
             halves = split_halves(gens, self.grid) if hi == 1 or len(gens) == 1 else None
             if halves is not None:
                 disks = {tuple(need): _split_zeros(halves, self.meter, hi)}
@@ -1176,7 +1172,7 @@ class _Lift:
                 if scan not in self.scans:
                     self.scans[scan] = _scan_zeros(gens, need, self.grid, None, hi)
                 disks = self.scans[scan]
-            counts = self.walk(active, lo, hi, disks)
+            counts = self.walk(active, bind, hi, disks)
         self.memo[key] = counts
         return every + counts
 
@@ -1223,7 +1219,7 @@ class _Lift:
                 if child_top >= lo - 1:
                     children.setdefault((frozenset(child), child_top), [child, 0])[1] += 1
             for (_, child_top), (child, times) in children.items():
-                for i, c in enumerate(self.count(child, lo - 1, child_top)):
+                for i, c in enumerate(self.count(child, child_top)[lo - 1 :]):
                     counts[i] += times * c
         return counts
 
@@ -1253,24 +1249,25 @@ def count_points_raw(
         region = None
 
     if method == "lift":
-        lo = 1 if orders else m
         q = p ** m
         active, top = _constraints(
             (({b: r for b, c in g.terms.items() if (r := c % q)}, 0) for g in gens), m, nvars, p
         )
+        # no point meets a unit constraint above its offset
+        if top < m and not orders:
+            return 0
         counts = []
-        if top >= lo:
+        if top:
             lift = _Lift(budget, nvars, p)
             if region is None:
-                counts = lift.count(active, lo, top)
+                counts = lift.count(active, top)[1:]
             else:
                 # the region masks the root's one scan, and no node below has one
                 charge(p ** nvars, budget, "residue-tree level")
-                need = [j for j, (_, o) in enumerate(active) if o < lo]
+                need = [j for j, (_, o) in enumerate(active) if o < 1]
                 disks = _scan_zeros([g for g, _ in active], need, lift.grid, region, top)
-                counts = lift.walk(active, lo, top, disks)
-        # no point meets a unit constraint above its offset
-        counts = [*counts, *[0] * (m - max(top, lo - 1))]
+                counts = lift.walk(active, 1, top, disks)
+        counts += [0] * (m - top)
         return tuple(counts) if orders else counts[-1]
     gens = _nonconstant(gens, p ** m)
     if gens is None:
@@ -1399,8 +1396,7 @@ def count_ff_raw(
     q^n points.  Gens that split into variable-disjoint blocks past the
     split gate (split_halves) are counted from the two half grids as an
     order-1 lift node is (_split_zeros), which charges nothing more,
-    unless a half has more than CHUNK points, or each gen is in one
-    variable on a box of at most CHUNK points; other gens by one zero
+    unless a half has more than CHUNK points; other gens by one zero
     scan of the grid (_count_naive).  F_{p^k} for k >= 2 comes from
     fields (shared_field)."""
     check_prime_power(p, k, "k")
@@ -1412,22 +1408,12 @@ def count_ff_raw(
         return 0
     # GFTable stops at q = 4096, and F_p is Z/p
     grid = Grid(nvars, ModQ(p) if k == 1 else shared_field(p, k, fields))
-    # past the split gate (tested first, as it is cheaper), gens of one
-    # variable each are still scanned on a box of at most CHUNK points:
-    # the scan, one chunk, evaluates each on one axis and does no
-    # arithmetic on the whole box, so it beats a split (four coordinate
-    # squares: 0.08 against 0.16 ms at 13^4 points, 0.14 against 0.17 ms
-    # at 19^4)
-    box = q ** nvars
-    if gens and box > min(CHUNK, SPLIT_POINTS) and (
-        box > CHUNK or any(sum(map(any, zip(*g.terms))) > 1 for g in gens)
-    ):
-        halves = split_halves(gens, grid)
-        # _split_zeros holds the smaller half's codes whole (the larger one
-        # streams), and a half of more than CHUNK points is still left to
-        # the scan, which holds one chunk at a time
-        if halves is not None and all(math.prod(h.sizes) <= CHUNK for _, h, _ in halves):
-            return _split_zeros(halves, None, 1)[0]
+    halves = split_halves(gens, grid)
+    # _split_zeros holds the smaller half's codes whole (the larger one
+    # streams), so a half of more than CHUNK points is left to the scan,
+    # which holds one chunk at a time
+    if halves is not None and all(math.prod(h.sizes) <= CHUNK for _, h, _ in halves):
+        return _split_zeros(halves, None, 1)[0]
     return _count_naive(gens, grid, None, threads)
 
 

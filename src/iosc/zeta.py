@@ -212,7 +212,7 @@ def _compa(data: LocalData, r: int, M: int) -> CompaResult:
     lhs = [c[0]] + [c[m] - qr * c[m - 1] for m in range(1, M + 1)]
 
     # RHS from the exponential sums E(m) = V_m - q^-r V_{m-1}
-    E = {m: vols[m] - qr * vols[m - 1] for m in range(2, M + 2)}
+    E = {m: data.E(r, m) for m in range(2, M + 2)}
     rhs = [Fraction(0)] * (M + 1)
     if M >= 1:
         rhs[1] = (1 - qr) * vols[0] - E[2]
@@ -360,8 +360,9 @@ def theta_probe(
     """
     check_int("r", r, 1)
     check_int("M", M, 3)
-    vols = LocalData(spec, p, None, budget, threads).volumes(M)
-    terms = [(vols[m] - vols[m - 1] / p ** r) * p ** (r * m) for m in range(1, M + 1)]
+    data = LocalData(spec, p, None, budget, threads)
+    data.N(M)  # the top order first: one walk counts N(1..M)
+    terms = [data.E(r, m) * p ** (r * m) for m in range(1, M + 1)]
     sums = [Fraction(1)]
     for t in terms:
         sums.append(sums[-1] + t)

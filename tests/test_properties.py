@@ -698,21 +698,43 @@ def separable_field_gens(draw):
     return gens, n, p, k, chunk
 
 
+# a prime q with q^3 past 2^63, so value vectors of three polynomials
+# have Python-int codes
+Q31 = 2 ** 31 - 1
+VALUE = st.one_of(st.sampled_from([0, 1, Q31 - 1]), st.integers(0, Q31 - 1))
+VECTORS = st.lists(st.tuples(VALUE, VALUE, VALUE), min_size=1, max_size=30)
+
+
+@given(VECTORS, VECTORS)
+def test_pairs_of_value_vectors_past_int64_codes_are_counted_exactly(a, b):
+    # the codes of (v_1, v_2, v_3) in radix q reach q^3 > 2^63, so they are
+    # Python ints, and equal codes are equal vectors
+    codes = [
+        ringcount._codes([np.array(col, dtype=np.int64) for col in zip(*vecs)], Q31)
+        for vecs in (a, b)
+    ]
+    assert all(c.dtype == object for c in codes)
+    pairs = sum(u == v for u in a for v in b)
+    assert ringcount.count_tally_pairs(ringcount.value_tally(codes[0]), codes[1]) == pairs
+
+
 FIELDS: dict = {}
 
 
 @given(separable_field_gens())
 def test_a_separable_finite_field_count_equals_the_scan(case):
     # count_ff_raw counts the zeros from two half grids (but for a half of
-    # more than CHUNK points, or gens of one variable each on one chunk)
-    # and is charged the whole grid, once; the scan of the whole grid is
-    # the reference
+    # more than CHUNK points) and is charged the whole grid, once; the
+    # scan of the whole grid is the reference.  The gate splits every
+    # drawn box but one of at most CHUNK points whose gens each use at
+    # most one variable.
     gens, n, p, k, chunk = case
     q = p ** k
+    one_variable = all(len({j for e in g.terms for j in range(n) if e[j]}) <= 1 for g in gens)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ringcount, "CHUNK", chunk)
         grid = Grid(n, ModQ(p) if k == 1 else ringcount.shared_field(p, k, FIELDS))
-        assert ringcount.split_halves(gens, grid) is not None
+        assert (ringcount.split_halves(gens, grid) is None) == (one_variable and q ** n <= chunk)
         meter = Meter(q ** n)
         assert count_ff_raw(gens, n, p, k, meter, fields=FIELDS) == _count_naive(
             gens, grid, None, 1

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 import tracemalloc
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from iosc import expsum, ringcount
+from iosc.circle import BoxSpec, count_box_solutions
 from iosc.errors import BudgetExceeded, Meter, OracleDisagreement
 from iosc.expsum import ff_char_sum
 from iosc.gf import GFTable
@@ -156,8 +158,8 @@ def test_deep_tree_pins(gens, n, p, m, count):
     ],
 )
 def test_a_single_order_count_walks_the_same_tree(gens, n, p, m, charges, monkeypatch):
-    # a count of one order is the range [m, m]: the same nodes, charged
-    # the same points in the same order
+    # a count of one order walks every order and reads the top one: the
+    # pinned nodes, charged the same points in the same order
     real, log = ringcount.charge, []
 
     def charge(needed, budget, what="enumeration"):
@@ -196,14 +198,14 @@ def test_a_monomial_times_a_unit_is_counted_with_no_grid_scan(monkeypatch):
 
 def test_a_closed_form_sum_runs_once_per_key_and_charges_every_node(monkeypatch):
     # ord_p(u y^a) = <a, v> for every unit u, so a node's closed-form counts
-    # depend only on (a, o, lo, hi); the umbrella's walk at p = 7 reaches
-    # 289 closed-form nodes with 3 keys, and each node is charged its steps
+    # depend only on (a, o, hi); the umbrella's walk at p = 7 reaches 289
+    # closed-form nodes with 3 keys, and each node is charged its steps
     real_sum, keys = ringcount._valuation_sum, []
 
-    def valuation_sum(a, o, p, lo, hi):
-        assert (a, o, lo, hi) not in keys, "a key summed twice"
-        keys.append((a, o, lo, hi))
-        return real_sum(a, o, p, lo, hi)
+    def valuation_sum(a, o, p, hi):
+        assert (a, o, hi) not in keys, "a key summed twice"
+        keys.append((a, o, hi))
+        return real_sum(a, o, p, hi)
 
     real_charge, closed = ringcount.charge, []
 
@@ -221,19 +223,19 @@ def test_a_closed_form_sum_runs_once_per_key_and_charges_every_node(monkeypatch)
 
 def test_closed_form_nodes_share_a_sum_only_between_equal_keys():
     # nodes walked in turn on one lift call, each a monomial times a unit;
-    # each pair differs in one of o, lo and hi, and its second node must
-    # not take the first's counts
+    # the second and third differ from the first in o or hi and must not
+    # take its counts, and the fourth, y^a times another unit, shares them
     h, u = P("x1*x2^2", 2), P("2*x1*x2^2 + 3*x1^2*x2^2", 2)
     nodes = [
-        ([(h, 0)], 1, 3),
-        ([(h, 0)], 2, 3),  # lo
-        ([(u, 1)], 2, 3),  # o, and the unit 2 + 3 y1
-        ([(h, 0)], 2, 2),  # hi
+        ([(h, 0)], 3),
+        ([(u, 1)], 3),  # o, and the unit 2 + 3 y1
+        ([(h, 0)], 2),  # hi
+        ([(u, 0)], 3),  # the first node's key
     ]
     lift = ringcount._Lift(Meter.of(10 ** 6), 2, 3)
-    walked = [lift.count(a, lo, hi) for a, lo, hi in nodes]
-    assert walked == [node_counts(a, 2, 3, lo, hi) for a, lo, hi in nodes]
-    assert len(lift.sums) == len(nodes)
+    walked = [lift.count(a, hi) for a, hi in nodes]
+    assert walked == [node_counts(a, 2, 3, hi) for a, hi in nodes]
+    assert len(lift.sums) == 3
 
 
 QUADRICS = ("x1^2+x2^2-x3^2-x4^2", "x1*x3-x2*x4")
@@ -343,11 +345,11 @@ def test_a_pair_count_past_int64_is_summed_exactly():
 def test_count_value_pairs_is_the_brute_force_pair_count(a, b, dense):
     span = int(max(a.max(), b.max())) - int(min(a.min(), b.min())) + 1
     assert (span <= ringcount.DENSE * (len(a) + len(b))) == dense
-    assert ringcount.count_value_pairs(a, b) == brute_pairs(a, b)
+    assert ringcount.count_tally_pairs(ringcount.value_tally(a), b) == brute_pairs(a, b)
     rng = np.random.default_rng(len(a))
     for width in (3, 10 ** 6):
         a, b = rng.integers(-width, width, 200), rng.integers(-width, width, 150)
-        assert ringcount.count_value_pairs(a, b) == brute_pairs(a, b)
+        assert ringcount.count_tally_pairs(ringcount.value_tally(a), b) == brute_pairs(a, b)
 
 
 @pytest.mark.parametrize(
@@ -469,15 +471,15 @@ def test_deep_tree_agrees_with_naive(gens, n, p, m):
     count_zpm(S(*gens, n=n), p, m, method="both")
 
 
-def node_counts(active, nvars, p, lo, hi):
-    """[N(lo), ..., N(hi)] of a lift node by brute force: the z in
+def node_counts(active, nvars, p, hi):
+    """[N(0), ..., N(hi)] of a lift node by brute force: the z in
     (Z/p^k)^nvars with ord_p h_j(z) >= k - o_j for every (h_j, o_j)."""
     return [
         sum(
             all(h.eval_int(z) % p ** max(k - o, 0) == 0 for h, o in active)
             for z in itertools.product(range(p ** k), repeat=nvars)
         )
-        for k in range(lo, hi + 1)
+        for k in range(hi + 1)
     ]
 
 
@@ -487,18 +489,61 @@ def test_one_lift_call_shares_its_scans_only_between_equal_keys():
     g1, g2, g3 = P("x1^2 - x2^2", 2), P("x1 - x2", 2), P("x1", 2)
     nodes = [
         # order 1 counts every zero as smooth, order 2 does not
-        ([(g1, 0)], 1, 1),
-        ([(g1, 0)], 1, 2),
+        ([(g1, 0)], 1),
+        ([(g1, 0)], 2),
         # both constraints bind, then only g1 does
-        ([(g1, 0), (g2, 0)], 1, 3),
-        ([(g1, 0), (g2, 1)], 1, 3),
+        ([(g1, 0), (g2, 0)], 3),
+        ([(g1, 0), (g2, 1)], 3),
         # the same constraints in another order: B indexes them
-        ([(g1, 0), (g2, 1), (g3, 2)], 1, 3),
-        ([(g1, 0), (g3, 1), (g2, 2)], 1, 3),
+        ([(g1, 0), (g2, 1), (g3, 2)], 3),
+        ([(g1, 0), (g3, 1), (g2, 2)], 3),
     ]
     lift = ringcount._Lift(Meter.of(10 ** 6), 2, 3)
-    walked = [lift.count(a, lo, hi) for a, lo, hi in nodes]
-    assert walked == [node_counts(a, 2, 3, lo, hi) for a, lo, hi in nodes]
+    walked = [lift.count(a, hi) for a, hi in nodes]
+    assert walked == [node_counts(a, 2, 3, hi) for a, hi in nodes]
+
+
+def charge_log(monkeypatch):
+    """The list that the lift's charges are logged to, as (label, amount)."""
+    real, log = ringcount.charge, []
+
+    def charge(needed, budget, what="enumeration"):
+        real(needed, budget, what)
+        log.append((what, needed))
+
+    monkeypatch.setattr(ringcount, "charge", charge)
+    return log
+
+
+@pytest.mark.parametrize(
+    "gens,n,p,m",
+    [
+        (["x1^2*x2 - x3^2"], 3, 7, 10),
+        (["x1*x2*x3"], 3, 5, 8),
+        (["x1^2"], 1, 2, 40),
+        (["x1^2 + x1^3"], 1, 2, 40),
+        (QUADRICS, 4, 5, 2),
+        (["x1*x2 - x3*x4"], 4, 7, 2),
+    ],
+)
+def test_a_single_order_count_is_the_top_of_the_all_orders_walk(gens, n, p, m, monkeypatch):
+    # a count of one order walks every order, as orders=True does, and
+    # reads the top one: the same nodes, charged in the same order
+    log = charge_log(monkeypatch)
+    single = count_zpm(S(*gens, n=n), p, m)
+    walk, log[:] = log[:], []
+    assert single == count_zpm(S(*gens, n=n), p, m, orders=True)[-1]
+    assert log == walk
+
+
+def test_a_unit_constant_below_the_order_asked_ends_the_count_unwalked(monkeypatch):
+    # ord_3(27) = 3 < 5, so no point is a zero mod 3^5, and nothing is
+    # walked or charged
+    log = charge_log(monkeypatch)
+    gens = [P("3 + x1^3", 1), P("27", 1)]
+    assert count_points_raw(gens, 1, 3, 5) == 0
+    assert log == []
+    assert count_points_raw(gens, 1, 3, 5, method="naive") == 0
 
 
 def test_powmod_matches_pow():
@@ -806,6 +851,39 @@ def test_split_halves_hands_out_boxed_half_grids(grid):
         assert half.ring is grid.ring and half.k == len(axes) == parts[0].nvars
         assert half.lows == tuple(grid.lows[j] for j in axes)
         assert half.sizes == tuple(grid.sizes[j] for j in axes)
+
+
+def cubes(n):
+    return [P(f"x{j}^3 - 1", n) for j in range(1, n + 1)]
+
+
+@pytest.mark.parametrize(
+    "grid, gens, count, splits",
+    [
+        # (Z/13)^4 and (Z/29)^4: 28,561 and 707,281 points
+        (Grid(4, 13), cubes(4), lambda g: count_points_raw(g, 4, 13, 1), False),
+        (Grid(4, 29), cubes(4), lambda g: count_points_raw(g, 4, 29, 1), True),
+        # F_16^4 and F_16^5: 2^16 and 2^20 points
+        (Grid(4, GFTable(2, 4)), cubes(4), lambda g: ringcount.count_ff_raw(g, 4, 2, 4), False),
+        (Grid(5, GFTable(2, 4)), cubes(5), lambda g: ringcount.count_ff_raw(g, 5, 2, 4), True),
+        # the integer boxes [-B, B]^2 of count_box_solutions at B = 127 and
+        # 300: 65,025 and 361,201 points
+        (Grid(2, Int64(), (-127,) * 2, (255,) * 2), [P("x1^3", 2)],
+         lambda g: count_box_solutions(IdealSpec.from_gens(g), BoxSpec.cube(2), 127), False),
+        (Grid(2, Int64(), (-300,) * 2, (601,) * 2), [P("x1^3", 2)],
+         lambda g: count_box_solutions(IdealSpec.from_gens(g), BoxSpec.cube(2), 300), True),
+    ],
+    ids=["mod-13", "mod-29", "F16^4", "F16^5", "box-127", "box-300"],
+)
+def test_gens_of_one_variable_each_split_only_past_a_chunk(grid, gens, count, splits):
+    # split_halves is the one gate of the lift, count_ff_raw and
+    # count_box_solutions: gens that each use one variable are scanned on
+    # a box of more than SPLIT_POINTS and at most CHUNK points, and split
+    # above CHUNK, and every route counts what the naive scan counts
+    points = math.prod(grid.sizes)
+    assert ringcount.SPLIT_POINTS < points and (points > ringcount.CHUNK) == splits
+    assert (ringcount.split_halves(gens, grid) is not None) == splits
+    assert count(gens) == ringcount._count_naive(gens, grid, None, 1)
 
 
 def test_two_planes_never_split(monkeypatch):
