@@ -3,8 +3,10 @@
 Solution counting in boxes is exact integer enumeration.  The singular
 integral is the sublevel-volume limit eps^{-r} vol{x in B : |f_i(x)| <=
 eps/2}, estimated on a deterministic ladder of eps values by either a
-midpoint grid or seeded Monte Carlo; convergence is declared when the
-last two ladder values agree within 5%.  The major-arc prediction
+midpoint grid or seeded Monte Carlo, whose points come from SplitMix64,
+a fixed published generator written in NumPy's uint64 arithmetic, so a
+seed gives the same estimate on any NumPy; convergence is declared when
+the last two ladder values agree within 5%.  The major-arc prediction
 multiplies the exact partial singular series, the estimated singular
 integral and B^(n-D); at desk scale the acceptance band for the
 prediction/count ratio is 15%, reflecting error terms with ineffective
@@ -41,10 +43,15 @@ from .ringcount import (
 from .sseries import SeriesReport, singular_series_partial
 
 # singular_integral streams blocks of at most this many coordinates: its
-# five buffers are written afresh in every process, and blocks of CHUNK
+# buffers are written afresh in every process, and blocks of CHUNK
 # coordinates took 5.5 MB of them at n = 4, about 1,400 first-touch page
-# faults; 2^16 coordinates take 1.4 MB, and a numpy call still covers
-# 16,384 points
+# faults.  With rows = 2^16 // n, the buffers are, at n = 4: the (n, rows)
+# float64 points (512 KiB); two float64 rows (128 KiB each), the largest
+# |f_i| and a term, and a third, a later generator's value, when there
+# are two generators or more; and for the Monte Carlo sampler three
+# uint64 arrays of rows * n // 2 + 1 outputs (256 KiB each), the counter
+# steps, the outputs and the mixer's work buffer.  A numpy call still
+# covers 16,384 points
 SAMPLE_POINTS = 1 << 16
 
 
@@ -156,15 +163,56 @@ def _eval_float(f: Poly, cols: np.ndarray, acc: np.ndarray, term: np.ndarray) ->
     """f at the points whose coordinates are the rows of cols, shape (n, N),
     written into acc; term is a work buffer of length N.  Each term is its
     coefficient times cols[j] ** e for each of its factors in variable
-    order, and acc sums the terms in f's order from zero."""
-    acc.fill(0.0)
-    for expo, coeff in f.terms.items():
-        term.fill(float(coeff))
+    order, and acc sums the terms in f's order: the first term is written
+    into acc itself (0 + t = t), and each later one goes through term."""
+    for i, (expo, coeff) in enumerate(f.terms.items()):
+        t = term if i else acc
+        t.fill(float(coeff))
         for j, e in enumerate(expo):
             if e:
-                np.multiply(term, cols[j] ** e, out=term)
-        acc += term
+                np.multiply(t, cols[j] ** e, out=t)
+        if i:
+            acc += term
     return acc
+
+
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): its counter increment,
+# and the shifts and multipliers of its output function
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
+
+
+def _mix64(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function applied to the uint64 array z in place;
+    t is a work buffer of z's shape.  uint64 arithmetic wraps mod 2^64."""
+    for shift, mult in _MIX:
+        np.right_shift(z, shift, out=t)
+        np.bitwise_xor(z, t, out=z)
+        np.multiply(z, mult, out=z)
+    np.right_shift(z, 31, out=t)
+    return np.bitwise_xor(z, t, out=z)
+
+
+class _Draws:
+    """The uint32 draws of one seed, addressed by index as singular_integral
+    describes, from buffers for `most` draws at a time."""
+
+    def __init__(self, seed: int, most: int):
+        outputs = most // 2 + 1
+        self.key = int(_mix64(np.array([seed], dtype=np.uint64), np.empty(1, np.uint64))[0])
+        self.steps = np.multiply(np.arange(1, outputs + 1, dtype=np.uint64), _GAMMA)
+        self.out = np.empty(outputs, dtype=np.uint64)
+        self.work = np.empty(outputs, dtype=np.uint64)
+
+    def words(self, first: int, count: int) -> np.ndarray:
+        """Draws first, ..., first + count - 1 (count at most `most`)."""
+        h0 = first // 2
+        k = (first + count - 1) // 2 - h0 + 1
+        z = np.add(self.steps[:k], (self.key + h0 * _GAMMA) % (1 << 64), out=self.out[:k])
+        _mix64(z, self.work[:k])
+        # an explicit little-endian view puts the low word first on any host
+        skip = first - 2 * h0
+        return z.astype("<u8", copy=False).view("<u4")[skip:skip + count]
 
 
 def _float_pow(x: float, e: int) -> float:
@@ -187,28 +235,27 @@ def singular_integral(
 ) -> JIntegralReport:
     """Estimate J = lim eps^-r vol{x in box : |f_i(x)| <= eps/2 for all i}.
 
-    The Monte Carlo sampler draws its points from one generator seeded
-    with the 64-bit seed, and every ladder value counts the same points
-    (deterministic for a fixed seed); the grid sampler uses a midpoint
-    product grid.  Both stream their points in blocks of min(CHUNK,
-    SAMPLE_POINTS) coordinates (ringcount.CHUNK, read at call time): a
-    block of the Monte Carlo sampler is the generator's next draws, so
-    the draws, and with them the estimates, equal those of one draw of
-    all samples, and a block of the grid is a run of its points in
-    row-major order.  A block is counted for each eps by its largest
-    |f_i|.
+    The Monte Carlo sampler draws uint32 words from SplitMix64 (Steele,
+    Lea and Flood, OOPSLA 2014), so a seed, 0 <= seed < 2^64, gives the
+    same points on any NumPy and byte order.  With key = mix64(seed),
+    SplitMix64's output function of the seed, output h is mix64(key +
+    (h + 1) * 0x9E3779B97F4A7C15) mod 2^64, and draw i is its 32-bit word
+    i % 2, low word first, of output i // 2.  Coordinate j of sample s is
+    draw i = s * n + j, scaled as lo_j + u * ((hi_j - lo_j) * 2^-32), an
+    exact scale: the points have a resolution of 2^-32 of a side, far
+    below the estimator's sampling error.  Every ladder value counts the
+    same points.  The grid sampler uses a midpoint product grid.
 
-    The blocks reuse one set of buffers, of at most min(CHUNK,
-    SAMPLE_POINTS) // n rows each (a short last block takes their leading
-    rows): the Monte Carlo sampler draws into a (rows, n) array,
-    rng.random(out=...), and scales it axis by axis, lo_j + (hi_j - lo_j)
-    * u, into the (n, rows) point array that the grid sampler fills from
-    its own decode; _eval_float writes each generator into one
-    accumulator and one term buffer, and the largest |f_i| goes to a
-    buffer of its own.  The float operations
-    and their order are fixed, those of one draw of all samples evaluated
-    term by term, so the estimates are bit for bit the same for every
-    block size.
+    Both stream their points in blocks of min(CHUNK, SAMPLE_POINTS)
+    coordinates (ringcount.CHUNK, read at call time): a Monte Carlo block
+    computes its draws from its first draw's index, so the estimates equal
+    those of one draw of all samples by construction, and a block of the
+    grid is a run of its points in row-major order.  The blocks reuse one
+    set of buffers of min(CHUNK, SAMPLE_POINTS) // n rows (a short last
+    block takes their leading rows), and a block is counted for each eps
+    by its largest |f_i|.  The float operations and their order are
+    fixed, those of all points evaluated at once term by term, so the
+    estimates are bit for bit the same for every block size.
 
     Convergence means the last two ladder values agree within 5%;
     non-convergence is reported, never silently accepted.
@@ -216,7 +263,7 @@ def singular_integral(
     n, r = spec.nvars, spec.r
     check_int("samples", samples, 1)
     check_int("grid_resolution", grid_resolution, 1)
-    check_int("seed", seed, 0)
+    check_int("seed", seed, 0, 2 ** 64 - 1)
     if box.n != n:
         raise ValueError("box dimension must match nvars")
     if not eps_ladder:
@@ -232,7 +279,6 @@ def singular_integral(
 
     if sampler == "mc":
         charge(samples, budget, "monte carlo sampling")
-        rng = np.random.default_rng(seed)
         used = samples
     elif sampler == "grid":
         used = grid_resolution ** n
@@ -245,27 +291,31 @@ def singular_integral(
         raise ValueError(f"unknown sampler {sampler!r}")
 
     block = min(max(1, min(ringcount.CHUNK, SAMPLE_POINTS) // n), used)
-    draws = np.empty((block, n)) if sampler == "mc" else None
+    if sampler == "mc":
+        draws = _Draws(seed, block * n)
+        # (hi - lo) * 2^-32 is exact, so u * scale rounds (hi - lo) * u / 2^32 once
+        scale = (hi - lo) * 2.0 ** -32
     cols = np.empty((n, block))
-    acc, term, worst = np.empty(block), np.empty(block), np.empty(block)
+    worst, term = np.empty(block), np.empty(block)
+    acc = np.empty(block) if r > 1 else None
+    first, *rest = spec.generators
     hits = [0] * len(eps_ladder)
     for start in range(0, used, block):
         rows = min(block, used - start)
         pts = cols[:, :rows]
         if sampler == "mc":
-            u = rng.random(out=draws[:rows])
+            u = draws.words(start * n, rows * n).reshape(rows, n)
             for j in range(n):
-                # lo + (hi - lo) * u, one axis at a time
-                np.multiply(u[:, j], hi[j] - lo[j], out=pts[j])
+                np.multiply(u[:, j], scale[j], out=pts[j])
                 np.add(pts[j], lo[j], out=pts[j])
         else:
             idx = digits(np.arange(start, start + rows, dtype=np.int64), [grid_resolution] * n)
             for j in range(n):
                 np.take(axes[j], idx[:, j], out=pts[j])
         # max is exact, so worst <= eps/2 is the & of the per-generator tests
-        w = worst[:rows]
-        w.fill(0.0)
-        for g in spec.generators:
+        w = _eval_float(first, pts, worst[:rows], term[:rows])
+        np.abs(w, out=w)
+        for g in rest:
             v = _eval_float(g, pts, acc[:rows], term[:rows])
             np.maximum(w, np.abs(v, out=v), out=w)
         for k, eps in enumerate(eps_ladder):

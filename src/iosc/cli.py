@@ -500,7 +500,7 @@ def _circle(sp):
     sp.add_argument("--box", default=None, help="lo,hi;lo,hi;... inside [-1,1]")
     sp.add_argument("--eps", default=None, help="epsilon ladder, comma separated")
     sp.add_argument("--sampler", choices=["mc", "grid"], default="mc")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0, help="Monte Carlo seed, 0 ≤ seed < 2^64")
     sp.add_argument("-p", type=int, default=7)
     sp.add_argument("-m", type=int, default=1)
     sp.add_argument("--ell", type=int, default=2)

@@ -204,7 +204,68 @@ def test_j_integral_deterministic_for_seed():
     spec = S("x1^2 + x2^2 - x3^2", n=3)
     a = singular_integral(spec, BoxSpec.cube(3), [0.2, 0.1], seed=123)
     b = singular_integral(spec, BoxSpec.cube(3), [0.2, 0.1], seed=123)
+    c = singular_integral(spec, BoxSpec.cube(3), [0.2, 0.1], seed=124)
     assert a.estimates == b.estimates
+    assert c.estimates != a.estimates
+
+
+# -- the Monte Carlo stream -------------------------------------------------------
+
+MASK64 = (1 << 64) - 1
+
+
+def mix64(z):
+    """SplitMix64's output function on a Python int."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def splitmix64(state):
+    """One step of SplitMix64: (its output, the next state)."""
+    state = (state + 0x9E3779B97F4A7C15) & MASK64
+    return mix64(state), state
+
+
+def reference_words(seed, count):
+    """The first count uint32 draws of a seed, one generator step at a
+    time: SplitMix64 started at state mix64(seed), each output split into
+    its low word, then its high word."""
+    words, state = [], mix64(seed)
+    while len(words) < count:
+        out, state = splitmix64(state)
+        words += [out & 0xFFFFFFFF, out >> 32]
+    return words[:count]
+
+
+def test_the_reference_generator_gives_splitmix64s_published_outputs():
+    outs, state = [], 0
+    for _ in range(3):
+        out, state = splitmix64(state)
+        outs.append(out)
+    assert outs == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
+@pytest.mark.parametrize("first, count", [(0, 1), (0, 9), (1, 1), (1, 8), (6, 4), (7, 9)])
+def test_the_draws_are_the_reference_words_from_any_start(seed, first, count):
+    words = reference_words(seed, first + count)[first:]
+    got = circle._Draws(seed, 16).words(first, count)
+    assert got.dtype == np.dtype("<u4")
+    assert got.tolist() == words
+
+
+def test_the_draws_pass_fixed_five_sigma_bounds():
+    # 2^20 draws of seed 0 as u in [0, 1): a fixed seed, so this cannot flake
+    N = 1 << 20
+    u = circle._Draws(0, N).words(0, N) * 2.0 ** -32
+    v = circle._Draws(1, N).words(0, N) * 2.0 ** -32
+    assert abs(u.mean() - 0.5) <= 5 * (1 / 12 / N) ** 0.5
+    cells = np.bincount((u * 256).astype(np.int64), minlength=256)
+    chi2 = float(((cells - N / 256) ** 2).sum() / (N / 256))
+    assert abs(chi2 - 255) <= 5 * (2 * 255) ** 0.5
+    assert abs(np.corrcoef(u[:-1], u[1:])[0, 1]) <= 5 / N ** 0.5
+    assert abs(np.corrcoef(u, v)[0, 1]) <= 5 / N ** 0.5
 
 
 def _eval_all_at_once(f, pts):
@@ -220,12 +281,14 @@ def _eval_all_at_once(f, pts):
 
 def j_all_at_once(spec, box, eps_ladder, sampler, seed, samples, grid_resolution):
     """The estimates of singular_integral from every point built at once:
-    one draw of all samples, or the whole meshgrid."""
+    all samples from the pure-Python SplitMix64 words, or the whole
+    meshgrid."""
     n, r = spec.nvars, spec.r
     lo = np.array([float(l) for l, _ in box.bounds])
     hi = np.array([float(h) for _, h in box.bounds])
     if sampler == "mc":
-        pts = lo + (hi - lo) * np.random.default_rng(seed).random((samples, n))
+        u = np.array(reference_words(seed, samples * n), dtype=float) * 2.0 ** -32
+        pts = lo + (hi - lo) * u.reshape(samples, n)
     else:
         axes = [
             l + (h - l) * (np.arange(grid_resolution) + 0.5) / grid_resolution

@@ -482,6 +482,34 @@ def test_a_call_echoes_only_its_own_options(capsys):
     assert gens == ["--gens=x2"]
 
 
+def test_the_circle_commands_never_import_numpy_random():
+    # NumPy imports numpy.random lazily, and that import alone cost about
+    # 9 ms of a process's first Monte Carlo integral
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import contextlib, io, sys\n"
+        "from iosc.cli import main\n"
+        "gens = ['--gens', 'x1^2+x2^2-x3^2', '-n', '3']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['circle', 'predict', '-B', '3', '--qmax', '4'] + gens),\n"
+        "             main(['circle', 'jintegral'] + gens)]\n"
+        "print(codes, 'numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["[0,", "0]", "False"]
+
+
+@pytest.mark.parametrize("which", ["jintegral", "predict"])
+def test_a_seed_past_64_bits_exits_2_before_any_draw(which, capsys):
+    argv = ["circle", which, "--gens", "x1^2+x2^2-x3^2", "-n", "3",
+            "--seed", str(2 ** 64), "--budget", "1"]
+    # with a budget of one point, a charge would exit 3 (budget exceeded)
+    assert main(argv) == 2
+    assert f"seed must be in [0, {2 ** 64 - 1}]" in capsys.readouterr().err
+
+
 def test_a_refused_call_leaves_the_next_report_unchanged(capsys):
     argv = ["circle", "jintegral", "--gens", "x1^2+x2^2-x3^2", "-n", "3", "--seed", "5"]
     assert main(argv) == 0

@@ -65,8 +65,9 @@ CONE = S("x1^2 + x2^2 - x3^2", n=3)
 F2 = parse_poly("x1^2 + x2^2", 2)
 SERIES = [Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
 
-# (parameter name, first value below its range, call(v, meter)); a call
-# with no budget parameter ignores the meter
+# (parameter name, first value outside its range, call(v, meter)); the
+# value is the one below the range unless the case's name ends in -top,
+# and a call with no budget parameter ignores the meter
 CASES = {
     # ringcount
     "count_zpm-m": ("m", 0, lambda v, b: count_zpm(SQUARE, 3, v, budget=b)),
@@ -151,6 +152,10 @@ CASES = {
     ),
     "singular_integral-seed": (
         "seed", -1,
+        lambda v, b: singular_integral(CONE, BoxSpec.cube(3), [0.2], seed=v, budget=b),
+    ),
+    "singular_integral-seed-top": (
+        "seed", 2 ** 64,
         lambda v, b: singular_integral(CONE, BoxSpec.cube(3), [0.2], seed=v, budget=b),
     ),
     "major_arc_prediction-B": (
